@@ -30,11 +30,6 @@ class CountingContext:
     block: tuple             # directed K-edges: the crossing block E
     shape: str               # "edge" | "loop" | "loop_at_core"
 
-    @property
-    def complement_edges(self):
-        used = set().union(*self.A_edge_sets)
-        return frozenset(self.K.edges) - used
-
 
 def _injective_embeddings(KA, K):
     """All label-preserving embeddings of the core KA into K."""

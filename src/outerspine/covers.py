@@ -6,7 +6,6 @@ edge labels. It equals the quotient of the minimal subtree of the universal
 cover; tree-level statements about minimal subtrees are computed on it.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import folding
@@ -34,20 +33,11 @@ class SubgroupGraph:
         self.tail_labels = tuple(tail_labels) if tail_labels is not None else None
         self.rank = core.rank
 
-    def is_based(self):
-        return self.attach is not None
-
-    def unbased(self):
-        return SubgroupGraph(self.core, self.ambient)
-
     def vertex_image(self, v):
         """Ambient vertex under the immersion."""
         d = self.core.directions(v)[0]
         lab = self.core.label_of(d)
         return self.ambient.graph.tail(lab)
-
-    def label_path(self, path):
-        return self.core.path_labels(path)
 
 
 def stallings_core(gens, G, based=False):
@@ -216,88 +206,46 @@ def ffs_partial_order(F1, F2):
 @dataclass
 class CoreSubgraphWitness:
     edges: frozenset          # ambient edge ids forming the core subgraph
-    components: tuple         # tuple of frozensets, one per component
-    matching: tuple           # component index -> system component index
+    components: tuple         # edge-id frozensets, in the system's order
+
+    @staticmethod
+    def of(images):
+        comps = tuple(edges for edges, _ in images)
+        return CoreSubgraphWitness(frozenset().union(*comps), comps)
 
 
-def subgraph_components(G, edge_set):
-    """Connected components of an edge subset, as edge-id frozensets."""
-    edge_set = set(edge_set)
-    comps = []
-    remaining = set(edge_set)
-    while remaining:
-        seed = next(iter(remaining))
-        comp = {seed}
-        verts = set(G.graph.edges[seed])
-        changed = True
-        while changed:
-            changed = False
-            for eid in list(remaining - comp):
-                o, t = G.graph.edges[eid]
-                if o in verts or t in verts:
-                    comp.add(eid)
-                    verts.update((o, t))
-                    changed = True
-        comps.append(frozenset(comp))
-        remaining -= comp
-    return comps
+def core_images(G, F):
+    """Embed each component's Stallings core in G, in F's order.
 
-
-def core_prune_edges(G, edge_set):
-    """Prune the subgraph to core form (drop valence-1 business iteratively)."""
-    edge_set = set(edge_set)
-    while True:
-        deg = {}
-        for eid in edge_set:
-            o, t = G.graph.edges[eid]
-            deg[o] = deg.get(o, 0) + 1
-            deg[t] = deg.get(t, 0) + 1
-        bad = {v for v, d in deg.items() if d == 1}
-        if not bad:
-            return frozenset(edge_set)
-        edge_set = {eid for eid in edge_set
-                    if not set(G.graph.edges[eid]) & bad}
-
-
-def component_as_labeled(G, comp_edges):
-    """A core subgraph component as a subgroup graph (identity labels)."""
-    edges = {eid: (G.graph.edges[eid][0], G.graph.edges[eid][1], eid)
-             for eid in comp_edges}
-    return SubgroupGraph(LabeledGraph(edges, None), G)
+    Returns one (edge set, vertex set) pair per component, or None when a
+    core's vertex map is not injective or two images share a vertex. An
+    immersion injective on vertices is injective on edges: two edges with one
+    label would start at one vertex, which a folded graph forbids.
+    """
+    images = []
+    used = set()
+    for K in F.cores_over(G):
+        verts = {K.vertex_image(v) for v in K.core.vertices}
+        if len(verts) != len(K.core.vertices) or verts & used:
+            return None
+        used |= verts
+        images.append((frozenset(lab for _, _, lab in K.core.edges.values()),
+                       frozenset(verts)))
+    return images
 
 
 def realizes(G, F):
-    """CVK^F membership: search all core subgraphs of G for one whose
-    components realize the system, component-by-component up to conjugacy."""
-    cores = F.cores_over(G)
-    target_ranks = sorted(k.rank for k in cores)
-    eids = sorted(G.graph.edges)
-    seen = set()
-    for r in range(1, len(eids) + 1):
-        for combo in itertools.combinations(eids, r):
-            pruned = core_prune_edges(G, combo)
-            if not pruned or pruned in seen:
-                continue
-            seen.add(pruned)
-            comps = subgraph_components(G, pruned)
-            if len(comps) != len(cores):
-                continue
-            labeled = [component_as_labeled(G, c) for c in comps]
-            if sorted(k.rank for k in labeled) != target_ranks:
-                continue
-            match = _match_components(labeled, cores)
-            if match is not None:
-                return CoreSubgraphWitness(pruned, tuple(comps), tuple(match))
-    return None
+    """CVK^F membership: a core subgraph of G whose components carry the
+    classes of F, or None.
 
-
-def _match_components(labeled, cores):
-    n = len(cores)
-    for perm in itertools.permutations(range(n)):
-        if all(labeled_isomorphism(labeled[i].core, cores[perm[i]].core)
-               for i in range(n)):
-            return perm
-    return None
+    A core subgraph component carrying [A] is the image of the Stallings core
+    of A over G, immersed by its labels. So G realizes F iff each core embeds
+    (its immersion is injective on vertices, hence on edges) and the images
+    are pairwise vertex-disjoint. The labels fix each image, so the
+    realization is unique when it exists.
+    """
+    images = core_images(G, F)
+    return None if images is None else CoreSubgraphWitness.of(images)
 
 
 def collapse_labeled(K, forest_labels, edge_map):

@@ -46,10 +46,6 @@ class CoreGraph:
         """Directed edges leaving v; a loop at v appears twice (+e and -e)."""
         return list(self._out[v])
 
-    def is_loop(self, eid):
-        o, t = self.edges[eid]
-        return o == t
-
     def is_connected(self):
         if not self.vertices:
             return False
@@ -64,9 +60,6 @@ class CoreGraph:
                     seen.add(h)
                     stack.append(h)
         return seen == self.vertices
-
-    def is_circle(self):
-        return all(self.valence(v) == 2 for v in self.vertices)
 
     def is_natural(self):
         """No valence-2 vertices (the rank-1 circle convention is separate)."""

@@ -44,10 +44,6 @@ class MarkedGraph:
         g = graphs.rose(n)
         return MarkedGraph(g, 0, tuple((i,) for i in range(1, n + 1)), check=False)
 
-    def with_marking(self, marking, basepoint=None):
-        return MarkedGraph(self.graph, self.basepoint if basepoint is None else basepoint,
-                           marking, check=False)
-
     # -- marking as an identification of pi_1 with F_n ----------------------
 
     def check_generates(self):

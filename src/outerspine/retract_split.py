@@ -13,7 +13,7 @@ from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     cyclic_reduce, is_automorphism)
 from .graphs import CoreGraph, reduce_path, invert_path
 from .marked import MarkedGraph, equivalent
-from .covers import FreeFactorSystem, realizes
+from .covers import CoreSubgraphWitness, FreeFactorSystem, core_images
 
 
 class SplitError(ValueError):
@@ -128,16 +128,16 @@ def in_CVKT(G, bp):
 
     Returns (witness, complement edge) or None.
     """
-    w = realizes(G, bp.vertex_system())
-    if w is None:
+    images = core_images(G, bp.vertex_system())
+    if images is None:
         return None
-    comp = set(G.graph.edges) - set(w.edges)
+    w = CoreSubgraphWitness.of(images)
+    comp = set(G.graph.edges) - w.edges
     if len(comp) != 1:
         return None
     eid = next(iter(comp))
     o, t = G.graph.edges[eid]
-    comp_verts = [set().union(*({G.graph.edges[e][0], G.graph.edges[e][1]}
-                                for e in c)) for c in w.components]
+    comp_verts = [verts for _, verts in images]
     if bp.kind == "loop":
         if not any(o in cv and t in cv for cv in comp_verts):
             return None

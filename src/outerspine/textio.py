@@ -130,6 +130,8 @@ def parse_marked(text, pointed=False):
         raise FormatError("no marking block")
     entries = {}
     for s in [s.strip() for s in body.split(";") if s.strip()]:
+        if "=" not in s:
+            raise FormatError("marking entry without '=': %r" % s)
         lhs, rhs = s.split("=", 1)
         idx = parse_letter(lhs.strip())
         entries[idx] = parse_path(rhs)
@@ -137,6 +139,9 @@ def parse_marked(text, pointed=False):
     if sorted(entries) != list(range(1, n + 1)):
         raise FormatError("marking must cover a1..a%d" % n)
     marking = [entries[i] for i in range(1, n + 1)]
+    unknown = {abs(d) for p in marking for d in p} - set(g.edges)
+    if unknown:
+        raise FormatError("marking uses unknown edge e%d" % min(unknown))
     m = re.search(r"basepoint:\s*(v\d+)", text)
     if m:
         base = _vid(m.group(1))

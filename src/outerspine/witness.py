@@ -378,7 +378,7 @@ def case2_build(params):
     n = params.n
     p, q = params.ranks[0], params.ranks[1]
     m = p + q
-    spare = params.coindex() - 1
+    spare = n - m
     h0 = tuple(range(1, p + 1))
     h1 = tuple(range(p + 1, m + 1))
     h2 = tuple(range(m + 1, m + spare + 1))

@@ -127,9 +127,6 @@ class CyclicWord:
     def representative(self):
         return ReducedWord(self.letters, self.rank)
 
-    def inverse_class(self):
-        return CyclicWord(canonical_rotation(invert_letters(self.letters)), self.rank)
-
 
 def cyclic_reduce(w):
     """Split w as conj * cyc * conj^-1 with cyc cyclically reduced, canonical.

@@ -72,6 +72,29 @@ def test_witness_csv():
     assert iks == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 
 
+def test_witness_case3_rank_two_extra_component():
+    out = run_cli(["witness", "--case", "3", "--n", "5", "--ranks", "1", "1",
+                   "2", "--kmax", "3"])
+    lines = out.strip().splitlines()
+    assert lines[0] == "k,upper_nielsen,i_k,spine_lb"
+    assert [int(l.split(",")[0]) for l in lines[1:]] == [0, 1, 2, 3]
+
+
+def test_malformed_marking_exits_2(tmp_path):
+    graph = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
+    for i, marking in enumerate(["marking { a1 e1; a2 = e2; }",
+                                 "marking { a1 = e7; a2 = e2; }"]):
+        p = tmp_path / ("bad%d.txt" % i)
+        p.write_text(graph + marking + "\n")
+        proc = subprocess.run([sys.executable, "-m", "outerspine.cli",
+                               "realizes", "--graph", str(p),
+                               "--component", "a1"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+
 def test_retract_aut_fixed_point(tmp_path):
     w = PointedMarkedGraph.pointed_rose(2)
     x = embed_j(w)

@@ -114,7 +114,12 @@ def test_realizes_two_components():
     w = realizes(B, F)
     assert w is not None
     assert len(w.components) == 2
-    assert sorted(map(sorted, w.components)) == [[1], [2]]
+    assert w.components == (frozenset([1]), frozenset([2]))
+    # components come back in the system's order
+    F_rev = FreeFactorSystem.of([[basis_word(2, 3)], [basis_word(1, 3)]], 3)
+    w_rev = realizes(B, F_rev)
+    assert w_rev.edges == w.edges
+    assert w_rev.components == tuple(reversed(w.components))
 
 
 def test_minimal_subtree_collapse_theta():

@@ -1,3 +1,5 @@
+import pytest
+
 from outerspine import textio
 from outerspine.marked import MarkedGraph
 from outerspine.retract_aut import PointedMarkedGraph, pointed_equivalent
@@ -79,3 +81,11 @@ def test_derive_basepoint():
     assert "basepoint" not in text
     G2 = textio.parse_marked(text)
     assert G2.basepoint == 0
+
+
+def test_malformed_marking_is_format_error():
+    graph = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
+    for marking in ["marking { a1 e1; a2 = e2; }",
+                    "marking { a1 = e7; a2 = e2; }"]:
+        with pytest.raises(textio.FormatError):
+            textio.parse_marked(graph + marking)

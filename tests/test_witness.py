@@ -125,6 +125,15 @@ def test_case2_build_shape():
     assert cx.c0 == expected
 
 
+def test_case3_build_rank_with_rank_two_extra_component():
+    # the spare rose carries the n - m letters outside A_0 * A_1
+    params = WitnessParams(5, "multi_component", ranks=(1, 1, 2))
+    cx = case2_build(params)
+    assert cx.Gp.rank == 5
+    assert cx.G.rank == 5
+    assert len(cx.h2_edges) == 3
+
+
 def test_case2_baseline_is_two():
     params = WitnessParams(3, "two_component", ranks=(1, 1))
     cx = case2_build(params)

@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 
-from . import acceptance, counting, graphs, spine, textio, witness
+from . import acceptance, counting, folding, graphs, spine, textio, witness
 from .words import CyclicWord, Endomorphism, WordError, is_automorphism
 from .marked import MarkingError, equivalent
 from .covers import (CoverError, FreeFactorSystem, coindex, realizes,
@@ -415,7 +415,8 @@ def build_parser():
 PRECONDITION_ERRORS = (PreconditionError, WordError, MarkingError, CoverError,
                        counting.CountError, SplitError, PointedError,
                        witness.WitnessError, textio.FormatError,
-                       graphs.GraphError, FileNotFoundError)
+                       graphs.GraphError, spine.SpineError,
+                       folding.FoldError, FileNotFoundError)
 
 
 def main(argv=None):

@@ -10,7 +10,7 @@ stay is a path, and crossings are complete traversals of the block.
 from dataclasses import dataclass
 
 from .covers import stallings_core, _labeled_extension
-from .graphs import invert_path
+from .words import invert_letters
 
 
 class CountError(ValueError):
@@ -218,7 +218,7 @@ class CrossingCount:
 
 
 def _count_block(mu, block):
-    rev = invert_path(block)
+    rev = invert_letters(block)
     q = len(block)
     n = 0
     for i in range(len(mu) - q + 1):
@@ -282,7 +282,8 @@ def count_i(ctx, c, G=None):
             mu.append(d)
             cur = nxt
             budget -= 1
-        assert budget, "entry-state run exceeded budget"
+        if not budget:
+            raise CountError("entry-state run exceeded budget")
         score = _count_block(tuple(mu), ctx.block)
         if score > best or best_start is None:
             best = score

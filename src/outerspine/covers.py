@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import folding
 from .folding import LabeledGraph, FoldError
 from .marked import MarkedGraph
-from .graphs import invert_path
+from .words import invert_letters
 
 
 class CoverError(ValueError):
@@ -148,8 +148,8 @@ def subgroup_generators(sub, G):
         if eid in tree_edges:
             continue
         o, t, _ = core.edges[eid]
-        loop = tree_path[o] + (eid,) + invert_path(tree_path[t])
-        labels = pre + core.path_labels(loop) + tuple(-l for l in reversed(pre))
+        loop = tree_path[o] + (eid,) + invert_letters(tree_path[t])
+        labels = pre + core.path_labels(loop) + invert_letters(pre)
         at = G.basepoint if sub.tail_labels is not None else sub.vertex_image(root)
         gens.append(G.path_to_word(labels, at_vertex=at))
     return gens

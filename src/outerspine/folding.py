@@ -20,10 +20,6 @@ class FoldError(ValueError):
     pass
 
 
-def _inv(val):
-    return invert_letters(val)
-
-
 def _mul(*vals):
     out = []
     for v in vals:
@@ -78,7 +74,7 @@ class _Fold:
             if a > 0:
                 self.edges[eid] = [prev, nxt, a, val]
             else:
-                self.edges[eid] = [nxt, prev, -a, _inv(val)]
+                self.edges[eid] = [nxt, prev, -a, invert_letters(val)]
             self.alive.add(eid)
             prev = nxt
 
@@ -95,13 +91,13 @@ class _Fold:
 
     def _dval(self, eid, sign):
         val = self.edges[eid][3]
-        return val if sign > 0 else _inv(val)
+        return val if sign > 0 else invert_letters(val)
 
     def _gauge(self, w, g):
         """Transfer-word change of coordinates at vertex class w != base."""
         if not g:
             return
-        ginv = _inv(g)
+        ginv = invert_letters(g)
         for eid in self.alive:
             o, t, lab, val = self.edges[eid]
             at_o = self.find(o) == w
@@ -148,14 +144,14 @@ class _Fold:
                 if v1 != v2:
                     raise FoldError("relation fold with mismatched transfer words")
             elif u2 != base and u2 != v:
-                self._gauge(u2, _mul(_inv(v2), v1))
+                self._gauge(u2, _mul(invert_letters(v2), v1))
             elif u1 != base and u1 != v:
-                self._gauge(u1, _mul(_inv(v1), v2))
+                self._gauge(u1, _mul(invert_letters(v1), v2))
             elif u1 == base and u2 == v:
                 # d2 is a loop at v; gauge at v solves g = v2^-1 v1.
-                self._gauge(v, _mul(_inv(v2), v1))
+                self._gauge(v, _mul(invert_letters(v2), v1))
             elif u2 == base and u1 == v:
-                self._gauge(v, _mul(_inv(v1), v2))
+                self._gauge(v, _mul(invert_letters(v1), v2))
             else:
                 raise AssertionError("unhandled gauge configuration")
             v1b = self._dval(e1, s1)
@@ -253,7 +249,7 @@ class LabeledGraph:
 
     def dval(self, d):
         val = self.vals[abs(d)]
-        return val if d > 0 else _inv(val)
+        return val if d > 0 else invert_letters(val)
 
     def transfer(self, path):
         """Transfer word of a path (closed paths at base give exact values)."""
@@ -324,7 +320,8 @@ class LabeledGraph:
         used = None
         while cur not in core.vertices:
             outs = [d for d in based.directions(cur) if d != used]
-            assert len(outs) == 1, "tail is an arc"
+            if len(outs) != 1:
+                raise FoldError("tail is not an arc")
             d = outs[0]
             tail.append(d)
             used = -d
@@ -358,6 +355,7 @@ def rose_petal_values(gr, n):
     out = []
     for i in range(1, n + 1):
         d = gr.step(gr.base, i)
-        assert d is not None
+        if d is None:
+            raise FoldError("no rose petal labelled %d" % i)
         out.append(gr.dval(d))
     return out

@@ -1,10 +1,13 @@
 """Finite core graphs, natural structure, forest collapses, blow-ups.
 
 Vertices and edges are integer ids; a directed edge is +e or -e. An edge
-path is a tuple of directed edges with matching endpoints.
+path is a tuple of directed edges with matching endpoints; paths are
+reduced, inverted and substituted with the word helpers in `words`.
 """
 
 import itertools
+
+from .words import reduce_letters
 
 
 class GraphError(ValueError):
@@ -80,40 +83,6 @@ class CoreGraph:
 
     def degree_profile(self):
         return tuple(sorted(self.valence(v) for v in self.vertices))
-
-
-def reduce_path(path):
-    """Cancel adjacent d, -d pairs; returns (tuple, #cancellations)."""
-    out = []
-    cancelled = 0
-    for d in path:
-        if out and out[-1] == -d:
-            out.pop()
-            cancelled += 1
-        else:
-            out.append(d)
-    return tuple(out), cancelled
-
-
-def invert_path(path):
-    return tuple(-d for d in reversed(path))
-
-
-def cyclic_reduce_path(path):
-    """Rotate-and-cancel a closed path to cyclically reduced form."""
-    p, _ = reduce_path(path)
-    p = list(p)
-    while len(p) >= 2 and p[0] == -p[-1]:
-        p = p[1:-1]
-    return tuple(p)
-
-
-def canonical_circuit(path):
-    """Canonical rotation of a cyclically reduced circuit."""
-    p = cyclic_reduce_path(path)
-    if not p:
-        return ()
-    return min(tuple(p[r:] + p[:r]) for r in range(len(p)))
 
 
 def rose(rank, vertex=0):
@@ -242,7 +211,7 @@ class CollapseMap:
             if abs(d) in self.forest:
                 continue
             erased.append(self.edge_map[abs(d)] if d > 0 else -self.edge_map[abs(d)])
-        reduced, cancelled = reduce_path(erased)
+        reduced, cancelled = reduce_letters(erased)
         return reduced, cancelled == 0
 
 

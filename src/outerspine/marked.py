@@ -7,10 +7,10 @@ theory lives in retract_aut).
 """
 
 from . import folding, graphs
-from .words import (ReducedWord, CyclicWord, basis_word, reduce_letters,
-                    simultaneous_conjugator)
-from .graphs import (reduce_path, invert_path, canonical_circuit, map_path,
-                     GraphError)
+from .words import (ReducedWord, basis_word, canonical_rotation, cyclic_core,
+                    invert_letters, reduce_letters, simultaneous_conjugator,
+                    substitute)
+from .graphs import map_path, GraphError
 
 
 class MarkingError(ValueError):
@@ -96,27 +96,17 @@ class MarkedGraph:
 
     def path_to_word(self, path, at_vertex=None):
         """F_n element of a closed path (rebased to the basepoint if needed)."""
-        vals = self.inverse_marking_values()
         if at_vertex is not None and at_vertex != self.basepoint:
             k = self.spanning_paths()[at_vertex]
-            path = k + tuple(path) + invert_path(k)
-        out = []
-        for d in path:
-            v = vals[abs(d)]
-            out.extend(v if d > 0 else tuple(-a for a in reversed(v)))
-        red, _ = reduce_letters(out)
+            path = k + tuple(path) + invert_letters(k)
+        red, _ = substitute(path, self.inverse_marking_values())
         return ReducedWord(red, self.rank)
 
     # -- operations ---------------------------------------------------------
 
     def expand(self, letters):
         """Edge path of a word, read through the marking (closed at base)."""
-        out = []
-        for a in letters:
-            p = self.marking[abs(a) - 1]
-            out.extend(p if a > 0 else invert_path(p))
-        red, _ = reduce_path(out)
-        return red
+        return substitute(letters, dict(enumerate(self.marking, 1)))[0]
 
     def act(self, phi):
         """Right action: new marking sends a_i to the expansion of phi(a_i)."""
@@ -128,13 +118,9 @@ class MarkedGraph:
 
     def circuit_of(self, c):
         """Cyclically reduced circuit representing a conjugacy class."""
-        if isinstance(c, CyclicWord):
-            letters = c.letters
-        else:
-            letters = c.letters
-        if not letters:
+        if not c.letters:
             raise MarkingError("trivial class has no circuit")
-        return canonical_circuit(self.expand(letters))
+        return canonical_rotation(cyclic_core(self.expand(c.letters))[1])
 
     def collapse_marked(self, forest):
         target, cmap = graphs.collapse(self.graph, forest)
@@ -151,7 +137,7 @@ class MarkedGraph:
         k = self.spanning_paths()[new_base]
         marking = []
         for p in self.marking:
-            q, _ = reduce_path(invert_path(k) + p + k)
+            q, _ = reduce_letters(invert_letters(k) + p + k)
             marking.append(q)
         return MarkedGraph(self.graph, new_base, marking, check=False)
 
@@ -215,7 +201,7 @@ class MarkedGraph:
                         out.append(-new_eid)
             if closed_at == v and path and side[-path[-1]] == 2:
                 out.append(-new_eid)
-            red, _ = reduce_path(out)
+            red, _ = reduce_letters(out)
             return red
 
         base = self.basepoint if self.basepoint != v else v1
@@ -229,7 +215,6 @@ def equivalent(G1, G2):
     conjugator aligning all marking images. Returns a witness or None."""
     if G1.rank != G2.rank:
         return None
-    from .words import cyclic_reduce
     basis = tuple(basis_word(i, G1.rank) for i in range(1, G1.rank + 1))
     for vmap, emap in graphs.graph_isomorphisms(G1.graph, G2.graph):
         at = vmap[G1.basepoint]
@@ -239,7 +224,7 @@ def equivalent(G1, G2):
         except (KeyError, GraphError):
             continue
         # a common conjugator onto the basis needs every class to match
-        if any(u.is_trivial() or cyclic_reduce(u)[0].letters != (i + 1,)
+        if any(cyclic_core(u.letters)[1] != (i + 1,)
                for i, u in enumerate(us)):
             continue
         g = simultaneous_conjugator(us, basis)
@@ -260,23 +245,10 @@ def invariant_key(G):
     seen = set()
     for L in (1, 2, 3):
         for combo in product([a for i in range(1, n + 1) for a in (i, -i)], repeat=L):
-            red = canonical_circuit_of_letters(combo)
+            red = canonical_rotation(cyclic_core(reduce_letters(combo)[0])[1])
             if red and len(red) == L and red not in seen:
                 seen.add(red)
                 lens.append(len(G.circuit_of(ReducedWord(red, n))))
     key = (G.graph.degree_profile(), tuple(sorted(lens)))
     G._ikey = key
     return key
-
-
-def canonical_circuit_of_letters(letters):
-    from .words import canonical_rotation
-    out = []
-    for a in letters:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    while len(out) >= 2 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return canonical_rotation(tuple(out))

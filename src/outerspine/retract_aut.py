@@ -6,8 +6,8 @@ basepoint-preserving graph isomorphism plus exact equality of marking paths.
 """
 
 from . import folding, graphs
-from .words import Endomorphism
-from .graphs import CoreGraph, reduce_path, invert_path
+from .words import Endomorphism, invert_letters, reduce_letters, substitute
+from .graphs import CoreGraph
 
 
 class PointedError(ValueError):
@@ -45,12 +45,7 @@ class PointedMarkedGraph:
                                   check=False)
 
     def expand(self, letters):
-        out = []
-        for a in letters:
-            p = self.marking[abs(a) - 1]
-            out.extend(p if a > 0 else invert_path(p))
-        red, _ = reduce_path(out)
-        return red
+        return substitute(letters, dict(enumerate(self.marking, 1)))[0]
 
     def act(self, phi):
         """Pointed action: precompose the marking, no basepoint slack."""
@@ -130,8 +125,7 @@ def retract_r(x, return_chains=False):
         loop, end, consumed = based.trace(folded.base, p)
         if consumed != len(p) or end != folded.base:
             raise PointedError("marking loop strayed off the based core")
-        conj = invert_path(tail) + tuple(loop) + tail
-        red, _ = reduce_path(conj)
+        red, _ = reduce_letters(invert_letters(tail) + tuple(loop) + tail)
         if any(abs(d) not in core.edges for d in red):
             raise PointedError("retracted marking left the core")
         marking.append(red)

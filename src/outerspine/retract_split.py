@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 from . import folding
 from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
-                    cyclic_reduce, is_automorphism)
-from .graphs import CoreGraph, reduce_path, invert_path
+                    cyclic_core, cyclic_reduce, invert_letters, is_automorphism,
+                    reduce_letters, substitute)
+from .graphs import CoreGraph
 from .marked import MarkedGraph, equivalent
 from .covers import CoreSubgraphWitness, FreeFactorSystem, core_images
 
@@ -169,7 +170,7 @@ class _BasedCover:
             loop, end, consumed = based.trace(folded.base, p)
             if consumed != len(p) or end != folded.base:
                 raise SplitError("generator loop strayed off the based core")
-            red, _ = reduce_path(invert_path(tuple(tail)) + tuple(loop) + tuple(tail))
+            red, _ = reduce_letters(invert_letters(tail) + tuple(loop) + tuple(tail))
             assert all(abs(d) in core.edges for d in red)
             self.gen_loops.append(red)
 
@@ -181,15 +182,12 @@ def _ray_label_stream(ray, G):
     head and the cyclic period are normalized at the edge level.
     """
     W, Z = ray.reduced_form()
-    w_path = list(G.expand(W)) if W else []
-    z_path = list(G.expand(Z))
+    z_path = G.expand(Z)
     if not z_path:
         raise SplitError("ray period dies in the marking")
-    pre = []
-    while len(z_path) >= 2 and z_path[0] == -z_path[-1]:
-        pre.append(z_path[0])
-        z_path = z_path[1:-1]
-    head, _ = reduce_path(tuple(w_path) + tuple(pre))
+    pre, z_path = cyclic_core(z_path)
+    z_path = list(z_path)
+    head, _ = reduce_letters(G.expand(W) + pre)
     head = list(head)
     guard = len(head) + len(z_path) + 1
     while head and head[-1] == -z_path[0] and guard:
@@ -267,7 +265,7 @@ def retract_R(G, data):
         edges = {eid: (o, t) for eid, (o, t, _) in core.edges.items()}
         edges[eps] = (Q1, Q2)
         graph = CoreGraph(sorted(core.vertices), edges)
-        sigma, _ = reduce_path(tuple(alpha1) + (eps,) + invert_path(tuple(alpha2)))
+        sigma, _ = reduce_letters(tuple(alpha1) + (eps,) + invert_letters(alpha2))
         x_paths = list(cover.gen_loops) + [sigma]
         basept = cover.q
     else:
@@ -290,22 +288,16 @@ def retract_R(G, data):
         def shift_path(p):
             return tuple(d + eshift if d > 0 else d - eshift for d in p)
 
-        bridge, _ = reduce_path(tuple(alpha0) + (eps,) +
-                                invert_path(shift_path(tuple(alpha1))))
+        bridge, _ = reduce_letters(tuple(alpha0) + (eps,) +
+                                   invert_letters(shift_path(alpha1)))
         x_paths = list(cover0.gen_loops)
         for loop in cover1.gen_loops:
-            conj, _ = reduce_path(bridge + shift_path(loop) + invert_path(bridge))
+            conj, _ = reduce_letters(bridge + shift_path(loop) + invert_letters(bridge))
             x_paths.append(conj)
         basept = cover0.q
 
-    marking = []
-    for expr in basis_exprs:
-        out = []
-        for a in expr.letters:
-            p = x_paths[abs(a) - 1]
-            out.extend(p if a > 0 else invert_path(p))
-        red, _ = reduce_path(out)
-        marking.append(red)
+    x_image = dict(enumerate(x_paths, 1))
+    marking = [substitute(expr.letters, x_image)[0] for expr in basis_exprs]
     out = MarkedGraph(graph, basept, marking)
     return out.natural_marked()
 

@@ -9,6 +9,7 @@ of it from scratch.
 from dataclasses import dataclass, field
 
 from . import graphs
+from .words import substitute
 from .marked import MarkedGraph, equivalent, invariant_key
 from .covers import realizes
 
@@ -137,7 +138,8 @@ class _FoldState:
         chain_of = {}
         next_eid = 1
         for petal, path in sorted(images.items()):
-            assert path, "petal image must be nonempty"
+            if not path:
+                raise SpineError("petal image must be nonempty")
             prev = self.base
             chain = []
             for i, d in enumerate(path):
@@ -147,15 +149,9 @@ class _FoldState:
                 chain.append(next_eid)
                 prev = nxt
                 next_eid += 1
-            chain_of[petal] = chain
+            chain_of[petal] = tuple(chain)
         self.next_eid = next_eid
-        self.marking = []
-        for p in source_rose.marking:
-            out = []
-            for d in p:
-                ch = chain_of[abs(d)]
-                out.extend(ch if d > 0 else [-e for e in reversed(ch)])
-            self.marking.append(tuple(out))
+        self.marking = [substitute(p, chain_of)[0] for p in source_rose.marking]
 
     def _new_vertex(self):
         v = self.next_vertex
@@ -205,7 +201,8 @@ class _FoldState:
         spine edges out of it."""
         h1, h2 = self.head(d1), self.head(d2)
         e1, e2 = abs(d1), abs(d2)
-        assert e1 != e2
+        if e1 == e2:
+            raise SpineError("a direction cannot fold with itself")
         if h1 == h2:
             raise SpineError("rank-dropping fold; map is not a marking"
                              " preserving homotopy equivalence")
@@ -219,23 +216,15 @@ class _FoldState:
         star_edges[r1] = (m, h1)
         star_edges[r2] = (m, h2)
 
+        old_edges = self.edges
+
         def rewrite(marking, repl):
-            out_marking = []
-            for p in marking:
-                out = []
-                for d in p:
-                    if abs(d) in repl:
-                        seg = repl[abs(d)]
-                        out.extend(seg if d > 0 else [-x for x in reversed(seg)])
-                    else:
-                        out.append(d)
-                red, _ = graphs.reduce_path(out)
-                out_marking.append(red)
-            return out_marking
+            image = {e: repl.get(e, (e,)) for e in old_edges}
+            return [substitute(p, image)[0] for p in marking]
 
         repl_star = {
-            e1: [eta, r1] if d1 > 0 else [-r1, -eta],
-            e2: [eta, r2] if d2 > 0 else [-r2, -eta],
+            e1: (eta, r1) if d1 > 0 else (-r1, -eta),
+            e2: (eta, r2) if d2 > 0 else (-r2, -eta),
         }
         star_marking = rewrite(self.marking, repl_star)
         verts = {self.base}
@@ -255,7 +244,7 @@ class _FoldState:
             if eid == e2:
                 continue
             next_edges[eid] = (sub.get(o, o), sub.get(t, t))
-        repl_next = {e2: [e1] if (d1 > 0) == (d2 > 0) else [-e1]}
+        repl_next = {e2: (e1,) if (d1 > 0) == (d2 > 0) else (-e1,)}
         self.edges = next_edges
         self.gmap.pop(e2)
         self.marking = rewrite(self.marking, repl_next)

@@ -32,7 +32,7 @@ _TOKEN = re.compile(r"([a-zA-Z]+)(\d+)(\^-1)?$")
 
 def parse_letter(tok, kind="a"):
     m = _TOKEN.match(tok)
-    if not m or m.group(1) not in (kind, "a", "e"):
+    if not m or m.group(1) != kind:
         raise FormatError("bad %s-token %r" % (kind, tok))
     idx = int(m.group(2))
     return -idx if m.group(3) else idx

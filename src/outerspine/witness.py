@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import (CyclicWord, Endomorphism, Automorphism, basis_word,
-                    word)
+                    invert_letters, reduce_letters, word)
 from .marked import MarkedGraph
-from .graphs import CoreGraph, reduce_path, invert_path
+from .graphs import CoreGraph
 from . import counting
 
 
@@ -86,7 +86,8 @@ def theta(n, m):
     inv = theta_inverse_endo(n, m)
     auto = Automorphism(endo, inv)
     toks = theta_tokens(n, m)
-    assert tokens_to_endo(toks, n) == endo, "token expression for theta broke"
+    if tokens_to_endo(toks, n) != endo:
+        raise WitnessError("token expression for theta broke")
     return auto, toks
 
 
@@ -349,8 +350,9 @@ class Case2Complex:
                     out.append(-self.eta0)
         if side(letters[-1]) == 0:
             out.append(self.eta0)
-        red, cancelled = reduce_path(out)
-        assert cancelled == 0
+        red, cancelled = reduce_letters(out)
+        if cancelled:
+            raise WitnessError("cancellation in u'_%d" % k)
         return red
 
     def phi_image_of_gamma(self, k):
@@ -358,9 +360,9 @@ class Case2Complex:
         no-cancellation certificate."""
         up = self.u_prime_path(k)
         rho = (self.h2_edges[0],)
-        path = rho + (self.eta1,) + up + self.sigma_path + invert_path(up) \
+        path = rho + (self.eta1,) + up + self.sigma_path + invert_letters(up) \
             + (-self.eta1,)
-        red, cancelled = reduce_path(path)
+        red, cancelled = reduce_letters(path)
         if cancelled:
             raise WitnessError("cancellation in Phi'_k(gamma')")
         return red

@@ -2,6 +2,11 @@
 
 Letters are nonzero signed integers: +i is the i-th basis letter, -i its
 inverse (so the rank-n alphabet is {-n..-1, 1..n}).
+
+Edge paths in graphs use the same representation (+e and -e are the two
+orientations of edge e), so free reduction, inversion, substitution and the
+cyclic normal form below are also the path and circuit helpers of every
+other module.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +38,35 @@ def reduce_letters(letters):
 
 def invert_letters(letters):
     return tuple(-a for a in reversed(letters))
+
+
+def substitute(letters, image):
+    """Replace each letter a by image[a] (the inverse of image[-a] when a < 0)
+    and freely reduce; returns (tuple, #cancelled pairs).
+
+    `image` maps every positive letter that occurs to a tuple of letters.
+    """
+    out = []
+    cancelled = 0
+    for a in letters:
+        seg = image[a] if a > 0 else [-x for x in reversed(image[-a])]
+        for x in seg:
+            if out and out[-1] == -x:
+                out.pop()
+                cancelled += 1
+            else:
+                out.append(x)
+    return tuple(out), cancelled
+
+
+def cyclic_core(red):
+    """Split a freely reduced tuple as conj + core + conj^-1 with core
+    cyclically reduced; returns (conj, core). Linear: strips matching ends."""
+    i, j = 0, len(red) - 1
+    while i < j and red[i] == -red[j]:
+        i += 1
+        j -= 1
+    return red[:i], red[i:j + 1]
 
 
 @dataclass(frozen=True)
@@ -135,19 +169,11 @@ def cyclic_reduce(w):
     """
     if w.is_trivial():
         raise WordError("trivial word has no cyclic reduction")
-    letters = list(w.letters)
-    prefix = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    core = tuple(letters)
+    prefix, core = cyclic_core(w.letters)
     canon = canonical_rotation(core)
-    # core = rot_prefix * canon * rot_prefix^-1 for the rotation offset used
-    for r in range(len(core)):
-        if core[r:] + core[:r] == canon:
-            rot_prefix = core[:r]
-            break
-    conj = ReducedWord.make(tuple(prefix) + rot_prefix, w.rank)
+    # core = core[:r] * canon * core[:r]^-1 for the smallest offset r
+    r = next(r for r in range(len(core)) if core[r:] + core[:r] == canon)
+    conj = ReducedWord.make(prefix + core[:r], w.rank)
     return CyclicWord(canon, w.rank), conj
 
 
@@ -188,18 +214,8 @@ class Endomorphism:
     def identity(rank):
         return Endomorphism(rank, tuple(basis_word(i, rank) for i in range(1, rank + 1)))
 
-    def image_of_letter(self, a):
-        im = self.images[abs(a) - 1]
-        return im if a > 0 else im.inverse()
-
     def apply(self, w):
-        if w.rank != self.rank:
-            raise WordError("rank mismatch")
-        out = []
-        for a in w.letters:
-            out.extend(self.image_of_letter(a).letters)
-        red, _ = reduce_letters(out)
-        return ReducedWord(red, self.rank)
+        return self.apply_counting_cancellation(w)[0]
 
     def apply_counting_cancellation(self, w):
         """Apply, also reporting how many letter pairs cancelled.
@@ -207,10 +223,10 @@ class Endomorphism:
         Zero cancellation is the train-track positivity certificate for the
         substitution maps used by the distortion witnesses.
         """
-        out = []
-        for a in w.letters:
-            out.extend(self.image_of_letter(a).letters)
-        red, cancelled = reduce_letters(out)
+        if w.rank != self.rank:
+            raise WordError("rank mismatch")
+        image = {i: im.letters for i, im in enumerate(self.images, 1)}
+        red, cancelled = substitute(w.letters, image)
         return ReducedWord(red, self.rank), cancelled
 
     def apply_cyclic(self, c):

@@ -14,6 +14,15 @@ def run_cli(args, expect=0):
     return proc.stdout
 
 
+def run_cli_error(args):
+    """Run a command that must exit 2 with a single `error:` line."""
+    proc = subprocess.run([sys.executable, "-m", "outerspine.cli"] + args,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:")
+
+
 def write_rose(tmp_path, name="rose.txt", n=3, pointed=False):
     G = MarkedGraph.rose_identity(n)
     p = tmp_path / name
@@ -83,16 +92,21 @@ def test_witness_case3_rank_two_extra_component():
 def test_malformed_marking_exits_2(tmp_path):
     graph = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
     for i, marking in enumerate(["marking { a1 e1; a2 = e2; }",
-                                 "marking { a1 = e7; a2 = e2; }"]):
+                                 "marking { a1 = e7; a2 = e2; }",
+                                 "marking { a1 = a1; a2 = e2; }"]):
         p = tmp_path / ("bad%d.txt" % i)
         p.write_text(graph + marking + "\n")
-        proc = subprocess.run([sys.executable, "-m", "outerspine.cli",
-                               "realizes", "--graph", str(p),
-                               "--component", "a1"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error:")
-        assert "Traceback" not in proc.stderr
+        run_cli_error(["realizes", "--graph", str(p), "--component", "a1"])
+
+
+def test_edge_token_in_word_exits_2():
+    run_cli_error(["reduce", "e1 a2", "--rank", "2"])
+
+
+def test_fold_path_rank_mismatch_exits_2(tmp_path):
+    r2 = write_rose(tmp_path, "r2.txt", n=2)
+    r3 = write_rose(tmp_path, "r3.txt", n=3)
+    run_cli_error(["fold-path", r2, r3])
 
 
 def test_retract_aut_fixed_point(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from outerspine.graphs import (CoreGraph, GraphError, rose, theta_graph,
                                collapse, enumerate_natural_subforests,
                                enumerate_blowups, natural_structure,
-                               graph_isomorphisms, graphs_isomorphic,
-                               reduce_path)
+                               graph_isomorphisms, graphs_isomorphic)
+from outerspine.words import reduce_letters
 
 
 def sewing_needle():
@@ -120,7 +120,7 @@ def test_pushforward_vs_oracle_random():
         # oracle: erase-then-reduce by hand
         erased = [cmap.edge_map[abs(d)] * (1 if d > 0 else -1)
                   for d in path if abs(d) not in f]
-        assert pushed == reduce_path(erased)[0]
+        assert pushed == reduce_letters(erased)[0]
 
 
 def test_blowups_rose2():

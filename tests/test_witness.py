@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
-from outerspine.words import (CyclicWord, basis_word, word,
+from outerspine import witness
+from outerspine.words import (CyclicWord, Endomorphism, basis_word, word,
                               is_automorphism)
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.covers import FreeFactorSystem, realizes
@@ -202,3 +205,18 @@ def test_golden_ratio_test():
     for _ in range(30):
         fib.append(fib[-1] + fib[-2])
     assert ratio_within_of_golden(fib[22], fib[21])
+
+
+def test_theta_token_check_raises(monkeypatch):
+    monkeypatch.setattr(witness, "tokens_to_endo",
+                        lambda tokens, n: Endomorphism.identity(n))
+    with pytest.raises(WitnessError):
+        theta(3, 2)
+
+
+def test_u_prime_path_cancellation_raises(monkeypatch):
+    cx = case2_build(WitnessParams(3, "two_component", ranks=(1, 1)))
+    monkeypatch.setattr(witness, "u_k",
+                        lambda n, m, k: SimpleNamespace(letters=(1, -1)))
+    with pytest.raises(WitnessError):
+        cx.u_prime_path(1)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from outerspine.words import (ReducedWord, CyclicWord, Endomorphism, WordError,
                               word, basis_word, cyclic_reduce,
                               primitive_root, is_automorphism,
-                              simultaneous_conjugator, canonical_rotation)
+                              simultaneous_conjugator, canonical_rotation,
+                              cyclic_core, substitute)
 
 
 def rand_letters(rng, rank, n):
@@ -70,6 +71,73 @@ def test_cyclic_reduce_postcondition(ls):
     for i in range(n):
         assert c.letters[i] != -c.letters[(i + 1) % n]
     assert c.letters == canonical_rotation(c.letters)
+
+
+def kernel_cases(seed, count=300):
+    """Seeded letter tuples over rank 3: empty, length 1, random (often not
+    reduced) and proper powers, whose rotations repeat."""
+    rng = random.Random(seed)
+    cases = [(), (1,), (-3,)]
+    for i in range(count):
+        if i % 3 == 0:
+            cases.append(tuple(rand_letters(rng, 3, rng.randrange(2))))
+        elif i % 3 == 1:
+            cases.append(tuple(rand_letters(rng, 3, rng.randrange(13))))
+        else:
+            period = rand_letters(rng, 3, rng.randrange(1, 4))
+            cases.append(tuple(period * rng.randrange(2, 5)))
+    return cases
+
+
+def brute_reduce(letters):
+    """Delete the first cancelling pair until none is left."""
+    out = list(letters)
+    cancelled = 0
+    i = 0
+    while i + 1 < len(out):
+        if out[i] == -out[i + 1]:
+            del out[i:i + 2]
+            cancelled += 1
+            i = 0
+        else:
+            i += 1
+    return tuple(out), cancelled
+
+
+def test_substitute_matches_expand_then_reduce():
+    rng = random.Random(7)
+    for letters in kernel_cases(1):
+        image = {i: tuple(rand_letters(rng, 3, rng.randrange(4)))
+                 for i in (1, 2, 3)}
+        expanded = []
+        for a in letters:
+            if a > 0:
+                expanded.extend(image[a])
+            else:
+                expanded.extend(-x for x in reversed(image[-a]))
+        assert substitute(letters, image) == brute_reduce(expanded)
+
+
+def test_canonical_rotation_is_least_rotation():
+    for letters in kernel_cases(2):
+        rotations = [letters[r:] + letters[:r] for r in range(len(letters))]
+        assert canonical_rotation(letters) == min(rotations, default=())
+
+
+def test_cyclic_reduce_smallest_offset():
+    for letters in kernel_cases(3):
+        red = brute_reduce(letters)[0]
+        if not red:
+            continue
+        w = ReducedWord(red, 3)
+        c, conj = cyclic_reduce(w)
+        assert conj * c.representative() * conj.inverse() == w
+        prefix, core = cyclic_core(red)
+        assert prefix + core + tuple(-a for a in reversed(prefix)) == red
+        assert len(core) == 1 or core[0] != -core[-1]
+        offsets = [r for r in range(len(core))
+                   if core[r:] + core[:r] == c.letters]
+        assert conj == word(prefix + core[:offsets[0]], 3)
 
 
 def theta_endo(n, m):

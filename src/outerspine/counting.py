@@ -154,7 +154,8 @@ def _walk_chain(K, comp, start):
         block.append(d)
         used.add(abs(d))
         cur = K.head(d)
-    assert len(used) == len(comp)
+    if len(used) != len(comp):
+        raise CountError("chain walk missed edges of its component")
     return tuple(block)
 
 
@@ -172,7 +173,8 @@ def _walk_cycle(K, cyc, w):
         block.append(d)
         used.add(abs(d))
         cur = K.head(d)
-    assert len(used) == len(cyc) and cur == w
+    if len(used) != len(cyc) or cur != w:
+        raise CountError("cycle walk did not close up over its cycle")
     return tuple(block)
 
 

@@ -8,7 +8,7 @@ cover; tree-level statements about minimal subtrees are computed on it.
 
 from dataclasses import dataclass
 
-from . import folding
+from . import folding, graphs
 from .folding import LabeledGraph, FoldError
 from .marked import MarkedGraph
 from .words import invert_letters
@@ -252,24 +252,15 @@ def collapse_labeled(K, forest_labels, edge_map):
     """Collapse the label-preimage of a collapsed ambient forest, relabel
     surviving edges through the collapse bijection."""
     forest = {eid for eid, (o, t, lab) in K.edges.items() if lab in forest_labels}
-    parent = {v: v for v in K.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in forest:
-        o, t, _ = K.edges[eid]
-        if find(o) == find(t):
-            raise CoverError("label preimage of forest contains a cycle")
-        parent[find(t)] = find(o)
+    root, joined = graphs.union_find((eid, *K.edges[eid][:2])
+                                     for eid in forest)
+    if len(joined) != len(forest):
+        raise CoverError("label preimage of forest contains a cycle")
     edges = {}
     for eid, (o, t, lab) in K.edges.items():
         if eid in forest:
             continue
-        edges[eid] = (find(o), find(t), edge_map[lab])
+        edges[eid] = (root.get(o, o), root.get(t, t), edge_map[lab])
     return LabeledGraph(edges, None)
 
 

@@ -153,11 +153,11 @@ class _Fold:
             elif u2 == base and u1 == v:
                 self._gauge(v, _mul(invert_letters(v1), v2))
             else:
-                raise AssertionError("unhandled gauge configuration")
+                raise FoldError("unhandled gauge configuration")
             v1b = self._dval(e1, s1)
             v2b = self._dval(e2, s2)
             if v1b != v2b:
-                raise AssertionError("gauge failed to equalize transfer words")
+                raise FoldError("gauge failed to equalize transfer words")
         if u1 != u2:
             self.union(u1, u2)
         if e1 != e2:

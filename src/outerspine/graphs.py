@@ -95,8 +95,14 @@ def theta_graph():
     return CoreGraph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1)})
 
 
-def is_forest(graph, edge_set):
-    """True iff the edge subset contains no cycle (loops are cycles)."""
+def union_find(ends):
+    """One union-find pass over `ends`, an iterable of (edge, origin, terminus).
+
+    Returns (root, joined): root maps every endpoint to the representative
+    of its class, and joined lists, in order, the edges that merged two
+    classes. The terminus's class always hangs under the origin's, so the
+    representatives depend only on the order of `ends`.
+    """
     parent = {}
 
     def find(x):
@@ -105,13 +111,19 @@ def is_forest(graph, edge_set):
             x = parent[x]
         return x
 
-    for eid in edge_set:
-        o, t = graph.edges[eid]
+    joined = []
+    for e, o, t in ends:
         ro, rt = find(o), find(t)
-        if ro == rt:
-            return False
-        parent[rt] = ro
-    return True
+        if ro != rt:
+            parent[rt] = ro
+            joined.append(e)
+    return {v: find(v) for v in parent}, joined
+
+
+def is_forest(graph, edge_set):
+    """True iff the edge subset contains no cycle (loops are cycles)."""
+    _, joined = union_find((eid, *graph.edges[eid]) for eid in edge_set)
+    return len(joined) == len(edge_set)
 
 
 def natural_structure(graph, protected=()):
@@ -137,7 +149,9 @@ def natural_structure(graph, protected=()):
             cur = graph.head(d)
             while cur not in keep:
                 outs = [x for x in graph.directions(cur) if x != -chain[-1]]
-                assert len(outs) == 1
+                if len(outs) != 1:
+                    raise GraphError("valence-2 vertex %r does not continue"
+                                     " its chain" % cur)
                 chain.append(outs[0])
                 cur = graph.head(outs[0])
             if any(abs(x) in used for x in chain):
@@ -221,20 +235,10 @@ def collapse(graph, forest_edges):
     for eid in forest:
         if eid not in graph.edges:
             raise GraphError("unknown edge %r" % eid)
-    if not is_forest(graph, forest):
+    root, joined = union_find((eid, *graph.edges[eid]) for eid in forest)
+    if len(joined) != len(forest):
         raise GraphError("edge set contains a cycle")
-    parent = {v: v for v in graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in forest:
-        o, t = graph.edges[eid]
-        parent[find(t)] = find(o)
-    vertex_map = {v: find(v) for v in graph.vertices}
+    vertex_map = {v: root.get(v, v) for v in graph.vertices}
     edges = {}
     edge_map = {}
     for eid, (o, t) in graph.edges.items():
@@ -250,7 +254,8 @@ def enumerate_natural_subforests(graph, include_empty=True):
     """All acyclic subsets of the (natural) edge set."""
     eids = sorted(graph.edges)
     out = []
-    for r in range(0 if include_empty else 1, len(eids) + 1):
+    # a forest has fewer edges than the graph has vertices
+    for r in range(0 if include_empty else 1, len(graph.vertices)):
         for combo in itertools.combinations(eids, r):
             if is_forest(graph, combo):
                 out.append(frozenset(combo))

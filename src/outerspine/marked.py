@@ -1,9 +1,11 @@
 """Marked graphs: spine vertices, the right Out(F_n)-action, equivalence.
 
 A marking is stored based: one closed reduced edge path per basis letter,
-all at the basepoint. Spine-vertex equality quantifies over a free-homotopy
-conjugator, so the basepoint itself carries no meaning here (the pointed
-theory lives in retract_aut).
+all at the basepoint. The same class serves the pointed theory of
+retract_aut; pointedness is chosen by the caller, not stored. Spine-vertex
+equality (`equivalent`) quantifies over a free-homotopy conjugator, so the
+basepoint carries no meaning there; pointed equality
+(`retract_aut.pointed_equivalent`) and `naturalize(keep_base=True)` keep it.
 """
 
 from . import folding, graphs
@@ -141,42 +143,32 @@ class MarkedGraph:
             marking.append(q)
         return MarkedGraph(self.graph, new_base, marking, check=False)
 
-    def natural_marked(self):
-        """Merge valence-2 vertices away (rank-1 keeps its one-loop form)."""
-        g = self.graph
-        if self.rank == 1:
-            return self
-        if g.is_natural():
-            return self
-        me = self
-        if g.valence(me.basepoint) == 2:
-            target = next(v for v in sorted(g.vertices) if g.valence(v) >= 3)
-            me = me.rebase(target)
-        new_g, refinement, _ = graphs.natural_structure(me.graph,
-                                                        protected=(me.basepoint,))
-        marking = [graphs.rewrite_path_through_refinement(p, refinement)
-                   for p in me.marking]
-        out = MarkedGraph(new_g, me.basepoint, marking, check=False)
-        if not new_g.is_natural():
-            # basepoint survived at valence 2 inside a chain; rebase and redo
-            return out.natural_marked()
-        return out
+    def naturalize(self, keep_base):
+        """Merge valence-2 vertices away; returns (marked graph, chains),
+        where chains maps each new edge to its chain of old directed edges.
 
-    def natural_marked_with_chains(self):
-        """natural_marked plus each natural edge's chain of old directed edges."""
+        With keep_base the basepoint survives even at valence 2 (the pointed
+        normal form). Without it a valence-2 basepoint first moves to the
+        least vertex of valence >= 3, so the result is natural; a rank-1
+        graph keeps its one-loop form.
+        """
         g = self.graph
-        if self.rank == 1 or g.is_natural():
-            return self, {eid: (eid,) for eid in g.edges}
         me = self
-        if g.valence(me.basepoint) == 2:
-            target = next(v for v in sorted(g.vertices) if g.valence(v) >= 3)
-            me = me.rebase(target)
-        new_g, refinement, _ = graphs.natural_structure(me.graph,
-                                                        protected=(me.basepoint,))
-        marking = [graphs.rewrite_path_through_refinement(p, refinement)
+        if not keep_base:
+            if self.rank == 1:
+                return self, {eid: (eid,) for eid in g.edges}
+            if g.valence(self.basepoint) == 2:
+                me = self.rebase(min(v for v in g.vertices if g.valence(v) >= 3))
+        if all(g.valence(v) >= 3 or v == me.basepoint for v in g.vertices):
+            return me, {eid: (eid,) for eid in g.edges}
+        new_g, chains, _ = graphs.natural_structure(g, protected=(me.basepoint,))
+        marking = [graphs.rewrite_path_through_refinement(p, chains)
                    for p in me.marking]
-        out = MarkedGraph(new_g, me.basepoint, marking, check=False)
-        return out, {eid: tuple(chain) for eid, chain in refinement.items()}
+        return MarkedGraph(new_g, me.basepoint, marking, check=False), chains
+
+    def natural_marked(self):
+        """The natural representative of this spine vertex."""
+        return self.naturalize(keep_base=False)[0]
 
     def blowup_marked(self, v, part1, part2):
         """Blow up a vertex along a direction bipartition, lifting marking."""

@@ -1,82 +1,20 @@
 """The pointed retraction: embed pointed rank-(n-1) graphs by attaching a
 loop, retract rank-n graphs via the based core of the first n-1 letters.
 
-Pointed markings carry no conjugator slack: pointed equivalence is a
-basepoint-preserving graph isomorphism plus exact equality of marking paths.
+A pointed graph is a plain MarkedGraph whose basepoint is kept: it may sit
+at valence 2 (`naturalize(keep_base=True)`), and pointed markings carry no
+conjugator slack: pointed equivalence is a basepoint-preserving graph
+isomorphism plus exact equality of marking paths.
 """
 
 from . import folding, graphs
-from .words import Endomorphism, invert_letters, reduce_letters, substitute
+from .words import Endomorphism, invert_letters, reduce_letters
 from .graphs import CoreGraph
+from .marked import MarkedGraph, MarkingError
 
 
 class PointedError(ValueError):
     pass
-
-
-class PointedMarkedGraph:
-    """Core graph + basepoint (valence 2 allowed there) + pointed marking."""
-
-    def __init__(self, graph, basepoint, marking, check=True):
-        self.graph = graph
-        self.basepoint = basepoint
-        self.marking = tuple(tuple(p) for p in marking)
-        self.rank = graph.rank
-        if basepoint not in graph.vertices:
-            raise PointedError("basepoint not a vertex")
-        if len(self.marking) != self.rank:
-            raise PointedError("marking arity mismatch")
-        for p in self.marking:
-            if graph.check_path(p, basepoint) != basepoint:
-                raise PointedError("marking path not closed at basepoint")
-            if not graph.path_is_reduced(p):
-                raise PointedError("marking path not reduced")
-        if check:
-            self.as_marked().check_generates()
-
-    def as_marked(self):
-        from .marked import MarkedGraph
-        return MarkedGraph(self.graph, self.basepoint, self.marking, check=False)
-
-    @staticmethod
-    def pointed_rose(n):
-        g = graphs.rose(n)
-        return PointedMarkedGraph(g, 0, tuple((i,) for i in range(1, n + 1)),
-                                  check=False)
-
-    def expand(self, letters):
-        return substitute(letters, dict(enumerate(self.marking, 1)))[0]
-
-    def act(self, phi):
-        """Pointed action: precompose the marking, no basepoint slack."""
-        endo = getattr(phi, "endo", phi)
-        if endo.rank != self.rank:
-            raise PointedError("rank mismatch")
-        marking = tuple(self.expand(im.letters) for im in endo.images)
-        return PointedMarkedGraph(self.graph, self.basepoint, marking, check=False)
-
-    def relatively_natural(self):
-        """Merge valence-2 vertices except the basepoint."""
-        g = self.graph
-        if all(g.valence(v) >= 3 or v == self.basepoint for v in g.vertices):
-            return self
-        new_g, refinement, _ = graphs.natural_structure(
-            g, protected=(self.basepoint,))
-        marking = [graphs.rewrite_path_through_refinement(p, refinement)
-                   for p in self.marking]
-        return PointedMarkedGraph(new_g, self.basepoint, marking, check=False)
-
-    def collapse_pointed(self, forest):
-        target, cmap = graphs.collapse(self.graph, forest)
-        marking = [cmap.push_path(p)[0] for p in self.marking]
-        out = PointedMarkedGraph(target, cmap.push_vertex(self.basepoint),
-                                 marking, check=False)
-        return out.relatively_natural(), cmap
-
-    def blowup_pointed(self, v, part1, part2):
-        out, new_eid, cmap = self.as_marked().blowup_marked(v, part1, part2)
-        return PointedMarkedGraph(out.graph, out.basepoint, out.marking,
-                                  check=False), new_eid, cmap
 
 
 def pointed_equivalent(x1, x2):
@@ -101,7 +39,7 @@ def embed_j(w):
     edges[new_eid] = (w.basepoint, w.basepoint)
     g2 = CoreGraph(sorted(g.vertices), edges)
     marking = list(w.marking) + [(new_eid,)]
-    return PointedMarkedGraph(g2, w.basepoint, marking, check=False)
+    return MarkedGraph(g2, w.basepoint, marking, check=False)
 
 
 def retract_r(x, return_chains=False):
@@ -113,10 +51,10 @@ def retract_r(x, return_chains=False):
     """
     n = x.rank
     if n < 2:
-        raise PointedError("rank must be at least 2")
+        raise MarkingError("rank must be at least 2")
     paths = list(x.marking[:n - 1])
     if not any(paths):
-        raise PointedError("first n-1 marking images are all trivial")
+        raise MarkingError("first n-1 marking images are all trivial")
     folded = folding.fold_words(paths)
     core, tail, q, based = folded.based_core_and_tail()
 
@@ -132,20 +70,12 @@ def retract_r(x, return_chains=False):
 
     graph = CoreGraph(sorted(core.vertices),
                       {eid: (o, t) for eid, (o, t, _) in core.edges.items()})
-    out = PointedMarkedGraph(graph, q, marking, check=False)
-    normalized = out.relatively_natural()
+    out, chains = MarkedGraph(graph, q, marking, check=False).naturalize(
+        keep_base=True)
     if not return_chains:
-        return normalized
-
-    # chains: output natural edge -> tuple of input-graph edge ids
-    if normalized is out:
-        chains = {eid: (core.edges[eid][2],) for eid in graph.edges}
-    else:
-        _, refinement, _ = graphs.natural_structure(graph, protected=(q,))
-        chains = {}
-        for new_eid, chain in refinement.items():
-            chains[new_eid] = tuple(core.edges[abs(d)][2] for d in chain)
-    return normalized, chains
+        return out
+    return out, {eid: tuple(core.edges[abs(d)][2] for d in chain)
+                 for eid, chain in chains.items()}
 
 
 def lipschitz_audit(x, forest):
@@ -155,7 +85,7 @@ def lipschitz_audit(x, forest):
     Returns (distance, x_collapsed): distance 0 means equal retractions.
     Raises if the consistency equation fails.
     """
-    x2, _ = x.collapse_pointed(forest)
+    x2 = x.collapse_marked(forest)[0].naturalize(keep_base=True)[0]
     r1, chains = retract_r(x, return_chains=True)
     r2 = retract_r(x2)
     fset = set(forest)
@@ -165,7 +95,7 @@ def lipschitz_audit(x, forest):
         if pointed_equivalent(r1, r2) is None:
             raise PointedError("empty hull but retractions differ")
         return 0, x2
-    collapsed, _ = r1.collapse_pointed(hull)
+    collapsed = r1.collapse_marked(hull)[0].naturalize(keep_base=True)[0]
     if pointed_equivalent(collapsed, r2) is None:
         raise PointedError("hull collapse does not reproduce the retraction")
     return 1, x2

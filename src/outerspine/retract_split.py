@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 from . import folding
 from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
-                    cyclic_core, cyclic_reduce, invert_letters, is_automorphism,
-                    reduce_letters, substitute)
+                    cyclic_core, cyclic_reduce, eventually_periodic_form,
+                    invert_letters, is_automorphism, reduce_letters,
+                    substitute)
 from .graphs import CoreGraph
 from .marked import MarkedGraph, equivalent
 from .covers import CoreSubgraphWitness, FreeFactorSystem, core_images
@@ -71,14 +72,8 @@ class RayDatum:
     def reduced_form(self):
         """(W, Z): the ideal point as the reduced infinite word W Z Z Z..."""
         cyc, conj = cyclic_reduce(self.period)
-        w = list((self.prefix * conj).letters)
-        z = list(cyc.letters)
-        guard = len(w) + len(z) + 1
-        while w and w[-1] == -z[0] and guard:
-            w.pop()
-            z = z[1:] + z[:1]
-            guard -= 1
-        return tuple(w), tuple(z)
+        return eventually_periodic_form((self.prefix * conj).letters,
+                                        cyc.letters)
 
 
 def default_retraction_data(bp):
@@ -171,7 +166,8 @@ class _BasedCover:
             if consumed != len(p) or end != folded.base:
                 raise SplitError("generator loop strayed off the based core")
             red, _ = reduce_letters(invert_letters(tail) + tuple(loop) + tuple(tail))
-            assert all(abs(d) in core.edges for d in red)
+            if any(abs(d) not in core.edges for d in red):
+                raise SplitError("generator loop left the based core")
             self.gen_loops.append(red)
 
 
@@ -186,15 +182,8 @@ def _ray_label_stream(ray, G):
     if not z_path:
         raise SplitError("ray period dies in the marking")
     pre, z_path = cyclic_core(z_path)
-    z_path = list(z_path)
     head, _ = reduce_letters(G.expand(W) + pre)
-    head = list(head)
-    guard = len(head) + len(z_path) + 1
-    while head and head[-1] == -z_path[0] and guard:
-        head.pop()
-        z_path = z_path[1:] + z_path[:1]
-        guard -= 1
-    return head, z_path
+    return eventually_periodic_form(head, z_path)
 
 
 def attach_point(cover, ray):
@@ -231,7 +220,8 @@ def attach_point(cover, ray):
             break
         if in_core:
             if not entered:
-                assert based.tail(d) == cover.q, "core entry must be at q"
+                if based.tail(d) != cover.q:
+                    raise SplitError("ray entered the core away from q")
                 entered = True
             alpha.append(d)
         pos = based.head(d)

@@ -4,9 +4,8 @@ Everything takes an explicit random.Random so suites are reproducible.
 """
 
 from . import graphs
-from .words import Endomorphism, ReducedWord, is_automorphism
+from .words import Endomorphism, ReducedWord, WordError, is_automorphism
 from .marked import MarkedGraph
-from .retract_aut import PointedMarkedGraph
 
 
 def random_reduced_word(rng, rank, max_len, nontrivial=False):
@@ -46,7 +45,8 @@ def random_token_auto(rng, n, moves):
             endo = transvection(n, i, j,
                                 rng.choice(["L", "R"])).endo.compose(endo)
     auto = is_automorphism(endo)
-    assert auto is not None
+    if auto is None:
+        raise WordError("product of automorphisms is not invertible")
     return auto
 
 
@@ -68,7 +68,8 @@ def random_stab_auto(rng, n, r, moves):
             step = transvection(n, j, i, rng.choice(["L", "R"]))
         endo = step.endo.compose(endo)
     auto = is_automorphism(endo)
-    assert auto is not None
+    if auto is None:
+        raise WordError("product of automorphisms is not invertible")
     return auto
 
 
@@ -107,28 +108,26 @@ def random_marked_graph(rng, n, steps, act_moves=2):
 
 
 def random_pointed_graph(rng, n, steps, act_moves=2):
-    x = PointedMarkedGraph.pointed_rose(n)
+    """Random pointed graph: like random_marked_graph, but the basepoint is
+    kept through every collapse and in the result."""
+    x = MarkedGraph.rose_identity(n)
     if act_moves:
         x = x.act(random_token_auto(rng, n, rng.randint(0, act_moves)))
     for _ in range(steps):
         roll = rng.random()
         if roll < 0.55:
-            cands = []
-            for v in sorted(x.graph.vertices):
-                for p1, p2 in graphs.vertex_direction_bipartitions(x.graph, v):
-                    cands.append((v, p1, p2))
-            if cands:
-                v, p1, p2 = rng.choice(cands)
-                x, _, _ = x.blowup_pointed(v, p1, p2)
+            out = random_blowup(rng, x)
+            if out is not None:
+                x = out
         elif roll < 0.85:
             forests = [f for f in
                        graphs.enumerate_natural_subforests(x.graph) if f]
-            forests = [f for f in forests]
             if forests:
-                x, _ = x.collapse_pointed(rng.choice(forests))
+                H, _ = x.collapse_marked(rng.choice(forests))
+                x = H.naturalize(keep_base=True)[0]
         else:
             x = x.act(random_token_auto(rng, n, 1))
-    return x.relatively_natural()
+    return x.naturalize(keep_base=True)[0]
 
 
 def random_relatively_natural_forest(rng, x):

@@ -253,19 +253,8 @@ class _FoldState:
 
 def _tree_collapse_to_rose(G):
     """Collapse a spanning tree; returns (rose-form marked graph, forest)."""
-    tree = []
-    parent = {v: v for v in G.graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid, (o, t) in sorted(G.graph.edges.items()):
-        if find(o) != find(t):
-            parent[find(t)] = find(o)
-            tree.append(eid)
+    _, tree = graphs.union_find((eid, o, t) for eid, (o, t)
+                                in sorted(G.graph.edges.items()))
     if not tree:
         return G, None
     H, _ = G.collapse_marked(tree)
@@ -274,7 +263,7 @@ def _tree_collapse_to_rose(G):
 
 def _hulls(star, small_forest):
     """Natural edges of star's normalization lying entirely in the forest."""
-    nat, chains = star.natural_marked_with_chains()
+    nat, chains = star.naturalize(keep_base=False)
     hull = [ne for ne, ch in chains.items()
             if all(abs(x) in small_forest for x in ch)]
     return nat, frozenset(hull)
@@ -288,6 +277,8 @@ def fold_path(G1, G2, F=None):
     realizes(., F); if the endpoints are not in petal-compatible rose
     position the guarantee is dropped and reported.
     """
+    if G1.rank != G2.rank:
+        raise SpineError("rank mismatch: %d vs %d" % (G1.rank, G2.rank))
     G1 = spine_normalize(G1)
     G2 = spine_normalize(G2)
     vertices = [G1]

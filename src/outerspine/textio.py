@@ -145,14 +145,13 @@ def parse_marked(text, pointed=False):
     m = re.search(r"basepoint:\s*(v\d+)", text)
     if m:
         base = _vid(m.group(1))
+    elif pointed:
+        raise FormatError("a pointed graph needs a basepoint line")
     else:
         first = next((p for p in marking if p), None)
         if first is None:
             raise FormatError("cannot infer basepoint")
         base = g.tail(first[0])
-    if pointed:
-        from .retract_aut import PointedMarkedGraph
-        return PointedMarkedGraph(g, base, marking)
     return MarkedGraph(g, base, marking)
 
 

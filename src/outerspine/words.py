@@ -69,6 +69,23 @@ def cyclic_core(red):
     return red[:i], red[i:j + 1]
 
 
+def eventually_periodic_form(head, period):
+    """Normal form of the infinite word head period period period ...
+
+    head is a freely reduced tuple and period a nonempty cyclically reduced
+    one. Returns (head', period') spelling the same reduced infinite word,
+    with head' not ending in the inverse of period'[0]: each end letter of
+    head that cancels into the period is dropped and the period rotated by
+    one.
+    """
+    p = len(period)
+    m = 0
+    while m < len(head) and head[-1 - m] == -period[m % p]:
+        m += 1
+    r = m % p
+    return head[:len(head) - m], period[r:] + period[:r]
+
+
 @dataclass(frozen=True)
 class ReducedWord:
     """A freely reduced word in F_rank. Immutable value object."""
@@ -189,7 +206,7 @@ def primitive_root(w):
             seed = ReducedWord(c[:p], w.rank)
             # transport the root back through the conjugation: w = conj c conj^-1
             return conj * seed * conj.inverse()
-    raise AssertionError("unreachable")
+    raise WordError("no period of %r divides its length" % (c,))
 
 
 @dataclass(frozen=True)
@@ -278,7 +295,8 @@ def _det(mat):
             factor = m[r][col] / m[col][col]
             for c in range(col, n):
                 m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise WordError("determinant of an integer matrix is not an integer")
     return int(det)
 
 

@@ -3,7 +3,7 @@ import sys
 
 from outerspine import textio
 from outerspine.marked import MarkedGraph
-from outerspine.retract_aut import PointedMarkedGraph, embed_j
+from outerspine.retract_aut import embed_j
 from outerspine import graphs
 
 
@@ -21,6 +21,7 @@ def run_cli_error(args):
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error:")
+    return proc.stderr
 
 
 def write_rose(tmp_path, name="rose.txt", n=3, pointed=False):
@@ -106,11 +107,23 @@ def test_edge_token_in_word_exits_2():
 def test_fold_path_rank_mismatch_exits_2(tmp_path):
     r2 = write_rose(tmp_path, "r2.txt", n=2)
     r3 = write_rose(tmp_path, "r3.txt", n=3)
-    run_cli_error(["fold-path", r2, r3])
+    assert "rank mismatch" in run_cli_error(["fold-path", r2, r3])
+
+
+def test_retract_aut_rank_1_exits_2(tmp_path):
+    r1 = write_rose(tmp_path, "r1.txt", n=1, pointed=True)
+    for args in (["retract-aut", r1],
+                 ["retract-aut-audit", r1, "--collapse", ""]):
+        assert "rank must be at least 2" in run_cli_error(args)
+
+
+def test_pointed_graph_without_basepoint_exits_2(tmp_path):
+    rose = write_rose(tmp_path, n=3)
+    assert "basepoint" in run_cli_error(["retract-aut", rose])
 
 
 def test_retract_aut_fixed_point(tmp_path):
-    w = PointedMarkedGraph.pointed_rose(2)
+    w = MarkedGraph.rose_identity(2)
     x = embed_j(w)
     p = tmp_path / "pointed.txt"
     p.write_text(textio.print_marked(x, pointed=True))

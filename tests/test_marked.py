@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from outerspine import graphs
+from outerspine import graphs, sampling
 from outerspine.marked import MarkedGraph, MarkingError, equivalent, invariant_key
 from outerspine.words import (Endomorphism, CyclicWord, basis_word, word,
-                              is_automorphism)
+                              is_automorphism, reduce_letters, substitute)
 
 
 def transvection(n, i, j, side="R"):
@@ -137,6 +137,52 @@ def test_natural_marked():
     assert N.graph.is_natural()
     assert N.rank == 2
     assert equivalent(N, N) is not None
+
+
+def subdivide(G, eid):
+    """Insert a valence-2 vertex in edge eid (eid runs to it, a new edge on)."""
+    o, t = G.graph.edges[eid]
+    v, e = max(G.graph.vertices) + 1, max(G.graph.edges) + 1
+    edges = dict(G.graph.edges)
+    edges[eid], edges[e] = (o, v), (v, t)
+    g = graphs.CoreGraph(sorted(G.graph.vertices | {v}), edges)
+    image = {d: (d,) for d in G.graph.edges}
+    image[eid] = (eid, e)
+    marking = [substitute(p, image)[0] for p in G.marking]
+    return MarkedGraph(g, G.basepoint, marking, check=False)
+
+
+def test_naturalize_random():
+    rng = random.Random(23)
+    for i in range(120):
+        n = 2 + i % 3
+        if i % 2:
+            G = sampling.random_pointed_graph(rng, n, rng.randint(0, 4))
+        else:
+            G = sampling.random_marked_graph(rng, n, rng.randint(0, 4))
+        # un-naturalize: collapse without merging, subdivide, move the base
+        forests = [f for f in graphs.enumerate_natural_subforests(G.graph) if f]
+        if forests and rng.random() < 0.5:
+            G, _ = G.collapse_marked(rng.choice(forests))
+        for _ in range(rng.randint(0, 3)):
+            G = subdivide(G, rng.choice(sorted(G.graph.edges)))
+        if rng.random() < 0.5:
+            G = G.rebase(rng.choice(sorted(G.graph.vertices)))
+        for keep_base in (True, False):
+            N, chains = G.naturalize(keep_base)
+            N.check_generates()
+            if keep_base:
+                assert N.basepoint == G.basepoint
+            assert all(N.graph.valence(v) >= 3 or
+                       (keep_base and v == N.basepoint)
+                       for v in N.graph.vertices)
+            assert sorted(abs(d) for ch in chains.values() for d in ch) == \
+                sorted(G.graph.edges)
+            old = G.rebase(N.basepoint).marking
+            assert [substitute(q, chains)[0] for q in N.marking] == \
+                [reduce_letters(p)[0] for p in old]
+            if not keep_base:
+                assert N.natural_marked() is N
 
 
 def test_invariant_key_is_invariant():

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from outerspine import graphs
+from outerspine.marked import MarkedGraph, MarkingError
 from outerspine.words import Endomorphism, is_automorphism
-from outerspine.retract_aut import (PointedMarkedGraph, pointed_equivalent,
-                                    embed_j, retract_r, lipschitz_audit,
-                                    restrict_endo, PointedError)
+from outerspine.retract_aut import (pointed_equivalent, embed_j, retract_r,
+                                    lipschitz_audit, restrict_endo)
 
 
 def pointed_transvection(n, i, j, side="R"):
@@ -16,14 +16,14 @@ def pointed_transvection(n, i, j, side="R"):
 
 
 def test_embed_j_rose():
-    w = PointedMarkedGraph.pointed_rose(2)
+    w = MarkedGraph.rose_identity(2)
     x = embed_j(w)
     assert x.rank == 3
-    assert pointed_equivalent(x, PointedMarkedGraph.pointed_rose(3)) is not None
+    assert pointed_equivalent(x, MarkedGraph.rose_identity(3)) is not None
 
 
 def test_rj_identity_on_rose():
-    w = PointedMarkedGraph.pointed_rose(2)
+    w = MarkedGraph.rose_identity(2)
     x = embed_j(w)
     r = retract_r(x)
     assert pointed_equivalent(r, w) is not None
@@ -32,9 +32,9 @@ def test_rj_identity_on_rose():
 def test_retract_ignores_top_letter_image():
     # pointed R_3 with a3 -> e3 e1: minimal subtree is untouched
     g = graphs.rose(3)
-    x = PointedMarkedGraph(g, 0, [(1,), (2,), (3, 1)])
+    x = MarkedGraph(g, 0, [(1,), (2,), (3, 1)])
     r = retract_r(x)
-    assert pointed_equivalent(r, PointedMarkedGraph.pointed_rose(2)) is not None
+    assert pointed_equivalent(r, MarkedGraph.rose_identity(2)) is not None
 
 
 def test_retract_with_trim_tail():
@@ -42,12 +42,12 @@ def test_retract_with_trim_tail():
     # off the basepoint along e2, so the trim tail is nonempty and the
     # retracted marking is the tail-conjugated trace
     g = graphs.rose(3)
-    x = PointedMarkedGraph(g, 0, [(2, 1, -2), (2, 3, -2), (2,)])
+    x = MarkedGraph(g, 0, [(2, 1, -2), (2, 3, -2), (2,)])
     r = retract_r(x)
     assert r.rank == 2
-    r.as_marked().check_generates()
+    r.check_generates()
     # tail conjugation straightens both images into plain petals
-    assert pointed_equivalent(r, PointedMarkedGraph.pointed_rose(2)) is not None
+    assert pointed_equivalent(r, MarkedGraph.rose_identity(2)) is not None
 
 
 def test_rj_identity_random():
@@ -55,7 +55,7 @@ def test_rj_identity_random():
     n = 3
     count = 0
     for _ in range(60):
-        w = PointedMarkedGraph.pointed_rose(n - 1)
+        w = MarkedGraph.rose_identity(n - 1)
         for _ in range(rng.randint(0, 3)):
             i = rng.randint(1, n - 1)
             j = rng.choice([x for x in range(1, n) if x != i])
@@ -69,7 +69,7 @@ def test_rj_identity_random():
                     cands.append((v, p1, p2))
             if cands:
                 v, p1, p2 = rng.choice(cands)
-                w, _, _ = w.blowup_pointed(v, p1, p2)
+                w, _, _ = w.blowup_marked(v, p1, p2)
         x = embed_j(w)
         r = retract_r(x)
         assert pointed_equivalent(r, w) is not None
@@ -79,7 +79,7 @@ def test_rj_identity_random():
 
 def test_equivariance():
     n = 3
-    x = PointedMarkedGraph.pointed_rose(n)
+    x = MarkedGraph.rose_identity(n)
     rng = random.Random(13)
     for _ in range(20):
         i = rng.randint(1, n - 1)
@@ -93,14 +93,14 @@ def test_equivariance():
 def test_lipschitz_audit_simple():
     # blow up the pointed rose and collapse back: distances stay in {0, 1}
     n = 3
-    x0 = PointedMarkedGraph.pointed_rose(n)
+    x0 = MarkedGraph.rose_identity(n)
     for v in sorted(x0.graph.vertices):
         for p1, p2 in graphs.vertex_direction_bipartitions(x0.graph, v):
-            x, new_eid, _ = x0.blowup_pointed(v, p1, p2)
+            x, new_eid, _ = x0.blowup_marked(v, p1, p2)
             d, _ = lipschitz_audit(x, [new_eid])
             assert d in (0, 1)
 
 
 def test_rank_guard():
-    with pytest.raises(PointedError):
-        retract_r(PointedMarkedGraph.pointed_rose(1))
+    with pytest.raises(MarkingError):
+        retract_r(MarkedGraph.rose_identity(1))

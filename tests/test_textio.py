@@ -2,7 +2,7 @@ import pytest
 
 from outerspine import textio
 from outerspine.marked import MarkedGraph
-from outerspine.retract_aut import PointedMarkedGraph, pointed_equivalent
+from outerspine.retract_aut import pointed_equivalent
 from outerspine.retract_split import (SplittingBlueprint,
                                       default_retraction_data)
 from outerspine.words import basis_word, word, identity_word
@@ -36,7 +36,7 @@ def test_marked_roundtrip():
 
 
 def test_pointed_roundtrip():
-    x = PointedMarkedGraph.pointed_rose(3)
+    x = MarkedGraph.rose_identity(3)
     text = textio.print_marked(x, pointed=True)
     assert "basepoint: v0" in text
     x2 = textio.parse_marked(text, pointed=True)
@@ -81,6 +81,13 @@ def test_derive_basepoint():
     assert "basepoint" not in text
     G2 = textio.parse_marked(text)
     assert G2.basepoint == 0
+
+
+def test_pointed_needs_basepoint_line():
+    text = textio.print_marked(MarkedGraph.rose_identity(3))
+    assert textio.parse_marked(text).basepoint == 0
+    with pytest.raises(textio.FormatError):
+        textio.parse_marked(text, pointed=True)
 
 
 def test_malformed_marking_is_format_error():

@@ -8,7 +8,8 @@ from outerspine.words import (ReducedWord, CyclicWord, Endomorphism, WordError,
                               word, basis_word, cyclic_reduce,
                               primitive_root, is_automorphism,
                               simultaneous_conjugator, canonical_rotation,
-                              cyclic_core, substitute)
+                              cyclic_core, eventually_periodic_form,
+                              invert_letters, substitute)
 
 
 def rand_letters(rng, rank, n):
@@ -122,6 +123,30 @@ def test_canonical_rotation_is_least_rotation():
     for letters in kernel_cases(2):
         rotations = [letters[r:] + letters[:r] for r in range(len(letters))]
         assert canonical_rotation(letters) == min(rotations, default=())
+
+
+def test_eventually_periodic_form_spells_the_ray():
+    """The reduced W Z^k is the prefix of head period^k that drops as many
+    letters at the end as the normal form dropped from W."""
+    rng = random.Random(4)
+    for letters in kernel_cases(5):
+        period = cyclic_core(brute_reduce(letters)[0])[1]
+        if not period:
+            continue
+        p = len(period)
+        # heads that cancel into the period, some by more than one period
+        tail = period * rng.randrange(3) + period[:rng.randrange(p)]
+        for W in (brute_reduce(rand_letters(rng, 3, rng.randrange(6)))[0],
+                  brute_reduce(tuple(rand_letters(rng, 3, rng.randrange(4)))
+                               + invert_letters(tail))[0]):
+            head, per = eventually_periodic_form(W, period)
+            assert per in [period[r:] + period[:r] for r in range(p)]
+            k = len(W) + 2
+            ray = head + per * k
+            assert brute_reduce(ray)[1] == 0
+            dropped = len(W) - len(head)
+            red = brute_reduce(W + period * k)[0]
+            assert red == ray[:len(ray) - dropped]
 
 
 def test_cyclic_reduce_smallest_offset():

@@ -5,13 +5,25 @@ signed labels. Folding the wedge of loops spelled by a list of words yields
 the immersed graph of the subgroup they generate (over the rose on the
 alphabet, or over a marked graph's edge set when labels are graph edges).
 
+`Folder` is the one folding engine. Each vertex keeps its directions by
+label, so a fold is found and made without scanning the edges, and merging
+two vertices moves the smaller incidence map into the larger one (Touikan,
+"A fast algorithm for Stallings' folding process", IJAC 2006). Folds are
+made in one fixed order: at the least vertex with two directions of one
+label, the first such pair in (|eid|, sign) order. `fold_words` runs it to
+the end; `spine.fold_path` drives it one fold at a time.
+
 History mode attaches to every edge a transfer word over a second alphabet
 x_1..x_k (one letter per input word) such that the transfer product along any
-closed path at the base equals the expression of that path's group element in
-terms of the input words. Folds keep the invariant via gauge moves at
-non-base vertices; this is what computes inverse automorphisms and
-generator expressions exactly.
+closed path at the base, with x_i read as the i-th input word, spells that
+path. Folds keep the invariant via gauge moves at non-base vertices, which
+touch only the edges at the gauged vertex. When the input words are a free
+basis of the subgroup they generate, no fold drops rank and the transfer
+words are the unique expressions in that basis; this is what computes
+inverse automorphisms and generator expressions exactly.
 """
+
+import heapq
 
 from .words import reduce_letters, invert_letters
 
@@ -28,159 +40,180 @@ def _mul(*vals):
     return red
 
 
-class _Fold:
-    """Mutable state for one folding run."""
+def _order(d):
+    """Position of a direction in the fold order: by |eid|, +eid first."""
+    return abs(d), d < 0
 
-    def __init__(self, track_history):
-        self.parent = {}
-        self.edges = {}  # eid -> [o, t, label, val]
-        self.alive = set()
+
+def _first_collision(out):
+    """First pair of directions with one label, in fold order, or None."""
+    best = None
+    for ds in out.values():
+        if len(ds) > 1:
+            d1, d2 = sorted(ds, key=_order)[:2]
+            if best is None or _order(d2) < _order(best[1]):
+                best = d1, d2
+    return best
+
+
+class _Vertex:
+    __slots__ = ("id", "out", "valence")
+
+    def __init__(self, vid):
+        self.id = vid
+        self.out = {}  # signed label -> directions leaving this vertex
+        self.valence = 0
+
+
+class Folder:
+    """A graph being folded. Edges are eid -> [origin, terminus, signed
+    label, transfer word]; vertex 0 is the base, and a merged vertex keeps
+    the smaller id of the two, so the base keeps id 0."""
+
+    def __init__(self, track_history=False):
+        self.track = track_history
+        self.edges = {}
+        self.vertices = {}
         self.next_vertex = 0
         self.next_edge = 1
+        self._pending = []  # heap of vertex ids that may have a collision
         self.base = self._new_vertex()
-        self.track = track_history
 
     def _new_vertex(self):
-        v = self.next_vertex
+        v = _Vertex(self.next_vertex)
+        self.vertices[v.id] = v
         self.next_vertex += 1
-        self.parent[v] = v
         return v
 
-    def find(self, v):
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
+    def _link(self, v, label, d):
+        ds = v.out.setdefault(label, [])
+        ds.append(d)
+        v.valence += 1
+        if len(ds) == 2:
+            heapq.heappush(self._pending, v.id)
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
+    def _unlink(self, v, label, d):
+        ds = v.out[label]
+        ds.remove(d)
+        if not ds:
+            del v.out[label]
+        v.valence -= 1
 
-    def add_loop(self, letters, hist_letter):
-        """Attach a loop at the base spelling `letters`."""
-        if not letters:
-            return
+    def add_loop(self, labels, val=()):
+        """Attach a loop at the base spelling `labels`, its first edge
+        carrying the transfer word `val`; returns the new edge ids."""
+        eids = []
         prev = self.base
-        for i, a in enumerate(letters):
-            last = i == len(letters) - 1
-            nxt = self.base if last else self._new_vertex()
-            val = (hist_letter,) if (self.track and i == 0) else ()
+        for i, a in enumerate(labels):
+            nxt = self.base if i == len(labels) - 1 else self._new_vertex()
             eid = self.next_edge
             self.next_edge += 1
-            if a > 0:
-                self.edges[eid] = [prev, nxt, a, val]
-            else:
-                self.edges[eid] = [nxt, prev, -a, invert_letters(val)]
-            self.alive.add(eid)
+            self.edges[eid] = [prev, nxt, a, val if i == 0 else ()]
+            self._link(prev, a, eid)
+            self._link(nxt, -a, -eid)
+            eids.append(eid)
             prev = nxt
+        return tuple(eids)
 
-    def _directions_at(self, v):
-        """Directed edges leaving class v: list of (signed_label, eid, sign, head)."""
-        out = []
-        for eid in self.alive:
-            o, t, lab, _ = self.edges[eid]
-            if self.find(o) == v:
-                out.append((lab, eid, 1, self.find(t)))
-            if self.find(t) == v:
-                out.append((-lab, eid, -1, self.find(o)))
-        return out
+    def head(self, d):
+        """Id of the vertex a direction points to."""
+        return self._head(d).id
 
-    def _dval(self, eid, sign):
-        val = self.edges[eid][3]
-        return val if sign > 0 else invert_letters(val)
+    def _head(self, d):
+        e = self.edges[abs(d)]
+        return e[1] if d > 0 else e[0]
+
+    def _dval(self, d):
+        val = self.edges[abs(d)][3]
+        return val if d > 0 else invert_letters(val)
+
+    def edge_ends(self):
+        """eid -> (origin id, terminus id), in eid order."""
+        return {eid: (o.id, t.id) for eid, (o, t, _, _) in self.edges.items()}
+
+    def next_fold(self):
+        """The next fold (v, d1, d2), or None when the graph is folded: v is
+        the least vertex with two directions of one label, and d1, d2 the
+        first such pair in (|eid|, sign) order."""
+        pending = self._pending
+        while pending:
+            v = self.vertices.get(pending[0])
+            pair = _first_collision(v.out) if v is not None else None
+            if pair is not None:
+                return (v.id,) + pair
+            heapq.heappop(pending)
+        return None
+
+    def fold(self, d1, d2):
+        """Identify two directions with the same tail and label: edge |d2|
+        goes, and the heads of d1 and d2 merge."""
+        u1, u2 = self._head(d1), self._head(d2)
+        if self.track and u1 is not u2:
+            v, base = self._head(-d1), self.base
+            p1, p2 = self._dval(d1), self._dval(d2)
+            if u2 is not base and (u2 is not v or u1 is base):
+                self._gauge(u2, _mul(invert_letters(p2), p1))
+            else:
+                self._gauge(u1, _mul(invert_letters(p1), p2))
+            if self._dval(d1) != self._dval(d2):
+                raise FoldError("gauge failed to equalize transfer words")
+        o, t, label, _ = self.edges.pop(abs(d2))
+        self._unlink(o, label, abs(d2))
+        self._unlink(t, -label, -abs(d2))
+        if u1 is not u2:
+            self._merge(u1, u2)
 
     def _gauge(self, w, g):
-        """Transfer-word change of coordinates at vertex class w != base."""
+        """Change transfer coordinates at the non-base vertex w by g."""
         if not g:
             return
         ginv = invert_letters(g)
-        for eid in self.alive:
-            o, t, lab, val = self.edges[eid]
-            at_o = self.find(o) == w
-            at_t = self.find(t) == w
-            if at_o and at_t:
-                self.edges[eid][3] = _mul(ginv, val, g)
-            elif at_o:
-                self.edges[eid][3] = _mul(ginv, val)
-            elif at_t:
-                self.edges[eid][3] = _mul(val, g)
+        for eid in {abs(d) for ds in w.out.values() for d in ds}:
+            e = self.edges[eid]
+            if e[0] is w and e[1] is w:
+                e[3] = _mul(ginv, e[3], g)
+            elif e[0] is w:
+                e[3] = _mul(ginv, e[3])
+            else:
+                e[3] = _mul(e[3], g)
+
+    def _merge(self, a, b):
+        """Merge vertex b into a: the smaller incidence map moves into the
+        larger, and the merged vertex takes the smaller id."""
+        vid = min(a.id, b.id)
+        if a.valence < b.valence:
+            a, b = b, a
+        for label, ds in b.out.items():
+            for d in ds:
+                self.edges[abs(d)][0 if d > 0 else 1] = a
+            a.out.setdefault(label, []).extend(ds)
+        a.valence += b.valence
+        del self.vertices[b.id]
+        del self.vertices[a.id]
+        a.id = vid
+        self.vertices[vid] = a
+        if b is self.base:
+            self.base = a
+        heapq.heappush(self._pending, vid)
 
     def fold_all(self):
-        queue = {self.find(self.base)}
-        for eid in self.alive:
-            o, t, _, _ = self.edges[eid]
-            queue.add(self.find(o))
-            queue.add(self.find(t))
-        while queue:
-            v = self.find(queue.pop())
-            seen = {}
-            redo = False
-            for lab, eid, sign, head in self._directions_at(v):
-                if lab in seen:
-                    self._fold_pair(v, seen[lab], (eid, sign, head))
-                    queue.add(self.find(v))
-                    queue.add(self.find(head))
-                    redo = True
-                    break
-                seen[lab] = (eid, sign, head)
-            if redo:
-                queue.add(v)
-
-    def _fold_pair(self, v, d1, d2):
-        e1, s1, u1 = d1
-        e2, s2, u2 = d2
-        u1, u2 = self.find(u1), self.find(u2)
-        base = self.find(self.base)
-        if self.track:
-            v1 = self._dval(e1, s1)
-            v2 = self._dval(e2, s2)
-            if u1 == u2:
-                # Relation fold: would drop rank. Inputs in history mode are
-                # verified bases, where this never happens.
-                if v1 != v2:
-                    raise FoldError("relation fold with mismatched transfer words")
-            elif u2 != base and u2 != v:
-                self._gauge(u2, _mul(invert_letters(v2), v1))
-            elif u1 != base and u1 != v:
-                self._gauge(u1, _mul(invert_letters(v1), v2))
-            elif u1 == base and u2 == v:
-                # d2 is a loop at v; gauge at v solves g = v2^-1 v1.
-                self._gauge(v, _mul(invert_letters(v2), v1))
-            elif u2 == base and u1 == v:
-                self._gauge(v, _mul(invert_letters(v1), v2))
-            else:
-                raise FoldError("unhandled gauge configuration")
-            v1b = self._dval(e1, s1)
-            v2b = self._dval(e2, s2)
-            if v1b != v2b:
-                raise FoldError("gauge failed to equalize transfer words")
-        if u1 != u2:
-            self.union(u1, u2)
-        if e1 != e2:
-            self.alive.discard(e2)
+        while (fold := self.next_fold()) is not None:
+            self.fold(fold[1], fold[2])
 
     def snapshot(self):
-        vmap = {}
-        verts = set()
-        for eid in self.alive:
-            o, t, lab, val = self.edges[eid]
-            verts.add(self.find(o))
-            verts.add(self.find(t))
-        verts.add(self.find(self.base))
-        for i, v in enumerate(sorted(verts)):
-            vmap[v] = i
+        """The graph as a LabeledGraph: vertices renumbered 0.. in id
+        order, every edge oriented along its positive label."""
+        vmap = {vid: i for i, vid in enumerate(sorted(self.vertices))}
         edges = {}
         vals = {} if self.track else None
-        for eid in sorted(self.alive):
-            o, t, lab, val = self.edges[eid]
-            edges[eid] = (vmap[self.find(o)], vmap[self.find(t)], lab)
+        for eid in sorted(self.edges):
+            o, t, label, val = self.edges[eid]
+            if label < 0:
+                o, t, label, val = t, o, -label, invert_letters(val)
+            edges[eid] = (vmap[o.id], vmap[t.id], label)
             if self.track:
                 vals[eid] = val
-        return LabeledGraph(edges, vmap[self.find(self.base)], vals)
+        return LabeledGraph(edges, vmap[self.base.id], vals)
 
 
 class LabeledGraph:
@@ -272,35 +305,25 @@ class LabeledGraph:
     # -- pruning -----------------------------------------------------------
 
     def pruned(self, keep=()):
-        """Iteratively delete valence-1 vertices not in `keep`."""
-        alive = set(self.edges)
-        deg = {v: 0 for v in self.vertices}
-        for eid in alive:
-            o, t, _ = self.edges[eid]
-            deg[o] += 1
-            deg[t] += 1
-        changed = True
-        gone = set()
-        while changed:
-            changed = False
-            for v in list(deg):
-                if v in keep or v in gone:
-                    continue
-                if deg[v] == 1:
-                    eid = next(e for e in alive
-                               if self.edges[e][0] == v or self.edges[e][1] == v)
-                    o, t, _ = self.edges[eid]
-                    alive.discard(eid)
-                    deg[o] -= 1
-                    deg[t] -= 1
-                    gone.add(v)
-                    changed = True
-                elif deg[v] == 0 and (self.base is None or v != self.base):
-                    gone.add(v)
-                    changed = True
-        edges = {eid: self.edges[eid] for eid in alive}
-        vals = {eid: self.vals[eid] for eid in alive} if self.vals else None
-        base = self.base if (self.base is not None and self.base not in gone) else None
+        """Iteratively delete valence-1 vertices not in `keep`; the base
+        survives if it is in `keep` or still on an edge."""
+        valence = {v: len(out) for v, out in self._out.items()}
+        leaves = [v for v, k in valence.items() if k == 1 and v not in keep]
+        dropped = set()
+        while leaves:
+            v = leaves.pop()
+            if valence[v] != 1:
+                continue
+            d = next(d for d in self._out[v].values() if abs(d) not in dropped)
+            dropped.add(abs(d))
+            valence[v] = 0
+            h = self.head(d)
+            valence[h] -= 1
+            if valence[h] == 1 and h not in keep:
+                leaves.append(h)
+        edges = {eid: e for eid, e in self.edges.items() if eid not in dropped}
+        vals = {eid: self.vals[eid] for eid in edges} if self.vals else None
+        base = self.base if self.base in keep or valence.get(self.base) else None
         return LabeledGraph(edges, base, vals)
 
     def based_core_and_tail(self):
@@ -331,11 +354,11 @@ class LabeledGraph:
 
 def fold_words(word_list, track_history=False):
     """Fold the wedge of loops spelling the given signed-label words."""
-    st = _Fold(track_history)
+    fo = Folder(track_history)
     for i, w in enumerate(word_list):
-        st.add_loop(tuple(w), i + 1)
-    st.fold_all()
-    return st.snapshot()
+        fo.add_loop(tuple(w), (i + 1,) if track_history else ())
+    fo.fold_all()
+    return fo.snapshot()
 
 
 def is_full_rose(gr, n):

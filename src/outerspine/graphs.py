@@ -175,9 +175,9 @@ def refine_path_map(refinement):
     return lookup
 
 
-def rewrite_path_through_refinement(path, refinement):
-    """Rewrite an old-graph path (endpoints at kept vertices) in new edges."""
-    lookup = refine_path_map(refinement)
+def rewrite_path_through_refinement(path, lookup):
+    """Rewrite an old-graph path (endpoints at kept vertices) in new edges;
+    `lookup` is refine_path_map of the refinement."""
     out = []
     i = 0
     while i < len(path):

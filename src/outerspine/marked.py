@@ -162,7 +162,8 @@ class MarkedGraph:
         if all(g.valence(v) >= 3 or v == me.basepoint for v in g.vertices):
             return me, {eid: (eid,) for eid in g.edges}
         new_g, chains, _ = graphs.natural_structure(g, protected=(me.basepoint,))
-        marking = [graphs.rewrite_path_through_refinement(p, chains)
+        lookup = graphs.refine_path_map(chains)
+        marking = [graphs.rewrite_path_through_refinement(p, lookup)
                    for p in me.marking]
         return MarkedGraph(new_g, me.basepoint, marking, check=False), chains
 

@@ -4,11 +4,16 @@ A spine path stores self-contained adjacency certificates: each step keeps
 its own representative graph X and natural forest f with X equivalent to the
 upper endpoint and X/f equivalent to the lower one; verify() recomputes all
 of it from scratch.
+
+fold_path drives the folding engine (`folding.Folder`) one fold at a time;
+the engine chooses each fold, and this module only builds the partially
+folded star graph with its two hull certificates and rewrites the marking.
 """
 
 from dataclasses import dataclass, field
 
 from . import graphs
+from .folding import Folder
 from .words import substitute
 from .marked import MarkedGraph, equivalent, invariant_key
 from .covers import realizes
@@ -127,128 +132,20 @@ class SpinePath:
         return True
 
 
-class _FoldState:
-    """Subdivided graph mapping edge-per-edge onto the target rose."""
+def _marked(ends, base, marking):
+    """The marked graph with edges eid -> (origin, terminus)."""
+    verts = {base}
+    for o, t in ends.values():
+        verts.update((o, t))
+    return MarkedGraph(graphs.CoreGraph(sorted(verts), ends), base, marking,
+                       check=False)
 
-    def __init__(self, source_rose, images):
-        self.base = 0
-        self.next_vertex = 1
-        self.edges = {}
-        self.gmap = {}
-        chain_of = {}
-        next_eid = 1
-        for petal, path in sorted(images.items()):
-            if not path:
-                raise SpineError("petal image must be nonempty")
-            prev = self.base
-            chain = []
-            for i, d in enumerate(path):
-                nxt = self.base if i == len(path) - 1 else self._new_vertex()
-                self.edges[next_eid] = (prev, nxt)
-                self.gmap[next_eid] = d
-                chain.append(next_eid)
-                prev = nxt
-                next_eid += 1
-            chain_of[petal] = tuple(chain)
-        self.next_eid = next_eid
-        self.marking = [substitute(p, chain_of)[0] for p in source_rose.marking]
 
-    def _new_vertex(self):
-        v = self.next_vertex
-        self.next_vertex += 1
-        return v
-
-    def marked(self):
-        verts = {self.base}
-        for o, t in self.edges.values():
-            verts.update((o, t))
-        g = graphs.CoreGraph(sorted(verts), dict(self.edges))
-        return MarkedGraph(g, self.base, self.marking, check=False)
-
-    def directions(self, v):
-        out = []
-        for eid, (o, t) in self.edges.items():
-            if o == v:
-                out.append(eid)
-            if t == v:
-                out.append(-eid)
-        return out
-
-    def dg(self, d):
-        g = self.gmap[abs(d)]
-        return g if d > 0 else -g
-
-    def head(self, d):
-        o, t = self.edges[abs(d)]
-        return t if d > 0 else o
-
-    def find_fold(self):
-        verts = {self.base}
-        for o, t in self.edges.values():
-            verts.update((o, t))
-        for v in sorted(verts):
-            seen = {}
-            for d in sorted(self.directions(v), key=abs):
-                key = self.dg(d)
-                if key in seen and seen[key] != d:
-                    return v, seen[key], d
-                seen[key] = d
-        return None
-
-    def fold_once(self, v, d1, d2):
-        """Perform the fold d1 ~ d2; returns the blow-up intermediate (the
-        partially folded graph) and the collapse forests certifying both
-        spine edges out of it."""
-        h1, h2 = self.head(d1), self.head(d2)
-        e1, e2 = abs(d1), abs(d2)
-        if e1 == e2:
-            raise SpineError("a direction cannot fold with itself")
-        if h1 == h2:
-            raise SpineError("rank-dropping fold; map is not a marking"
-                             " preserving homotopy equivalence")
-        m = self._new_vertex()
-        eta, r1, r2 = self.next_eid, self.next_eid + 1, self.next_eid + 2
-        self.next_eid += 3
-
-        star_edges = {eid: ot for eid, ot in self.edges.items()
-                      if eid not in (e1, e2)}
-        star_edges[eta] = (v, m)
-        star_edges[r1] = (m, h1)
-        star_edges[r2] = (m, h2)
-
-        old_edges = self.edges
-
-        def rewrite(marking, repl):
-            image = {e: repl.get(e, (e,)) for e in old_edges}
-            return [substitute(p, image)[0] for p in marking]
-
-        repl_star = {
-            e1: (eta, r1) if d1 > 0 else (-r1, -eta),
-            e2: (eta, r2) if d2 > 0 else (-r2, -eta),
-        }
-        star_marking = rewrite(self.marking, repl_star)
-        verts = {self.base}
-        for o, t in star_edges.values():
-            verts.update((o, t))
-        star = MarkedGraph(graphs.CoreGraph(sorted(verts), star_edges),
-                           self.base, star_marking, check=False)
-
-        # successor: merge e2 into e1 (aligned with d1/d2), glue the heads
-        if h2 == self.base or (h1 != self.base and h2 < h1):
-            keep, drop = h2, h1
-        else:
-            keep, drop = h1, h2
-        sub = {drop: keep}
-        next_edges = {}
-        for eid, (o, t) in self.edges.items():
-            if eid == e2:
-                continue
-            next_edges[eid] = (sub.get(o, o), sub.get(t, t))
-        repl_next = {e2: (e1,) if (d1 > 0) == (d2 > 0) else (-e1,)}
-        self.edges = next_edges
-        self.gmap.pop(e2)
-        self.marking = rewrite(self.marking, repl_next)
-        return star, frozenset([eta]), frozenset([r1, r2])
+def _rewrite(marking, ends, repl):
+    """Replace the edges in repl by their paths along every marking path."""
+    image = {e: (e,) for e in ends}
+    image.update(repl)
+    return [substitute(p, image)[0] for p in marking]
 
 
 def _tree_collapse_to_rose(G):
@@ -304,20 +201,42 @@ def fold_path(G1, G2, F=None):
             raise SpineError("petal image collapsed; markings incompatible")
         images[eid] = path
 
-    state = _FoldState(rose1, images)
-    cur = state.marked().natural_marked()
-    if equivalent(cur, vertices[-1]) is None:
+    # subdivide each petal of rose1 along its image, which maps the graph
+    # edge by edge onto rose2; the folding engine labels each edge by the
+    # rose2 direction it maps to
+    fo = Folder()
+    chains = {eid: fo.add_loop(path) for eid, path in images.items()}
+    marking = [substitute(p, chains)[0] for p in rose1.marking]
+    base = fo.base.id
+    m, eta = fo.next_vertex, fo.next_edge  # ids of each fold's extra cells
+    if equivalent(_marked(fo.edge_ends(), base, marking).natural_marked(),
+                  vertices[-1]) is None:
         raise SpineError("subdivision changed the spine vertex")
 
-    while True:
-        fold = state.find_fold()
-        if fold is None:
-            break
+    while (fold := fo.next_fold()) is not None:
         v, d1, d2 = fold
-        star, eta_forest, rs_forest = state.fold_once(v, d1, d2)
-        nat_star, hull_eta = _hulls(star, eta_forest)
-        _, hull_rs0 = _hulls(star, rs_forest)
-        nat_after = state.marked().natural_marked()
+        e1, e2 = abs(d1), abs(d2)
+        h1, h2 = fo.head(d1), fo.head(d2)
+        if h1 == h2:
+            raise SpineError("rank-dropping fold; map is not a marking"
+                             " preserving homotopy equivalence")
+        # the partially folded graph: d1 and d2 become eta = (v, m)
+        # followed by r1 = (m, h1) and r2 = (m, h2)
+        ends = fo.edge_ends()
+        r1, r2 = eta + 1, eta + 2
+        star_ends = {e: ot for e, ot in ends.items() if e not in (e1, e2)}
+        star_ends.update({eta: (v, m), r1: (m, h1), r2: (m, h2)})
+        star = _marked(star_ends, base, _rewrite(marking, ends, {
+            e1: (eta, r1) if d1 > 0 else (-r1, -eta),
+            e2: (eta, r2) if d2 > 0 else (-r2, -eta)}))
+        nat_star, hull_eta = _hulls(star, {eta})
+        _, hull_rs0 = _hulls(star, {r1, r2})
+        m, eta = m + 1, eta + 3
+
+        fo.fold(d1, d2)
+        marking = _rewrite(marking, ends,
+                           {e2: (e1,) if (d1 > 0) == (d2 > 0) else (-e1,)})
+        nat_after = _marked(fo.edge_ends(), base, marking).natural_marked()
         if hull_eta:
             got, _ = nat_star.collapse_marked(hull_eta)
             if equivalent(got.natural_marked(), vertices[-1]) is None:
@@ -332,7 +251,7 @@ def fold_path(G1, G2, F=None):
                 vertices.append(nat_after)
                 steps.append(SpineStep("down", nat_star, hull_rs0))
 
-    final = state.marked().natural_marked()
+    final = _marked(fo.edge_ends(), base, marking).natural_marked()
     if equivalent(final, rose2) is None:
         raise SpineError("fold terminus does not match the target rose")
     if tree2 is not None:

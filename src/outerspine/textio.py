@@ -12,6 +12,10 @@ The basepoint line is required for pointed graphs and optional otherwise
     splitting { type: loop; vertex A = a1 a2; stable: a3;
                 ray1: prefix "", period a3; ray2: prefix "", period a3^-1 }
 
+A vertex group's generators are separated by commas, or one per token when
+there is no comma; so a lone generator of two or more letters is printed
+with a trailing comma (`vertex A0 = a1 a2,`).
+
 Every format round-trips: parse(print(x)) == x.
 """
 
@@ -178,8 +182,9 @@ def parse_blueprint(text, rank=None):
         if s.startswith("type:"):
             kind = s.split(":", 1)[1].strip()
         elif s.startswith("vertex"):
-            _, rhs = s.split("=", 1)
-            vertex_gens.append(rhs.strip())
+            if "=" not in s:
+                raise FormatError("vertex statement without '=': %r" % s)
+            vertex_gens.append(s.split("=", 1)[1].strip())
         elif s.startswith("stable:"):
             stable = parse_letter(s.split(":", 1)[1].strip())
         elif s.startswith("ray"):
@@ -218,8 +223,15 @@ def parse_blueprint(text, rank=None):
 def _split_words(text, rank):
     # generators separated by commas; a bare token list is one-per-token
     if "," in text:
-        return [t.strip() for t in text.split(",")]
+        return [t.strip() for t in text.split(",") if t.strip()]
     return text.split()
+
+
+def _print_gens(gens):
+    # a lone generator of two or more letters takes a trailing comma, so
+    # that it does not read as one generator per letter
+    text = ", ".join(print_word(w) for w in gens)
+    return text + "," if len(gens) == 1 and len(gens[0]) > 1 else text
 
 
 def print_blueprint(data):
@@ -227,8 +239,7 @@ def print_blueprint(data):
     parts = ["type: %s" % bp.kind]
     names = ["A"] if bp.kind == "loop" else ["A0", "A1"]
     for name, gens in zip(names, bp.vertex_gens):
-        parts.append("vertex %s = %s" % (
-            name, ", ".join(print_word(w) for w in gens)))
+        parts.append("vertex %s = %s" % (name, _print_gens(gens)))
     if bp.kind == "loop":
         parts.append("stable: a%d" % bp.stable)
     for i, ray in enumerate(data.rays, 1):

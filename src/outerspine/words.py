@@ -10,7 +10,6 @@ other module.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 
 class WordError(ValueError):
@@ -262,42 +261,9 @@ class Endomorphism:
     def is_identity(self):
         return all(im.letters == (i + 1,) for i, im in enumerate(self.images))
 
-    def abelianization(self):
-        """Integer matrix: column i = exponent vector of the image of a_i."""
-        n = self.rank
-        mat = [[0] * n for _ in range(n)]
-        for i, im in enumerate(self.images):
-            for a in im.letters:
-                mat[abs(a) - 1][i] += 1 if a > 0 else -1
-        return mat
-
 
 def compose(f, g):
     return f.compose(g)
-
-
-def _det(mat):
-    """Exact determinant (fraction-free would be overkill at this size)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    if det.denominator != 1:
-        raise WordError("determinant of an integer matrix is not an integer")
-    return int(det)
 
 
 @dataclass(frozen=True)
@@ -340,17 +306,14 @@ def is_automorphism(f):
 
     The decision folds the wedge of image loops: the images generate F_n
     freely iff the folded graph is the rank-n rose with each basis letter on
-    exactly one petal. The abelianization determinant is used only as a fast
-    reject. The inverse is read off a second, history-tracked fold.
+    exactly one petal. The fold tracks history, so the petals' transfer
+    words are then the images of the inverse.
     """
     from . import folding
 
-    if abs(_det(f.abelianization())) != 1:
-        return None
-    gr = folding.fold_words([im.letters for im in f.images], track_history=False)
+    gr = folding.fold_words([im.letters for im in f.images], track_history=True)
     if not folding.is_full_rose(gr, f.rank):
         return None
-    gr = folding.fold_words([im.letters for im in f.images], track_history=True)
     inv_images = folding.rose_petal_values(gr, f.rank)
     inv = Endomorphism(f.rank, tuple(ReducedWord.make(v, f.rank) for v in inv_images))
     return Automorphism(f, inv)

@@ -1,0 +1,134 @@
+"""Seeded differential tests of the folding engine against the two machines
+it replaced (tests/fold_oracle.py)."""
+
+import random
+
+import pytest
+
+import fold_oracle
+from outerspine import folding, sampling, spine, textio
+from outerspine.folding import fold_words, rose_petal_values
+from outerspine.marked import MarkedGraph
+from outerspine.words import reduce_letters, substitute
+
+
+def random_wedge(rng, n):
+    """Words over the rank-n alphabet, some unreduced, some empty, and some
+    repeated or powered, so that relation folds occur."""
+    words = []
+    for _ in range(rng.randint(1, n + 2)):
+        roll = rng.random()
+        if roll < 0.15 and words:
+            w = rng.choice(words)
+            words.append(w * rng.randint(1, 3))
+        else:
+            length = rng.randint(0, 10)
+            words.append(tuple(rng.choice([1, -1]) * rng.randint(1, n)
+                               for _ in range(length)))
+    return words
+
+
+def random_basis(rng, n):
+    return [im.letters for im in sampling.random_token_auto(
+        rng, n, rng.randint(1, 8)).images]
+
+
+def assert_same_graph(a, b):
+    """Same edge ids and labels, and one vertex bijection carrying a's base
+    and every edge of a onto b's."""
+    assert set(a.edges) == set(b.edges)
+    vmap = {a.base: b.base}
+    for eid, (o, t, lab) in a.edges.items():
+        o2, t2, lab2 = b.edges[eid]
+        assert lab == lab2
+        for x, y in ((o, o2), (t, t2)):
+            assert vmap.setdefault(x, y) == y
+    assert len(set(vmap.values())) == len(vmap) == len(b.vertices)
+
+
+def evaluate(xword, words):
+    """Transfer word read in the input words, freely reduced."""
+    return substitute(xword, dict(enumerate(words, 1)))[0]
+
+
+def assert_transfers_spell(gr, words):
+    """Tracing input word i from the base spells a closed path whose
+    transfer word, read in the input words, is word i."""
+    for w in words:
+        path, end, consumed = gr.trace(gr.base, w)
+        assert consumed == len(w) and end == gr.base
+        assert evaluate(gr.transfer(path), words) == reduce_letters(w)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wedges_match_oracle(n):
+    rng = random.Random(600 + n)
+    relation_folds = 0
+    for _ in range(150):
+        words = random_wedge(rng, n)
+        old = fold_oracle.fold_words(words)
+        new = fold_words(words)
+        assert_same_graph(old, new)
+        tracked = fold_words(words, track_history=True)
+        assert_same_graph(old, tracked)
+        assert_transfers_spell(tracked, words)
+        if old.rank < sum(1 for w in words if reduce_letters(w)[0]):
+            relation_folds += 1
+        for keep in ((), (new.base,)):
+            a, b = fold_oracle.pruned(new, keep), new.pruned(keep)
+            assert a.edges == b.edges and a.vals == b.vals
+            if a.edges:
+                assert a.base == b.base
+    assert relation_folds > 30
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bases_match_oracle(n):
+    rng = random.Random(700 + n)
+    for _ in range(60):
+        words = random_basis(rng, n)
+        old = fold_oracle.fold_words(words, track_history=True)
+        new = fold_words(words, track_history=True)
+        assert_same_graph(old, new)
+        assert rose_petal_values(new, n) == rose_petal_values(old, n)
+        for i, w in enumerate(words, 1):
+            path, end, _ = new.trace(new.base, w)
+            assert end == new.base and new.transfer(path) == (i,)
+
+
+def printed(path):
+    return ([textio.print_marked(v) for v in path.vertices],
+            [(s.kind, sorted(s.forest), textio.print_marked(s.X))
+             for s in path.steps])
+
+
+def test_fold_paths_match_oracle(monkeypatch):
+    made = []
+
+    class Recording(folding.Folder):
+        def next_fold(self):
+            fold = super().next_fold()
+            if fold is not None:
+                made.append(fold)
+            return fold
+
+    monkeypatch.setattr(spine, "Folder", Recording)
+    rng = random.Random(43)
+    rose = MarkedGraph.rose_identity(3)
+    pairs = []
+    for _ in range(10):
+        H = rose.act(sampling.random_token_auto(rng, 3, rng.randint(1, 5)))
+        pairs += [(rose, H), (H, rose)]
+    for _ in range(6):
+        pairs.append((sampling.random_marked_graph(rng, 3, 3),
+                      sampling.random_marked_graph(rng, 3, 3)))
+    lengths = 0
+    for G1, G2 in pairs:
+        folds = []
+        old = fold_oracle.fold_path(G1, G2, folds)
+        made.clear()
+        new = spine.fold_path(G1, G2)
+        assert made == folds
+        assert printed(new) == printed(old)
+        lengths += len(folds)
+    assert lengths > 60

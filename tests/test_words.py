@@ -228,6 +228,10 @@ def test_is_automorphism_non_surjective():
     # injective but not surjective (image is a proper free factor's mate)
     sq = Endomorphism.from_lists([[1, 1], [2], [3]], 3)
     assert is_automorphism(sq) is None
+    # abelianization has determinant 1, yet a2 a1 a2 a1^-1 a2^-1 and a1
+    # generate a proper subgroup: only the fold can reject this one
+    det_one = Endomorphism.from_lists([[1], [2, 1, 2, -1, -2]], 2)
+    assert is_automorphism(det_one) is None
 
 
 @given(st.integers(0, 10000))

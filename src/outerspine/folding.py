@@ -115,10 +115,6 @@ class Folder:
             prev = nxt
         return tuple(eids)
 
-    def head(self, d):
-        """Id of the vertex a direction points to."""
-        return self._head(d).id
-
     def _head(self, d):
         e = self.edges[abs(d)]
         return e[1] if d > 0 else e[0]

@@ -56,7 +56,10 @@ class MarkedGraph:
         return True
 
     def _check_folded_is_graph(self, folded):
-        if len(folded.edges) != len(self.graph.edges):
+        # a rank-dropping (relation) fold leaves every edge once but fewer
+        # loops, and its transfer words are then no inverse marking
+        if (len(folded.edges) != len(self.graph.edges)
+                or folded.rank != self.rank):
             raise MarkingError("marking images do not generate pi_1")
         labels = {}
         for eid, (o, t, lab) in folded.edges.items():

@@ -216,13 +216,14 @@ def fold_path(G1, G2, F=None):
     while (fold := fo.next_fold()) is not None:
         v, d1, d2 = fold
         e1, e2 = abs(d1), abs(d2)
-        h1, h2 = fo.head(d1), fo.head(d2)
+        ends = fo.edge_ends()
+        h1 = ends[e1][1] if d1 > 0 else ends[e1][0]
+        h2 = ends[e2][1] if d2 > 0 else ends[e2][0]
         if h1 == h2:
             raise SpineError("rank-dropping fold; map is not a marking"
                              " preserving homotopy equivalence")
         # the partially folded graph: d1 and d2 become eta = (v, m)
         # followed by r1 = (m, h1) and r2 = (m, h2)
-        ends = fo.edge_ends()
         r1, r2 = eta + 1, eta + 2
         star_ends = {e: ot for e, ot in ends.items() if e not in (e1, e2)}
         star_ends.update({eta: (v, m), r1: (m, h1), r2: (m, h2)})

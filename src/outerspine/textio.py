@@ -221,9 +221,10 @@ def parse_blueprint(text, rank=None):
 
 
 def _split_words(text, rank):
-    # generators separated by commas; a bare token list is one-per-token
+    # generators separated by commas; a bare token list is one-per-token.
+    # One trailing comma marks a lone generator (see _print_gens).
     if "," in text:
-        return [t.strip() for t in text.split(",") if t.strip()]
+        return [t.strip() for t in text.rstrip().removesuffix(",").split(",")]
     return text.split()
 
 

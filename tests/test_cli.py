@@ -100,6 +100,16 @@ def test_malformed_marking_exits_2(tmp_path):
         run_cli_error(["realizes", "--graph", str(p), "--component", "a1"])
 
 
+def test_relation_fold_marking_exits_2(tmp_path):
+    # the marking paths fold onto a rank-2 graph of the rank-3 graph's edges
+    p = tmp_path / "rel.txt"
+    p.write_text("graph { v: v0 v1; e: e1 v0 v1; e2 v0 v1; e3 v1 v0; "
+                 "e4 v1 v0; }\n"
+                 "marking { a1 = e1 e3; a2 = e2 e4; a3 = e1 e3 e1 e3; }\n")
+    err = run_cli_error(["realizes", "--graph", str(p), "--component", "a1"])
+    assert "do not generate" in err
+
+
 def test_edge_token_in_word_exits_2():
     run_cli_error(["reduce", "e1 a2", "--rank", "2"])
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from outerspine import graphs, sampling
+from outerspine.folding import FoldError
 from outerspine.marked import MarkedGraph, MarkingError, equivalent, invariant_key
 from outerspine.words import (Endomorphism, CyclicWord, basis_word, word,
                               is_automorphism, reduce_letters, substitute)
@@ -39,6 +40,27 @@ def test_invalid_marking_rejected():
         MarkedGraph(g, 0, [(1,), (1,)])  # does not generate
     with pytest.raises(MarkingError):
         MarkedGraph(g, 0, [(1, -1), (2,)])  # not reduced
+
+
+def relation_marked(check):
+    # rank 3 graph on two vertices; the third marking path is the square of
+    # the first, so the paths fold (with one relation fold) onto a rank-2
+    # graph that still holds every edge once
+    g = graphs.CoreGraph({0, 1}, {1: (0, 1), 2: (0, 1), 3: (1, 0), 4: (1, 0)})
+    return MarkedGraph(g, 0, [(1, 3), (2, 4), (1, 3, 1, 3)], check=check)
+
+
+def test_relation_fold_marking_rejected():
+    with pytest.raises(MarkingError):
+        relation_marked(check=True)
+
+
+def test_relation_fold_has_no_inverse_marking():
+    G = relation_marked(check=False)
+    with pytest.raises((MarkingError, FoldError)):
+        G.inverse_marking_values()
+    with pytest.raises((MarkingError, FoldError)):
+        G.path_to_word((1, 3))
 
 
 def test_theta_marking_valid():

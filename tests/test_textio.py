@@ -3,7 +3,7 @@ import pytest
 from outerspine import textio
 from outerspine.marked import MarkedGraph
 from outerspine.retract_aut import pointed_equivalent
-from outerspine.retract_split import (SplittingBlueprint,
+from outerspine.retract_split import (SplitError, SplittingBlueprint,
                                       default_retraction_data)
 from outerspine.words import basis_word, word, identity_word
 from outerspine import graphs
@@ -73,6 +73,19 @@ def test_segment_blueprint_roundtrip():
     text = textio.print_blueprint(data)
     data2 = textio.parse_blueprint(text)
     assert data2.blueprint == bp
+
+
+def test_blueprint_generator_commas():
+    # one trailing comma marks a lone generator; any other empty piece is
+    # the identity generator, so these are not read as free splittings
+    text = "splitting { type: segment; vertex A0 = a1 a2,; vertex A1 = a2 }"
+    data = textio.parse_blueprint(text, 2)
+    assert data.blueprint.vertex_gens[0] == (word([1, 2], 2),)
+    text = "splitting { type: segment; vertex A0 = %s; vertex A1 = a3 }"
+    textio.parse_blueprint(text % "a1, a2", 3)
+    for gens in ("a1,, a2", ", a1, a2", "a1, a2,,"):
+        with pytest.raises(SplitError):
+            textio.parse_blueprint(text % gens, 3)
 
 
 def test_derive_basepoint():

@@ -159,6 +159,8 @@ def cmd_lipschitz_audit(args):
 
 
 def cmd_witness(args):
+    if args.kmax < 0:
+        raise PreconditionError("--kmax must be >= 0, got %d" % args.kmax)
     if args.case == 1:
         params = witness.WitnessParams(args.n, "connected", r=args.r)
     elif args.case == 2:
@@ -235,6 +237,8 @@ def cmd_retract_split_audit(args):
 
 
 def cmd_spine_bfs(args):
+    if args.cap < 0:
+        raise PreconditionError("--cap must be >= 0, got %d" % args.cap)
     G1 = _read_marked(args.left)
     G2 = _read_marked(args.right)
     d = spine.bfs_distance(G1, G2, args.cap)

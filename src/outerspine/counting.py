@@ -219,8 +219,7 @@ class CrossingCount:
     start: tuple  # maximizing (vertex, phase), diagnostic
 
 
-def _count_block(mu, block):
-    rev = invert_letters(block)
+def _count_block(mu, block, rev):
     q = len(block)
     n = 0
     for i in range(len(mu) - q + 1):
@@ -236,6 +235,17 @@ def count_i(ctx, c, G=None):
 
     A trace that cycles proves c conjugate into B, which is an error (the
     quantity is undefined there).
+
+    One pass, O(|V(K)| L) for a circuit of L letters (times the block
+    length for the window test). The states are the pairs (v, p); a state
+    steps along the edge leaving v labelled circuit[p]. K is an immersion,
+    so a state has at most one successor and at most one predecessor: the
+    step is injective. Its orbits are therefore disjoint paths and cycles,
+    and the runs from the entry states (no predecessor) cover every state
+    on a path exactly once. The run from each entry state is walked once,
+    in K.vertices x range(L) order (so ties keep the first start), and the
+    states it covers are counted; fewer than |V(K)| L covered states means
+    some state lies on a cycle, i.e. c is conjugate into B.
     """
     G = G or ctx.G
     circuit = G.circuit_of(c)
@@ -243,53 +253,36 @@ def count_i(ctx, c, G=None):
         raise CountError("trivial class")
     K = ctx.K
     L = len(circuit)
-    states = [(v, p) for v in K.vertices for p in range(L)]
-
-    def step(state):
-        v, p = state
-        d = K.step(v, circuit[p])
-        if d is None:
-            return None, None
-        return d, (K.head(d), (p + 1) % L)
-
-    # cycle detection over the partial deterministic transition
-    color = {}
-    for s in states:
-        if s in color:
-            continue
-        path = []
-        cur = s
-        while cur is not None and color.get(cur) is None:
-            color[cur] = 1
-            path.append(cur)
-            _, cur = step(cur)
-        if cur is not None and color.get(cur) == 1:
-            raise ConjugateIntoB("class is conjugate into B; count undefined")
-        for x in path:
-            color[x] = 2
-
+    n_states = len(K.vertices) * L
+    block = ctx.block
+    rev = invert_letters(block)
+    covered = 0
     best = 0
     best_start = None
-    for (v, p) in states:
-        back = K.step(v, -circuit[(p - 1) % L])
-        if back is not None:
-            continue  # not an entry state
-        mu = []
-        cur = (v, p)
-        budget = len(states) + 1
-        while budget:
-            d, nxt = step(cur)
-            if d is None:
-                break
-            mu.append(d)
-            cur = nxt
-            budget -= 1
-        if not budget:
-            raise CountError("entry-state run exceeded budget")
-        score = _count_block(tuple(mu), ctx.block)
-        if score > best or best_start is None:
-            best = score
-            best_start = (v, p)
+    for v in K.vertices:
+        for p in range(L):
+            if K.step(v, -circuit[p - 1]) is not None:
+                continue  # not an entry state
+            mu = []
+            u, q = v, p
+            budget = n_states + 1
+            while budget:
+                d = K.step(u, circuit[q])
+                if d is None:
+                    break
+                mu.append(d)
+                u = K.head(d)
+                q = q + 1 if q + 1 < L else 0
+                budget -= 1
+            if not budget:
+                raise CountError("entry-state run exceeded budget")
+            covered += len(mu) + 1
+            score = _count_block(tuple(mu), block, rev)
+            if score > best or best_start is None:
+                best = score
+                best_start = (v, p)
+    if covered < n_states:
+        raise ConjugateIntoB("class is conjugate into B; count undefined")
     return CrossingCount(best, best_start)
 
 

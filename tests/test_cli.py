@@ -90,6 +90,12 @@ def test_witness_case3_rank_two_extra_component():
     assert [int(l.split(",")[0]) for l in lines[1:]] == [0, 1, 2, 3]
 
 
+def test_witness_negative_kmax_exits_2():
+    err = run_cli_error(["witness", "--case", "1", "--n", "4", "--r", "2",
+                         "--kmax", "-1"])
+    assert "--kmax" in err
+
+
 def test_malformed_marking_exits_2(tmp_path):
     graph = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
     for i, marking in enumerate(["marking { a1 e1; a2 = e2; }",
@@ -180,6 +186,12 @@ def test_spine_bfs(tmp_path):
     other.write_text(out)
     got = run_cli(["spine-bfs", rose, str(other), "--cap", "4"])
     assert got.strip() == "2"
+
+
+def test_spine_bfs_negative_cap_exits_2(tmp_path):
+    rose = write_rose(tmp_path, n=2)
+    err = run_cli_error(["spine-bfs", rose, rose, "--cap", "-1"])
+    assert "--cap" in err
 
 
 def test_fold_path_cli(tmp_path):

@@ -8,6 +8,7 @@ from outerspine.words import (ReducedWord, CyclicWord, Endomorphism, WordError,
                               word, basis_word, cyclic_reduce,
                               primitive_root, is_automorphism,
                               simultaneous_conjugator, canonical_rotation,
+                              least_rotation,
                               cyclic_core, eventually_periodic_form,
                               invert_letters, substitute)
 
@@ -119,8 +120,31 @@ def test_substitute_matches_expand_then_reduce():
         assert substitute(letters, image) == brute_reduce(expanded)
 
 
+def long_cases(seed):
+    """Seeded tuples of at least 1000 letters: random ones, proper powers,
+    and powers with one letter changed, whose rotations share long
+    prefixes."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(4):
+        cases.append(tuple(rand_letters(rng, 3, rng.randrange(1000, 1500))))
+        period = rand_letters(rng, 3, rng.randrange(1, 30))
+        power = period * (1000 // len(period) + 1)
+        cases.append(tuple(power))
+        power[rng.randrange(len(power))] = rng.choice([1, -1, 2, -2, 3, -3])
+        cases.append(tuple(power))
+    return cases
+
+
+def test_least_rotation_is_smallest_least_offset():
+    for letters in kernel_cases(6) + long_cases(7):
+        rotations = [letters[r:] + letters[:r] for r in range(len(letters))]
+        want = rotations.index(min(rotations)) if rotations else 0
+        assert least_rotation(letters) == want
+
+
 def test_canonical_rotation_is_least_rotation():
-    for letters in kernel_cases(2):
+    for letters in kernel_cases(2) + long_cases(8):
         rotations = [letters[r:] + letters[:r] for r in range(len(letters))]
         assert canonical_rotation(letters) == min(rotations, default=())
 

@@ -252,6 +252,7 @@ def count_i(ctx, c, G=None):
     if not circuit:
         raise CountError("trivial class")
     K = ctx.K
+    out, heads = K.step_tables()
     L = len(circuit)
     n_states = len(K.vertices) * L
     block = ctx.block
@@ -260,18 +261,19 @@ def count_i(ctx, c, G=None):
     best = 0
     best_start = None
     for v in K.vertices:
+        out_v = out[v]
         for p in range(L):
-            if K.step(v, -circuit[p - 1]) is not None:
+            if -circuit[p - 1] in out_v:
                 continue  # not an entry state
             mu = []
             u, q = v, p
             budget = n_states + 1
             while budget:
-                d = K.step(u, circuit[q])
+                d = out[u].get(circuit[q])
                 if d is None:
                     break
                 mu.append(d)
-                u = K.head(d)
+                u = heads[d]
                 q = q + 1 if q + 1 < L else 0
                 budget -= 1
             if not budget:

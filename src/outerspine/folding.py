@@ -261,6 +261,16 @@ class LabeledGraph:
     def directions(self, v):
         return list(self._out[v].values())
 
+    def step_tables(self):
+        """(out, heads) for tight walks: out[v][signed label] is the
+        directed edge leaving v with that label, heads[d] the head of d.
+        `out` is the graph's own map; callers must not change it."""
+        heads = {}
+        for eid, (o, t, _) in self.edges.items():
+            heads[eid] = t
+            heads[-eid] = o
+        return self._out, heads
+
     def trace(self, v, letters):
         """Follow signed labels from v; returns (path, end, consumed)."""
         path = []

@@ -76,6 +76,8 @@ def neighbors(G, dedupe=True):
 
 def bfs_distance(G1, G2, cap):
     """Exact 1-skeleton distance if at most cap, else None."""
+    if cap < 0:
+        return None
     G1 = spine_normalize(G1)
     G2 = spine_normalize(G2)
     key2 = invariant_key(G2)

@@ -8,6 +8,7 @@ growth never gets fitted numerically.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .words import (CyclicWord, Endomorphism, Automorphism, basis_word,
                     invert_letters, reduce_letters, word)
@@ -109,15 +110,26 @@ def theta_inverse(n, m):
     return auto.inverse()
 
 
-def u_k(n, m, k):
-    """Theta^k(e_1), with the no-cancellation train-track certificate."""
+def theta_powers(n, m):
+    """Yield u_0 = e_1, u_1 = Theta(e_1), u_2 = Theta^2(e_1), ... endlessly.
+
+    Theta is built once; each step applies it to the previous item and
+    raises unless no letter cancels (the train-track certificate).
+    """
     th, _ = theta(n, m)
     w = basis_word(1, n)
-    for _ in range(k):
+    while True:
+        yield w
         w, cancelled = th.endo.apply_counting_cancellation(w)
         if cancelled:
             raise WitnessError("train-track positivity violated")
-    return w
+
+
+def u_k(n, m, k):
+    """Theta^k(e_1), with the no-cancellation train-track certificate."""
+    if k < 0:
+        raise WitnessError("need k >= 0")
+    return next(islice(theta_powers(n, m), k, None))
 
 
 # -- exact integer matrices --------------------------------------------------
@@ -241,11 +253,19 @@ def phi_zero_tokens(params):
 def phi_k(params, k):
     """The k-th witness: (Automorphism, token expression, Nielsen upper bound).
 
-    phi_k = theta^k . phi_0 . theta^-k; both forms are built and compared.
+    phi_k = theta^k . phi_0 . theta^-k. The Automorphism is built from u_k
+    and its stored inverse is checked by both compositions; the token
+    expression is not composed here (`verify_factorization` compares the
+    factored form with the endomorphism).
     """
     n, m = params.n, params.m
-    th, th_toks = theta(n, m)
-    uk = u_k(n, m, k)
+    return _phi_row(params, k, u_k(n, m, k), theta_tokens(n, m))
+
+
+def _phi_row(params, k, uk, th_toks):
+    """phi_k (see phi_k) from u_k = Theta^k(e_1) and th_toks =
+    theta_tokens(n, m), whose composition theta() checks against Theta."""
+    n, m = params.n, params.m
     if params.case == "connected":
         images = [basis_word(i, n) for i in range(1, n)]
         images.append(basis_word(n, n) * uk)
@@ -426,33 +446,30 @@ class ReportRow:
 def distortion_report(params, k_max):
     """Exact per-k table: Nielsen upper bound, crossing count, spine bound.
 
+    One pass: row k+1 takes u_{k+1} from u_k by one application of Theta.
     Case 1 counts are cross-checked against the matrix-power oracle.
     """
-    rows = []
+    n, m = params.n, params.m
     if params.case == "connected":
-        n, m = params.n, params.m
-        G0 = MarkedGraph.rose_identity(n)
         A = [basis_word(i, n) for i in range(1, params.r + 1)]
         B = [basis_word(i, n) for i in range(1, m + 1)]
-        ctx = counting.build_context([A], B, G0)
+        ctx = counting.build_context([A], B, MarkedGraph.rose_identity(n))
         c0 = CyclicWord.of(basis_word(n, n))
-        for k in range(k_max + 1):
-            auto, _, upper = phi_k(params, k)
-            ck = auto.apply_cyclic(c0)
-            ik = counting.count_i(ctx, ck).value
+    else:
+        cx = case2_build(params)
+        ctx = cx.counting_context()
+        c0 = cx.c0
+    th_toks = theta_tokens(n, m)
+    rows = []
+    for k, uk in enumerate(islice(theta_powers(n, m), k_max + 1)):
+        auto, _, upper = _phi_row(params, k, uk, th_toks)
+        ik = counting.count_i(ctx, auto.apply_cyclic(c0)).value
+        if params.case == "connected":
             oracle = occurrence_count(m, m, k)
             if ik != oracle:
                 raise WitnessError("trace count %d disagrees with matrix "
                                    "oracle %d at k=%d" % (ik, oracle, k))
-            rows.append(ReportRow(k, upper, ik, ik // 2))
-    else:
-        cx = case2_build(params)
-        ctx = cx.counting_context()
-        for k in range(k_max + 1):
-            auto, _, upper = phi_k(params, k)
-            ck = auto.apply_cyclic(cx.c0)
-            ik = counting.count_i(ctx, ck, G=cx.Gp).value
-            rows.append(ReportRow(k, upper, ik, ik // 2))
+        rows.append(ReportRow(k, upper, ik, ik // 2))
     return rows
 
 

@@ -53,6 +53,13 @@ def test_bfs_distance_basics():
     assert d2 == 2
 
 
+def test_bfs_distance_negative_cap_is_none():
+    # distance 0 is above a negative cap, so nothing is within it
+    G = MarkedGraph.rose_identity(2)
+    assert bfs_distance(G, G, -1) is None
+    assert bfs_distance(G, theta_marked(), -1) is None
+
+
 def test_bfs_metric_properties():
     G = MarkedGraph.rose_identity(2)
     phi = transv(2, 1, 2)

@@ -1,15 +1,16 @@
+import random
 from types import SimpleNamespace
 
 import pytest
 
-from outerspine import witness
+from outerspine import counting, witness
 from outerspine.words import (CyclicWord, Endomorphism, basis_word, word,
                               is_automorphism)
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.covers import FreeFactorSystem, realizes
 from outerspine.counting import count_i
 from outerspine.witness import (theta, theta_inverse, u_k, occurrence_count,
-                                pair_counts,
+                                pair_counts, theta_powers, ReportRow,
                                 WitnessParams, phi_k, verify_factorization,
                                 tokens_to_endo, case2_build, distortion_report,
                                 report_csv, ratio_within_of_golden, WitnessError)
@@ -44,6 +45,8 @@ def test_u_k_values():
     assert u_k(3, 2, 1) == word([1, 2], 3)
     assert u_k(3, 2, 2).letters == (1, 2, 1)
     assert u_k(3, 2, 3).letters == (1, 2, 1, 1, 2)
+    with pytest.raises(WitnessError):
+        u_k(3, 2, -1)
 
 
 def test_train_track_positivity():
@@ -198,6 +201,60 @@ def test_distortion_report_case2():
     assert rows[-1].i_k > rows[2].i_k
 
 
+def _rows_one_k_at_a_time(params, k_max):
+    """The table rebuilt row by row from phi_k, each row from scratch."""
+    n, m = params.n, params.m
+    if params.case == "connected":
+        ctx = counting.build_context(
+            [[basis_word(i, n) for i in range(1, params.r + 1)]],
+            [basis_word(i, n) for i in range(1, m + 1)],
+            MarkedGraph.rose_identity(n))
+        c0 = CyclicWord.of(basis_word(n, n))
+    else:
+        cx = case2_build(params)
+        ctx, c0 = cx.counting_context(), cx.c0
+    rows = []
+    for k in range(k_max + 1):
+        auto, _, upper = phi_k(params, k)
+        ik = count_i(ctx, auto.apply_cyclic(c0)).value
+        rows.append(ReportRow(k, upper, ik, ik // 2))
+    return rows
+
+
+def _seeded_params(rng):
+    out = []
+    for r in (1, 2, 3):
+        out.append(WitnessParams(rng.randint(r + 2, r + 4), "connected", r=r))
+    for ranks in ((1, 1), (1, 2)):
+        n = rng.randint(sum(ranks) + 1, sum(ranks) + 3)
+        out.append(WitnessParams(n, "two_component", ranks=ranks))
+    for ranks in ((1, 1, 1), (1, 1, 1, 1)):
+        n = rng.randint(len(ranks) + 1, len(ranks) + 3)
+        out.append(WitnessParams(n, "multi_component", ranks=ranks))
+    return out
+
+
+def test_distortion_report_matches_rows_built_one_k_at_a_time():
+    rng = random.Random(8)
+    for _ in range(2):
+        for params in _seeded_params(rng):
+            k_max = rng.randint(6, 12)
+            assert distortion_report(params, k_max) == \
+                _rows_one_k_at_a_time(params, k_max), params
+
+
+def test_theta_powers_letter_counts():
+    rng = random.Random(8)
+    for n, m in [(3, 2), (4, 3), (5, 2), (6, 4), (6, 5)]:
+        k_max = rng.randint(10, 14)
+        for k, w in zip(range(k_max + 1), theta_powers(n, m)):
+            for j in range(1, n + 1):
+                direct = sum(1 for a in w.letters if a == j)
+                assert direct == (occurrence_count(m, j, k) if j <= m else 0)
+            assert all(a > 0 for a in w.letters)
+        assert w == u_k(n, m, k_max)
+
+
 def test_golden_ratio_test():
     assert ratio_within_of_golden(1618, 1000)
     assert not ratio_within_of_golden(3, 2)
@@ -212,6 +269,19 @@ def test_theta_token_check_raises(monkeypatch):
                         lambda tokens, n: Endomorphism.identity(n))
     with pytest.raises(WitnessError):
         theta(3, 2)
+
+
+def test_theta_powers_raises_on_cancellation(monkeypatch):
+    # e1 -> e1 e2, e2 -> e2^-1 is invertible, but its square cancels e2 e2^-1
+    bad = is_automorphism(Endomorphism(3, (word([1, 2], 3), word([-2], 3),
+                                           basis_word(3, 3))))
+    monkeypatch.setattr(witness, "theta",
+                        lambda n, m: (bad, witness.theta_tokens(n, m)))
+    assert u_k(3, 2, 1) == word([1, 2], 3)
+    with pytest.raises(WitnessError, match="positivity"):
+        u_k(3, 2, 2)
+    with pytest.raises(WitnessError, match="positivity"):
+        distortion_report(WitnessParams(3, "connected", r=1), 4)
 
 
 def test_u_prime_path_cancellation_raises(monkeypatch):

@@ -9,7 +9,7 @@ from itertools import islice
 
 from . import graphs
 from .words import CyclicWord, basis_word
-from .marked import MarkedGraph, equivalent
+from .marked import MarkedGraph, canonical_key, equivalent
 from .covers import FreeFactorSystem, realizes, minimal_subtree_collapse_check
 from .counting import build_context, count_i, lipschitz_audit, CountError
 from .witness import (WitnessParams, _phi_row, distortion_report,
@@ -19,7 +19,7 @@ from .retract_aut import (embed_j, retract_r, pointed_equivalent,
                           lipschitz_audit as pointed_audit)
 from .retract_split import (SplittingBlueprint, default_retraction_data,
                             in_CVKT, retract_R, retraction_audit)
-from .spine import fold_path, bfs_distance, neighbors, VertexSet
+from .spine import fold_path, bfs_distance, neighbors
 from . import sampling
 
 
@@ -169,8 +169,7 @@ def criterion_6(audit_instances=300, radius=4, per_level=10, seed=404):
 
     base = MarkedGraph.rose_identity(n)
     ball = [base]
-    seen = VertexSet()
-    seen.add(base)
+    seen = {canonical_key(base)}
     frontier = [base]
     for _ in range(radius):
         nxt = []
@@ -180,8 +179,10 @@ def criterion_6(audit_instances=300, radius=4, per_level=10, seed=404):
             for h in cands:
                 if in_CVKT(h, bp) is None:
                     continue
-                if not seen.add(h):
+                key = canonical_key(h)
+                if key in seen:
                     continue
+                seen.add(key)
                 nxt.append(h)
                 if len(nxt) >= per_level:
                     break

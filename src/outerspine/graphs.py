@@ -84,6 +84,16 @@ class CoreGraph:
     def degree_profile(self):
         return tuple(sorted(self.valence(v) for v in self.vertices))
 
+    def multiplicities(self):
+        """Vertex-pair multiplicity table: table[a][b] is the number of edges
+        joining a and b, and table[a][a] the number of loops at a."""
+        table = {v: {} for v in self.vertices}
+        for o, t in self.edges.values():
+            table[o][t] = table[o].get(t, 0) + 1
+            if o != t:
+                table[t][o] = table[t].get(o, 0) + 1
+        return table
+
 
 def rose(rank, vertex=0):
     """The rank-n rose: loops 1..n at a single vertex."""
@@ -315,6 +325,62 @@ def enumerate_blowups(graph):
     return out
 
 
+def _refine(table, colour):
+    """Colour refinement to the coarsest stable colouring finer than
+    `colour` (vertex -> sortable value). A vertex's signature is its colour
+    and the multiset of (colour, multiplicity) over its other neighbours;
+    new colours 0, 1, ... number the sorted distinct signatures, so the
+    cells keep their order and the result depends on no vertex id."""
+    while True:
+        sig = {v: (c, tuple(sorted((colour[u], m) for u, m in table[v].items()
+                                   if u != v)))
+               for v, c in colour.items()}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        stable = len(rank) == len(set(colour.values()))
+        colour = {v: rank[s] for v, s in sig.items()}
+        if stable:
+            return colour
+
+
+def canonical_form(g):
+    """Canonical encoding of a graph up to isomorphism (orientations ignored).
+
+    Returns (encoding, orderings). Colour refinement on (valence, loops,
+    neighbour multiplicities), then individualize-and-refine: the first
+    cell of two or more vertices splits off each of its vertices in turn,
+    down to discrete colourings (McKay, "Practical graph isomorphism",
+    1981). Each leaf is an ordering vertex -> 0..|V|-1 and encodes g as the
+    sorted (label, label, multiplicity) triples; `encoding` is the least
+    leaf encoding and `orderings` lists every leaf that reaches it. Two
+    graphs are isomorphic iff their encodings are equal, and an isomorphism
+    carries the orderings of one onto those of the other.
+    """
+    table = g.multiplicities()
+    colour = _refine(table, {v: (g.valence(v), table[v].get(v, 0))
+                             for v in g.vertices})
+    best, orderings = None, []
+    stack = [colour]
+    while stack:
+        colour = stack.pop()
+        cells = {}
+        for v, c in colour.items():
+            cells.setdefault(c, []).append(v)
+        split = min((c for c, vs in cells.items() if len(vs) > 1), default=None)
+        if split is not None:
+            for v in cells[split]:
+                stack.append(_refine(table, {u: (c, u != v)
+                                             for u, c in colour.items()}))
+            continue
+        enc = tuple(sorted((colour[a], colour[b], m) for a in table
+                           for b, m in table[a].items()
+                           if colour[a] <= colour[b]))
+        if best is None or enc < best:
+            best, orderings = enc, [colour]
+        elif enc == best:
+            orderings.append(colour)
+    return best, orderings
+
+
 def graph_isomorphisms(g1, g2):
     """Yield all isomorphisms as (vertex_map, edge_map).
 
@@ -327,6 +393,7 @@ def graph_isomorphisms(g1, g2):
         return
     verts1 = sorted(g1.vertices, key=lambda v: (-g1.valence(v), v))
     verts2 = sorted(g2.vertices)
+    t1, t2 = g1.multiplicities(), g2.multiplicities()
 
     def extend(vmap, used):
         if len(vmap) == len(verts1):
@@ -338,14 +405,11 @@ def graph_isomorphisms(g1, g2):
                 continue
             if g1.valence(v) != g2.valence(w):
                 continue
-            ok = True
+            r1, r2 = t1[v], t2[w]
             for u, x in vmap.items():
-                n1 = _edge_count_between(g1, v, u)
-                n2 = _edge_count_between(g2, w, x)
-                if n1 != n2:
-                    ok = False
+                if r1.get(u, 0) != r2.get(x, 0):
                     break
-            if ok:
+            else:
                 vmap[v] = w
                 used.add(w)
                 yield from extend(vmap, used)
@@ -354,14 +418,6 @@ def graph_isomorphisms(g1, g2):
 
     for vmap in extend({}, set()):
         yield from _edge_matchings(g1, g2, vmap)
-
-
-def _edge_count_between(g, a, b):
-    n = 0
-    for o, t in g.edges.values():
-        if {o, t} == {a, b} or (a == b and o == t == a):
-            n += 1
-    return n
 
 
 def _edge_matchings(g1, g2, vmap):

@@ -6,6 +6,8 @@ retract_aut; pointedness is chosen by the caller, not stored. Spine-vertex
 equality (`equivalent`) quantifies over a free-homotopy conjugator, so the
 basepoint carries no meaning there; pointed equality
 (`retract_aut.pointed_equivalent`) and `naturalize(keep_base=True)` keep it.
+`canonical_key` is the same equality as one hashable value, for sets of
+spine vertices; `equivalent` also returns the witness certificates need.
 """
 
 from . import folding, graphs
@@ -229,22 +231,76 @@ def equivalent(G1, G2):
     return None
 
 
-def invariant_key(G):
-    """Cheap equivalence-invariant hash prefilter for spine bookkeeping:
-    degree profile plus circuit lengths of short conjugacy classes. Cached."""
-    cached = getattr(G, "_ikey", None)
-    if cached is not None:
-        return cached
-    n = G.rank
-    lens = []
-    from itertools import product
-    seen = set()
-    for L in (1, 2, 3):
-        for combo in product([a for i in range(1, n + 1) for a in (i, -i)], repeat=L):
-            red = canonical_rotation(cyclic_core(reduce_letters(combo)[0])[1])
-            if red and len(red) == L and red not in seen:
-                seen.add(red)
-                lens.append(len(G.circuit_of(ReducedWord(red, n))))
-    key = (G.graph.degree_profile(), tuple(sorted(lens)))
-    G._ikey = key
-    return key
+def _conjugate(p, d):
+    """The reduced path d^-1 p d of a closed path p at the tail of d."""
+    q = p[1:] if p[:1] == (d,) else (-d,) + p
+    return q[:-1] if q[-1:] == (-d,) else q + (d,)
+
+
+def _centre(G):
+    """The rebasings (vertex, paths) of G's marking of least total length.
+
+    Rebasing along a path k gives the reduced paths k^-1 p_i k. On the
+    universal cover |k^-1 p k| is the cyclic length of p plus twice the
+    distance from k's end to p's axis, so the total is convex along the
+    tree: a step along d changes it by 2 (#paths with neither end on d -
+    #paths with both), descent from the basepoint reaches the least total,
+    and the rebasings of least total span a finite subtree, walked here by
+    the steps that keep the total.
+    """
+    g = G.graph
+
+    def change(paths, d):
+        return sum(1 - (p[:1] == (d,)) - (p[-1:] == (-d,)) for p in paths)
+
+    def step(paths, d):
+        return g.head(d), tuple(_conjugate(p, d) for p in paths)
+
+    v, paths = G.basepoint, G.marking
+    while (d := next((d for d in g.directions(v) if change(paths, d) < 0),
+                     None)) is not None:
+        v, paths = step(paths, d)
+    centre = {(v, paths)}
+    stack = [(v, paths)]
+    while stack:
+        v, paths = stack.pop()
+        for d in g.directions(v):
+            if change(paths, d) == 0 and (s := step(paths, d)) not in centre:
+                centre.add(s)
+                stack.append(s)
+    return centre
+
+
+def _edge_names(paths):
+    """Name each edge by the order in which the paths first traverse it,
+    oriented as that first traversal. Returns (the paths in these names,
+    the first traversals in name order)."""
+    first = {}
+    for p in paths:
+        for d in p:
+            first.setdefault(abs(d), d)
+    name = {}
+    for j, d in enumerate(first.values(), 1):
+        name[d], name[-d] = j, -j
+    return tuple(tuple(name[d] for d in p) for p in paths), list(first.values())
+
+
+def canonical_key(G):
+    """Exact spine-vertex key: canonical_key(G) == canonical_key(H) iff
+    equivalent(G, H) is not None.
+
+    The marking is rebased onto its centre (`_centre`), which fixes the
+    free-homotopy conjugator up to finitely many choices. At each centre
+    point the edges are named and oriented by first traversal, and the
+    vertices are labelled by each ordering of `graphs.canonical_form`. The
+    key is the least (marking in edge names, basepoint label, edge ends as
+    label pairs); it rebuilds a copy of G, and an isomorphism or rebasing
+    moves every candidate onto one of the other graph's candidates.
+    """
+    g = G.graph
+    named = [(v, *_edge_names(paths)) for v, paths in _centre(G)]
+    least = min(words for _, words, _ in named)
+    orderings = graphs.canonical_form(g)[1]
+    return min((words, o[v], tuple((o[g.tail(d)], o[g.head(d)]) for d in first))
+               for v, words, first in named if words == least
+               for o in orderings)

@@ -1,5 +1,9 @@
 """Local spine exploration: neighbors, exact BFS distances, fold paths.
 
+Neighbours and BFS balls are deduplicated by `marked.canonical_key`, one
+exact key per spine vertex, kept in plain sets; fold paths check each
+certificate with `marked.equivalent`.
+
 A spine path stores self-contained adjacency certificates: each step keeps
 its own representative graph X and natural forest f with X equivalent to the
 upper endpoint and X/f equivalent to the lower one; verify() recomputes all
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from . import graphs
 from .folding import Folder
 from .words import substitute
-from .marked import MarkedGraph, equivalent, invariant_key
+from .marked import MarkedGraph, canonical_key, equivalent
 from .covers import realizes
 
 
@@ -44,57 +48,42 @@ def blowup_neighbors(G):
     return out
 
 
-class VertexSet:
-    """Spine vertices deduplicated by invariant-key buckets + exact equality."""
-
-    def __init__(self):
-        self.buckets = {}
-
-    def add(self, G, key=None):
-        """Insert; returns False if an equivalent vertex was already present."""
-        key = key or invariant_key(G)
-        bucket = self.buckets.setdefault(key, [])
-        if any(equivalent(G, x) is not None for x in bucket):
-            return False
-        bucket.append(G)
-        return True
-
-    def __contains__(self, G):
-        bucket = self.buckets.get(invariant_key(G), [])
-        return any(equivalent(G, x) is not None for x in bucket)
-
-
 def neighbors(G, dedupe=True):
-    """All spine neighbors (collapses and single-edge blow-ups)."""
+    """All spine neighbors (collapses and single-edge blow-ups); with
+    dedupe, the first candidate of each spine vertex, in candidate order."""
     G = spine_normalize(G)
     cands = collapse_neighbors(G) + blowup_neighbors(G)
     if not dedupe:
         return cands
-    seen = VertexSet()
-    return [h for h in cands if seen.add(h)]
+    first = {}
+    for h in cands:
+        first.setdefault(canonical_key(h), h)
+    return list(first.values())
 
 
 def bfs_distance(G1, G2, cap):
-    """Exact 1-skeleton distance if at most cap, else None."""
+    """Exact 1-skeleton distance if at most cap, else None; SpineError if
+    the ranks differ."""
+    if G1.rank != G2.rank:
+        raise SpineError("rank mismatch: %d vs %d" % (G1.rank, G2.rank))
     if cap < 0:
         return None
     G1 = spine_normalize(G1)
-    G2 = spine_normalize(G2)
-    key2 = invariant_key(G2)
-    if key2 == invariant_key(G1) and equivalent(G1, G2) is not None:
+    target = canonical_key(spine_normalize(G2))
+    seen = {canonical_key(G1)}
+    if target in seen:
         return 0
     frontier = [G1]
-    seen = VertexSet()
-    seen.add(G1)
     for dist in range(1, cap + 1):
         nxt = []
         for g in frontier:
-            for h in neighbors(g):
-                key = invariant_key(h)
-                if not seen.add(h, key=key):
+            for h in neighbors(g, dedupe=False):
+                key = canonical_key(h)
+                if key in seen:
                     continue
-                if key == key2 and equivalent(h, G2) is not None:
+                if key == target:
                     return dist
+                seen.add(key)
                 nxt.append(h)
         if not nxt:
             return None

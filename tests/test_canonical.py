@@ -1,0 +1,136 @@
+"""Seeded differential tests of the canonical keys against the searches.
+
+`marked.canonical_key` must agree with `equivalent` (key equality iff a
+witness exists), and `graphs.canonical_form` with `graphs_isomorphic`, on
+relabelled and rebased copies, on transvection and signed-petal-permutation
+images at ranks 2-4 (K_{3,3} included), and on spine-neighbour candidates.
+"""
+
+import itertools
+import random
+
+from outerspine import graphs, sampling
+from outerspine.graphs import CoreGraph, canonical_form, graphs_isomorphic
+from outerspine.marked import MarkedGraph, canonical_key, equivalent
+from outerspine.spine import neighbors
+from outerspine.words import Endomorphism, is_automorphism
+
+
+def k33_marked():
+    """K_{3,3} (rank 4): edges 1..9 join a in {0,1,2} to b in {3,4,5};
+    tree e1, e2, e3, e4, e7 and one loop per co-tree edge."""
+    edges = {3 * a + b - 2: (a, b) for a in range(3) for b in range(3, 6)}
+    g = CoreGraph(range(6), edges)
+    return MarkedGraph(g, 0, [(1, -4, 5, -2), (1, -4, 6, -3),
+                              (1, -7, 8, -2), (1, -7, 9, -3)])
+
+
+def prism():
+    """The triangular prism: 3-regular on 6 vertices like K_{3,3}, and
+    colour refinement alone does not tell the two apart."""
+    return CoreGraph(range(6), {1: (0, 1), 2: (1, 2), 3: (2, 0), 4: (3, 4),
+                                5: (4, 5), 6: (5, 3), 7: (0, 3), 8: (1, 4),
+                                9: (2, 5)})
+
+
+def relabel_graph(g, rng):
+    """A copy of g with fresh vertex and edge ids and random orientations;
+    returns (copy, vertex map, signed edge map)."""
+    verts = sorted(g.vertices)
+    vmap = dict(zip(verts, rng.sample(range(100, 100 + 4 * len(verts)),
+                                      len(verts))))
+    eids = sorted(g.edges)
+    emap = {e: rng.choice((1, -1)) * f for e, f in
+            zip(eids, rng.sample(range(1, 4 * len(eids) + 1), len(eids)))}
+    edges = {}
+    for e, (o, t) in g.edges.items():
+        edges[abs(emap[e])] = ((vmap[o], vmap[t]) if emap[e] > 0
+                               else (vmap[t], vmap[o]))
+    return CoreGraph(vmap.values(), edges), vmap, emap
+
+
+def relabel(G, rng):
+    """A relabelled copy of G (see relabel_graph) rebased at a random
+    vertex: the same spine vertex."""
+    g, vmap, emap = relabel_graph(G.graph, rng)
+    H = MarkedGraph(g, vmap[G.basepoint],
+                    [graphs.map_path(emap, p) for p in G.marking], check=False)
+    return H.rebase(rng.choice(sorted(g.vertices)))
+
+
+def signed_permutation(rng, n):
+    perm = rng.sample(range(1, n + 1), n)
+    return is_automorphism(Endomorphism.from_lists(
+        [[rng.choice((1, -1)) * i] for i in perm], n))
+
+
+def base_graphs(rng):
+    out = [k33_marked()]
+    for n in (2, 3, 4):
+        out.append(MarkedGraph.rose_identity(n))
+        out.extend(sampling.random_marked_graph(rng, n, 3) for _ in range(2))
+    return out
+
+
+def assert_key_iff_equivalent(cands):
+    keys = [canonical_key(h) for h in cands]
+    for i, j in itertools.combinations(range(len(cands)), 2):
+        assert (keys[i] == keys[j]) == \
+            (equivalent(cands[i], cands[j]) is not None)
+
+
+def test_key_invariant_under_relabelling_and_rebase():
+    rng = random.Random(11)
+    for G in base_graphs(rng):
+        key = canonical_key(G)
+        for _ in range(4):
+            H = relabel(G, rng)
+            assert canonical_key(H) == key
+            assert equivalent(H, G) is not None
+
+
+def test_key_matches_equivalent_on_automorphism_images():
+    rng = random.Random(12)
+    for G in base_graphs(rng):
+        n = G.rank
+        autos = [sampling.transvection(n, i, j, side)
+                 for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+                 for side in "LR"]
+        autos = rng.sample(autos, min(len(autos), 6))
+        autos += [signed_permutation(rng, n) for _ in range(3)]
+        images = [G] + [relabel(G.act(phi), rng) for phi in autos]
+        assert_key_iff_equivalent(images)
+
+
+def test_key_matches_equivalent_on_neighbor_candidates():
+    rng = random.Random(13)
+    for n in (2, 3, 4):
+        G = sampling.random_marked_graph(rng, n, 2)
+        cands = neighbors(G, dedupe=False)
+        assert_key_iff_equivalent(rng.sample(cands, min(len(cands), 16)))
+        # the candidates around a neighbour include G again
+        key = canonical_key(G)
+        back = neighbors(rng.choice(cands), dedupe=False)
+        hits = [canonical_key(x) == key for x in back]
+        assert hits == [equivalent(x, G) is not None for x in back]
+        assert any(hits)
+
+
+def test_canonical_form_matches_graphs_isomorphic():
+    rng = random.Random(14)
+    gs = [k33_marked().graph, prism()]
+    for n in (2, 3, 4):
+        gs.extend(sampling.random_marked_graph(rng, n, 4, act_moves=0).graph
+                  for _ in range(5))
+    gs += [relabel_graph(g, rng)[0] for g in gs]
+    forms = [canonical_form(g) for g in gs]
+    for i, j in itertools.combinations(range(len(gs)), 2):
+        assert (forms[i][0] == forms[j][0]) == graphs_isomorphic(gs[i], gs[j])
+    # relabelling carries the orderings onto the copy's orderings
+    half = len(gs) // 2
+    for g, (enc, orders) in zip(gs[:half], forms[:half]):
+        copy, vmap, _ = relabel_graph(g, rng)
+        enc2, orders2 = canonical_form(copy)
+        assert enc2 == enc
+        assert sorted(sorted(o.items()) for o in orders2) == \
+            sorted(sorted((vmap[v], c) for v, c in o.items()) for o in orders)

@@ -126,6 +126,13 @@ def test_fold_path_rank_mismatch_exits_2(tmp_path):
     assert "rank mismatch" in run_cli_error(["fold-path", r2, r3])
 
 
+def test_spine_bfs_rank_mismatch_exits_2(tmp_path):
+    r2 = write_rose(tmp_path, "r2.txt", n=2)
+    r3 = write_rose(tmp_path, "r3.txt", n=3)
+    err = run_cli_error(["spine-bfs", r2, r3, "--cap", "3"])
+    assert "rank mismatch: 2 vs 3" in err
+
+
 def test_retract_aut_rank_1_exits_2(tmp_path):
     r1 = write_rose(tmp_path, "r1.txt", n=1, pointed=True)
     for args in (["retract-aut", r1],

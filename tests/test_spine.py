@@ -1,7 +1,7 @@
 import random
 
 from outerspine import graphs
-from outerspine.marked import MarkedGraph, equivalent
+from outerspine.marked import MarkedGraph, canonical_key, equivalent
 from outerspine.words import Endomorphism, basis_word, is_automorphism
 from outerspine.covers import FreeFactorSystem
 from outerspine.spine import neighbors, bfs_distance, fold_path
@@ -83,6 +83,40 @@ def test_bfs_isometry_of_action():
     # d(u psi, v psi) = d(u, v); compute via composed markings
     d2 = bfs_distance(G.act(psi), G.act(phi).act(psi), 4)
     assert d1 == d2
+
+
+def spine_ball(n, radius):
+    """The ball around the rank-n rose: its BFS layers and the keys of all
+    its vertices."""
+    G = MarkedGraph.rose_identity(n)
+    keys = {canonical_key(G)}
+    layers = [[G]]
+    for _ in range(radius):
+        nxt = []
+        for g in layers[-1]:
+            for h in neighbors(g, dedupe=False):
+                key = canonical_key(h)
+                if key not in keys:
+                    keys.add(key)
+                    nxt.append(h)
+        layers.append(nxt)
+    return layers, keys
+
+
+def test_rank2_ball_is_a_tree():
+    # the rank-2 spine is a tree (Culler-Vogtmann 1986), so a ball has one
+    # adjacency fewer than vertices
+    layers, keys = spine_ball(2, 6)
+    assert [len(layer) for layer in layers] == [1, 3, 4, 8, 8, 16, 16]
+    ends = sum(len({canonical_key(h) for h in neighbors(g, dedupe=False)}
+                   & keys)
+               for layer in layers for g in layer)
+    assert ends == 2 * (len(keys) - 1)
+
+
+def test_rank3_ball_layer_sizes():
+    layers, _ = spine_ball(3, 3)
+    assert [len(layer) for layer in layers] == [1, 25, 147, 1149]
 
 
 def test_fold_path_identity():

@@ -81,9 +81,6 @@ class CoreGraph:
     def path_is_reduced(self, path):
         return all(x != -y for x, y in zip(path, path[1:]))
 
-    def degree_profile(self):
-        return tuple(sorted(self.valence(v) for v in self.vertices))
-
     def multiplicities(self):
         """Vertex-pair multiplicity table: table[a][b] is the number of edges
         joining a and b, and table[a][a] the number of loops at a."""
@@ -379,78 +376,6 @@ def canonical_form(g):
         elif enc == best:
             orderings.append(colour)
     return best, orderings
-
-
-def graph_isomorphisms(g1, g2):
-    """Yield all isomorphisms as (vertex_map, edge_map).
-
-    edge_map sends each g1 edge id to a signed g2 edge id (orientation
-    respected: +means origin->origin). Handles loops and parallel edges.
-    """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return
-    if g1.degree_profile() != g2.degree_profile():
-        return
-    verts1 = sorted(g1.vertices, key=lambda v: (-g1.valence(v), v))
-    verts2 = sorted(g2.vertices)
-    t1, t2 = g1.multiplicities(), g2.multiplicities()
-
-    def extend(vmap, used):
-        if len(vmap) == len(verts1):
-            yield dict(vmap)
-            return
-        v = verts1[len(vmap)]
-        for w in verts2:
-            if w in used:
-                continue
-            if g1.valence(v) != g2.valence(w):
-                continue
-            r1, r2 = t1[v], t2[w]
-            for u, x in vmap.items():
-                if r1.get(u, 0) != r2.get(x, 0):
-                    break
-            else:
-                vmap[v] = w
-                used.add(w)
-                yield from extend(vmap, used)
-                del vmap[v]
-                used.discard(w)
-
-    for vmap in extend({}, set()):
-        yield from _edge_matchings(g1, g2, vmap)
-
-
-def _edge_matchings(g1, g2, vmap):
-    eids1 = sorted(g1.edges)
-
-    def extend(emap, used):
-        if len(emap) == len(eids1):
-            yield dict(vmap), dict(emap)
-            return
-        eid = eids1[len(emap)]
-        o, t = g1.edges[eid]
-        for eid2, (o2, t2) in sorted(g2.edges.items()):
-            if eid2 in used:
-                continue
-            if (o2, t2) == (vmap[o], vmap[t]):
-                emap[eid] = eid2
-                used.add(eid2)
-                yield from extend(emap, used)
-                del emap[eid]
-                used.discard(eid2)
-            # loops admit both orientations; non-loops at most one
-            if (t2, o2) == (vmap[o], vmap[t]):
-                emap[eid] = -eid2
-                used.add(eid2)
-                yield from extend(emap, used)
-                del emap[eid]
-                used.discard(eid2)
-
-    yield from extend({}, set())
-
-
-def graphs_isomorphic(g1, g2):
-    return next(graph_isomorphisms(g1, g2), None) is not None
 
 
 def map_path(emap, path):

@@ -6,15 +6,22 @@ retract_aut; pointedness is chosen by the caller, not stored. Spine-vertex
 equality (`equivalent`) quantifies over a free-homotopy conjugator, so the
 basepoint carries no meaning there; pointed equality
 (`retract_aut.pointed_equivalent`) and `naturalize(keep_base=True)` keep it.
-`canonical_key` is the same equality as one hashable value, for sets of
-spine vertices; `equivalent` also returns the witness certificates need.
+
+Neither equality searches graph isomorphisms. Marking paths cross every
+edge, so two markings read in lockstep from a pair of base vertices fix
+the only isomorphism that could carry one onto the other (`match_paths`).
+Pointed equality walks from the two basepoints. Spine-vertex equality first
+rebases each marking onto its centre (`_centre`), the rebasings of least
+total length, which any isomorphism of marked graphs maps centre to
+centre. `canonical_key` is the same equality as one hashable value, for
+sets of spine vertices; `equivalent` also returns the witness certificates
+need.
 """
 
 from . import folding, graphs
-from .words import (ReducedWord, basis_word, canonical_rotation, cyclic_core,
-                    invert_letters, reduce_letters, simultaneous_conjugator,
-                    substitute)
-from .graphs import map_path, GraphError
+from .words import (ReducedWord, canonical_rotation, cyclic_core,
+                    invert_letters, reduce_letters, substitute)
+from .graphs import map_path
 
 
 class MarkingError(ValueError):
@@ -208,25 +215,61 @@ class MarkedGraph:
         return out, new_eid, cmap
 
 
-def equivalent(G1, G2):
-    """Exact spine-vertex equality: a homeomorphism plus one free-homotopy
-    conjugator aligning all marking images. Returns a witness or None."""
-    if G1.rank != G2.rank:
+def match_paths(g1, v1, paths1, g2, v2, paths2):
+    """The isomorphism g1 -> g2 that takes v1 to v2 and each path of paths1
+    onto the matching path of paths2, as (vertex_map, edge_map), or None.
+
+    The paths, closed at v1 and v2, are read in lockstep: each pair of
+    directed edges fixes one signed edge image and one head image, and the
+    first clash of length, sign, head or edge injectivity ends the walk.
+    Marking paths cross every edge, so the walk fixes the whole map, and an
+    incidence-preserving edge bijection between graphs of one rank (one
+    marking path per basis letter) is an isomorphism. edge_map sends each
+    g1 edge to a signed g2 edge (+ means origin to origin), as `map_path`
+    reads it.
+    """
+    if len(paths1) != len(paths2):
         return None
-    basis = tuple(basis_word(i, G1.rank) for i in range(1, G1.rank + 1))
-    for vmap, emap in graphs.graph_isomorphisms(G1.graph, G2.graph):
-        at = vmap[G1.basepoint]
-        try:
-            us = tuple(G2.path_to_word(map_path(emap, p), at_vertex=at)
-                       for p in G1.marking)
-        except (KeyError, GraphError):
-            continue
-        # a common conjugator onto the basis needs every class to match
-        if any(cyclic_core(u.letters)[1] != (i + 1,)
-               for i, u in enumerate(us)):
-            continue
-        g = simultaneous_conjugator(us, basis)
-        if g is not None:
+    vmap, emap, einv = {v1: v2}, {}, {}
+    for p, q in zip(paths1, paths2):
+        if len(p) != len(q):
+            return None
+        for d1, d2 in zip(p, q):
+            e1, s, h2 = abs(d1), (d2 if d1 > 0 else -d2), g2.head(d2)
+            if (emap.setdefault(e1, s) != s
+                    or einv.setdefault(abs(d2), e1) != e1
+                    or vmap.setdefault(g1.head(d1), h2) != h2):
+                return None
+    if len(emap) != len(g1.edges):
+        raise MarkingError("marking paths miss an edge")
+    return (vmap, emap) if len(einv) == len(g2.edges) else None
+
+
+def equivalent(G1, G2):
+    """Exact spine-vertex equality. Returns a witness (vertex_map, edge_map,
+    g) or None: a graph isomorphism h and g in F_n with g^-1 u_i g = a_i,
+    where u_i reads h(p_i), rebased at G2's basepoint, through G2's marking.
+
+    An isomorphism carrying [G1] to [G2] maps every rebasing of G1's
+    marking onto a rebasing of G2's of the same total length, so it maps
+    G1's centre (`_centre`) onto G2's. One centre point of G1 is therefore
+    matched against each centre point of G2 by `match_paths`, which finds
+    the only isomorphism that can carry the one marking onto the other. With
+    j1, j2 the rebasing paths and T G2's tree path from its basepoint to
+    h(G1's basepoint), g is the word of T h(j1) j2^-1.
+    """
+    if G1.rank != G2.rank or len(G1.graph.edges) != len(G2.graph.edges):
+        return None
+    v1, paths1, j1 = _descend(G1)
+    for (v2, paths2), j2 in _centre(G2).items():
+        got = match_paths(G1.graph, v1, paths1, G2.graph, v2, paths2)
+        if got is not None:
+            vmap, emap = got
+            tree = G2.spanning_paths()[vmap[G1.basepoint]]
+            loop, _ = reduce_letters(tree + map_path(emap, j1)
+                                     + invert_letters(j2))
+            # a trivial loop reads as 1 without G2's transfer words
+            g = G2.path_to_word(loop) if loop else ReducedWord((), G1.rank)
             return vmap, emap, g
     return None
 
@@ -237,37 +280,56 @@ def _conjugate(p, d):
     return q[:-1] if q[-1:] == (-d,) else q + (d,)
 
 
+def _changes(g, v, paths):
+    """(d, half the change in total length when the paths, closed at v, are
+    rebased along d) for each direction d at v: the number of paths with
+    neither end on d less the number with both."""
+    ends = [p[0] for p in paths if p] + [-p[-1] for p in paths if p]
+    return [(d, len(paths) - ends.count(d)) for d in g.directions(v)]
+
+
+def _step(g, v, paths, j, d):
+    """Rebase (v, paths, j) along the direction d at v."""
+    return (g.head(d), tuple(_conjugate(p, d) for p in paths),
+            j[:-1] if j[-1:] == (-d,) else j + (d,))
+
+
+def _descend(G):
+    """One centre point of G: (vertex, rebased paths, rebasing path j), with
+    the paths the reduced j^-1 p_i j and j reduced, from the basepoint."""
+    g = G.graph
+    v, paths, j = G.basepoint, G.marking, ()
+    while (d := next((d for d, c in _changes(g, v, paths) if c < 0),
+                     None)) is not None:
+        v, paths, j = _step(g, v, paths, j, d)
+    return v, paths, j
+
+
 def _centre(G):
-    """The rebasings (vertex, paths) of G's marking of least total length.
+    """The rebasings of G's marking of least total length, as a dict
+    (vertex, rebased paths) -> rebasing path (see `_descend`).
 
     Rebasing along a path k gives the reduced paths k^-1 p_i k. On the
     universal cover |k^-1 p k| is the cyclic length of p plus twice the
     distance from k's end to p's axis, so the total is convex along the
-    tree: a step along d changes it by 2 (#paths with neither end on d -
-    #paths with both), descent from the basepoint reaches the least total,
-    and the rebasings of least total span a finite subtree, walked here by
-    the steps that keep the total.
+    tree: a step changes it by twice the count of `_changes`, descent from
+    the basepoint reaches the least total, and the rebasings of least total
+    span a finite subtree, walked here by the steps that keep the total.
+    An isomorphism of marked graphs keeps the total, so it maps centre onto
+    centre.
     """
     g = G.graph
-
-    def change(paths, d):
-        return sum(1 - (p[:1] == (d,)) - (p[-1:] == (-d,)) for p in paths)
-
-    def step(paths, d):
-        return g.head(d), tuple(_conjugate(p, d) for p in paths)
-
-    v, paths = G.basepoint, G.marking
-    while (d := next((d for d in g.directions(v) if change(paths, d) < 0),
-                     None)) is not None:
-        v, paths = step(paths, d)
-    centre = {(v, paths)}
-    stack = [(v, paths)]
+    v, paths, j = _descend(G)
+    centre = {(v, paths): j}
+    stack = [(v, paths, j)]
     while stack:
-        v, paths = stack.pop()
-        for d in g.directions(v):
-            if change(paths, d) == 0 and (s := step(paths, d)) not in centre:
-                centre.add(s)
-                stack.append(s)
+        v, paths, j = stack.pop()
+        for d, c in _changes(g, v, paths):
+            if c == 0:
+                w, q, k = _step(g, v, paths, j, d)
+                if (w, q) not in centre:
+                    centre[w, q] = k
+                    stack.append((w, q, k))
     return centre
 
 

@@ -4,13 +4,15 @@ loop, retract rank-n graphs via the based core of the first n-1 letters.
 A pointed graph is a plain MarkedGraph whose basepoint is kept: it may sit
 at valence 2 (`naturalize(keep_base=True)`), and pointed markings carry no
 conjugator slack: pointed equivalence is a basepoint-preserving graph
-isomorphism plus exact equality of marking paths.
+isomorphism plus exact equality of marking paths. The marking paths cross
+every edge, so reading them in lockstep from the two basepoints
+(`marked.match_paths`) fixes the only candidate isomorphism.
 """
 
-from . import folding, graphs
+from . import folding
 from .words import Endomorphism, invert_letters, reduce_letters
 from .graphs import CoreGraph
-from .marked import MarkedGraph, MarkingError
+from .marked import MarkedGraph, MarkingError, match_paths
 
 
 class PointedError(ValueError):
@@ -18,17 +20,11 @@ class PointedError(ValueError):
 
 
 def pointed_equivalent(x1, x2):
-    """Exact pointed equality: base-preserving isomorphism matching every
-    marking path on the nose."""
-    if x1.rank != x2.rank:
-        return None
-    for vmap, emap in graphs.graph_isomorphisms(x1.graph, x2.graph):
-        if vmap[x1.basepoint] != x2.basepoint:
-            continue
-        if all(graphs.map_path(emap, p) == q
-               for p, q in zip(x1.marking, x2.marking)):
-            return vmap, emap
-    return None
+    """Exact pointed equality: the base-preserving isomorphism matching every
+    marking path on the nose, as (vertex_map, edge_map), or None. The walk
+    of `match_paths` from the two basepoints finds it or rules it out."""
+    return match_paths(x1.graph, x1.basepoint, x1.marking,
+                       x2.graph, x2.basepoint, x2.marking)
 
 
 def embed_j(w):

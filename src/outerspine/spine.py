@@ -2,7 +2,9 @@
 
 Neighbours and BFS balls are deduplicated by `marked.canonical_key`, one
 exact key per spine vertex, kept in plain sets; fold paths check each
-certificate with `marked.equivalent`.
+certificate with `marked.equivalent`, which rebases both markings onto
+their centres and reads them in lockstep, centre point against centre
+point, with no search over graph isomorphisms.
 
 A spine path stores self-contained adjacency certificates: each step keeps
 its own representative graph X and natural forest f with X equivalent to the

@@ -233,21 +233,6 @@ def cyclic_reduce(w):
     return CyclicWord(core[r:] + core[:r], w.rank), conj
 
 
-def primitive_root(w):
-    """Least z with w = z^k (k >= 1); the centralizer of w is <z>."""
-    if w.is_trivial():
-        raise WordError("trivial word has no primitive root")
-    cyc, conj = cyclic_reduce(w)
-    c = cyc.letters
-    n = len(c)
-    for p in range(1, n + 1):
-        if n % p == 0 and c == c[:p] * (n // p):
-            seed = ReducedWord(c[:p], w.rank)
-            # transport the root back through the conjugation: w = conj c conj^-1
-            return conj * seed * conj.inverse()
-    raise WordError("no period of %r divides its length" % (c,))
-
-
 @dataclass(frozen=True)
 class Endomorphism:
     """A map of F_rank given by the images of basis letters."""
@@ -357,59 +342,3 @@ def is_automorphism(f):
     inv_images = folding.rose_petal_values(gr, f.rank)
     inv = Endomorphism(f.rank, tuple(ReducedWord.make(v, f.rank) for v in inv_images))
     return Automorphism(f, inv)
-
-
-def simultaneous_conjugator(us, vs):
-    """Find g with g^-1 u_i g = v_i for all i, or None.
-
-    Exact: solutions for the pivot pair form the coset <z> g0 (z the
-    primitive root of the pivot). Any solution satisfies
-    |g| <= (|u_i| + |v_i|) / 2 for every nontrivial pair, which bounds the
-    exponent sweep; powers are built incrementally.
-    """
-    if len(us) != len(vs):
-        raise WordError("tuple length mismatch")
-    if not us:
-        raise WordError("empty tuples")
-    pairs = list(zip(us, vs))
-    pivot = None
-    for u, v in pairs:
-        if u.is_trivial() != v.is_trivial():
-            return None
-        if u.is_trivial():
-            continue
-        cu, _ = cyclic_reduce(u)
-        cv, _ = cyclic_reduce(v)
-        if cu != cv:
-            return None
-        if pivot is None:
-            pivot = (u, v)
-    if pivot is None:
-        raise WordError("all-trivial left tuple")
-    u0, v0 = pivot
-    _, alpha = cyclic_reduce(u0)
-    _, beta = cyclic_reduce(v0)
-    g0 = alpha * beta.inverse()
-    z = primitive_root(u0)
-    rest = [(u, v) for u, v in pairs if (u, v) is not pivot]
-
-    def works(g):
-        return all(u.conjugate_by(g) == v for u, v in rest) and \
-            u0.conjugate_by(g) == v0
-
-    # pairs not commuting with z pin |t| well inside this; if all pairs
-    # commute, t = 0 already works when anything does
-    bound = 2 * sum(len(u) + len(v) for u, v in pairs) + 4
-    if works(g0):
-        return g0
-    pos = g0
-    neg = g0
-    zinv = z.inverse()
-    for _ in range(bound):
-        pos = z * pos
-        if works(pos):
-            return pos
-        neg = zinv * neg
-        if works(neg):
-            return neg
-    return None

@@ -1,7 +1,8 @@
-"""Seeded differential tests of the canonical keys against the searches.
+"""Seeded differential tests of the canonical keys against the equalities.
 
 `marked.canonical_key` must agree with `equivalent` (key equality iff a
-witness exists), and `graphs.canonical_form` with `graphs_isomorphic`, on
+witness exists), and `graphs.canonical_form` with the isomorphism search
+`graphs_isomorphic` of tests/iso_oracle.py, on
 relabelled and rebased copies, on transvection and signed-petal-permutation
 images at ranks 2-4 (K_{3,3} included), and on spine-neighbour candidates.
 """
@@ -10,10 +11,11 @@ import itertools
 import random
 
 from outerspine import graphs, sampling
-from outerspine.graphs import CoreGraph, canonical_form, graphs_isomorphic
+from outerspine.graphs import CoreGraph, canonical_form
 from outerspine.marked import MarkedGraph, canonical_key, equivalent
 from outerspine.spine import neighbors
 from outerspine.words import Endomorphism, is_automorphism
+from iso_oracle import graphs_isomorphic
 
 
 def k33_marked():

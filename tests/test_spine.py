@@ -77,10 +77,12 @@ def test_bfs_isometry_of_action():
     G = MarkedGraph.rose_identity(2)
     phi = transv(2, 1, 2)
     psi = transv(2, 2, 1)
+    # the right action: acting by phi and then psi is acting by phi psi
+    assert G.act(phi).act(psi).marking == ((1, 2), (2, 1, 2))
+    assert equivalent(G.act(phi).act(psi),
+                      G.act(phi.compose(psi))) is not None
+    # d(u psi, v psi) = d(u, v)
     d1 = bfs_distance(G, G.act(phi), 4)
-    d2 = bfs_distance(G.act(psi), G.act(phi).act(psi)
-                      if False else G.act(phi.compose(psi)), 4)
-    # d(u psi, v psi) = d(u, v); compute via composed markings
     d2 = bfs_distance(G.act(psi), G.act(phi).act(psi), 4)
     assert d1 == d2
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from outerspine.words import (ReducedWord, CyclicWord, Endomorphism, WordError,
                               word, basis_word, cyclic_reduce,
-                              primitive_root, is_automorphism,
-                              simultaneous_conjugator, canonical_rotation,
+                              is_automorphism, canonical_rotation,
                               least_rotation,
                               cyclic_core, eventually_periodic_form,
                               invert_letters, substitute)
+from iso_oracle import primitive_root, simultaneous_conjugator
 
 
 def rand_letters(rng, rank, n):

@@ -420,7 +420,7 @@ PRECONDITION_ERRORS = (PreconditionError, WordError, MarkingError, CoverError,
                        counting.CountError, SplitError, PointedError,
                        witness.WitnessError, textio.FormatError,
                        graphs.GraphError, spine.SpineError,
-                       folding.FoldError, FileNotFoundError)
+                       folding.FoldError, OSError, UnicodeDecodeError)
 
 
 def main(argv=None):

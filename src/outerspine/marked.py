@@ -14,7 +14,9 @@ Pointed equality walks from the two basepoints. Spine-vertex equality first
 rebases each marking onto its centre (`_centre`), the rebasings of least
 total length, which any isomorphism of marked graphs maps centre to
 centre. `canonical_key` is the same equality as one hashable value, for
-sets of spine vertices; `equivalent` also returns the witness certificates
+sets of spine vertices: at each centre point the paths name the edges by
+first traversal and the vertices by first visit, and the least of these
+readings is the key. `equivalent` also returns the witness certificates
 need.
 """
 
@@ -354,15 +356,23 @@ def canonical_key(G):
     The marking is rebased onto its centre (`_centre`), which fixes the
     free-homotopy conjugator up to finitely many choices. At each centre
     point the edges are named and oriented by first traversal, and the
-    vertices are labelled by each ordering of `graphs.canonical_form`. The
-    key is the least (marking in edge names, basepoint label, edge ends as
-    label pairs); it rebuilds a copy of G, and an isomorphism or rebasing
-    moves every candidate onto one of the other graph's candidates.
+    vertices are labelled by first visit, the centre point 0. A vertex is
+    first reached by an edge's first traversal, so the heads of the first
+    traversals, in name order, give every label. The key is the least
+    (marking in edge names, edge ends as label pairs), the ends computed
+    only at the centre points of least names; it rebuilds a copy of G
+    based at a centre point, and an isomorphism of marked graphs maps each
+    centre point and its labels onto one of the other graph's.
     """
-    g = G.graph
     named = [(v, *_edge_names(paths)) for v, paths in _centre(G)]
     least = min(words for _, words, _ in named)
-    orderings = graphs.canonical_form(g)[1]
-    return min((words, o[v], tuple((o[g.tail(d)], o[g.head(d)]) for d in first))
-               for v, words, first in named if words == least
-               for o in orderings)
+    return least, min(_first_visit_ends(G.graph, v, first)
+                      for v, words, first in named if words == least)
+
+
+def _first_visit_ends(g, v, first):
+    """The ends of the first traversals `first` (see `_edge_names`), as
+    pairs of vertex labels by first visit from v, which is 0."""
+    label = {v: 0}
+    return tuple((label[g.tail(d)], label.setdefault(g.head(d), len(label)))
+                 for d in first)

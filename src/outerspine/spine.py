@@ -151,12 +151,13 @@ def _tree_collapse_to_rose(G):
     return H.natural_marked(), frozenset(tree)
 
 
-def _hulls(star, small_forest):
-    """Natural edges of star's normalization lying entirely in the forest."""
+def _hulls(star, *forests):
+    """star's normalization and, for each forest, the natural edges of the
+    normalization lying entirely in that forest."""
     nat, chains = star.naturalize(keep_base=False)
-    hull = [ne for ne, ch in chains.items()
-            if all(abs(x) in small_forest for x in ch)]
-    return nat, frozenset(hull)
+    return nat, [frozenset(ne for ne, ch in chains.items()
+                           if all(abs(x) in forest for x in ch))
+                 for forest in forests]
 
 
 def fold_path(G1, G2, F=None):
@@ -223,8 +224,7 @@ def fold_path(G1, G2, F=None):
         star = _marked(star_ends, base, _rewrite(marking, ends, {
             e1: (eta, r1) if d1 > 0 else (-r1, -eta),
             e2: (eta, r2) if d2 > 0 else (-r2, -eta)}))
-        nat_star, hull_eta = _hulls(star, {eta})
-        _, hull_rs0 = _hulls(star, {r1, r2})
+        nat_star, (hull_eta, hull_rs0) = _hulls(star, {eta}, {r1, r2})
         m, eta = m + 1, eta + 3
 
         fo.fold(d1, d2)

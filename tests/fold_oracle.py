@@ -334,8 +334,7 @@ def fold_path(G1, G2, folds):
         folds.append(fold)
         v, d1, d2 = fold
         star, eta_forest, rs_forest = state.fold_once(v, d1, d2)
-        nat_star, hull_eta = _hulls(star, eta_forest)
-        _, hull_rs0 = _hulls(star, rs_forest)
+        nat_star, (hull_eta, hull_rs0) = _hulls(star, eta_forest, rs_forest)
         nat_after = state.marked().natural_marked()
         if hull_eta:
             got, _ = nat_star.collapse_marked(hull_eta)

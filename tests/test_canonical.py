@@ -1,20 +1,23 @@
 """Seeded differential tests of the canonical keys against the equalities.
 
 `marked.canonical_key` must agree with `equivalent` (key equality iff a
-witness exists), and `graphs.canonical_form` with the isomorphism search
-`graphs_isomorphic` of tests/iso_oracle.py, on
-relabelled and rebased copies, on transvection and signed-petal-permutation
-images at ranks 2-4 (K_{3,3} included), and on spine-neighbour candidates.
+witness exists) and induce the same partition as `old_canonical_key`, and
+`canonical_form` with the isomorphism search `graphs_isomorphic` of
+tests/iso_oracle.py, on relabelled and rebased copies, on transvection and
+signed-petal-permutation images at ranks 2-4 (K_{3,3} included), and on
+spine-neighbour candidates. `canonical_form` and `old_canonical_key` are
+the test oracles of tests/canonical_oracle.py.
 """
 
 import itertools
 import random
 
 from outerspine import graphs, sampling
-from outerspine.graphs import CoreGraph, canonical_form
+from outerspine.graphs import CoreGraph
 from outerspine.marked import MarkedGraph, canonical_key, equivalent
 from outerspine.spine import neighbors
 from outerspine.words import Endomorphism, is_automorphism
+from canonical_oracle import canonical_form, old_canonical_key
 from iso_oracle import graphs_isomorphic
 
 
@@ -81,6 +84,16 @@ def assert_key_iff_equivalent(cands):
             (equivalent(cands[i], cands[j]) is not None)
 
 
+def assert_same_partition_as_old_key(cands):
+    """canonical_key and old_canonical_key split cands into the same
+    classes; returns the number of classes."""
+    new = [canonical_key(h) for h in cands]
+    old = [old_canonical_key(h) for h in cands]
+    classes = len(set(zip(new, old)))
+    assert len(set(new)) == classes == len(set(old))
+    return classes
+
+
 def test_key_invariant_under_relabelling_and_rebase():
     rng = random.Random(11)
     for G in base_graphs(rng):
@@ -116,6 +129,24 @@ def test_key_matches_equivalent_on_neighbor_candidates():
         hits = [canonical_key(x) == key for x in back]
         assert hits == [equivalent(x, G) is not None for x in back]
         assert any(hits)
+
+
+def test_key_partition_matches_old_key():
+    rng = random.Random(15)
+    cands = []
+    for n in (2, 3, 4):
+        for _ in range(5):
+            G = sampling.random_marked_graph(rng, n, 3)
+            cands += [G, relabel(G, rng)] + neighbors(G, dedupe=False)
+    K = k33_marked()
+    autos = [sampling.transvection(4, i, j, side) for i, j in
+             itertools.permutations(range(1, 5), 2) for side in "LR"]
+    autos += [signed_permutation(rng, 4) for _ in range(8)]
+    images = [K.act(phi) for phi in autos]
+    cands += images + [relabel(H, rng) for H in images for _ in range(2)]
+    classes = assert_same_partition_as_old_key(cands)
+    # the set has both repeated and distinct spine vertices
+    assert 1 < classes < len(cands)
 
 
 def test_canonical_form_matches_graphs_isomorphic():

@@ -133,6 +133,23 @@ def test_spine_bfs_rank_mismatch_exits_2(tmp_path):
     assert "rank mismatch: 2 vs 3" in err
 
 
+def test_directory_argument_exits_2(tmp_path):
+    r2 = write_rose(tmp_path, "r2.txt", n=2)
+    run_cli_error(["equiv", str(tmp_path), str(tmp_path)])
+    run_cli_error(["spine-bfs", r2, str(tmp_path), "--cap", "1"])
+
+
+def test_non_utf8_graph_file_exits_2(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"graph { v: v0; e: e1 v0 v0; }\n\xff\xfe\n")
+    run_cli_error(["equiv", str(p), str(p)])
+
+
+def test_witness_out_directory_exits_2(tmp_path):
+    run_cli_error(["witness", "--case", "1", "--n", "4", "--r", "2",
+                   "--kmax", "1", "--out", str(tmp_path)])
+
+
 def test_retract_aut_rank_1_exits_2(tmp_path):
     r1 = write_rose(tmp_path, "r1.txt", n=1, pointed=True)
     for args in (["retract-aut", r1],

@@ -5,6 +5,7 @@ quantity), 3 an audit detected a violated invariant.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -169,17 +170,14 @@ def cmd_witness(args):
     else:
         params = witness.WitnessParams(args.n, "multi_component",
                                        ranks=tuple(args.ranks))
-    rows = witness.distortion_report(params, args.kmax)
-    text = witness.report_csv(rows)
     out = args.out
     if out is None and os.environ.get("OUTERSPINE_OUTDIR"):
         out = os.path.join(os.environ["OUTERSPINE_OUTDIR"],
                            "witness-case%d.csv" % args.case)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # open --out first, so an unwritable path fails before the report runs
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(witness.report_csv(
+            witness.distortion_report(params, args.kmax)))
 
 
 def cmd_retract_aut(args):

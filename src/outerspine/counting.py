@@ -9,7 +9,8 @@ stay is a path, and crossings are complete traversals of the block.
 
 from dataclasses import dataclass
 
-from .covers import stallings_core, _labeled_extension
+from .covers import embeddings, stallings_core
+from .graphs import union_find
 from .words import invert_letters
 
 
@@ -29,21 +30,6 @@ class CountingContext:
     A_vertex_sets: tuple
     block: tuple             # directed K-edges: the crossing block E
     shape: str               # "edge" | "loop" | "loop_at_core"
-
-
-def _injective_embeddings(KA, K):
-    """All label-preserving embeddings of the core KA into K."""
-    out = []
-    v1 = min(KA.vertices)
-    for v2 in sorted(K.vertices):
-        ext = _labeled_extension(KA, K, v1, v2)
-        if ext is None:
-            continue
-        vmap, emap = ext
-        if len(set(vmap.values())) == len(KA.vertices) and \
-           len(set(emap.values())) == len(KA.edges):
-            out.append((frozenset(emap.values()), frozenset(vmap.values())))
-    return out
 
 
 def _classify_complement(K, a_edges, a_vertices, two_component):
@@ -101,20 +87,8 @@ def _degrees(K, edge_set):
 
 
 def _edges_connected(K, edge_set):
-    edge_set = set(edge_set)
-    seed = next(iter(edge_set))
-    comp = {seed}
-    verts = set(K.edges[seed][:2])
-    changed = True
-    while changed:
-        changed = False
-        for eid in list(edge_set - comp):
-            o, t, _ = K.edges[eid]
-            if o in verts or t in verts:
-                comp.add(eid)
-                verts.update((o, t))
-                changed = True
-    return comp == edge_set
+    root, _ = union_find((eid, *K.edges[eid][:2]) for eid in edge_set)
+    return len(set(root.values())) == 1
 
 
 def _cycle_part(K, edge_set):
@@ -189,13 +163,14 @@ def build_context(A_gens_list, B_gens, G):
     else:
         if A_cores[0].rank + 1 != K.rank:
             raise CountError("rank(B) must exceed rank(A) by one")
-    embeddings = [_injective_embeddings(KA, K) for KA in A_cores]
-    for i, embs in enumerate(embeddings):
+    images = [[(frozenset(emap.values()), frozenset(vmap.values()))
+               for vmap, emap in embeddings(KA, K)] for KA in A_cores]
+    for i, embs in enumerate(images):
         if not embs:
             raise CountError("A-core %d does not embed in the B-core "
                              "(G not in CVK^[A])" % i)
     import itertools
-    for choice in itertools.product(*embeddings):
+    for choice in itertools.product(*images):
         esets = [c[0] for c in choice]
         vsets = [c[1] for c in choice]
         if two and (esets[0] & esets[1] or vsets[0] & vsets[1]):
@@ -288,17 +263,11 @@ def count_i(ctx, c, G=None):
     return CrossingCount(best, best_start)
 
 
-def lipschitz_audit(A_gens_list, B_gens, G, forest, c, check_membership=False):
+def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
     """Counts before and after a forest collapse staying in CVK^[A].
 
     The harness asserts i_before <= i_after <= i_before + 2.
     """
-    if check_membership:
-        from .covers import realizes, FreeFactorSystem
-        F = FreeFactorSystem.of([[w for w in gens] for gens in A_gens_list], G.rank)
-        G2chk, _ = G.collapse_marked(forest)
-        if realizes(G, F) is None or realizes(G2chk.natural_marked(), F) is None:
-            raise CountError("collapse leaves CVK^[A]")
     ctx1 = build_context(A_gens_list, B_gens, G)
     G2, _ = G.collapse_marked(forest)
     G2 = G2.natural_marked()

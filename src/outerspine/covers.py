@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import folding, graphs
 from .folding import LabeledGraph, FoldError
 from .marked import MarkedGraph
-from .words import invert_letters
+from .words import invert_letters, reduce_letters
 
 
 class CoverError(ValueError):
@@ -19,18 +19,23 @@ class CoverError(ValueError):
 
 
 class SubgroupGraph:
-    """Core form (optionally with basepoint data: attach vertex + trim tail).
+    """Core form, optionally with basepoint data.
 
     `core` is a LabeledGraph whose labels are ambient edge ids. In based
-    form, `tail_labels` is the hanging arc from the ambient basepoint lift to
-    the core (the nearest-point arc), and `attach` its core endpoint.
+    form, `based` is the fold pruned down to the core and the hanging arc
+    from its base (the ambient basepoint lift) to the core, the
+    nearest-point arc; `tail_labels` spells that arc, `attach` is its core
+    end, and `loops[i]` is generator i's loop in the core at `attach`.
     """
 
-    def __init__(self, core, ambient, attach=None, tail_labels=None):
+    def __init__(self, core, ambient, attach=None, tail_labels=None,
+                 based=None, loops=None):
         self.core = core
         self.ambient = ambient
         self.attach = attach
         self.tail_labels = tuple(tail_labels) if tail_labels is not None else None
+        self.based = based
+        self.loops = loops
         self.rank = core.rank
 
     def vertex_image(self, v):
@@ -41,20 +46,35 @@ class SubgroupGraph:
 
 
 def stallings_core(gens, G, based=False):
-    """Fold the marking images of the generators over G's edge alphabet."""
+    """Fold the marking images of the generators over G's edge alphabet.
+
+    The based form traces each generator's path from the base of the fold
+    and conjugates it through the tail: the reduced path tail^-1 p tail is
+    its loop in the core at the attach vertex (a trivial generator gets the
+    empty loop).
+    """
     paths = [G.expand(w.letters) for w in gens]
-    paths = [p for p in paths if p]
-    if not paths:
+    if not any(paths):
         raise CoverError("trivial subgroup has no core")
-    folded = folding.fold_words(paths)
-    if based:
-        core, tail, q, _based_graph = folded.based_core_and_tail()
-        return SubgroupGraph(core, G, attach=q,
-                             tail_labels=[folded.label_of(d) for d in tail])
-    core = folded.pruned()
-    if not core.edges:
-        raise CoverError("trivial subgroup has no core")
-    return SubgroupGraph(LabeledGraph(core.edges, None, core.vals), G)
+    folded = folding.fold_words([p for p in paths if p])
+    if not based:
+        core = folded.pruned()
+        if not core.edges:
+            raise CoverError("trivial subgroup has no core")
+        return SubgroupGraph(LabeledGraph(core.edges, None, core.vals), G)
+    core, tail, q, based_graph = folded.based_core_and_tail()
+    loops = []
+    for p in paths:
+        loop, end, consumed = based_graph.trace(based_graph.base, p)
+        if consumed != len(p) or end != based_graph.base:
+            raise CoverError("generator loop strayed off the based core")
+        red, _ = reduce_letters(invert_letters(tail) + tuple(loop) + tail)
+        if any(abs(d) not in core.edges for d in red):
+            raise CoverError("generator loop left the core")
+        loops.append(red)
+    return SubgroupGraph(core, G, attach=q,
+                         tail_labels=based_graph.path_labels(tail),
+                         based=based_graph, loops=loops)
 
 
 def _labeled_extension(K1, K2, v1, v2):
@@ -83,35 +103,42 @@ def _labeled_extension(K1, K2, v1, v2):
     return vmap, emap
 
 
+def labeled_morphisms(K1, K2):
+    """Every label-preserving morphism K1 -> K2 of core graphs, as (vmap,
+    emap), in the order of the image of K1's least vertex in K2. The image
+    of one vertex forces the rest (immersion rigidity), so this seeds K1's
+    least vertex at each vertex of K2 in turn."""
+    v1 = min(K1.vertices)
+    for v2 in sorted(K2.vertices):
+        ext = _labeled_extension(K1, K2, v1, v2)
+        if ext is not None:
+            yield ext
+
+
+def embeddings(K1, K2):
+    """The label-preserving morphisms K1 -> K2 injective on vertices, hence
+    on edges (two edges with one image would share a tail and a label,
+    which the folded K1 forbids)."""
+    for vmap, emap in labeled_morphisms(K1, K2):
+        if len(set(vmap.values())) == len(K1.vertices):
+            yield vmap, emap
+
+
 def labeled_isomorphism(K1, K2):
-    """Label-preserving isomorphism of core graphs (immersion rigidity:
-    one seed determines everything). Returns (vmap, emap) or None."""
+    """Label-preserving isomorphism of core graphs: an embedding between
+    graphs of equal size. Returns (vmap, emap) or None."""
     if len(K1.edges) != len(K2.edges) or len(K1.vertices) != len(K2.vertices):
         return None
     if sorted(l for _, _, l in K1.edges.values()) != \
        sorted(l for _, _, l in K2.edges.values()):
         return None
-    v1 = min(K1.vertices)
-    for v2 in K2.vertices:
-        ext = _labeled_extension(K1, K2, v1, v2)
-        if ext is None:
-            continue
-        vmap, emap = ext
-        if len(set(vmap.values())) == len(K2.vertices) and \
-           len(set(emap.values())) == len(K2.edges):
-            return vmap, emap
-    return None
+    return next(embeddings(K1, K2), None)
 
 
 def conjugate_into(K1, K2):
     """Subgroup-of-K1 conjugate into subgroup-of-K2: a label-preserving
     morphism of cores (automatically an immersion, lands in the core)."""
-    v1 = min(K1.vertices)
-    for v2 in K2.vertices:
-        ext = _labeled_extension(K1, K2, v1, v2)
-        if ext is not None:
-            return ext
-    return None
+    return next(labeled_morphisms(K1, K2), None)
 
 
 def subgroups_conjugate(A, B):

@@ -294,20 +294,6 @@ class LabeledGraph:
         """Transfer word of a path (closed paths at base give exact values)."""
         return _mul(*[self.dval(d) for d in path])
 
-    def is_connected(self):
-        if not self.vertices:
-            return True
-        seen = {next(iter(self.vertices))}
-        stack = list(seen)
-        while stack:
-            v = stack.pop()
-            for d in self.directions(v):
-                h = self.head(d)
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return seen == self.vertices
-
     # -- pruning -----------------------------------------------------------
 
     def pruned(self, keep=()):

@@ -275,14 +275,14 @@ def vertex_direction_bipartitions(graph, v):
                 yield part1, part2
 
 
-def blow_up(graph, v, part1, part2, new_edge_hint=None):
+def blow_up(graph, v, part1, part2):
     """Split v along a direction bipartition, inserting one new edge.
 
     Returns (new graph, new edge id, new vertex ids (v1, v2), collapse map
     back onto `graph`). Directions in part1 reattach to v1, part2 to v2;
     the new edge runs v1 -> v2.
     """
-    new_eid = new_edge_hint or (max(graph.edges) + 1)
+    new_eid = max(graph.edges) + 1
     v2 = max(graph.vertices) + 1
     v1 = v
     part2 = set(part2)

@@ -15,9 +15,9 @@ rebases each marking onto its centre (`_centre`), the rebasings of least
 total length, which any isomorphism of marked graphs maps centre to
 centre. `canonical_key` is the same equality as one hashable value, for
 sets of spine vertices: at each centre point the paths name the edges by
-first traversal and the vertices by first visit, and the least of these
-readings is the key. `equivalent` also returns the witness certificates
-need.
+first traversal, and the least of these named markings is the key (the
+words alone rebuild the marked graph). `equivalent` also returns the
+witness certificates need.
 """
 
 from . import folding, graphs
@@ -354,25 +354,21 @@ def canonical_key(G):
     equivalent(G, H) is not None.
 
     The marking is rebased onto its centre (`_centre`), which fixes the
-    free-homotopy conjugator up to finitely many choices. At each centre
-    point the edges are named and oriented by first traversal, and the
-    vertices are labelled by first visit, the centre point 0. A vertex is
-    first reached by an edge's first traversal, so the heads of the first
-    traversals, in name order, give every label. The key is the least
-    (marking in edge names, edge ends as label pairs), the ends computed
-    only at the centre points of least names; it rebuilds a copy of G
-    based at a centre point, and an isomorphism of marked graphs maps each
-    centre point and its labels onto one of the other graph's.
+    free-homotopy conjugator up to finitely many choices; an isomorphism
+    of marked graphs maps centre onto centre. At each centre point the
+    edges are named and oriented by first traversal (`_edge_names`), and
+    the key is the least of these named markings.
+
+    The named words alone fix the rebased marked graph, so equal keys give
+    an isomorphism of marked graphs. Read the words with only the vertex
+    identifications they force: every word is closed at one base, and
+    consecutive letters share a vertex. Marking paths cross every edge of a
+    core graph, so this gives a connected graph X with G's edges and a map
+    X -> G, onto on vertices, carrying the words to the rebased marking.
+    The marking generates pi_1(G) = F_n, so pi_1(X) maps onto F_n and
+    rank X >= n; X has G's edges and at least G's vertices, so
+    rank X <= n. Hence the map identifies no vertices: it is an
+    isomorphism. Every marking the library derives, including those built
+    with check=False, comes from a valid one, so this holds for all of them.
     """
-    named = [(v, *_edge_names(paths)) for v, paths in _centre(G)]
-    least = min(words for _, words, _ in named)
-    return least, min(_first_visit_ends(G.graph, v, first)
-                      for v, words, first in named if words == least)
-
-
-def _first_visit_ends(g, v, first):
-    """The ends of the first traversals `first` (see `_edge_names`), as
-    pairs of vertex labels by first visit from v, which is 0."""
-    label = {v: 0}
-    return tuple((label[g.tail(d)], label.setdefault(g.head(d), len(label)))
-                 for d in first)
+    return min(_edge_names(paths)[0] for _, paths in _centre(G))

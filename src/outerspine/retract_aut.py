@@ -9,8 +9,8 @@ every edge, so reading them in lockstep from the two basepoints
 (`marked.match_paths`) fixes the only candidate isomorphism.
 """
 
-from . import folding
-from .words import Endomorphism, invert_letters, reduce_letters
+from .covers import stallings_core
+from .words import Endomorphism, basis_word
 from .graphs import CoreGraph
 from .marked import MarkedGraph, MarkingError, match_paths
 
@@ -40,7 +40,8 @@ def embed_j(w):
 
 def retract_r(x, return_chains=False):
     """Based core of <a_1..a_{n-1}>: the basepoint moves to the nearest core
-    point and marking loops get conjugated through the trim tail.
+    point and marking loops get conjugated through the trim tail
+    (`covers.stallings_core`; the expansion of a_i is marking path i).
 
     With return_chains, also return each output natural edge's chain of
     input-graph edge ids (the audit uses it to transport collapse forests).
@@ -48,26 +49,13 @@ def retract_r(x, return_chains=False):
     n = x.rank
     if n < 2:
         raise MarkingError("rank must be at least 2")
-    paths = list(x.marking[:n - 1])
-    if not any(paths):
-        raise MarkingError("first n-1 marking images are all trivial")
-    folded = folding.fold_words(paths)
-    core, tail, q, based = folded.based_core_and_tail()
-
-    marking = []
-    for p in paths:
-        loop, end, consumed = based.trace(folded.base, p)
-        if consumed != len(p) or end != folded.base:
-            raise PointedError("marking loop strayed off the based core")
-        red, _ = reduce_letters(invert_letters(tail) + tuple(loop) + tail)
-        if any(abs(d) not in core.edges for d in red):
-            raise PointedError("retracted marking left the core")
-        marking.append(red)
-
+    sub = stallings_core([basis_word(i, n) for i in range(1, n)], x,
+                         based=True)
+    core = sub.core
     graph = CoreGraph(sorted(core.vertices),
                       {eid: (o, t) for eid, (o, t, _) in core.edges.items()})
-    out, chains = MarkedGraph(graph, q, marking, check=False).naturalize(
-        keep_base=True)
+    out, chains = MarkedGraph(graph, sub.attach, sub.loops,
+                              check=False).naturalize(keep_base=True)
     if not return_chains:
         return out
     return out, {eid: tuple(core.edges[abs(d)][2] for d in chain)

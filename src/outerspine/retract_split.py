@@ -8,14 +8,14 @@ attachment points exactly.
 
 from dataclasses import dataclass
 
-from . import folding
 from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     cyclic_core, cyclic_reduce, eventually_periodic_form,
                     invert_letters, is_automorphism, reduce_letters,
                     substitute)
 from .graphs import CoreGraph
 from .marked import MarkedGraph, equivalent
-from .covers import CoreSubgraphWitness, FreeFactorSystem, core_images
+from .covers import (CoreSubgraphWitness, FreeFactorSystem, core_images,
+                     stallings_core)
 
 
 class SplitError(ValueError):
@@ -145,32 +145,6 @@ def in_CVKT(G, bp):
     return w, eid
 
 
-class _BasedCover:
-    """Based core data for one vertex group: fold of its generators over G."""
-
-    def __init__(self, gens, G):
-        paths = [G.expand(w.letters) for w in gens]
-        if not any(paths):
-            raise SplitError("trivial vertex group")
-        folded = folding.fold_words([p for p in paths if p])
-        core, tail, q, based = folded.based_core_and_tail()
-        self.G = G
-        self.core = core
-        self.tail = tail
-        self.q = q
-        self.based = based
-        self.base = folded.base
-        self.gen_loops = []
-        for p in paths:
-            loop, end, consumed = based.trace(folded.base, p)
-            if consumed != len(p) or end != folded.base:
-                raise SplitError("generator loop strayed off the based core")
-            red, _ = reduce_letters(invert_letters(tail) + tuple(loop) + tuple(tail))
-            if any(abs(d) not in core.edges for d in red):
-                raise SplitError("generator loop left the based core")
-            self.gen_loops.append(red)
-
-
 def _ray_label_stream(ray, G):
     """Reduced infinite edge-label stream of the ray through G's marking.
 
@@ -186,17 +160,18 @@ def _ray_label_stream(ray, G):
     return eventually_periodic_form(head, z_path)
 
 
-def attach_point(cover, ray):
-    """Trace the ray's reduced infinite word through the based cover.
+def attach_point(sub, ray):
+    """Trace the ray's reduced infinite word through a vertex group's based
+    core (`covers.stallings_core(..., based=True)`).
 
     Returns (Q, alpha): the nearest core point to the ideal endpoint and the
-    in-core path from the cover's base attachment q to Q. Errors out when
-    the trace cycles (ideal point in the vertex group's boundary).
+    in-core path from the attach vertex q to Q. Errors out when the trace
+    cycles (ideal point in the vertex group's boundary).
     """
-    head, period = _ray_label_stream(ray, cover.G)
-    based, core = cover.based, cover.core
+    head, period = _ray_label_stream(ray, sub.ambient)
+    based, core = sub.based, sub.core
 
-    pos = cover.base
+    pos = based.base
     alpha = []
     entered = False
     budget = len(head) + 2 * len(based.edges) * len(period) + len(period) + 4
@@ -220,7 +195,7 @@ def attach_point(cover, ray):
             break
         if in_core:
             if not entered:
-                if based.tail(d) != cover.q:
+                if based.tail(d) != sub.attach:
                     raise SplitError("ray entered the core away from q")
                 entered = True
             alpha.append(d)
@@ -232,7 +207,7 @@ def attach_point(cover, ray):
                 raise InvalidRay("ray stays in the vertex cover forever")
             states.add(state)
     if not entered:
-        return cover.q, ()
+        return sub.attach, ()
     return pos, tuple(alpha)
 
 
@@ -247,32 +222,32 @@ def retract_R(G, data):
     basis_exprs = auto.inverse_endo.images  # a_j as words in the x-alphabet
 
     if bp.kind == "loop":
-        cover = _BasedCover(bp.vertex_gens[0], G)
-        Q1, alpha1 = attach_point(cover, data.rays[0])
-        Q2, alpha2 = attach_point(cover, data.rays[1])
-        core = cover.core
+        sub = stallings_core(bp.vertex_gens[0], G, based=True)
+        Q1, alpha1 = attach_point(sub, data.rays[0])
+        Q2, alpha2 = attach_point(sub, data.rays[1])
+        core = sub.core
         eps = max(core.edges) + 1
         edges = {eid: (o, t) for eid, (o, t, _) in core.edges.items()}
         edges[eps] = (Q1, Q2)
         graph = CoreGraph(sorted(core.vertices), edges)
         sigma, _ = reduce_letters(tuple(alpha1) + (eps,) + invert_letters(alpha2))
-        x_paths = list(cover.gen_loops) + [sigma]
-        basept = cover.q
+        x_paths = list(sub.loops) + [sigma]
+        basept = sub.attach
     else:
-        cover0 = _BasedCover(bp.vertex_gens[0], G)
-        cover1 = _BasedCover(bp.vertex_gens[1], G)
-        Q0, alpha0 = attach_point(cover0, data.rays[0])
-        Q1, alpha1 = attach_point(cover1, data.rays[1])
+        sub0 = stallings_core(bp.vertex_gens[0], G, based=True)
+        sub1 = stallings_core(bp.vertex_gens[1], G, based=True)
+        Q0, alpha0 = attach_point(sub0, data.rays[0])
+        Q1, alpha1 = attach_point(sub1, data.rays[1])
         # disjoint union: shift the second core's ids
-        vshift = max(cover0.core.vertices) + 1
-        eshift = max(cover0.core.edges) + 1
-        edges = {eid: (o, t) for eid, (o, t, _) in cover0.core.edges.items()}
-        for eid, (o, t, _) in cover1.core.edges.items():
+        vshift = max(sub0.core.vertices) + 1
+        eshift = max(sub0.core.edges) + 1
+        edges = {eid: (o, t) for eid, (o, t, _) in sub0.core.edges.items()}
+        for eid, (o, t, _) in sub1.core.edges.items():
             edges[eid + eshift] = (o + vshift, t + vshift)
         eps = max(edges) + 1
         edges[eps] = (Q0, Q1 + vshift)
-        verts = sorted(cover0.core.vertices) + \
-            [v + vshift for v in sorted(cover1.core.vertices)]
+        verts = sorted(sub0.core.vertices) + \
+            [v + vshift for v in sorted(sub1.core.vertices)]
         graph = CoreGraph(verts, edges)
 
         def shift_path(p):
@@ -280,11 +255,11 @@ def retract_R(G, data):
 
         bridge, _ = reduce_letters(tuple(alpha0) + (eps,) +
                                    invert_letters(shift_path(alpha1)))
-        x_paths = list(cover0.gen_loops)
-        for loop in cover1.gen_loops:
+        x_paths = list(sub0.loops)
+        for loop in sub1.loops:
             conj, _ = reduce_letters(bridge + shift_path(loop) + invert_letters(bridge))
             x_paths.append(conj)
-        basept = cover0.q
+        basept = sub0.attach
 
     x_image = dict(enumerate(x_paths, 1))
     marking = [substitute(expr.letters, x_image)[0] for expr in basis_exprs]

@@ -1,7 +1,9 @@
 import subprocess
 import sys
 
-from outerspine import textio
+import pytest
+
+from outerspine import cli, textio, witness
 from outerspine.marked import MarkedGraph
 from outerspine.retract_aut import embed_j
 from outerspine import graphs
@@ -148,6 +150,18 @@ def test_non_utf8_graph_file_exits_2(tmp_path):
 def test_witness_out_directory_exits_2(tmp_path):
     run_cli_error(["witness", "--case", "1", "--n", "4", "--r", "2",
                    "--kmax", "1", "--out", str(tmp_path)])
+
+
+def test_witness_opens_out_before_report(tmp_path, monkeypatch, capsys):
+    def report(*args):
+        raise RuntimeError("distortion_report ran before --out was opened")
+
+    monkeypatch.setattr(witness, "distortion_report", report)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["witness", "--case", "1", "--n", "4", "--r", "2",
+                  "--kmax", "30", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_retract_aut_rank_1_exits_2(tmp_path):

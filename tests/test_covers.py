@@ -1,8 +1,9 @@
 import random
 
-from outerspine import graphs
+from outerspine import graphs, sampling
 from outerspine.marked import MarkedGraph
-from outerspine.words import Endomorphism, basis_word, word, is_automorphism
+from outerspine.words import (Endomorphism, basis_word, invert_letters,
+                              is_automorphism, reduce_letters, word)
 from outerspine.covers import (stallings_core, subgroups_conjugate,
                                labeled_isomorphism, conjugate_into,
                                FreeFactorSystem, coindex, ffs_partial_order,
@@ -179,3 +180,34 @@ def test_conjugate_into():
     assert conjugate_into(A.core, B.core) is not None
     C = stallings_core([basis_word(3, 3)], G)
     assert conjugate_into(C.core, B.core) is None
+
+
+def test_based_core_loops():
+    """Each generator's loop lies in the core, closed at the attach vertex,
+    and conjugated back through the tail it spells the generator's path."""
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        G = sampling.random_marked_graph(rng, n, rng.randint(1, 3))
+        gens = [sampling.random_reduced_word(rng, n, 5)
+                for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:  # a common conjugator gives a long tail
+            c = sampling.random_reduced_word(rng, n, 3)
+            gens = [w.conjugate_by(c) for w in gens]
+        if all(w.is_trivial() for w in gens):
+            continue
+        K = stallings_core(gens, G, based=True)
+        core, tail = K.core, K.tail_labels
+        assert len(K.loops) == len(gens)
+        for w, loop in zip(gens, K.loops):
+            assert all(abs(d) in core.edges for d in loop)
+            end = K.attach
+            for d in loop:
+                assert core.tail(d) == end
+                end = core.head(d)
+            assert end == K.attach
+            labels = tail + core.path_labels(loop) + invert_letters(tail)
+            assert reduce_letters(labels)[0] == G.expand(w.letters)
+            checked += 1
+    assert checked >= 80

@@ -4,12 +4,12 @@ from outerspine import graphs
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.words import (Endomorphism, basis_word, word, identity_word,
                               is_automorphism)
-from outerspine.covers import FreeFactorSystem
+from outerspine.covers import FreeFactorSystem, stallings_core
 from outerspine.retract_split import (SplittingBlueprint, RayDatum,
                                       default_retraction_data,
                                       coindex1_to_splitting, in_CVKT,
                                       retract_R, retraction_audit, SplitError,
-                                      attach_point, _BasedCover)
+                                      attach_point)
 
 
 def loop_bp(n=3):
@@ -71,19 +71,19 @@ def test_attach_point_examples():
     n = 3
     bp = loop_bp(n)
     G = MarkedGraph.rose_identity(n)
-    cover = _BasedCover(bp.vertex_gens[0], G)
+    sub = stallings_core(bp.vertex_gens[0], G, based=True)
     t = basis_word(n, n)
-    Q1, a1 = attach_point(cover, RayDatum(identity_word(n), t))
-    Q2, a2 = attach_point(cover, RayDatum(identity_word(n), t.inverse()))
-    assert Q1 == cover.q and a1 == ()
-    assert Q2 == cover.q and a2 == ()
+    Q1, a1 = attach_point(sub, RayDatum(identity_word(n), t))
+    Q2, a2 = attach_point(sub, RayDatum(identity_word(n), t.inverse()))
+    assert Q1 == sub.attach and a1 == ()
+    assert Q2 == sub.attach and a2 == ()
     # marking a3 -> e1 e3: the stable ray runs along e1 before exiting
     H = G.act(transv(n, 3, 1, side="L"))
     assert H.marking[2] == (1, 3)
-    cover = _BasedCover(bp.vertex_gens[0], H)
-    Q1, a1 = attach_point(cover, RayDatum(identity_word(n), t))
+    sub = stallings_core(bp.vertex_gens[0], H, based=True)
+    Q1, a1 = attach_point(sub, RayDatum(identity_word(n), t))
     assert len(a1) == 1
-    Q2, a2 = attach_point(cover, RayDatum(identity_word(n), t.inverse()))
+    Q2, a2 = attach_point(sub, RayDatum(identity_word(n), t.inverse()))
     assert a2 == ()
 
 
@@ -91,10 +91,10 @@ def test_attach_point_invalid_ray():
     n = 3
     bp = loop_bp(n)
     G = MarkedGraph.rose_identity(n)
-    cover = _BasedCover(bp.vertex_gens[0], G)
+    sub = stallings_core(bp.vertex_gens[0], G, based=True)
     from outerspine.retract_split import InvalidRay
     with pytest.raises(InvalidRay):
-        attach_point(cover, RayDatum(identity_word(n), basis_word(1, n)))
+        attach_point(sub, RayDatum(identity_word(n), basis_word(1, n)))
 
 
 def test_retraction_fixes_rose():

@@ -275,9 +275,9 @@ def realizes(G, F):
     return None if images is None else CoreSubgraphWitness.of(images)
 
 
-def collapse_labeled(K, forest_labels, edge_map):
-    """Collapse the label-preimage of a collapsed ambient forest, relabel
-    surviving edges through the collapse bijection."""
+def collapse_labeled(K, forest_labels):
+    """Collapse the label-preimage of a collapsed ambient forest; surviving
+    edges keep their labels, as ambient edges keep their ids."""
     forest = {eid for eid, (o, t, lab) in K.edges.items() if lab in forest_labels}
     root, joined = graphs.union_find((eid, *K.edges[eid][:2])
                                      for eid in forest)
@@ -287,18 +287,17 @@ def collapse_labeled(K, forest_labels, edge_map):
     for eid, (o, t, lab) in K.edges.items():
         if eid in forest:
             continue
-        edges[eid] = (root.get(o, o), root.get(t, t), edge_map[lab])
+        edges[eid] = (root.get(o, o), root.get(t, t), lab)
     return LabeledGraph(edges, None)
 
 
 def minimal_subtree_collapse_check(G, forest, gens):
     """Core-of-collapse equals collapse-of-core (minimal subtrees commute
     with forest collapses, at quotient level)."""
-    G2, cmap = G.collapse_marked(forest)
-    direct = stallings_core(gens, G2)
+    direct = stallings_core(gens, G.collapse_marked(forest)[0])
     K = stallings_core(gens, G)
     try:
-        pushed = collapse_labeled(K.core, set(forest), cmap.edge_map)
+        pushed = collapse_labeled(K.core, set(forest))
     except (CoverError, FoldError):
         return False
     return labeled_isomorphism(pushed, direct.core) is not None

@@ -3,11 +3,14 @@
 Vertices and edges are integer ids; a directed edge is +e or -e. An edge
 path is a tuple of directed edges with matching endpoints; paths are
 reduced, inverted and substituted with the word helpers in `words`.
+
+A forest collapse keeps the surviving edges' ids, so it is the collapsed
+graph plus a vertex map; a reduced path pushes forward to a reduced path
+by erasing the forest edges. A blow-up is the inverse move: collapsing its new edge gives
+back the graph it came from.
 """
 
 import itertools
-
-from .words import reduce_letters
 
 
 class GraphError(ValueError):
@@ -124,7 +127,7 @@ def is_forest(graph, edge_set):
 
 
 def natural_structure(graph, protected=()):
-    """Merge valence-2 chains away; returns (graph, refinement, vertex_keep).
+    """Merge valence-2 chains away; returns (graph, refinement).
 
     refinement maps each new edge id to the directed old-edge chain it
     replaces. Vertices in `protected` are kept even at valence 2 (used for
@@ -158,8 +161,7 @@ def natural_structure(graph, protected=()):
             edges[next_eid] = (v, cur)
             refinement[next_eid] = tuple(chain)
             next_eid += 1
-    new_graph = CoreGraph(sorted(keep), edges)
-    return new_graph, refinement, sorted(keep)
+    return CoreGraph(sorted(keep), edges), refinement
 
 
 def refine_path_map(refinement):
@@ -190,44 +192,10 @@ def rewrite_path_through_refinement(path, lookup):
     return tuple(out)
 
 
-class CollapseMap:
-    """Certificate of a forest collapse g -> g/E."""
-
-    def __init__(self, source, target, forest, edge_map, vertex_map):
-        self.source = source
-        self.target = target
-        self.forest = frozenset(forest)
-        self.edge_map = dict(edge_map)      # surviving source eid -> target eid
-        self.vertex_map = dict(vertex_map)  # source vertex -> target vertex
-        for eid, (o, t) in source.edges.items():
-            if eid in self.forest:
-                if self.vertex_map[o] != self.vertex_map[t]:
-                    raise GraphError("collapsed edge endpoints disagree")
-            else:
-                to, tt = target.edges[self.edge_map[eid]]
-                if (self.vertex_map[o], self.vertex_map[t]) != (to, tt):
-                    raise GraphError("edge bijection breaks incidence")
-
-    def push_vertex(self, v):
-        return self.vertex_map[v]
-
-    def push_path(self, path):
-        """Erase collapsed edges, rename the rest, re-reduce.
-
-        Returns (path, erasure_was_enough) where the flag records whether
-        erasure alone already produced a reduced path.
-        """
-        erased = []
-        for d in path:
-            if abs(d) in self.forest:
-                continue
-            erased.append(self.edge_map[abs(d)] if d > 0 else -self.edge_map[abs(d)])
-        reduced, cancelled = reduce_letters(erased)
-        return reduced, cancelled == 0
-
-
 def collapse(graph, forest_edges):
-    """Collapse each component of a subforest to a point."""
+    """Collapse each component of a subforest to a point; returns
+    (graph, vertex_map). Surviving edges keep their ids, and vertex_map
+    sends each vertex to its image."""
     forest = frozenset(forest_edges)
     for eid in forest:
         if eid not in graph.edges:
@@ -236,15 +204,9 @@ def collapse(graph, forest_edges):
     if len(joined) != len(forest):
         raise GraphError("edge set contains a cycle")
     vertex_map = {v: root.get(v, v) for v in graph.vertices}
-    edges = {}
-    edge_map = {}
-    for eid, (o, t) in graph.edges.items():
-        if eid in forest:
-            continue
-        edges[eid] = (vertex_map[o], vertex_map[t])
-        edge_map[eid] = eid
-    target = CoreGraph(sorted(set(vertex_map.values())), edges)
-    return target, CollapseMap(graph, target, forest, edge_map, vertex_map)
+    edges = {eid: (vertex_map[o], vertex_map[t])
+             for eid, (o, t) in graph.edges.items() if eid not in forest}
+    return CoreGraph(sorted(set(vertex_map.values())), edges), vertex_map
 
 
 def enumerate_natural_subforests(graph, include_empty=True):
@@ -278,9 +240,9 @@ def vertex_direction_bipartitions(graph, v):
 def blow_up(graph, v, part1, part2):
     """Split v along a direction bipartition, inserting one new edge.
 
-    Returns (new graph, new edge id, new vertex ids (v1, v2), collapse map
-    back onto `graph`). Directions in part1 reattach to v1, part2 to v2;
-    the new edge runs v1 -> v2.
+    Returns (new graph, new edge id, new vertex ids (v1, v2)). Directions
+    in part1 reattach to v1, part2 to v2; the new edge runs v1 -> v2, and
+    collapsing it gives back `graph` with v2 merged into v1.
     """
     new_eid = max(graph.edges) + 1
     v2 = max(graph.vertices) + 1
@@ -296,20 +258,14 @@ def blow_up(graph, v, part1, part2):
         edges[eid] = (no, nt)
     edges[new_eid] = (v1, v2)
     verts = set(graph.vertices) | {v2}
-    g2 = CoreGraph(sorted(verts), edges)
-    _, cmap = collapse(g2, [new_eid])
-    # the collapse of the new edge recovers `graph` up to the vertex renaming
-    return g2, new_eid, (v1, v2), cmap
+    return CoreGraph(sorted(verts), edges), new_eid, (v1, v2)
 
 
 def enumerate_blowups(graph):
-    """All single-natural-edge blow-ups (g', {new edge}) with collapse back."""
-    out = []
+    """Yield every single-edge blow-up as (graph, new edge id)."""
     for v in sorted(graph.vertices):
         for part1, part2 in vertex_direction_bipartitions(graph, v):
-            g2, new_eid, _, cmap = blow_up(graph, v, part1, part2)
-            out.append((g2, new_eid, cmap))
-    return out
+            yield blow_up(graph, v, part1, part2)[:2]
 
 
 def map_path(emap, path):

@@ -35,6 +35,7 @@ class MarkedGraph:
         self.graph = graph
         self.basepoint = basepoint
         self.marking = tuple(tuple(p) for p in marking)
+        self._images = ((),) + self.marking  # basis letter i -> marking[i - 1]
         self.rank = graph.rank
         if basepoint not in graph.vertices:
             raise MarkingError("basepoint not a vertex")
@@ -122,7 +123,7 @@ class MarkedGraph:
 
     def expand(self, letters):
         """Edge path of a word, read through the marking (closed at base)."""
-        return substitute(letters, dict(enumerate(self.marking, 1)))[0]
+        return substitute(letters, self._images)[0]
 
     def act(self, phi):
         """Right action: new marking sends a_i to the expansion of phi(a_i)."""
@@ -139,13 +140,16 @@ class MarkedGraph:
         return canonical_rotation(cyclic_core(self.expand(c.letters))[1])
 
     def collapse_marked(self, forest):
-        target, cmap = graphs.collapse(self.graph, forest)
-        marking = []
-        for p in self.marking:
-            q, _ = cmap.push_path(p)
-            marking.append(q)
-        return MarkedGraph(target, cmap.push_vertex(self.basepoint), marking,
-                           check=False), cmap
+        """Collapse a forest; returns (marked graph, vertex_map). Each marking
+        path loses its forest edges, and stays reduced: a cancelling pair
+        x, -x left by the erasure would enclose a closed reduced path in
+        the forest, and a forest has none."""
+        target, vertex_map = graphs.collapse(self.graph, forest)
+        forest = frozenset(forest)
+        marking = [tuple(d for d in p if abs(d) not in forest)
+                   for p in self.marking]
+        return MarkedGraph(target, vertex_map[self.basepoint], marking,
+                           check=False), vertex_map
 
     def rebase(self, new_base):
         if new_base == self.basepoint:
@@ -175,7 +179,7 @@ class MarkedGraph:
                 me = self.rebase(min(v for v in g.vertices if g.valence(v) >= 3))
         if all(g.valence(v) >= 3 or v == me.basepoint for v in g.vertices):
             return me, {eid: (eid,) for eid in g.edges}
-        new_g, chains, _ = graphs.natural_structure(g, protected=(me.basepoint,))
+        new_g, chains = graphs.natural_structure(g, protected=(me.basepoint,))
         lookup = graphs.refine_path_map(chains)
         marking = [graphs.rewrite_path_through_refinement(p, lookup)
                    for p in me.marking]
@@ -186,8 +190,10 @@ class MarkedGraph:
         return self.naturalize(keep_base=False)[0]
 
     def blowup_marked(self, v, part1, part2):
-        """Blow up a vertex along a direction bipartition, lifting marking."""
-        g2, new_eid, (v1, v2), cmap = graphs.blow_up(self.graph, v, part1, part2)
+        """Blow up a vertex along a direction bipartition, lifting the
+        marking; returns (marked graph, new edge id, (v1, v2)) as
+        `graphs.blow_up` does."""
+        g2, new_eid, (v1, v2) = graphs.blow_up(self.graph, v, part1, part2)
         side = {d: 2 for d in part2}
         for d in part1:
             side[d] = 1
@@ -214,7 +220,7 @@ class MarkedGraph:
         base = self.basepoint if self.basepoint != v else v1
         marking = [rewrite(p, self.basepoint) for p in self.marking]
         out = MarkedGraph(g2, base, marking, check=False)
-        return out, new_eid, cmap
+        return out, new_eid, (v1, v2)
 
 
 def match_paths(g1, v1, paths1, g2, v2, paths2):

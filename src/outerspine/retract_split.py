@@ -6,7 +6,7 @@ role of the minimal subtrees, and the eventually periodic rays pick the
 attachment points exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     cyclic_core, cyclic_reduce, eventually_periodic_form,
@@ -32,6 +32,8 @@ class SplittingBlueprint:
     vertex_gens: tuple   # one tuple of ReducedWord per labeled vertex
     stable: int          # basis letter index of the stable letter (loop only)
     rank: int
+    # a_j as words in the x-alphabet, set by the free-decomposition check
+    basis_exprs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.rank
@@ -47,8 +49,10 @@ class SplittingBlueprint:
                 raise SplitError("trivial vertex group")
         else:
             raise SplitError("unknown splitting kind %r" % self.kind)
-        if is_automorphism(Endomorphism(n, tuple(self.x_tuple()))) is None:
+        auto = is_automorphism(Endomorphism(n, tuple(self.x_tuple())))
+        if auto is None:
             raise SplitError("vertex groups do not freely decompose F_n")
+        object.__setattr__(self, "basis_exprs", auto.inverse_endo.images)
 
     def x_tuple(self):
         if self.kind == "loop":
@@ -215,12 +219,6 @@ def retract_R(G, data):
     """The retraction: vertex cores pulled apart, one fresh edge attached at
     the ray points, marking assembled from exact generator and stable paths."""
     bp = data.blueprint
-    n = bp.rank
-    auto = is_automorphism(Endomorphism(n, tuple(bp.x_tuple())))
-    if auto is None:
-        raise SplitError("blueprint degenerated")
-    basis_exprs = auto.inverse_endo.images  # a_j as words in the x-alphabet
-
     if bp.kind == "loop":
         sub = stallings_core(bp.vertex_gens[0], G, based=True)
         Q1, alpha1 = attach_point(sub, data.rays[0])
@@ -262,7 +260,7 @@ def retract_R(G, data):
         basept = sub0.attach
 
     x_image = dict(enumerate(x_paths, 1))
-    marking = [substitute(expr.letters, x_image)[0] for expr in basis_exprs]
+    marking = [substitute(expr.letters, x_image)[0] for expr in bp.basis_exprs]
     out = MarkedGraph(graph, basept, marking)
     return out.natural_marked()
 

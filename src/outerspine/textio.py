@@ -96,11 +96,17 @@ def parse_graph(text):
         toks = s.split()
         if mode == "v":
             for t in toks:
-                vertices.append(_vid(t))
+                v = _vid(t)
+                if v in vertices:
+                    raise FormatError("repeated vertex %s" % t)
+                vertices.append(v)
         elif mode == "e":
             if len(toks) != 3:
                 raise FormatError("edge statement needs `name origin terminus`")
-            edges[_eid(toks[0])] = (_vid(toks[1]), _vid(toks[2]))
+            eid = _eid(toks[0])
+            if eid in edges:
+                raise FormatError("repeated edge %s" % toks[0])
+            edges[eid] = (_vid(toks[1]), _vid(toks[2]))
         else:
             raise FormatError("statement outside v:/e: sections: %r" % s)
     return CoreGraph(vertices, edges)
@@ -138,6 +144,8 @@ def parse_marked(text, pointed=False):
             raise FormatError("marking entry without '=': %r" % s)
         lhs, rhs = s.split("=", 1)
         idx = parse_letter(lhs.strip())
+        if idx in entries:
+            raise FormatError("repeated marking letter %s" % lhs.strip())
         entries[idx] = parse_path(rhs)
     n = g.rank
     if sorted(entries) != list(range(1, n + 1)):

@@ -108,6 +108,18 @@ def test_malformed_marking_exits_2(tmp_path):
         run_cli_error(["realizes", "--graph", str(p), "--component", "a1"])
 
 
+def test_repeated_declaration_exits_2(tmp_path):
+    cases = [("graph { v: v0; e: e1 v0 v0; e1 v0 v0; e2 v0 v0; }\n"
+              "marking { a1 = e1; a2 = e2; }\n", "repeated edge e1"),
+             ("graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
+              "marking { a1 = e1; a1 = e2; a2 = e2; }\n",
+              "repeated marking letter a1")]
+    for i, (text, message) in enumerate(cases):
+        p = tmp_path / ("dup%d.txt" % i)
+        p.write_text(text)
+        assert message in run_cli_error(["collapse", str(p), "--edges", "e1"])
+
+
 def test_relation_fold_marking_exits_2(tmp_path):
     # the marking paths fold onto a rank-2 graph of the rank-3 graph's edges
     p = tmp_path / "rel.txt"

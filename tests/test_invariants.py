@@ -148,7 +148,52 @@ def test_collapse_preserves_betti_random():
         G = sampling.random_marked_graph(rng, n, rng.randint(0, 4))
         forests = graphs.enumerate_natural_subforests(G.graph)
         f = rng.choice(forests)
-        H, cmap = G.collapse_marked(f)
+        H, vmap = G.collapse_marked(f)
         assert H.rank == G.rank
-        # quotient-map property: every source edge collapsed or mapped
-        assert set(cmap.edge_map) | set(cmap.forest) == set(G.graph.edges)
+        # quotient-map property: every source edge collapsed or kept, every
+        # source vertex mapped onto a target vertex
+        assert set(H.graph.edges) | set(f) == set(G.graph.edges)
+        assert not set(H.graph.edges) & set(f)
+        assert set(vmap) == G.graph.vertices
+        assert set(vmap.values()) == H.graph.vertices
+
+
+def test_collapse_and_blowup_incidence_random():
+    """Collapses and blow-ups of seeded marked graphs: edges follow the
+    vertex map, the checking constructors accept every result, and
+    collapsing a blow-up's new edge gives back its input."""
+    rng = random.Random(23)
+    blowups = 0
+    for _ in range(40):
+        n = rng.choice([2, 3, 4])
+        G = sampling.random_marked_graph(rng, n, rng.randint(0, 5))
+        g = G.graph
+        f = rng.choice(graphs.enumerate_natural_subforests(g))
+        H, vmap = G.collapse_marked(f)
+        for eid, (o, t) in g.edges.items():
+            if eid in f:
+                assert vmap[o] == vmap[t]
+            else:
+                assert H.graph.edges[eid] == (vmap[o], vmap[t])
+        assert set(H.graph.edges) == set(g.edges) - f
+        assert len(H.graph.vertices) == len(g.vertices) - len(f)
+        assert H.basepoint == vmap[G.basepoint]
+        MarkedGraph(graphs.CoreGraph(H.graph.vertices, H.graph.edges),
+                    H.basepoint, H.marking, check=True)
+
+        cands = [(v, p1, p2) for v in sorted(g.vertices)
+                 for p1, p2 in graphs.vertex_direction_bipartitions(g, v)]
+        if not cands:
+            continue
+        v, p1, p2 = rng.choice(cands)
+        B, new_eid, (v1, v2) = G.blowup_marked(v, p1, p2)
+        blowups += 1
+        assert B.graph.edges[new_eid] == (v1, v2)
+        MarkedGraph(graphs.CoreGraph(B.graph.vertices, B.graph.edges),
+                    B.basepoint, B.marking, check=True)
+        back, bmap = B.collapse_marked([new_eid])
+        assert bmap[v1] == bmap[v2]
+        assert back.graph.edges == g.edges
+        assert back.marking == G.marking
+        assert equivalent(back, G) is not None
+    assert blowups >= 20

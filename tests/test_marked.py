@@ -136,7 +136,7 @@ def test_marking_preserving_symmetries_of_rose():
 
 def test_collapse_marked_theta():
     G = theta_marked()
-    H, cmap = G.collapse_marked([3])
+    H, _ = G.collapse_marked([3])
     assert H.rank == 2
     assert graphs_isomorphic(H.graph, graphs.rose(2))
     # round trip: collapsing a blow-up is the identity on spine vertices

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from outerspine import graphs
+from outerspine import graphs, words
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.words import (Endomorphism, basis_word, word, identity_word,
                               is_automorphism)
@@ -137,6 +139,27 @@ def test_retraction_audit_small():
             blown, new_eid, _ = G.blowup_marked(v, p1, p2)
             d = retraction_audit(blown, [new_eid], data)
             assert d in (0, 1)
+
+
+def test_retraction_audit_decides_no_automorphism(monkeypatch):
+    """The blueprint decides its free decomposition once, when it is built;
+    retract_R reads the inverse it kept instead of folding it again."""
+    calls = []
+    real = words.is_automorphism
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    data = default_retraction_data(loop_bp(3))
+    G = MarkedGraph.rose_identity(3)
+    blown, new_eid, _ = G.blowup_marked(0, (1, -1), (2, -2, 3, -3))
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("outerspine") and getattr(
+                module, "is_automorphism", None) is real):
+            monkeypatch.setattr(module, "is_automorphism", counted)
+    assert retraction_audit(blown, [new_eid], data) in (0, 1)
+    assert calls == []
 
 
 def test_segment_retraction_fixes_barbell():

@@ -32,3 +32,43 @@ def test_core_decisions_stay_in_covers():
             if name in names and path.name != "covers.py":
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# Public functions whose only callers are tests; each is named in the README
+# or kept for a planned use (ROADMAP, "Keep the source small").
+TEST_ONLY_API = {
+    "is_natural", "theta_graph", "enumerate_blowups", "conjugate_by",
+    "subgroups_conjugate", "subgroup_generators", "ffs_partial_order",
+    "restrict_endo", "coindex1_to_splitting", "theta_inverse", "pair_counts",
+    "phi_image_of_gamma", "transfer", "verify_factorization",
+}
+
+
+def test_public_functions_have_callers():
+    """Every public function or method of the library is named (called,
+    referenced or imported) somewhere in the library or the benchmark, or
+    is listed as test-only API; the list holds only such names."""
+    src = pathlib.Path(outerspine.__file__).parent
+    bench = src.parent.parent / "bench"
+    defined = {}
+    used = set()
+    for path in sorted(src.glob("*.py")) + sorted(bench.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(a.name.split(".")[-1] for a in node.names)
+        if path.parent != src:
+            continue
+        for node in tree.body:
+            for f in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    defined.setdefault(f.name, "%s:%d" % (path.name, f.lineno))
+    unread = {name: where for name, where in defined.items()
+              if name not in used and name not in TEST_ONLY_API}
+    assert unread == {}
+    assert TEST_ONLY_API - set(defined) == set()
+    assert TEST_ONLY_API & used == set()

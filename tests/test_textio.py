@@ -109,3 +109,17 @@ def test_malformed_marking_is_format_error():
                     "marking { a1 = e7; a2 = e2; }"]:
         with pytest.raises(textio.FormatError):
             textio.parse_marked(graph + marking)
+
+
+def test_repeated_declarations_are_format_errors():
+    marking = "marking { a1 = e1; a2 = e2; }"
+    for graph, name in [("graph { v: v0; e: e1 v0 v0; e1 v0 v0; e2 v0 v0; }",
+                         "e1"),
+                        ("graph { v: v0 v0; e: e1 v0 v0; e2 v0 v0; }", "v0")]:
+        with pytest.raises(textio.FormatError, match="repeated .*%s" % name):
+            textio.parse_graph(graph)
+        with pytest.raises(textio.FormatError, match="repeated .*%s" % name):
+            textio.parse_marked(graph + "\n" + marking)
+    graph = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
+    with pytest.raises(textio.FormatError, match="repeated marking letter a1"):
+        textio.parse_marked(graph + "marking { a1 = e1; a1 = e2; a2 = e2; }")

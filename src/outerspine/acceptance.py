@@ -8,13 +8,13 @@ import random
 from itertools import islice
 
 from . import graphs
-from .words import CyclicWord, basis_word
+from .words import CyclicWord, Endomorphism, basis_word, is_automorphism
 from .marked import MarkedGraph, canonical_key, equivalent
 from .covers import FreeFactorSystem, realizes, minimal_subtree_collapse_check
 from .counting import build_context, count_i, lipschitz_audit, CountError
-from .witness import (WitnessParams, _phi_row, distortion_report,
-                      case2_build, occurrence_count, ratio_within_of_golden,
-                      theta_powers, theta_tokens, u_k)
+from .witness import (WitnessParams, distortion_report, case2_build,
+                      occurrence_count, ratio_within_of_golden, u_k,
+                      witness_rows)
 from .retract_aut import (embed_j, retract_r, pointed_equivalent,
                           lipschitz_audit as pointed_audit)
 from .retract_split import (SplittingBlueprint, default_retraction_data,
@@ -234,7 +234,8 @@ def criterion_7(k_max=20):
 
 
 def criterion_8(k_max=10):
-    """phi_k stabilizes every tested realizable system below [B], all cases."""
+    """phi_k stabilizes every tested realizable system below [B], all cases;
+    each phi_k is also checked invertible on its own, by a fold."""
     checks = 0
     # case 1
     n = 3
@@ -264,11 +265,10 @@ def criterion_8(k_max=10):
     for case, par, G, syst in ((1, params, G0, systems),
                                (2, params2, cx2.Gp, systems2),
                                (3, params3, cx3.Gp, systems3)):
-        th_toks = theta_tokens(par.n, par.m)
-        powers = islice(theta_powers(par.n, par.m), k_max + 1)
-        for k, uk in enumerate(powers):
-            auto, _, _ = _phi_row(par, k, uk, th_toks)
-            acted = G.act(auto)
+        for k, phi, _ in islice(witness_rows(par), k_max + 1):
+            if is_automorphism(phi) is None:
+                return False, "case %d: phi_%d not invertible" % (case, k)
+            acted = G.act(phi)
             for F in syst:
                 if realizes(acted, F) is None:
                     return False, "case %d: system lost at k=%d" % (case, k)
@@ -288,7 +288,6 @@ def criterion_9(n_paths=100, seed=505):
         moves = rng.randint(1, 4)
         if i % 3 == 0:
             # transvections away from a1: endpoints stay in CVK^F
-            from .words import Endomorphism, is_automorphism
             endo = Endomorphism.identity(n)
             for _ in range(moves):
                 j = rng.choice([2, 3])

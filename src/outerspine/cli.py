@@ -6,7 +6,6 @@ quantity), 3 an audit detected a violated invariant.
 
 import argparse
 import contextlib
-import os
 import sys
 
 from . import acceptance, counting, folding, graphs, spine, textio, witness
@@ -170,11 +169,8 @@ def cmd_witness(args):
     else:
         params = witness.WitnessParams(args.n, "multi_component",
                                        ranks=tuple(args.ranks))
-    out = args.out
-    if out is None and os.environ.get("OUTERSPINE_OUTDIR"):
-        out = os.path.join(os.environ["OUTERSPINE_OUTDIR"],
-                           "witness-case%d.csv" % args.case)
     # open --out first, so an unwritable path fails before the report runs
+    out = args.out
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(witness.report_csv(
             witness.distortion_report(params, args.kmax)))

@@ -29,10 +29,6 @@ class SpineError(ValueError):
     pass
 
 
-def spine_normalize(G):
-    return G.natural_marked()
-
-
 def collapse_neighbors(G):
     out = []
     for forest in graphs.enumerate_natural_subforests(G.graph, include_empty=False):
@@ -53,7 +49,7 @@ def blowup_neighbors(G):
 def neighbors(G, dedupe=True):
     """All spine neighbors (collapses and single-edge blow-ups); with
     dedupe, the first candidate of each spine vertex, in candidate order."""
-    G = spine_normalize(G)
+    G = G.natural_marked()
     cands = collapse_neighbors(G) + blowup_neighbors(G)
     if not dedupe:
         return cands
@@ -70,8 +66,8 @@ def bfs_distance(G1, G2, cap):
         raise SpineError("rank mismatch: %d vs %d" % (G1.rank, G2.rank))
     if cap < 0:
         return None
-    G1 = spine_normalize(G1)
-    target = canonical_key(spine_normalize(G2))
+    G1 = G1.natural_marked()
+    target = canonical_key(G2.natural_marked())
     seen = {canonical_key(G1)}
     if target in seen:
         return 0
@@ -170,8 +166,8 @@ def fold_path(G1, G2, F=None):
     """
     if G1.rank != G2.rank:
         raise SpineError("rank mismatch: %d vs %d" % (G1.rank, G2.rank))
-    G1 = spine_normalize(G1)
-    G2 = spine_normalize(G2)
+    G1 = G1.natural_marked()
+    G2 = G2.natural_marked()
     vertices = [G1]
     steps = []
 

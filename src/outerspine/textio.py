@@ -186,7 +186,13 @@ def parse_blueprint(text, rank=None):
     vertex_gens = []
     stable = 0
     rays = {}
+    declared = set()
     for s in stmts:
+        decl = re.match(r"(type|stable|ray\d+):", s)
+        if decl:
+            if decl.group(1) in declared:
+                raise FormatError("repeated %s statement" % decl.group(1))
+            declared.add(decl.group(1))
         if s.startswith("type:"):
             kind = s.split(":", 1)[1].strip()
         elif s.startswith("vertex"):
@@ -199,9 +205,13 @@ def parse_blueprint(text, rank=None):
             m = re.match(r"ray(\d+):\s*prefix\s*\"(.*?)\"\s*,\s*period\s+(.*)$", s)
             if not m:
                 raise FormatError("bad ray statement %r" % s)
+            if int(m.group(1)) not in (1, 2):
+                raise FormatError("ray index must be 1 or 2: %r" % s)
             rays[int(m.group(1))] = (m.group(2), m.group(3))
     if kind not in ("loop", "segment"):
         raise FormatError("splitting type must be loop or segment")
+    if len(rays) == 1:
+        raise FormatError("give both ray1 and ray2, or neither")
     if rank is None:
         seen = 0
         for gens in vertex_gens:
@@ -216,14 +226,10 @@ def parse_blueprint(text, rank=None):
     gen_words = tuple(tuple(parse_word(t, rank) for t in _split_words(g, rank))
                       for g in vertex_gens)
     bp = SplittingBlueprint(kind, gen_words, stable, rank)
-    ray_list = []
-    for i in (1, 2):
-        if i in rays:
-            pre, per = rays[i]
-            ray_list.append(RayDatum(parse_word(pre, rank),
-                                     parse_word(per, rank)))
-    if len(ray_list) == 2:
-        return RetractionData(bp, tuple(ray_list))
+    if rays:
+        return RetractionData(bp, tuple(
+            RayDatum(parse_word(pre, rank), parse_word(per, rank))
+            for pre, per in (rays[1], rays[2])))
     from .retract_split import default_retraction_data
     return default_retraction_data(bp)
 

@@ -1,6 +1,11 @@
 """Distortion witnesses: the substitution automorphisms, conjugated
 transvection families, the two/multi-component complexes, and the report.
 
+The witnesses are phi_k = theta^k phi_0 theta^-k, and `witness_rows` is
+the one generator of them: it certifies theta and phi_0 once per table,
+after which each phi_k is one substitution of u_k = theta^k(e_1) into
+phi_0's images.
+
 Everything is exact: occurrence counts come from integer transition-matrix
 powers (arbitrary precision) independently of the trace-based counter, and
 growth never gets fitted numerically.
@@ -10,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .words import (CyclicWord, Endomorphism, Automorphism, basis_word,
-                    invert_letters, reduce_letters, word)
+from .words import (CyclicWord, Endomorphism, Automorphism, ReducedWord,
+                    basis_word, invert_letters, reduce_letters, substitute,
+                    word)
 from .marked import MarkedGraph
 from .graphs import CoreGraph
 from . import counting
@@ -25,8 +31,9 @@ class WitnessError(ValueError):
 # Nielsen generator bookkeeping.
 #
 # Fixed generating set for word-length accounting: signed basis permutations,
-# inversions, and both-sided transvections. Expressions below are verified by
-# composition at build time; their token counts are the stored lengths.
+# inversions, and both-sided transvections. theta() checks theta's token
+# expression by composition, phi_0 is defined by its tokens, and row k's
+# Nielsen bound is 2k |theta| + |phi_0| in tokens.
 # ---------------------------------------------------------------------------
 
 def token_endo(tok, n):
@@ -250,75 +257,55 @@ def phi_zero_tokens(params):
     return toks
 
 
-def phi_k(params, k):
-    """The k-th witness: (Automorphism, token expression, Nielsen upper bound).
+def witness_rows(params):
+    """Yield the rows (k, phi_k, Nielsen upper bound), k = 0, 1, 2, ...
 
-    phi_k = theta^k . phi_0 . theta^-k. The Automorphism is built from u_k
-    and its stored inverse is checked by both compositions; the token
-    expression is not composed here (`verify_factorization` compares the
-    factored form with the endomorphism).
+    phi_k = theta^k phi_0 theta^-k, with phi_0 = tokens_to_endo(
+    phi_zero_tokens(params)). The checks run once per table: theta and
+    theta^-1 map <e_1..e_m> into itself and fix each e_j with j > m, and
+    phi_0 fixes e_1..e_m and sends each e_j with j > m to a word in e_1 and
+    e_j. Then phi_k fixes e_1..e_m, and phi_k(e_j) is phi_0(e_j) with e_1
+    replaced by u_k = theta^k(e_1). `verify_factorization` is the oracle
+    that composes the product.
     """
     n, m = params.n, params.m
-    return _phi_row(params, k, u_k(n, m, k), theta_tokens(n, m))
-
-
-def _phi_row(params, k, uk, th_toks):
-    """phi_k (see phi_k) from u_k = Theta^k(e_1) and th_toks =
-    theta_tokens(n, m), whose composition theta() checks against Theta."""
-    n, m = params.n, params.m
-    if params.case == "connected":
-        images = [basis_word(i, n) for i in range(1, n)]
-        images.append(basis_word(n, n) * uk)
-        inv_images = [basis_word(i, n) for i in range(1, n)]
-        inv_images.append(basis_word(n, n) * uk.inverse())
-    else:
-        images = []
-        inv_images = []
-        for i in range(1, n + 1):
-            if i <= m:
-                images.append(basis_word(i, n))
-                inv_images.append(basis_word(i, n))
-            else:
-                images.append(uk.inverse() * basis_word(i, n) * uk)
-                inv_images.append(uk * basis_word(i, n) * uk.inverse())
-    endo = Endomorphism(n, tuple(images))
-    auto = Automorphism(endo, Endomorphism(n, tuple(inv_images)))
+    th, th_toks = theta(n, m)
+    for endo in (th.endo, th.inverse_endo):
+        for i, im in enumerate(endo.images, 1):
+            if (any(abs(a) > m for a in im.letters) if i <= m
+                    else im.letters != (i,)):
+                raise WitnessError("theta does not keep the subrose "
+                                   "<e_1..e_%d> at e_%d" % (m, i))
     p0_toks = phi_zero_tokens(params)
-    upper = 2 * k * len(th_toks) + len(p0_toks)
-    tokens = _invert_tokens(th_toks) * k + p0_toks + th_toks * k
-    return auto, tokens, upper
+    phi0 = tokens_to_endo(p0_toks, n)
+    for i, im in enumerate(phi0.images, 1):
+        if (im.letters != (i,) if i <= m
+                else not {abs(a) for a in im.letters} <= {1, i}):
+            raise WitnessError("phi_0 is not a witness at e_%d" % i)
+    fixed = phi0.images[:m]
+    for k, uk in enumerate(theta_powers(n, m)):
+        moved = tuple(
+            ReducedWord(substitute(im.letters, {1: uk.letters, j: (j,)})[0], n)
+            for j, im in enumerate(phi0.images[m:], m + 1))
+        yield k, Endomorphism(n, fixed + moved), \
+            2 * k * len(th_toks) + len(p0_toks)
 
 
-def _invert_tokens(tokens):
-    out = []
-    for tok in reversed(tokens):
-        if tok[0] == "perm":
-            sigma = tok[1]
-            inv = [0] * len(sigma)
-            for i, s in enumerate(sigma):
-                if s > 0:
-                    inv[s - 1] = i + 1
-                else:
-                    inv[-s - 1] = -(i + 1)
-            out.append(("perm", tuple(inv)))
-        elif tok[0] == "inv":
-            out.append(tok)
-        else:
-            kind, i, j, s = tok
-            out.append((kind, i, j, -s))
-    return out
+def phi_k(params, k):
+    """The row (k, phi_k, Nielsen upper bound) of `witness_rows`."""
+    if k < 0:
+        raise WitnessError("need k >= 0")
+    return next(islice(witness_rows(params), k, None))
 
 
 def verify_factorization(params, k):
     """compose(theta^k, phi_0, thetabar^k) equals phi_k on the basis."""
-    n, m = params.n, params.m
-    th, _ = theta(n, m)
-    phi0, _, _ = phi_k(params, 0)
-    auto_k, _, _ = phi_k(params, k)
-    built = phi0.endo
+    th, _ = theta(params.n, params.m)
+    _, built, _ = phi_k(params, 0)
+    _, phi, _ = phi_k(params, k)
     for _ in range(k):
         built = th.endo.compose(built).compose(th.inverse_endo)
-    return built == auto_k.endo
+    return built == phi
 
 
 # -- case 2 / case 3 complex -------------------------------------------------
@@ -446,8 +433,9 @@ class ReportRow:
 def distortion_report(params, k_max):
     """Exact per-k table: Nielsen upper bound, crossing count, spine bound.
 
-    One pass: row k+1 takes u_{k+1} from u_k by one application of Theta.
-    Case 1 counts are cross-checked against the matrix-power oracle.
+    One pass over `witness_rows`: row k+1 takes u_{k+1} from u_k by one
+    application of Theta. Case 1 counts are cross-checked against the
+    matrix-power oracle.
     """
     n, m = params.n, params.m
     if params.case == "connected":
@@ -459,11 +447,9 @@ def distortion_report(params, k_max):
         cx = case2_build(params)
         ctx = cx.counting_context()
         c0 = cx.c0
-    th_toks = theta_tokens(n, m)
     rows = []
-    for k, uk in enumerate(islice(theta_powers(n, m), k_max + 1)):
-        auto, _, upper = _phi_row(params, k, uk, th_toks)
-        ik = counting.count_i(ctx, auto.apply_cyclic(c0)).value
+    for k, phi, upper in islice(witness_rows(params), k_max + 1):
+        ik = counting.count_i(ctx, phi.apply_cyclic(c0)).value
         if params.case == "connected":
             oracle = occurrence_count(m, m, k)
             if ik != oracle:

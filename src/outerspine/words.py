@@ -287,10 +287,6 @@ class Endomorphism:
         return all(im.letters == (i + 1,) for i, im in enumerate(self.images))
 
 
-def compose(f, g):
-    return f.compose(g)
-
-
 @dataclass(frozen=True)
 class Automorphism:
     """A verified-invertible endomorphism with its inverse."""

@@ -9,7 +9,7 @@ from outerspine import graphs
 from outerspine.folding import FoldError, LabeledGraph, _mul
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.spine import (SpineError, SpinePath, SpineStep, _hulls,
-                              _tree_collapse_to_rose, spine_normalize)
+                              _tree_collapse_to_rose)
 from outerspine.words import invert_letters, substitute
 
 
@@ -306,8 +306,8 @@ def fold_path(G1, G2, folds):
     guard); appends each fold (v, d1, d2) it makes to `folds`."""
     if G1.rank != G2.rank:
         raise SpineError("rank mismatch: %d vs %d" % (G1.rank, G2.rank))
-    G1 = spine_normalize(G1)
-    G2 = spine_normalize(G2)
+    G1 = G1.natural_marked()
+    G2 = G2.natural_marked()
     vertices = [G1]
     steps = []
 

@@ -120,6 +120,15 @@ def test_repeated_declaration_exits_2(tmp_path):
         assert message in run_cli_error(["collapse", str(p), "--edges", "e1"])
 
 
+def test_repeated_blueprint_statement_exits_2(tmp_path):
+    bp = tmp_path / "bp.txt"
+    bp.write_text("splitting { type: segment; type: loop; vertex A = a1 a2; "
+                  "stable: a3 }\n")
+    assert "repeated type statement" in run_cli_error(
+        ["split-membership", "--graph", write_rose(tmp_path),
+         "--blueprint", str(bp)])
+
+
 def test_relation_fold_marking_exits_2(tmp_path):
     # the marking paths fold onto a rank-2 graph of the rank-3 graph's edges
     p = tmp_path / "rel.txt"

@@ -101,7 +101,7 @@ def test_count_i_matches_two_pass_on_witness_classes():
                         MarkedGraph.rose_identity(4))
     c0 = CyclicWord.of(basis_word(4, 4))
     for k in (0, 5, 10):
-        auto, _, _ = witness.phi_k(params, k)
-        ck = auto.apply_cyclic(c0)
+        _, phi, _ = witness.phi_k(params, k)
+        ck = phi.apply_cyclic(c0)
         assert outcome(counting.count_i, ctx, ck) == \
             outcome(count_oracle.count_i, ctx, ck)

@@ -123,3 +123,19 @@ def test_repeated_declarations_are_format_errors():
     graph = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
     with pytest.raises(textio.FormatError, match="repeated marking letter a1"):
         textio.parse_marked(graph + "marking { a1 = e1; a1 = e2; a2 = e2; }")
+
+
+def test_blueprint_statement_errors():
+    head = "splitting { type: loop; vertex A = a1 a2; stable: a3; %s }"
+    r1, r2 = 'ray1: prefix "", period a3', 'ray2: prefix "", period a3^-1'
+    textio.parse_blueprint(head % "; ".join([r1, r2]))
+    for extra, message in [("type: segment", "repeated type"),
+                           ("stable: a2", "repeated stable"),
+                           ("; ".join([r1, r1, r2]), "repeated ray1"),
+                           ("; ".join([r1, r2, r2]), "repeated ray2"),
+                           ("; ".join([r1, r2, 'ray3: prefix "", period a3']),
+                            "ray index"),
+                           (r1, "both ray1 and ray2"),
+                           (r2, "both ray1 and ray2")]:
+        with pytest.raises(textio.FormatError, match=message):
+            textio.parse_blueprint(head % extra)

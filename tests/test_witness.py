@@ -1,11 +1,12 @@
 import random
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 
 from outerspine import counting, witness
 from outerspine.words import (CyclicWord, Endomorphism, basis_word, word,
-                              is_automorphism)
+                              is_automorphism, substitute)
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.covers import FreeFactorSystem, realizes
 from outerspine.counting import count_i
@@ -13,7 +14,8 @@ from outerspine.witness import (theta, theta_inverse, u_k, occurrence_count,
                                 pair_counts, theta_powers, ReportRow,
                                 WitnessParams, phi_k, verify_factorization,
                                 tokens_to_endo, case2_build, distortion_report,
-                                report_csv, ratio_within_of_golden, WitnessError)
+                                report_csv, ratio_within_of_golden, WitnessError,
+                                witness_rows)
 
 
 def test_theta_shape():
@@ -82,13 +84,16 @@ def test_pair_counts_oracle():
 
 def test_phi_k_case1():
     params = WitnessParams(3, "connected", r=1)
-    auto0, toks0, up0 = phi_k(params, 0)
-    assert auto0.images[2] == word([3, 1], 3)
+    k0, phi0, up0 = phi_k(params, 0)
+    assert k0 == 0
+    assert phi0.images[2] == word([3, 1], 3)
     assert up0 == 1
-    auto1, toks1, up1 = phi_k(params, 1)
-    assert auto1.images[2] == word([3, 1, 2], 3)
+    k1, phi1, up1 = phi_k(params, 1)
+    assert k1 == 1
+    assert phi1.images[2] == word([3, 1, 2], 3)
     assert up1 == 2 * 2 + 1
-    assert tokens_to_endo(toks1, 3) == auto1.endo
+    with pytest.raises(WitnessError):
+        phi_k(params, -1)
     for k in range(5):
         assert verify_factorization(params, k)
 
@@ -99,8 +104,8 @@ def test_phi_k_stabilizes_systems():
     FA = FreeFactorSystem.of([[basis_word(1, 3)]], 3)
     FB = FreeFactorSystem.of([[basis_word(1, 3), basis_word(2, 3)]], 3)
     for k in range(6):
-        auto, _, _ = phi_k(params, k)
-        acted = G0.act(auto)
+        _, phi, _ = phi_k(params, k)
+        acted = G0.act(phi)
         assert realizes(acted, FA) is not None
         assert realizes(acted, FB) is not None
 
@@ -172,8 +177,8 @@ def test_case2_phi_k_matches_gamma_image():
     params = WitnessParams(3, "two_component", ranks=(1, 1))
     cx = case2_build(params)
     for k in range(5):
-        auto, _, _ = phi_k(params, k)
-        ck = auto.apply_cyclic(cx.c0)
+        _, phi, _ = phi_k(params, k)
+        ck = phi.apply_cyclic(cx.c0)
         via_path = CyclicWord.of(cx.Gp.path_to_word(cx.phi_image_of_gamma(k),
                                                     at_vertex=2))
         assert ck == via_path
@@ -215,8 +220,8 @@ def _rows_one_k_at_a_time(params, k_max):
         ctx, c0 = cx.counting_context(), cx.c0
     rows = []
     for k in range(k_max + 1):
-        auto, _, upper = phi_k(params, k)
-        ik = count_i(ctx, auto.apply_cyclic(c0)).value
+        _, phi, upper = phi_k(params, k)
+        ik = count_i(ctx, phi.apply_cyclic(c0)).value
         rows.append(ReportRow(k, upper, ik, ik // 2))
     return rows
 
@@ -241,6 +246,37 @@ def test_distortion_report_matches_rows_built_one_k_at_a_time():
             k_max = rng.randint(6, 12)
             assert distortion_report(params, k_max) == \
                 _rows_one_k_at_a_time(params, k_max), params
+
+
+def test_witness_rows_match_composed_conjugates():
+    """Each row is theta^k phi_0 theta^-k, and the fold finds its inverse
+    theta^k phi_0^-1 theta^-k, in all three cases for k <= 10."""
+    rng = random.Random(14)
+    for params in _seeded_params(rng):
+        n, m = params.n, params.m
+        th, _ = theta(n, m)
+        _, phi0, _ = phi_k(params, 0)
+        # phi_0 moves e_j (j > m) by e_1; its inverse moves it by e_1^-1
+        inv0 = Endomorphism(n, phi0.images[:m] + tuple(
+            word(substitute(im.letters, {1: (-1,), j: (j,)})[0], n)
+            for j, im in enumerate(phi0.images[m:], m + 1)))
+        assert phi0.compose(inv0).is_identity()
+        built_inv = inv0
+        for k, phi, _ in islice(witness_rows(params), 11):
+            assert verify_factorization(params, k), (params, k)
+            auto = is_automorphism(phi)
+            assert auto is not None and auto.inverse_endo == built_inv
+            built_inv = th.endo.compose(built_inv).compose(th.inverse_endo)
+
+
+def test_theta_leaving_its_subrose_raises(monkeypatch):
+    # e1 -> e1 e3 is invertible and positive, but moves <e1, e2> out of itself
+    bad = is_automorphism(Endomorphism(3, (word([1, 3], 3), basis_word(2, 3),
+                                           basis_word(3, 3))))
+    monkeypatch.setattr(witness, "theta",
+                        lambda n, m: (bad, witness.theta_tokens(n, m)))
+    with pytest.raises(WitnessError, match="subrose"):
+        distortion_report(WitnessParams(3, "connected", r=1), 4)
 
 
 def test_theta_powers_letter_counts():

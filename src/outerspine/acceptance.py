@@ -43,7 +43,7 @@ def criterion_2():
                         [basis_word(1, n), basis_word(2, n)], G0)
     v1 = count_i(ctx, CyclicWord.of(basis_word(3, n))).value
     cx = case2_build(WitnessParams(3, "two_component", ranks=(1, 1)))
-    v2 = count_i(cx.counting_context(), cx.c0, G=cx.Gp).value
+    v2 = count_i(cx.counting_context(), cx.c0).value
     ok = v1 == 0 and v2 == 2
     return ok, "case-1 baseline %d (want 0), case-2 baseline %d (want 2)" % (v1, v2)
 

@@ -11,8 +11,7 @@ import sys
 from . import acceptance, counting, folding, graphs, spine, textio, witness
 from .words import CyclicWord, Endomorphism, WordError, is_automorphism
 from .marked import MarkingError, equivalent
-from .covers import (CoverError, FreeFactorSystem, coindex, realizes,
-                     stallings_core)
+from .covers import CoverError, FreeFactorSystem, realizes, stallings_core
 from .retract_aut import (PointedError, lipschitz_audit as pointed_audit,
                           retract_r)
 from .retract_split import (SplitError, in_CVKT, retract_R, retraction_audit)
@@ -134,7 +133,7 @@ def cmd_realizes(args):
 def cmd_coindex(args):
     F = FreeFactorSystem.of([[w for w in _words(c, args.rank)]
                              for c in args.component], args.rank)
-    print(coindex(F))
+    print(F.coindex())
 
 
 def cmd_count_i(args):

@@ -73,8 +73,7 @@ def _classify_complement(K, a_edges, a_vertices, two_component):
             return None
         w = candidates[0]
         shape = "loop_at_core"
-    block = _walk_cycle(K, cyc, w)
-    return block, shape
+    return _walk(K, cyc, w, closed=True), shape
 
 
 def _degrees(K, edge_set):
@@ -110,45 +109,25 @@ def _chain_block(K, comp, a_vertices):
     ends = sorted(v for v, d in deg.items() if d == 1)
     if len(ends) != 2 or any(v not in a_vertices for v in ends):
         return None
-    start = ends[0]
-    block = _walk_chain(K, comp, start)
-    return block, "edge"
+    return _walk(K, comp, ends[0], closed=False), "edge"
 
 
-def _walk_chain(K, comp, start):
+def _walk(K, edges, start, closed):
+    """The block: from start, step along the least unused direction in edges
+    until none is left; it must use them all, and if closed, end at start."""
     block = []
     cur = start
     used = set()
-    while True:
-        outs = [d for d in K.directions(cur)
-                if abs(d) in comp and abs(d) not in used]
-        if not outs:
-            break
+    while outs := [d for d in K.directions(cur)
+                   if abs(d) in edges and abs(d) not in used]:
         d = min(outs, key=lambda x: (abs(x), x < 0))
         block.append(d)
         used.add(abs(d))
         cur = K.head(d)
-    if len(used) != len(comp):
-        raise CountError("chain walk missed edges of its component")
-    return tuple(block)
-
-
-def _walk_cycle(K, cyc, w):
-    outs = [d for d in K.directions(w) if abs(d) in cyc]
-    d0 = min(outs, key=lambda x: (abs(x), x < 0))
-    block = [d0]
-    used = {abs(d0)}
-    cur = K.head(d0)
-    while cur != w or len(used) < len(cyc):
-        nxt = [d for d in K.directions(cur) if abs(d) in cyc and abs(d) not in used]
-        if not nxt:
-            break
-        d = min(nxt, key=lambda x: (abs(x), x < 0))
-        block.append(d)
-        used.add(abs(d))
-        cur = K.head(d)
-    if len(used) != len(cyc) or cur != w:
+    if closed and (len(used) != len(edges) or cur != start):
         raise CountError("cycle walk did not close up over its cycle")
+    if len(used) != len(edges):
+        raise CountError("chain walk missed edges of its component")
     return tuple(block)
 
 
@@ -204,7 +183,7 @@ def _count_block(mu, block, rev):
     return n
 
 
-def count_i(ctx, c, G=None):
+def count_i(ctx, c):
     """Maximum number of complete crossings of the block by the periodic
     trace of c through K, over all start positions and phases.
 
@@ -222,8 +201,7 @@ def count_i(ctx, c, G=None):
     states it covers are counted; fewer than |V(K)| L covered states means
     some state lies on a cycle, i.e. c is conjugate into B.
     """
-    G = G or ctx.G
-    circuit = G.circuit_of(c)
+    circuit = ctx.G.circuit_of(c)
     if not circuit:
         raise CountError("trivial class")
     K = ctx.K

@@ -213,10 +213,6 @@ class FreeFactorSystem:
         return (self.rank - 1) - sum(r - 1 for r in ranks)
 
 
-def coindex(F):
-    return F.coindex()
-
-
 def ffs_partial_order(F1, F2):
     """F1 sqsubset F2: every component conjugate into a component of F2."""
     if F1.rank != F2.rank:

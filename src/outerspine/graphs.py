@@ -8,6 +8,10 @@ A forest collapse keeps the surviving edges' ids, so it is the collapsed
 graph plus a vertex map; a reduced path pushes forward to a reduced path
 by erasing the forest edges. A blow-up is the inverse move: collapsing its new edge gives
 back the graph it came from.
+
+Checks: `CoreGraph` and the `textio` parsers check every graph; a graph
+derived from valid ones (`collapse`, `blow_up`, `natural_structure`, `rose`)
+is built unchecked by `CoreGraph._derived`.
 """
 
 import itertools
@@ -21,20 +25,31 @@ class CoreGraph:
     """Connected finite graph, no valence-1 vertices. Immutable by convention."""
 
     def __init__(self, vertices, edges):
-        self.vertices = frozenset(vertices)
-        self.edges = dict(edges)  # eid -> (origin, terminus)
-        for eid, (o, t) in self.edges.items():
-            if o not in self.vertices or t not in self.vertices:
+        vertices = frozenset(vertices)
+        for eid, (o, t) in dict(edges).items():
+            if o not in vertices or t not in vertices:
                 raise GraphError("edge %r has unknown endpoint" % eid)
-        self._out = {v: [] for v in self.vertices}
-        for eid, (o, t) in self.edges.items():
-            self._out[o].append(eid)
-            self._out[t].append(-eid)
+        self._fill(vertices, edges)
         if not self.is_connected():
             raise GraphError("graph not connected")
         for v in self.vertices:
             if self.valence(v) < 2:
                 raise GraphError("valence-1 vertex %r (not a core graph)" % v)
+
+    @classmethod
+    def _derived(cls, vertices, edges):
+        """The graph with no check, for a graph derived from valid ones."""
+        g = object.__new__(cls)
+        g._fill(vertices, edges)
+        return g
+
+    def _fill(self, vertices, edges):
+        self.vertices = frozenset(vertices)
+        self.edges = dict(edges)  # eid -> (origin, terminus)
+        self._out = {v: [] for v in self.vertices}
+        for eid, (o, t) in self.edges.items():
+            self._out[o].append(eid)
+            self._out[t].append(-eid)
         self.rank = len(self.edges) - len(self.vertices) + 1
 
     def head(self, d):
@@ -87,7 +102,8 @@ class CoreGraph:
 
 def rose(rank, vertex=0):
     """The rank-n rose: loops 1..n at a single vertex."""
-    return CoreGraph([vertex], {i: (vertex, vertex) for i in range(1, rank + 1)})
+    return CoreGraph._derived([vertex], {i: (vertex, vertex)
+                                         for i in range(1, rank + 1)})
 
 
 def theta_graph():
@@ -147,13 +163,10 @@ def natural_structure(graph, protected=()):
             # walk the chain starting with direction d until the next kept vertex
             chain = [d]
             cur = graph.head(d)
-            while cur not in keep:
-                outs = [x for x in graph.directions(cur) if x != -chain[-1]]
-                if len(outs) != 1:
-                    raise GraphError("valence-2 vertex %r does not continue"
-                                     " its chain" % cur)
-                chain.append(outs[0])
-                cur = graph.head(outs[0])
+            while cur not in keep:  # valence 2: one way on
+                d = next(x for x in graph.directions(cur) if x != -chain[-1])
+                chain.append(d)
+                cur = graph.head(d)
             if any(abs(x) in used for x in chain):
                 continue
             for x in chain:
@@ -161,32 +174,27 @@ def natural_structure(graph, protected=()):
             edges[next_eid] = (v, cur)
             refinement[next_eid] = tuple(chain)
             next_eid += 1
-    return CoreGraph(sorted(keep), edges), refinement
+    return CoreGraph._derived(sorted(keep), edges), refinement
 
 
 def refine_path_map(refinement):
-    """Old-edge -> (new signed edge, position) lookup for path rewriting."""
+    """First old direction of each chain, read either way -> (new signed
+    edge, chain length): the lookup for path rewriting."""
     lookup = {}
     for new_eid, chain in refinement.items():
-        for pos, d in enumerate(chain):
-            lookup[d] = (new_eid, pos, len(chain))
-            lookup[-d] = (-new_eid, len(chain) - 1 - pos, len(chain))
+        lookup[chain[0]] = (new_eid, len(chain))
+        lookup[-chain[-1]] = (-new_eid, len(chain))
     return lookup
 
 
 def rewrite_path_through_refinement(path, lookup):
-    """Rewrite an old-graph path (endpoints at kept vertices) in new edges;
-    `lookup` is refine_path_map of the refinement."""
+    """Rewrite a reduced old-graph path with endpoints at kept vertices in
+    new edges; `lookup` is refine_path_map of the refinement. Past a chain's
+    first edge such a path cannot turn back, so it runs the whole chain."""
     out = []
     i = 0
     while i < len(path):
-        new_d, pos, ln = lookup[path[i]]
-        if pos != 0:
-            raise GraphError("path does not start at a chain boundary")
-        for j in range(ln):
-            expect, p2, _ = lookup[path[i + j]]
-            if expect != new_d or p2 != j:
-                raise GraphError("path strays from chain")
+        new_d, ln = lookup[path[i]]
         out.append(new_d)
         i += ln
     return tuple(out)
@@ -206,7 +214,8 @@ def collapse(graph, forest_edges):
     vertex_map = {v: root.get(v, v) for v in graph.vertices}
     edges = {eid: (vertex_map[o], vertex_map[t])
              for eid, (o, t) in graph.edges.items() if eid not in forest}
-    return CoreGraph(sorted(set(vertex_map.values())), edges), vertex_map
+    return (CoreGraph._derived(sorted(set(vertex_map.values())), edges),
+            vertex_map)
 
 
 def enumerate_natural_subforests(graph, include_empty=True):
@@ -258,7 +267,7 @@ def blow_up(graph, v, part1, part2):
         edges[eid] = (no, nt)
     edges[new_eid] = (v1, v2)
     verts = set(graph.vertices) | {v2}
-    return CoreGraph(sorted(verts), edges), new_eid, (v1, v2)
+    return CoreGraph._derived(sorted(verts), edges), new_eid, (v1, v2)
 
 
 def enumerate_blowups(graph):

@@ -18,6 +18,10 @@ sets of spine vertices: at each centre point the paths name the edges by
 first traversal, and the least of these named markings is the key (the
 words alone rebuild the marked graph). `equivalent` also returns the
 witness certificates need.
+
+Checks: `MarkedGraph` and the `textio` parsers check every marking, down to
+`check_generates`; a marked graph derived from valid ones (the operations
+below, the retractions, fold paths) is built unchecked by `_derived`.
 """
 
 from . import folding, graphs
@@ -31,12 +35,8 @@ class MarkingError(ValueError):
 
 
 class MarkedGraph:
-    def __init__(self, graph, basepoint, marking, check=True):
-        self.graph = graph
-        self.basepoint = basepoint
-        self.marking = tuple(tuple(p) for p in marking)
-        self._images = ((),) + self.marking  # basis letter i -> marking[i - 1]
-        self.rank = graph.rank
+    def __init__(self, graph, basepoint, marking):
+        self._fill(graph, basepoint, marking)
         if basepoint not in graph.vertices:
             raise MarkingError("basepoint not a vertex")
         if len(self.marking) != self.rank:
@@ -47,16 +47,29 @@ class MarkedGraph:
                 raise MarkingError("marking path not closed at basepoint")
             if not graph.path_is_reduced(p):
                 raise MarkingError("marking path not reduced")
+        self.check_generates()
+
+    @classmethod
+    def _derived(cls, graph, basepoint, marking):
+        """The marked graph with no check, for one derived from a valid one."""
+        G = object.__new__(cls)
+        G._fill(graph, basepoint, marking)
+        return G
+
+    def _fill(self, graph, basepoint, marking):
+        self.graph = graph
+        self.basepoint = basepoint
+        self.marking = tuple(tuple(p) for p in marking)
+        self._images = ((),) + self.marking  # basis letter i -> marking[i - 1]
+        self.rank = graph.rank
         self._values = None
-        if check:
-            self.check_generates()
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def rose_identity(n):
-        g = graphs.rose(n)
-        return MarkedGraph(g, 0, tuple((i,) for i in range(1, n + 1)), check=False)
+        return MarkedGraph._derived(graphs.rose(n), 0,
+                                    tuple((i,) for i in range(1, n + 1)))
 
     # -- marking as an identification of pi_1 with F_n ----------------------
 
@@ -131,7 +144,7 @@ class MarkedGraph:
         if endo.rank != self.rank:
             raise MarkingError("rank mismatch")
         marking = tuple(self.expand(im.letters) for im in endo.images)
-        return MarkedGraph(self.graph, self.basepoint, marking, check=False)
+        return MarkedGraph._derived(self.graph, self.basepoint, marking)
 
     def circuit_of(self, c):
         """Cyclically reduced circuit representing a conjugacy class."""
@@ -148,8 +161,8 @@ class MarkedGraph:
         forest = frozenset(forest)
         marking = [tuple(d for d in p if abs(d) not in forest)
                    for p in self.marking]
-        return MarkedGraph(target, vertex_map[self.basepoint], marking,
-                           check=False), vertex_map
+        return (MarkedGraph._derived(target, vertex_map[self.basepoint],
+                                     marking), vertex_map)
 
     def rebase(self, new_base):
         if new_base == self.basepoint:
@@ -159,7 +172,7 @@ class MarkedGraph:
         for p in self.marking:
             q, _ = reduce_letters(invert_letters(k) + p + k)
             marking.append(q)
-        return MarkedGraph(self.graph, new_base, marking, check=False)
+        return MarkedGraph._derived(self.graph, new_base, marking)
 
     def naturalize(self, keep_base):
         """Merge valence-2 vertices away; returns (marked graph, chains),
@@ -183,7 +196,7 @@ class MarkedGraph:
         lookup = graphs.refine_path_map(chains)
         marking = [graphs.rewrite_path_through_refinement(p, lookup)
                    for p in me.marking]
-        return MarkedGraph(new_g, me.basepoint, marking, check=False), chains
+        return MarkedGraph._derived(new_g, me.basepoint, marking), chains
 
     def natural_marked(self):
         """The natural representative of this spine vertex."""
@@ -219,8 +232,7 @@ class MarkedGraph:
 
         base = self.basepoint if self.basepoint != v else v1
         marking = [rewrite(p, self.basepoint) for p in self.marking]
-        out = MarkedGraph(g2, base, marking, check=False)
-        return out, new_eid, (v1, v2)
+        return MarkedGraph._derived(g2, base, marking), new_eid, (v1, v2)
 
 
 def match_paths(g1, v1, paths1, g2, v2, paths2):
@@ -375,6 +387,7 @@ def canonical_key(G):
     rank X >= n; X has G's edges and at least G's vertices, so
     rank X <= n. Hence the map identifies no vertices: it is an
     isomorphism. Every marking the library derives, including those built
-    with check=False, comes from a valid one, so this holds for all of them.
+    by `MarkedGraph._derived`, comes from a valid one, so this holds for
+    all of them.
     """
     return min(_edge_names(paths)[0] for _, paths in _centre(G))

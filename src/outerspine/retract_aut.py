@@ -33,9 +33,9 @@ def embed_j(w):
     new_eid = max(g.edges) + 1
     edges = dict(g.edges)
     edges[new_eid] = (w.basepoint, w.basepoint)
-    g2 = CoreGraph(sorted(g.vertices), edges)
+    g2 = CoreGraph._derived(sorted(g.vertices), edges)
     marking = list(w.marking) + [(new_eid,)]
-    return MarkedGraph(g2, w.basepoint, marking, check=False)
+    return MarkedGraph._derived(g2, w.basepoint, marking)
 
 
 def retract_r(x, return_chains=False):
@@ -52,10 +52,10 @@ def retract_r(x, return_chains=False):
     sub = stallings_core([basis_word(i, n) for i in range(1, n)], x,
                          based=True)
     core = sub.core
-    graph = CoreGraph(sorted(core.vertices),
-                      {eid: (o, t) for eid, (o, t, _) in core.edges.items()})
-    out, chains = MarkedGraph(graph, sub.attach, sub.loops,
-                              check=False).naturalize(keep_base=True)
+    graph = CoreGraph._derived(sorted(core.vertices), {
+        eid: (o, t) for eid, (o, t, _) in core.edges.items()})
+    out, chains = MarkedGraph._derived(graph, sub.attach,
+                                       sub.loops).naturalize(keep_base=True)
     if not return_chains:
         return out
     return out, {eid: tuple(core.edges[abs(d)][2] for d in chain)

@@ -126,8 +126,8 @@ def _marked(ends, base, marking):
     verts = {base}
     for o, t in ends.values():
         verts.update((o, t))
-    return MarkedGraph(graphs.CoreGraph(sorted(verts), ends), base, marking,
-                       check=False)
+    return MarkedGraph._derived(graphs.CoreGraph._derived(sorted(verts), ends),
+                                base, marking)
 
 
 def _rewrite(marking, ends, repl):

@@ -208,8 +208,12 @@ def parse_blueprint(text, rank=None):
             if int(m.group(1)) not in (1, 2):
                 raise FormatError("ray index must be 1 or 2: %r" % s)
             rays[int(m.group(1))] = (m.group(2), m.group(3))
+        else:
+            raise FormatError("unknown blueprint statement %r" % s)
     if kind not in ("loop", "segment"):
         raise FormatError("splitting type must be loop or segment")
+    if kind == "segment" and "stable" in declared:
+        raise FormatError("a segment blueprint has no stable letter")
     if len(rays) == 1:
         raise FormatError("give both ray1 and ray2, or neither")
     if rank is None:

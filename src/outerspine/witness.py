@@ -117,14 +117,14 @@ def theta_inverse(n, m):
     return auto.inverse()
 
 
-def theta_powers(n, m):
-    """Yield u_0 = e_1, u_1 = Theta(e_1), u_2 = Theta^2(e_1), ... endlessly.
+def theta_powers(th):
+    """Yield u_0 = e_1, u_1 = Theta(e_1), u_2 = Theta^2(e_1), ... endlessly,
+    for th = theta(n, m)[0].
 
-    Theta is built once; each step applies it to the previous item and
-    raises unless no letter cancels (the train-track certificate).
+    Each step applies th to the previous item and raises unless no letter
+    cancels (the train-track certificate).
     """
-    th, _ = theta(n, m)
-    w = basis_word(1, n)
+    w = basis_word(1, th.rank)
     while True:
         yield w
         w, cancelled = th.endo.apply_counting_cancellation(w)
@@ -136,7 +136,7 @@ def u_k(n, m, k):
     """Theta^k(e_1), with the no-cancellation train-track certificate."""
     if k < 0:
         raise WitnessError("need k >= 0")
-    return next(islice(theta_powers(n, m), k, None))
+    return next(islice(theta_powers(theta(n, m)[0]), k, None))
 
 
 # -- exact integer matrices --------------------------------------------------
@@ -283,9 +283,9 @@ def witness_rows(params):
                 else not {abs(a) for a in im.letters} <= {1, i}):
             raise WitnessError("phi_0 is not a witness at e_%d" % i)
     fixed = phi0.images[:m]
-    for k, uk in enumerate(theta_powers(n, m)):
-        moved = tuple(
-            ReducedWord(substitute(im.letters, {1: uk.letters, j: (j,)})[0], n)
+    for k, uk in enumerate(theta_powers(th)):
+        moved = tuple(ReducedWord._derived(
+            substitute(im.letters, {1: uk.letters, j: (j,)})[0], n)
             for j, im in enumerate(phi0.images[m:], m + 1))
         yield k, Endomorphism(n, fixed + moved), \
             2 * k * len(th_toks) + len(p0_toks)

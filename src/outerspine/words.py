@@ -14,6 +14,10 @@ the letters they write): reduction is one stack pass, `cyclic_core` strips
 matching ends, and `least_rotation` is a two-pointer scan of fewer than 4L
 comparisons. So `cyclic_reduce` and `MarkedGraph.circuit_of` cost O(L) even
 on the classes of thousands of letters that the distortion witnesses trace.
+
+Checks: the public constructors and the `textio` parsers check every word.
+A word derived from valid ones (inverse, product, representative, image,
+`cyclic_reduce`'s class and conjugator) is built unchecked by `_derived`.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +31,14 @@ def check_letters(letters, rank):
     for a in letters:
         if a == 0 or abs(a) > rank:
             raise WordError("letter %r out of range for rank %d" % (a, rank))
+
+
+def _derived(cls, letters, rank):
+    """cls(letters, rank) with no check, for a word derived from valid ones."""
+    w = object.__new__(cls)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
 
 
 def reduce_letters(letters):
@@ -98,6 +110,7 @@ class ReducedWord:
 
     letters: tuple
     rank: int
+    _derived = classmethod(_derived)
 
     def __post_init__(self):
         check_letters(self.letters, self.rank)
@@ -118,12 +131,13 @@ class ReducedWord:
         return not self.letters
 
     def inverse(self):
-        return ReducedWord(invert_letters(self.letters), self.rank)
+        return ReducedWord._derived(invert_letters(self.letters), self.rank)
 
     def __mul__(self, other):
         if self.rank != other.rank:
             raise WordError("rank mismatch")
-        return ReducedWord.make(self.letters + other.letters, self.rank)
+        return ReducedWord._derived(
+            reduce_letters(self.letters + other.letters)[0], self.rank)
 
     def conjugate_by(self, g):
         """g^-1 * self * g."""
@@ -196,6 +210,7 @@ class CyclicWord:
 
     letters: tuple
     rank: int
+    _derived = classmethod(_derived)
 
     def __post_init__(self):
         check_letters(self.letters, self.rank)
@@ -215,7 +230,7 @@ class CyclicWord:
         return len(self.letters)
 
     def representative(self):
-        return ReducedWord(self.letters, self.rank)
+        return ReducedWord._derived(self.letters, self.rank)
 
 
 def cyclic_reduce(w):
@@ -227,10 +242,11 @@ def cyclic_reduce(w):
         raise WordError("trivial word has no cyclic reduction")
     prefix, core = cyclic_core(w.letters)
     # core = core[:r] * (core[r:] + core[:r]) * core[:r]^-1, r the smallest
-    # least offset (on a proper power a larger one shifts conj by a root power)
+    # least offset (on a proper power a larger one shifts conj by a root power);
+    # conj is a prefix of w, so it is reduced
     r = least_rotation(core)
-    conj = ReducedWord.make(prefix + core[:r], w.rank)
-    return CyclicWord(core[r:] + core[:r], w.rank), conj
+    return (CyclicWord._derived(core[r:] + core[:r], w.rank),
+            ReducedWord._derived(prefix + core[:r], w.rank))
 
 
 @dataclass(frozen=True)
@@ -268,7 +284,7 @@ class Endomorphism:
             raise WordError("rank mismatch")
         image = {i: im.letters for i, im in enumerate(self.images, 1)}
         red, cancelled = substitute(w.letters, image)
-        return ReducedWord(red, self.rank), cancelled
+        return ReducedWord._derived(red, self.rank), cancelled
 
     def apply_cyclic(self, c):
         """Image of a conjugacy class."""

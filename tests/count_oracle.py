@@ -20,9 +20,8 @@ def _count_block(mu, block):
     return n
 
 
-def count_i(ctx, c, G=None):
-    G = G or ctx.G
-    circuit = G.circuit_of(c)
+def count_i(ctx, c):
+    circuit = ctx.G.circuit_of(c)
     if not circuit:
         raise CountError("trivial class")
     K = ctx.K

@@ -213,7 +213,7 @@ class _FoldState:
         for o, t in self.edges.values():
             verts.update((o, t))
         g = graphs.CoreGraph(sorted(verts), dict(self.edges))
-        return MarkedGraph(g, self.base, self.marking, check=False)
+        return MarkedGraph(g, self.base, self.marking)
 
     def directions(self, v):
         out = []
@@ -281,7 +281,7 @@ class _FoldState:
         for o, t in star_edges.values():
             verts.update((o, t))
         star = MarkedGraph(graphs.CoreGraph(sorted(verts), star_edges),
-                           self.base, star_marking, check=False)
+                           self.base, star_marking)
 
         # successor: merge e2 into e1 (aligned with d1/d2), glue the heads
         if h2 == self.base or (h1 != self.base and h2 < h1):

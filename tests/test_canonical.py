@@ -59,7 +59,7 @@ def relabel(G, rng):
     vertex: the same spine vertex."""
     g, vmap, emap = relabel_graph(G.graph, rng)
     H = MarkedGraph(g, vmap[G.basepoint],
-                    [graphs.map_path(emap, p) for p in G.marking], check=False)
+                    [graphs.map_path(emap, p) for p in G.marking])
     return H.rebase(rng.choice(sorted(g.vertices)))
 
 

@@ -121,12 +121,17 @@ def test_repeated_declaration_exits_2(tmp_path):
 
 
 def test_repeated_blueprint_statement_exits_2(tmp_path):
-    bp = tmp_path / "bp.txt"
-    bp.write_text("splitting { type: segment; type: loop; vertex A = a1 a2; "
-                  "stable: a3 }\n")
-    assert "repeated type statement" in run_cli_error(
-        ["split-membership", "--graph", write_rose(tmp_path),
-         "--blueprint", str(bp)])
+    segment = "splitting { type: segment; vertex A0 = a1; vertex A1 = a2 a3; %s }"
+    cases = [("splitting { type: segment; type: loop; vertex A = a1 a2; "
+              "stable: a3 }", "repeated type statement"),
+             (segment % "stable: a2", "segment blueprint has no stable"),
+             (segment % "frobnicate", "unknown blueprint statement")]
+    rose = write_rose(tmp_path)
+    for i, (text, message) in enumerate(cases):
+        bp = tmp_path / ("bp%d.txt" % i)
+        bp.write_text(text + "\n")
+        assert message in run_cli_error(
+            ["split-membership", "--graph", rose, "--blueprint", str(bp)])
 
 
 def test_relation_fold_marking_exits_2(tmp_path):

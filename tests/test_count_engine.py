@@ -10,9 +10,9 @@ from outerspine.marked import MarkedGraph
 from outerspine.words import CyclicWord, ReducedWord, basis_word, word
 
 
-def outcome(count, ctx, c, G=None):
+def outcome(count, ctx, c):
     try:
-        got = count(ctx, c, G=G)
+        got = count(ctx, c)
     except CountError as exc:
         return type(exc)
     return got.value, got.start
@@ -27,18 +27,18 @@ def fixed_contexts():
     G = MarkedGraph(lollipop, 0, [(1,), (3, 2, -3), (4,)])
     A0, A1 = [basis_word(1, n)], [basis_word(2, n)]
     B = [basis_word(1, n), basis_word(2, n)]
-    out.append((build_context([A0], B, G), B, None))
-    out.append((build_context([A0, A1], B, G), B, None))
+    out.append((build_context([A0], B, G), B))
+    out.append((build_context([A0, A1], B, G), B))
     theta = graphs.CoreGraph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1),
                                       4: (0, 0)})
     G = MarkedGraph(theta, 0, [(1, -3), (2, -3), (4,)])
-    out.append((build_context([A0], B, G), B, None))
+    out.append((build_context([A0], B, G), B))
     G = MarkedGraph.rose_identity(n)
     B = [basis_word(1, n), word([2, 3], n)]
-    out.append((build_context([A0], B, G), B, None))
+    out.append((build_context([A0], B, G), B))
     cx = witness.case2_build(witness.WitnessParams(4, "two_component",
                                                    ranks=(1, 1)))
-    out.append((cx.counting_context(), cx.B_gens(), cx.Gp))
+    out.append((cx.counting_context(), cx.B_gens()))
     return out
 
 
@@ -56,7 +56,7 @@ def random_contexts(rng, count):
         for _ in range(rng.randint(0, 3)):
             G = sampling.random_blowup(rng, G) or G
         try:
-            out.append((build_context([A], B, G), B, None))
+            out.append((build_context([A], B, G), B))
         except CountError:
             continue
     return out
@@ -84,11 +84,10 @@ def random_classes(rng, n, B):
 def test_count_i_matches_two_pass_trace():
     rng = random.Random(71)
     seen = set()
-    for ctx, B, G in fixed_contexts() + random_contexts(rng, 24):
-        n = (G or ctx.G).rank
-        for c in random_classes(rng, n, B):
-            want = outcome(count_oracle.count_i, ctx, c, G)
-            assert outcome(counting.count_i, ctx, c, G) == want, c.letters
+    for ctx, B in fixed_contexts() + random_contexts(rng, 24):
+        for c in random_classes(rng, ctx.G.rank, B):
+            want = outcome(count_oracle.count_i, ctx, c)
+            assert outcome(counting.count_i, ctx, c) == want, c.letters
             seen.add(want if isinstance(want, type) else want[0] > 0)
     # both verdicts and nonzero counts were exercised
     assert {counting.ConjugateIntoB, True, False} <= seen

@@ -6,7 +6,7 @@ from outerspine.words import (Endomorphism, basis_word, invert_letters,
                               is_automorphism, reduce_letters, word)
 from outerspine.covers import (stallings_core, subgroups_conjugate,
                                labeled_isomorphism, conjugate_into,
-                               FreeFactorSystem, coindex, ffs_partial_order,
+                               FreeFactorSystem, ffs_partial_order,
                                realizes, minimal_subtree_collapse_check,
                                subgroup_generators)
 
@@ -68,11 +68,11 @@ def test_subgroups_conjugate():
 def test_coindex():
     n = 4
     F = FreeFactorSystem.of([[basis_word(i, n) for i in range(1, n)]], n)
-    assert coindex(F) == 1
+    assert F.coindex() == 1
     F2 = FreeFactorSystem.of([[basis_word(1, 3)]], 3)
-    assert coindex(F2) == 2
+    assert F2.coindex() == 2
     F3 = FreeFactorSystem.of([[basis_word(i, 3) for i in range(1, 4)]], 3)
-    assert coindex(F3) == 0
+    assert F3.coindex() == 0
 
 
 def test_ffs_partial_order():

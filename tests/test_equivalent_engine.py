@@ -98,7 +98,7 @@ def pointed_relabel(x, rng):
     """A relabelled copy of x with the basepoint carried along."""
     g, vmap, emap = relabel_graph(x.graph, rng)
     return MarkedGraph(g, vmap[x.basepoint],
-                       [map_path(emap, p) for p in x.marking], check=False)
+                       [map_path(emap, p) for p in x.marking])
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from itertools import islice
 
-from outerspine import graphs
+from outerspine import graphs, retract_aut, spine
 from outerspine.marked import MarkedGraph, equivalent
-from outerspine.words import (Endomorphism, CyclicWord, basis_word, word,
-                              is_automorphism)
-from outerspine.covers import (FreeFactorSystem, coindex, ffs_partial_order,
+from outerspine.witness import WitnessParams, theta, theta_powers, witness_rows
+from outerspine.words import (Endomorphism, CyclicWord, basis_word,
+                              cyclic_reduce, word, is_automorphism)
+from outerspine.covers import (FreeFactorSystem, ffs_partial_order,
                                stallings_core, subgroups_conjugate, realizes)
 from outerspine.counting import build_context, count_i
 from outerspine.retract_split import coindex1_to_splitting, in_CVKT
@@ -70,15 +72,15 @@ def test_coindex_monotone_with_equality_case():
         for F2 in systems:
             if not ffs_partial_order(F1, F2):
                 continue
-            assert coindex(F2) <= coindex(F1)
-            if coindex(F2) == coindex(F1):
+            assert F2.coindex() <= F1.coindex()
+            if F2.coindex() == F1.coindex():
                 assert equal_up_to_rank_one_padding(F1, F2)
             else:
                 assert not systems_equal(F1, F2)
     A = FreeFactorSystem.of([[basis_word(1, 3)]], 3)
     B = FreeFactorSystem.of([[basis_word(1, 3)], [basis_word(2, 3)]], 3)
     assert ffs_partial_order(A, B)
-    assert coindex(A) == coindex(B) == 2
+    assert A.coindex() == B.coindex() == 2
     assert not systems_equal(A, B)
 
 
@@ -158,17 +160,45 @@ def test_collapse_preserves_betti_random():
         assert set(vmap.values()) == H.graph.vertices
 
 
+def rebuilt(x):
+    """Rebuild a derived object with its class's checking public
+    constructor, which raises on an invalid object, and require an equal
+    object. A marked graph's graph is rebuilt too, and the public
+    MarkedGraph constructor runs check_generates."""
+    if isinstance(x, graphs.CoreGraph):
+        y = graphs.CoreGraph(x.vertices, x.edges)
+        assert (y.vertices, y.edges, y.rank) == (x.vertices, x.edges, x.rank)
+    elif isinstance(x, MarkedGraph):
+        y = MarkedGraph(rebuilt(x.graph), x.basepoint, x.marking)
+        assert (y.basepoint, y.marking, y.rank) == \
+            (x.basepoint, x.marking, x.rank)
+    else:
+        assert type(x.letters) is tuple
+        y = type(x)(x.letters, x.rank)
+        assert y == x
+    return y
+
+
 def test_collapse_and_blowup_incidence_random():
-    """Collapses and blow-ups of seeded marked graphs: edges follow the
-    vertex map, the checking constructors accept every result, and
-    collapsing a blow-up's new edge gives back its input."""
+    """Every derivation from seeded spine inputs rebuilds through the
+    checking constructors: roses, actions, collapses, blow-ups, rebasings,
+    naturalizations, neighbours and fold paths (each vertex and each
+    certificate's X). Collapses and blow-ups also keep their incidences,
+    and collapsing a blow-up's new edge gives back its input."""
     rng = random.Random(23)
     blowups = 0
-    for _ in range(40):
+    for i in range(40):
         n = rng.choice([2, 3, 4])
-        G = sampling.random_marked_graph(rng, n, rng.randint(0, 5))
+        rebuilt(graphs.rose(n))
+        rebuilt(MarkedGraph.rose_identity(n))
+        G = rebuilt(sampling.random_marked_graph(rng, n, rng.randint(0, 5)))
         g = G.graph
+        rebuilt(G.act(sampling.random_token_auto(rng, n, 2)))
+        for v in sorted(g.vertices):
+            for keep_base in (True, False):
+                rebuilt(G.rebase(v).naturalize(keep_base)[0])
         f = rng.choice(graphs.enumerate_natural_subforests(g))
+        rebuilt(graphs.collapse(g, f)[0])
         H, vmap = G.collapse_marked(f)
         for eid, (o, t) in g.edges.items():
             if eid in f:
@@ -178,22 +208,77 @@ def test_collapse_and_blowup_incidence_random():
         assert set(H.graph.edges) == set(g.edges) - f
         assert len(H.graph.vertices) == len(g.vertices) - len(f)
         assert H.basepoint == vmap[G.basepoint]
-        MarkedGraph(graphs.CoreGraph(H.graph.vertices, H.graph.edges),
-                    H.basepoint, H.marking, check=True)
+        rebuilt(H)
+        if i % 8 == 0:
+            for X in spine.neighbors(G):
+                rebuilt(X)
+            path = spine.fold_path(G, G.act(sampling.transvection(n, 1, 2)))
+            for X in path.vertices + [st.X for st in path.steps]:
+                rebuilt(X)
 
         cands = [(v, p1, p2) for v in sorted(g.vertices)
                  for p1, p2 in graphs.vertex_direction_bipartitions(g, v)]
         if not cands:
             continue
         v, p1, p2 = rng.choice(cands)
+        rebuilt(graphs.blow_up(g, v, p1, p2)[0])
         B, new_eid, (v1, v2) = G.blowup_marked(v, p1, p2)
         blowups += 1
         assert B.graph.edges[new_eid] == (v1, v2)
-        MarkedGraph(graphs.CoreGraph(B.graph.vertices, B.graph.edges),
-                    B.basepoint, B.marking, check=True)
+        rebuilt(B)
         back, bmap = B.collapse_marked([new_eid])
         assert bmap[v1] == bmap[v2]
         assert back.graph.edges == g.edges
         assert back.marking == G.marking
         assert equivalent(back, G) is not None
     assert blowups >= 20
+
+
+def test_pointed_derivations_rebuild_random():
+    """Seeded audit inputs: pointed graphs, their loop embeddings and
+    based-core retractions, and the collapsed side of each pointed audit
+    rebuild through the checking constructors."""
+    rng = random.Random(29)
+    for k in range(30):
+        x = rebuilt(sampling.random_pointed_graph(rng, 2 + k % 3, k % 4))
+        rebuilt(x.natural_marked())
+        w = rebuilt(retract_aut.embed_j(x))
+        r = rebuilt(retract_aut.retract_r(w))
+        assert retract_aut.pointed_equivalent(r, x) is not None
+        rebuilt(retract_aut.retract_r(x))
+        forest = sampling.random_relatively_natural_forest(rng, x)
+        if forest is not None:
+            rebuilt(retract_aut.lipschitz_audit(x, forest)[1])
+
+
+def test_word_derivations_rebuild_random():
+    """Seeded word and witness inputs: inverses, products, class
+    representatives, endomorphism images, cyclic_reduce's class and
+    conjugator, theta's powers and every witness row's images rebuild
+    through the checking constructors."""
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        u = sampling.random_reduced_word(rng, n, 12)
+        v = sampling.random_reduced_word(rng, n, 12)
+        rebuilt(u.inverse())
+        rebuilt(u * v)
+        f = sampling.random_token_auto(rng, n, 3)
+        rebuilt(f.endo.apply_counting_cancellation(u)[0])
+        if not v.is_trivial():
+            c, conj = cyclic_reduce(v)
+            rebuilt(c)
+            rebuilt(conj)
+            rebuilt(c.representative())
+            assert conj * c.representative() * conj.inverse() == v
+    for params in (WitnessParams(4, "connected", r=2),
+                   WitnessParams(4, "two_component", ranks=(1, 2)),
+                   WitnessParams(5, "multi_component", ranks=(1, 1, 1))):
+        th, _ = theta(params.n, params.m)
+        for uk in islice(theta_powers(th), 9):
+            rebuilt(uk)
+        c0 = CyclicWord.of(basis_word(params.n, params.n))
+        for _, phi, _ in islice(witness_rows(params), 9):
+            for im in phi.images:
+                rebuilt(im)
+            rebuilt(phi.apply_cyclic(c0))

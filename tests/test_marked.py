@@ -44,21 +44,22 @@ def test_invalid_marking_rejected():
         MarkedGraph(g, 0, [(1, -1), (2,)])  # not reduced
 
 
-def relation_marked(check):
+def relation_marking():
     # rank 3 graph on two vertices; the third marking path is the square of
     # the first, so the paths fold (with one relation fold) onto a rank-2
     # graph that still holds every edge once
     g = graphs.CoreGraph({0, 1}, {1: (0, 1), 2: (0, 1), 3: (1, 0), 4: (1, 0)})
-    return MarkedGraph(g, 0, [(1, 3), (2, 4), (1, 3, 1, 3)], check=check)
+    return g, 0, [(1, 3), (2, 4), (1, 3, 1, 3)]
 
 
 def test_relation_fold_marking_rejected():
     with pytest.raises(MarkingError):
-        relation_marked(check=True)
+        MarkedGraph(*relation_marking())
 
 
 def test_relation_fold_has_no_inverse_marking():
-    G = relation_marked(check=False)
+    # the unchecked constructor lets the invalid marking through
+    G = MarkedGraph._derived(*relation_marking())
     with pytest.raises((MarkingError, FoldError)):
         G.inverse_marking_values()
     with pytest.raises((MarkingError, FoldError)):
@@ -173,7 +174,7 @@ def subdivide(G, eid):
     image = {d: (d,) for d in G.graph.edges}
     image[eid] = (eid, e)
     marking = [substitute(p, image)[0] for p in G.marking]
-    return MarkedGraph(g, G.basepoint, marking, check=False)
+    return MarkedGraph(g, G.basepoint, marking)
 
 
 def test_naturalize_random():

@@ -19,18 +19,33 @@ def test_library_has_no_asserts():
     assert found == []
 
 
+def library_calls():
+    """(module file name, call node, called name) for every call in the
+    library; the name is the attribute or plain name called."""
+    for path in sorted(pathlib.Path(outerspine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                yield path.name, node, (f.attr if isinstance(f, ast.Attribute)
+                                        else getattr(f, "id", None))
+
+
 def test_core_decisions_stay_in_covers():
     """Based cores and seeded core morphisms are computed only in covers."""
     names = {"based_core_and_tail", "_labeled_extension"}
-    found = []
-    for path in sorted(pathlib.Path(outerspine.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name in names and path.name != "covers.py":
-                found.append("%s:%d" % (path.name, node.lineno))
+    found = ["%s:%d" % (mod, node.lineno) for mod, node, name in library_calls()
+             if name in names and mod != "covers.py"]
+    assert found == []
+
+
+def test_input_boundaries_build_checked_objects():
+    """The modules that read outside input build words and graphs with the
+    checking public constructors: they never call the unchecked `_derived`
+    constructors, and no call in the library passes a `check=` switch."""
+    boundaries = {"textio.py", "cli.py", "acceptance.py", "sampling.py"}
+    found = ["%s:%d" % (mod, node.lineno) for mod, node, name in library_calls()
+             if (name == "_derived" and mod in boundaries)
+             or any(k.arg == "check" for k in node.keywords)]
     assert found == []
 
 

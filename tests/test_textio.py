@@ -136,6 +136,13 @@ def test_blueprint_statement_errors():
                            ("; ".join([r1, r2, 'ray3: prefix "", period a3']),
                             "ray index"),
                            (r1, "both ray1 and ray2"),
-                           (r2, "both ray1 and ray2")]:
+                           (r2, "both ray1 and ray2"),
+                           ("frobnicate", "unknown blueprint statement")]:
         with pytest.raises(textio.FormatError, match=message):
             textio.parse_blueprint(head % extra)
+    segment = "splitting { type: segment; vertex A0 = a1; vertex A1 = a2 a3; %s }"
+    textio.parse_blueprint(segment % "")
+    for extra, message in [("stable: a2", "segment blueprint has no stable"),
+                           ("frobnicate", "unknown blueprint statement")]:
+        with pytest.raises(textio.FormatError, match=message):
+            textio.parse_blueprint(segment % extra)

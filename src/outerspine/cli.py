@@ -324,7 +324,11 @@ def build_parser():
     sp.add_argument("--cls", required=True)
     sp.set_defaults(fn=cmd_circuit)
 
-    sp = sub.add_parser("core", help="Stallings core of a subgroup")
+    sp = sub.add_parser(
+        "core", help="Stallings core of a subgroup",
+        description="Stallings core of a subgroup. Vertices v<i> and core"
+        " edges k<i> are numbered by first visit from the base of the fold,"
+        " each vertex's directions taken in (|label|, sign) order.")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--based", action="store_true")

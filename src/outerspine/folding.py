@@ -197,19 +197,34 @@ class Folder:
             self.fold(fold[1], fold[2])
 
     def snapshot(self):
-        """The graph as a LabeledGraph: vertices renumbered 0.. in id
-        order, every edge oriented along its positive label."""
-        vmap = {vid: i for i, vid in enumerate(sorted(self.vertices))}
+        """The folded graph as a LabeledGraph, every edge oriented along its
+        positive label. Vertices are numbered 0.. and edges 1.. in the order
+        a breadth-first walk from the base first meets them, taking each
+        vertex's directions in (|label|, sign) order (`_order`), so the
+        numbering does not depend on the order the folds were made in:
+        label-isomorphic based graphs give identical snapshots."""
+        vnum = {self.base.id: 0}
+        enum = {}
         edges = {}
         vals = {} if self.track else None
-        for eid in sorted(self.edges):
-            o, t, label, val = self.edges[eid]
-            if label < 0:
-                o, t, label, val = t, o, -label, invert_letters(val)
-            edges[eid] = (vmap[o.id], vmap[t.id], label)
-            if self.track:
-                vals[eid] = val
-        return LabeledGraph(edges, vmap[self.base.id], vals)
+        queue = [self.base]
+        for v in queue:
+            for label in sorted(v.out, key=_order):
+                eid = abs(v.out[label][0])
+                if eid in enum:
+                    continue
+                o, t, lab, val = self.edges[eid]
+                for w in (o, t):
+                    if w.id not in vnum:
+                        vnum[w.id] = len(vnum)
+                        queue.append(w)
+                if lab < 0:
+                    o, t, lab, val = t, o, -lab, invert_letters(val)
+                k = enum[eid] = len(enum) + 1
+                edges[k] = (vnum[o.id], vnum[t.id], lab)
+                if self.track:
+                    vals[k] = val
+        return LabeledGraph(edges, 0, vals)
 
 
 class LabeledGraph:

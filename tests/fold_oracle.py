@@ -177,6 +177,29 @@ def fold_words(word_list, track_history=False):
     return st.snapshot()
 
 
+def canonical(gr):
+    """A based folded graph renumbered by first visit: vertices 0.. and
+    edges 1.. in the order a breadth-first walk from the base first meets
+    them, each vertex's directions taken by |label|, the positive label
+    first. Label-isomorphic based graphs become identical, transfer words
+    included."""
+    vnum = {gr.base: 0}
+    enum = {}
+    queue = [gr.base]
+    for v in queue:
+        for d in sorted(gr.directions(v),
+                        key=lambda d: (abs(gr.label_of(d)), gr.label_of(d) < 0)):
+            h = gr.head(d)
+            if h not in vnum:
+                vnum[h] = len(vnum)
+                queue.append(h)
+            enum.setdefault(abs(d), len(enum) + 1)
+    edges = {enum[eid]: (vnum[o], vnum[t], lab)
+             for eid, (o, t, lab) in gr.edges.items()}
+    vals = {enum[eid]: val for eid, val in gr.vals.items()} if gr.vals else None
+    return LabeledGraph(edges, 0, vals)
+
+
 class _FoldState:
     """Subdivided graph mapping edge-per-edge onto the target rose."""
 

@@ -313,3 +313,24 @@ def test_core_cli(tmp_path):
     rose = write_rose(tmp_path, n=2)
     out = run_cli(["core", "--graph", rose, "--gens", "a1 a2"])
     assert "rank: 1" in out
+
+
+def test_core_cli_based_numbering(tmp_path):
+    """`core` numbers vertices v<i> and core edges k<i> by first visit from
+    the base, so its output is fixed whatever order the folds are made in."""
+    p = tmp_path / "g.txt"
+    p.write_text("graph { v: v0 v1; e: e1 v0 v1; e2 v1 v1; e3 v0 v0;"
+                 " e4 v0 v1; }\n"
+                 "marking { a1 = e3; a2 = e1 e2 e1^-1; a3 = e1 e4^-1; }\n"
+                 "basepoint: v0\n")
+    out = run_cli(["core", "--graph", str(p), "--based", "--gens",
+                   "a3 a2 a1 a2^-1 a3^-1, a3 a2 a3 a2 a3^-1"])
+    assert out == ("rank: 2\n"
+                   "k4: v3 -> v4 over e2\n"
+                   "k5: v5 -> v3 over e2\n"
+                   "k6: v6 -> v4 over e1\n"
+                   "k7: v7 -> v4 over e4\n"
+                   "k8: v7 -> v5 over e1\n"
+                   "k9: v6 -> v6 over e3\n"
+                   "attach: v3\n"
+                   "tail: e1 e4^-1 e1\n")

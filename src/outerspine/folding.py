@@ -8,10 +8,15 @@ alphabet, or over a marked graph's edge set when labels are graph edges).
 `Folder` is the one folding engine. Each vertex keeps its directions by
 label, so a fold is found and made without scanning the edges, and merging
 two vertices moves the smaller incidence map into the larger one (Touikan,
-"A fast algorithm for Stallings' folding process", IJAC 2006). Folds are
-made in one fixed order: at the least vertex with two directions of one
-label, the first such pair in (|eid|, sign) order. `fold_words` runs it to
-the end; `spine.fold_path` drives it one fold at a time.
+"A fast algorithm for Stallings' folding process", IJAC 2006). In history
+mode, and for `spine.fold_path`, which drives the engine one fold at a
+time, whole loops are attached at the base and folded in one fixed order:
+at the least vertex with two directions of one label, the first such pair
+in (|eid|, sign) order. Plain folds (`fold_words` without history) read
+each word through the graph folded so far and attach only the unread
+middle (`Folder.add_word`), so they make only the folds the new piece
+starts. Either way `Folder.snapshot` numbers the result by first visit from
+the base, so it does not depend on the order the folds were made in.
 
 History mode attaches to every edge a transfer word over a second alphabet
 x_1..x_k (one letter per input word) such that the transfer product along any
@@ -102,10 +107,17 @@ class Folder:
     def add_loop(self, labels, val=()):
         """Attach a loop at the base spelling `labels`, its first edge
         carrying the transfer word `val`; returns the new edge ids."""
+        return self._add_arc(self.base, labels, self.base, val)[0]
+
+    def _add_arc(self, start, labels, end=None, val=()):
+        """Lay an arc from `start` spelling `labels` to `end` (a new vertex
+        when None), its first edge carrying `val`; returns (new edge ids,
+        end vertex). With no labels the arc is the vertex `start`."""
         eids = []
-        prev = self.base
+        prev = start
+        last = len(labels) - 1
         for i, a in enumerate(labels):
-            nxt = self.base if i == len(labels) - 1 else self._new_vertex()
+            nxt = end if i == last and end is not None else self._new_vertex()
             eid = self.next_edge
             self.next_edge += 1
             self.edges[eid] = [prev, nxt, a, val if i == 0 else ()]
@@ -113,7 +125,39 @@ class Folder:
             self._link(nxt, -a, -eid)
             eids.append(eid)
             prev = nxt
-        return tuple(eids)
+        return tuple(eids), prev
+
+    def add_word(self, labels):
+        """Add the loop at the base spelling `labels` to the folded graph,
+        without history, attaching only what the graph does not already
+        read (Kapovich and Myasnikov, "Stallings foldings and subgroups of
+        free groups", J. Algebra 248, 2002). The word is read forward from
+        the base to u, and its inverse backward from the base to x, the two
+        reads not passing each other. If u is x, the longest prefix of the
+        unread middle that cancels against its suffix is laid down as an arc
+        from u and the rest closes into a loop at the arc's end; otherwise
+        the middle is an arc from u to x, and if nothing is left unread u
+        and x merge. `fold_all` then makes only the folds this piece starts.
+        """
+        i, j = 0, len(labels)
+        u = x = self.base
+        while i < j and (ds := u.out.get(labels[i])):
+            u = self._head(ds[0])
+            i += 1
+        while j > i and (ds := x.out.get(-labels[j - 1])):
+            x = self._head(ds[0])
+            j -= 1
+        if u is not x:
+            if i < j:
+                self._add_arc(u, labels[i:j], x)
+            else:
+                self._merge(u, x)
+            return
+        k = 0
+        while i + 2 * k + 1 < j and labels[i + k] == -labels[j - 1 - k]:
+            k += 1
+        _, y = self._add_arc(u, labels[i:i + k])
+        self._add_arc(y, labels[i + k:j - k], y)
 
     def _head(self, d):
         e = self.edges[abs(d)]
@@ -203,26 +247,30 @@ class Folder:
         vertex's directions in (|label|, sign) order (`_order`), so the
         numbering does not depend on the order the folds were made in:
         label-isomorphic based graphs give identical snapshots."""
-        vnum = {self.base.id: 0}
+        vnum = {self.base: 0}
         enum = {}
         edges = {}
         vals = {} if self.track else None
         queue = [self.base]
         for v in queue:
-            for label in sorted(v.out, key=_order):
-                eid = abs(v.out[label][0])
+            out = v.out
+            # (|label|, sign) order: sorting by abs is stable, so +a stays
+            # ahead of -a from the descending sort
+            for label in sorted(sorted(out, reverse=True), key=abs):
+                d = out[label][0]
+                eid = abs(d)
                 if eid in enum:
                     continue
                 o, t, lab, val = self.edges[eid]
-                for w in (o, t):
-                    if w.id not in vnum:
-                        vnum[w.id] = len(vnum)
-                        queue.append(w)
+                h = t if d > 0 else o
+                if h not in vnum:
+                    vnum[h] = len(vnum)
+                    queue.append(h)
                 if lab < 0:
                     o, t, lab, val = t, o, -lab, invert_letters(val)
                 k = enum[eid] = len(enum) + 1
-                edges[k] = (vnum[o.id], vnum[t.id], lab)
-                if self.track:
+                edges[k] = (vnum[o], vnum[t], lab)
+                if vals is not None:
                     vals[k] = val
         return LabeledGraph(edges, 0, vals)
 
@@ -299,7 +347,7 @@ class LabeledGraph:
         return path, cur, len(letters)
 
     def path_labels(self, path):
-        return tuple(self.label_of(d) for d in path)
+        return tuple([self.label_of(d) for d in path])
 
     def dval(self, d):
         val = self.vals[abs(d)]
@@ -360,10 +408,18 @@ class LabeledGraph:
 
 
 def fold_words(word_list, track_history=False):
-    """Fold the wedge of loops spelling the given signed-label words."""
+    """Fold the wedge of loops spelling the given signed-label words.
+
+    With history every loop is attached whole and folded in the fixed fold
+    order; without, each word in turn is read through the graph folded so
+    far (`Folder.add_word`). The snapshot is the same graph either way."""
     fo = Folder(track_history)
     for i, w in enumerate(word_list):
-        fo.add_loop(tuple(w), (i + 1,) if track_history else ())
+        if track_history:
+            fo.add_loop(tuple(w), (i + 1,))
+        else:
+            fo.add_word(tuple(w))
+            fo.fold_all()
     fo.fold_all()
     return fo.snapshot()
 

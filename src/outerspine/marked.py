@@ -130,7 +130,7 @@ class MarkedGraph:
             k = self.spanning_paths()[at_vertex]
             path = k + tuple(path) + invert_letters(k)
         red, _ = substitute(path, self.inverse_marking_values())
-        return ReducedWord(red, self.rank)
+        return ReducedWord._derived(red, self.rank)
 
     # -- operations ---------------------------------------------------------
 

@@ -66,7 +66,7 @@ def parse_path(text):
     text = text.strip()
     if text in ("", "1"):
         return ()
-    return tuple(parse_letter(tok, "e") for tok in text.split())
+    return tuple([parse_letter(tok, "e") for tok in text.split()])
 
 
 def _block(text, name):

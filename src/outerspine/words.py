@@ -55,7 +55,9 @@ def reduce_letters(letters):
 
 
 def invert_letters(letters):
-    return tuple(-a for a in reversed(letters))
+    # tuple() of a list allocates the exact size; of a generator it guesses
+    # and resizes, which is slower and strands tuples in the free lists
+    return tuple([-a for a in reversed(letters)])
 
 
 def substitute(letters, image):
@@ -351,6 +353,9 @@ def is_automorphism(f):
     gr = folding.fold_words([im.letters for im in f.images], track_history=True)
     if not folding.is_full_rose(gr, f.rank):
         return None
+    # the petals' transfer words are reduced by the fold and spelled in
+    # x_1..x_rank, one letter per image
     inv_images = folding.rose_petal_values(gr, f.rank)
-    inv = Endomorphism(f.rank, tuple(ReducedWord.make(v, f.rank) for v in inv_images))
+    inv = Endomorphism(f.rank, tuple(ReducedWord._derived(v, f.rank)
+                                     for v in inv_images))
     return Automorphism(f, inv)

@@ -1,7 +1,9 @@
 """Test oracle: the two folding machines the library used before it had one
 engine. `_Fold` scanned every live edge for each fold (quadratic) and took
 folds from an unordered queue; `_FoldState` was the spine's own fold loop
-(least vertex, first label collision in |eid| order). Only the differential
+(least vertex, first label collision in |eid| order). `canonical` renumbers
+a folded graph by first visit from the base, as `Folder.snapshot` does, so
+graphs folded in different orders compare exactly. Only the differential
 tests in test_fold_engine.py import this module.
 """
 

@@ -1,16 +1,19 @@
 """Seeded differential tests of the folding engine against the two machines
 it replaced (tests/fold_oracle.py). The oracle's graphs are compared after
-`fold_oracle.canonical`, the first-visit numbering `Folder.snapshot` uses."""
+`fold_oracle.canonical`, the first-visit numbering `Folder.snapshot` uses,
+so the untracked read-then-attach fold meets the oracle's whole-loop fold
+edge for edge."""
 
 import random
 
 import pytest
 
 import fold_oracle
-from outerspine import folding, sampling, spine, textio
+from outerspine import covers, folding, sampling, spine, textio
 from outerspine.folding import fold_words, rose_petal_values
 from outerspine.marked import MarkedGraph
-from outerspine.words import reduce_letters, substitute
+from outerspine.retract_split import SplittingBlueprint, in_CVKT
+from outerspine.words import basis_word, reduce_letters, substitute, word
 
 
 def random_wedge(rng, n):
@@ -135,3 +138,66 @@ def test_fold_paths_match_oracle(monkeypatch):
         assert printed(new) == printed(old)
         lengths += len(folds)
     assert lengths > 60
+
+
+def oracle_fold_words(word_list, track_history=False):
+    return fold_oracle.canonical(
+        fold_oracle.fold_words(word_list, track_history))
+
+
+def conjugated_system(rng, n):
+    """Components of a system over F_n, each generator conjugated by one
+    long random word per component; about half the systems have one
+    component that is no free factor (a proper power or a commutator in
+    place of a generator)."""
+    r = rng.randint(1, n - 1)
+    comps = [list(range(1, r + 1))]
+    if r + 1 < n and rng.random() < 0.5:
+        comps.append([r + 1])
+    bad = rng.randrange(len(comps)) if rng.random() < 0.5 else None
+    system = []
+    for ci, comp in enumerate(comps):
+        gens = [basis_word(i, n) for i in comp]
+        if ci == bad:
+            k = rng.randrange(len(comp))
+            i = comp[k]
+            j = rng.choice([x for x in range(1, n + 1) if x != i])
+            gens[k] = word(rng.choice([[i] * rng.choice((2, 3)),
+                                       [i, j, -i, -j]]), n)
+        c = sampling.random_reduced_word(rng, n, 12, nontrivial=True)
+        system.append([c.inverse() * g * c for g in gens])
+    return r, system
+
+
+def based_cores(system, G):
+    return [(K.core.edges, K.attach, K.tail_labels, K.loops)
+            for K in (covers.stallings_core(gens, G, based=True)
+                      for gens in system)]
+
+
+def test_membership_matches_whole_loop_fold(monkeypatch):
+    """Based cores and membership verdicts from the read-then-attach fold
+    equal those from the whole-loop oracle fold, on blown-up marked graphs
+    of ranks 3-6 and systems with long conjugators."""
+    rng = random.Random(1600)
+    verdicts = []
+    for n in (3, 4, 5, 6):
+        for _ in range(12):
+            r, system = conjugated_system(rng, n)
+            G = MarkedGraph.rose_identity(n).act(
+                sampling.random_stab_auto(rng, n, r, 4))
+            for _ in range(rng.randint(1, n)):
+                G = sampling.random_blowup(rng, G) or G
+            F = covers.FreeFactorSystem.of(system, n)
+            vertex = [basis_word(i, n) for i in range(1, n)]
+            bp = SplittingBlueprint("loop", (tuple(vertex),), n, n)
+            new = (based_cores(system, G), covers.realizes(G, F),
+                   in_CVKT(G, bp))
+            with monkeypatch.context() as m:
+                m.setattr(folding, "fold_words", oracle_fold_words)
+                old = (based_cores(system, G), covers.realizes(G, F),
+                       in_CVKT(G, bp))
+            assert new == old
+            verdicts.append((new[1] is not None, new[2] is not None))
+    for i in (0, 1):
+        assert 5 < sum(v[i] for v in verdicts) < len(verdicts) - 5

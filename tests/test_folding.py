@@ -93,6 +93,83 @@ def test_based_core_and_tail():
 
 
 def test_trivial_core_raises():
-    gr = fold_words([()])
-    with pytest.raises(folding.FoldError):
-        gr.based_core_and_tail()
+    for words in ([], [()], [(), ()]):
+        gr = fold_words(words)
+        assert gr.edges == {} and gr.vertices == {0} and gr.base == 0
+        with pytest.raises(folding.FoldError):
+            gr.based_core_and_tail()
+
+
+def random_word_list(rng, n):
+    """A few words over the rank-n alphabet, some unreduced, some empty."""
+    return [tuple(rng.choice([1, -1]) * rng.randint(1, n)
+                  for _ in range(rng.randint(0, 8)))
+            for _ in range(rng.randint(1, n + 1))]
+
+
+def test_plain_fold_ignores_word_order_and_redundant_words():
+    """Any permutation of the words, and the words with products and
+    conjugates of earlier ones added, generate the same subgroup and give
+    the identical snapshot, which is also the whole-loop history fold's."""
+    rng = random.Random(1601)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        words = random_word_list(rng, n)
+        gr = fold_words(words)
+        assert gr.edges == fold_words(words, track_history=True).edges
+        assert gr.base == 0
+        shuffled = list(words)
+        rng.shuffle(shuffled)
+        assert fold_words(shuffled).edges == gr.edges
+        more = list(words)
+        for _ in range(3):
+            u, v = rng.choice(more), rng.choice(more)
+            inv = tuple(-a for a in reversed(v))
+            more.insert(rng.randint(0, len(more)), rng.choice(
+                [u + v, inv + u + v, reduce_letters(v + u + inv)[0]]))
+        assert fold_words(more).edges == gr.edges
+
+
+def test_plain_fold_keeps_hairs_of_unreduced_words():
+    # the backtrack a1 a1^-1 folds to a hanging edge
+    assert fold_words([(1, -1, 2)]).edges == {1: (0, 1, 1), 2: (0, 0, 2)}
+    # a pure conjugator c c^-1 is all hair
+    assert fold_words([(1, 2, -2, -1)]).edges == {1: (0, 1, 1),
+                                                  2: (1, 2, 2)}
+    # both reads stop at the base: the conjugator a2 is laid down as an arc
+    # and only a3 closes into a loop at its end
+    assert fold_words([(1,), (2, 3, -2)]).edges == {
+        1: (0, 0, 1), 2: (0, 1, 2), 3: (1, 1, 3)}
+
+
+def test_plain_fold_merges_a_word_read_through():
+    # a1 is read completely to the middle of the a1 a1 cycle, whose two
+    # vertices then merge: a relation fold, so the rank drops to 1
+    gr = fold_words([(1, 1), (1,)])
+    assert gr.edges == {1: (0, 0, 1)} and gr.rank == 1
+    # a1 a4 is read forward to a1's end and backward to a3's end: the two
+    # reads meet mid-word and their ends merge
+    gr = fold_words([(1, 2), (3, 4), (1, 4)])
+    assert gr.edges == {1: (0, 1, 1), 2: (1, 0, 2), 3: (0, 1, 3),
+                        4: (1, 0, 4)}
+
+
+def test_plain_fold_attaches_only_the_unread_middle(monkeypatch):
+    """Freely reduced words whose reads never close up start no fold: the
+    shared conjugator is read, or laid down once as an arc, and each word
+    adds only its middle. The whole-loop history fold re-finds it."""
+    folds = []
+    real = folding.Folder.fold
+
+    def counting(self, d1, d2):
+        folds.append(self.track)
+        real(self, d1, d2)
+
+    monkeypatch.setattr(folding.Folder, "fold", counting)
+    c = (2, -3, 2, 2, 1)
+    inv = tuple(-a for a in reversed(c))
+    words = [inv + (a,) + c for a in (1, 3, 4)]
+    gr = fold_words(words)
+    assert folds == [] and gr.rank == 3 and len(gr.edges) == 8
+    assert fold_words(words, track_history=True).edges == gr.edges
+    assert len(folds) == 33 - 8 and all(folds)

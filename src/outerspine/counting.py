@@ -5,9 +5,20 @@ A-core(s) embed in K, and the complement determines the distinguished
 crossing block E (a natural chain or loop, stored as simplicial directed
 edges). The axis of c is traced through K as a periodic line; each maximal
 stay is a path, and crossings are complete traversals of the block.
+
+`count_i` walks a class letter by letter. A class held as a straight-line
+program (the witness rows) is counted instead by composing segment
+summaries: `edge_summary` for one edge (`path_summary` for an explicit
+path), `compose` for a concatenation and `close` for the cyclic word. A summary records, for each K vertex, where
+the run entering there leaves the segment (or that it dies inside) and
+its crossings; the runs that start inside the segment and are still alive
+at its end; and the most crossings of a run that starts and dies inside.
+Window states of the block matcher carry a crossing across a junction.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .covers import embeddings, stallings_core
 from .graphs import union_find
@@ -30,6 +41,11 @@ class CountingContext:
     A_vertex_sets: tuple
     block: tuple             # directed K-edges: the crossing block E
     shape: str               # "edge" | "loop" | "loop_at_core"
+
+    @cached_property
+    def tables(self):
+        """The step tables and block matcher that summaries share."""
+        return _Tables(self)
 
 
 def _classify_complement(K, a_edges, a_vertices, two_component):
@@ -239,6 +255,178 @@ def count_i(ctx, c):
     if covered < n_states:
         raise ConjugateIntoB("class is conjugate into B; count undefined")
     return CrossingCount(best, best_start)
+
+
+# -- segment summaries -------------------------------------------------------
+
+class _Tables:
+    """K's step tables, the entry test and the block/reverse-block matcher.
+
+    A window state is the longest suffix of the K-edges walked so far that
+    is a proper prefix of the block or of its reverse (a KMP state for the
+    two patterns). A window completes where a state of length q - 1 is
+    extended to the block or its reverse, which is exactly where the last
+    q edges are one of them: the windows count_i's scan counts.
+    """
+
+    def __init__(self, ctx):
+        self.out, self.heads = ctx.K.step_tables()
+        self.vertices = sorted(ctx.K.vertices)
+        self.block = ctx.block
+        self.rev = invert_letters(ctx.block)
+        self.q = len(ctx.block)
+        self.paths = {}          # path_summary's summaries by path
+        self._entries = {}
+        self._moves = {}
+
+    def entries_after(self, a):
+        """Vertices v where (v, next position) has no predecessor after the
+        letter a: the entry test of count_i."""
+        got = self._entries.get(a)
+        if got is None:
+            got = self._entries[a] = tuple(
+                v for v in self.vertices if -a not in self.out[v])
+        return got
+
+    def move(self, s, d):
+        """Window state after the K-edge d, and 1 if a window completed."""
+        got = self._moves.get((s, d))
+        if got is None:
+            new = s + (d,)
+            hit = int(new == self.block or new == self.rev)
+            for j in range(min(len(new), self.q - 1), -1, -1):
+                suffix = new[len(new) - j:]
+                if suffix == self.block[:j] or suffix == self.rev[:j]:
+                    break
+            got = self._moves[(s, d)] = (suffix, hit)
+        return got
+
+    def run(self, s, path):
+        """(windows completed, final window state) along path from s."""
+        hits = 0
+        for d in path:
+            s, hit = self.move(s, d)
+            hits += hit
+        return hits, s
+
+
+class Summary(NamedTuple):
+    """The trace of a segment of a circuit through K.
+
+    through[v] = (exit vertex or None if the run dies, crossings, window
+    state at the exit, the run's first q K-edges) for the run entering at
+    K vertex v with an empty window; `_through` adjusts it for a run that
+    enters mid-window. arrivals[u] = (crossings, window state) for the run
+    that starts at an entry state inside the segment and leaves at u (the
+    step is injective, so there is at most one per u). best is the most
+    crossings of a run that starts and dies inside. last is the segment's
+    last letter, which decides the entry states after it.
+    """
+
+    tables: _Tables
+    last: int
+    through: dict
+    arrivals: dict
+    best: int
+
+
+def _through(S, v, s):
+    """(exit vertex or None, crossings, window state) of the run entering
+    S at v with window state s. The window state changes only windows that
+    end within the run's first q - 1 edges, and the exit state only if the
+    run is shorter than q."""
+    u, c, t, head = S.through[v]
+    if s:
+        tb = S.tables
+        if len(head) < tb.q:
+            c, t = tb.run(s, head)
+        else:
+            c += tb.run(s, head[:-1])[0] - tb.run((), head[:-1])[0]
+    return u, c, t
+
+
+def edge_summary(ctx, a):
+    """Summary of the one-letter segment a (a signed G-edge)."""
+    tb = ctx.tables
+    through = {}
+    for v in tb.vertices:
+        d = tb.out[v].get(a)
+        if d is None:
+            through[v] = (None, 0, (), ())
+        else:
+            t, hit = tb.move((), d)
+            through[v] = (tb.heads[d], hit, t, (d,))
+    return Summary(tb, a, through, {}, 0)
+
+
+def path_summary(ctx, path):
+    """Summary of a nonempty explicit path, composed from its edges'
+    summaries; kept per context, since a program's explicit pieces
+    repeat."""
+    paths = ctx.tables.paths
+    got = paths.get(path)
+    if got is None:
+        got = edge_summary(ctx, path[0])
+        for a in path[1:]:
+            got = compose(got, edge_summary(ctx, a))
+        paths[path] = got
+    return got
+
+
+def _open_runs(S):
+    """(vertex, crossings, window state) of each run from an entry state
+    that is alive right after S: those that started inside S, and those
+    that start there."""
+    return ([(u, c, t) for u, (c, t) in S.arrivals.items()]
+            + [(v, 0, ()) for v in S.tables.entries_after(S.last)])
+
+
+def compose(S, T):
+    """Summary of the segment S followed by T. The states at T's start
+    that are entries are those v with -S.last not in out[v]."""
+    tb = S.tables
+    q = tb.q
+    through = {}
+    for v, (u, c, t, head) in S.through.items():
+        if u is not None:
+            if len(head) < q:
+                head = (head + T.through[u][3])[:q]
+            u, c2, t = _through(T, u, t)
+            c += c2
+        through[v] = (u, c, t, head)
+    best = max(S.best, T.best)
+    arrivals = dict(T.arrivals)
+    for u, c, t in _open_runs(S):
+        u, c2, t = _through(T, u, t)
+        if u is None:
+            best = max(best, c + c2)
+        else:
+            arrivals[u] = (c + c2, t)
+    return Summary(tb, T.last, through, arrivals, best)
+
+
+def close(W):
+    """count_i's value for the cyclic word whose one period W summarizes.
+
+    Every run from an entry state is followed lap by lap through W until
+    it dies. The states at W's start that no such run meets lie on cycles
+    of the step, i.e. are alive periodic points of W's through-map: the
+    class is then conjugate into B, as in count_i's coverage test.
+    """
+    best = W.best
+    met = set()
+    for u, c, t in _open_runs(W):
+        while u is not None:
+            if u in met:
+                raise CountError("two entry runs meet: the step is not "
+                                 "injective")
+            met.add(u)
+            u, c2, t = _through(W, u, t)
+            c += c2
+        best = max(best, c)
+    if len(met) < len(W.tables.vertices):
+        raise ConjugateIntoB("class is conjugate into B; count undefined")
+    return best
 
 
 def lipschitz_audit(A_gens_list, B_gens, G, forest, c):

@@ -61,7 +61,8 @@ def stallings_core(gens, G, based=False):
         core = folded.pruned()
         if not core.edges:
             raise CoverError("trivial subgroup has no core")
-        return SubgroupGraph(LabeledGraph(core.edges, None, core.vals), G)
+        return SubgroupGraph(LabeledGraph._derived(core.edges, None,
+                                                     core.vals), G)
     core, tail, q, based_graph = folded.based_core_and_tail()
     loops = []
     for p in paths:

@@ -272,7 +272,7 @@ class Folder:
                 edges[k] = (vnum[o], vnum[t], lab)
                 if vals is not None:
                     vals[k] = val
-        return LabeledGraph(edges, 0, vals)
+        return LabeledGraph._derived(edges, 0, vals)
 
 
 class LabeledGraph:
@@ -283,22 +283,34 @@ class LabeledGraph:
     """
 
     def __init__(self, edges, base, vals=None):
-        self.edges = dict(edges)
+        self._fill(dict(edges), base, dict(vals) if vals else None)
+        # two directions with one label at a vertex share one map entry
+        if sum(map(len, self._out.values())) != 2 * len(self.edges):
+            raise FoldError("not an immersion")
+
+    @classmethod
+    def _derived(cls, edges, base, vals=None):
+        """The graph with no check, for one derived from a folded graph
+        (snapshots, prunings); it keeps the given dicts."""
+        G = object.__new__(cls)
+        G._fill(edges, base, vals or None)
+        return G
+
+    def _fill(self, edges, base, vals):
+        self.edges = edges
         self.base = base
-        self.vals = dict(vals) if vals else None
+        self.vals = vals
         self.vertices = set()
-        for o, t, _ in self.edges.values():
+        for o, t, _ in edges.values():
             self.vertices.add(o)
             self.vertices.add(t)
         if base is not None:
             self.vertices.add(base)
-        self._out = {v: {} for v in self.vertices}
-        for eid, (o, t, lab) in self.edges.items():
-            if lab in self._out[o] or -lab in self._out[t]:
-                raise FoldError("not an immersion")
-            self._out[o][lab] = eid
-            self._out[t][-lab] = -eid
-        self.rank = len(self.edges) - len(self.vertices) + (1 if self.vertices else 0)
+        self._out = out = {v: {} for v in self.vertices}
+        for eid, (o, t, lab) in edges.items():
+            out[o][lab] = eid
+            out[t][-lab] = -eid
+        self.rank = len(edges) - len(self.vertices) + (1 if self.vertices else 0)
 
     # -- structure ---------------------------------------------------------
 
@@ -379,7 +391,7 @@ class LabeledGraph:
         edges = {eid: e for eid, e in self.edges.items() if eid not in dropped}
         vals = {eid: self.vals[eid] for eid in edges} if self.vals else None
         base = self.base if self.base in keep or valence.get(self.base) else None
-        return LabeledGraph(edges, base, vals)
+        return LabeledGraph._derived(edges, base, vals)
 
     def based_core_and_tail(self):
         """(core graph, tail path from base, attachment vertex q).

@@ -59,7 +59,7 @@ class MarkedGraph:
     def _fill(self, graph, basepoint, marking):
         self.graph = graph
         self.basepoint = basepoint
-        self.marking = tuple(tuple(p) for p in marking)
+        self.marking = tuple([tuple(p) for p in marking])
         self._images = ((),) + self.marking  # basis letter i -> marking[i - 1]
         self.rank = graph.rank
         self._values = None
@@ -143,7 +143,7 @@ class MarkedGraph:
         endo = getattr(phi, "endo", phi)
         if endo.rank != self.rank:
             raise MarkingError("rank mismatch")
-        marking = tuple(self.expand(im.letters) for im in endo.images)
+        marking = tuple([self.expand(im.letters) for im in endo.images])
         return MarkedGraph._derived(self.graph, self.basepoint, marking)
 
     def circuit_of(self, c):
@@ -364,7 +364,8 @@ def _edge_names(paths):
     name = {}
     for j, d in enumerate(first.values(), 1):
         name[d], name[-d] = j, -j
-    return tuple(tuple(name[d] for d in p) for p in paths), list(first.values())
+    return (tuple([tuple([name[d] for d in p]) for p in paths]),
+            list(first.values()))
 
 
 def canonical_key(G):

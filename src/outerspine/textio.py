@@ -227,8 +227,9 @@ def parse_blueprint(text, rank=None):
                 if tok not in ("", "1"):
                     seen = max(seen, abs(parse_letter(tok)))
         rank = seen
-    gen_words = tuple(tuple(parse_word(t, rank) for t in _split_words(g, rank))
-                      for g in vertex_gens)
+    gen_words = tuple([
+        tuple([parse_word(t, rank) for t in _split_words(g, rank)])
+        for g in vertex_gens])
     bp = SplittingBlueprint(kind, gen_words, stable, rank)
     if rays:
         return RetractionData(bp, tuple(

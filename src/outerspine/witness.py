@@ -6,21 +6,31 @@ the one generator of them: it certifies theta and phi_0 once per table,
 after which each phi_k is one substitution of u_k = theta^k(e_1) into
 phi_0's images.
 
-Everything is exact: occurrence counts come from integer transition-matrix
-powers (arbitrary precision) independently of the trace-based counter, and
-growth never gets fitted numerically.
+`distortion_report` never expands a row: each class phi_k(c_0) is a
+straight-line program over theta (symbols for theta^k(e_i) and their
+inverses, each built from row k-1's symbols), and its crossing count
+composes the counting layer's segment summaries, so a row costs the same
+at every k. `count_i` on the expanded rows of `witness_rows` is the
+oracle the tests hold it to.
+
+Everything is exact: integers of arbitrary precision, no fitted growth.
+The case-1 counts are cross-checked on every row against the occurrence
+count of e_m in theta^k(e_1), a column of the transition matrix's powers
+stepped once per row, independently of the trace.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .words import (CyclicWord, Endomorphism, Automorphism, ReducedWord,
-                    basis_word, invert_letters, reduce_letters, substitute,
+                    basis_word, cyclic_core, invert_letters, substitute,
                     word)
 from .marked import MarkedGraph
 from .graphs import CoreGraph
 from . import counting
+from .counting import close, compose, path_summary
 
 
 class WitnessError(ValueError):
@@ -112,11 +122,6 @@ def theta_inverse_endo(n, m):
     return Endomorphism(n, tuple(images))
 
 
-def theta_inverse(n, m):
-    auto, _ = theta(n, m)
-    return auto.inverse()
-
-
 def theta_powers(th):
     """Yield u_0 = e_1, u_1 = Theta(e_1), u_2 = Theta^2(e_1), ... endlessly,
     for th = theta(n, m)[0].
@@ -175,34 +180,6 @@ def occurrence_count(m, j, k):
     return mat_pow(transition_matrix(m), k)[j - 1][0]
 
 
-def pair_counts(n, m, k):
-    """Counts of adjacent ordered letter pairs in Theta^k(e_1).
-
-    Linear recursion on (letter counts, pair counts); exact, independent of
-    expanding the word. Images are positive so no cancellation ever occurs.
-    """
-    th, _ = theta(n, m)
-    images = {i: th.endo.images[i - 1].letters for i in range(1, m + 1)}
-    letters = {i: 0 for i in range(1, m + 1)}
-    letters[1] = 1
-    pairs = {}
-    for _ in range(k):
-        new_letters = {i: 0 for i in range(1, m + 1)}
-        for x, cnt in letters.items():
-            for y in images[x]:
-                new_letters[y] += cnt
-        new_pairs = {}
-        for x, cnt in letters.items():
-            im = images[x]
-            for a, b in zip(im, im[1:]):
-                new_pairs[(a, b)] = new_pairs.get((a, b), 0) + cnt
-        for (x1, x2), cnt in pairs.items():
-            a, b = images[x1][-1], images[x2][0]
-            new_pairs[(a, b)] = new_pairs.get((a, b), 0) + cnt
-        letters, pairs = new_letters, new_pairs
-    return letters, pairs
-
-
 # ---------------------------------------------------------------------------
 # Witness parameters and the three cases.
 # ---------------------------------------------------------------------------
@@ -257,17 +234,11 @@ def phi_zero_tokens(params):
     return toks
 
 
-def witness_rows(params):
-    """Yield the rows (k, phi_k, Nielsen upper bound), k = 0, 1, 2, ...
-
-    phi_k = theta^k phi_0 theta^-k, with phi_0 = tokens_to_endo(
-    phi_zero_tokens(params)). The checks run once per table: theta and
-    theta^-1 map <e_1..e_m> into itself and fix each e_j with j > m, and
-    phi_0 fixes e_1..e_m and sends each e_j with j > m to a word in e_1 and
-    e_j. Then phi_k fixes e_1..e_m, and phi_k(e_j) is phi_0(e_j) with e_1
-    replaced by u_k = theta^k(e_1). `verify_factorization` is the oracle
-    that composes the product.
-    """
+def _certified(params):
+    """(theta, its tokens, phi_0, its tokens), certified once per table:
+    theta and theta^-1 map <e_1..e_m> into itself and fix each e_j with
+    j > m, and phi_0 fixes e_1..e_m and sends each e_j with j > m to a word
+    in e_1 and e_j."""
     n, m = params.n, params.m
     th, th_toks = theta(n, m)
     for endo in (th.endo, th.inverse_endo):
@@ -282,6 +253,19 @@ def witness_rows(params):
         if (im.letters != (i,) if i <= m
                 else not {abs(a) for a in im.letters} <= {1, i}):
             raise WitnessError("phi_0 is not a witness at e_%d" % i)
+    return th, th_toks, phi0, p0_toks
+
+
+def witness_rows(params):
+    """Yield the rows (k, phi_k, Nielsen upper bound), k = 0, 1, 2, ...
+
+    phi_k = theta^k phi_0 theta^-k, with phi_0 = tokens_to_endo(
+    phi_zero_tokens(params)). With the checks of `_certified`, phi_k fixes
+    e_1..e_m, and phi_k(e_j) is phi_0(e_j) with e_1 replaced by
+    u_k = theta^k(e_1). The tests compose the product as an oracle.
+    """
+    n, m = params.n, params.m
+    th, th_toks, phi0, p0_toks = _certified(params)
     fixed = phi0.images[:m]
     for k, uk in enumerate(theta_powers(th)):
         moved = tuple(ReducedWord._derived(
@@ -289,23 +273,6 @@ def witness_rows(params):
             for j, im in enumerate(phi0.images[m:], m + 1))
         yield k, Endomorphism(n, fixed + moved), \
             2 * k * len(th_toks) + len(p0_toks)
-
-
-def phi_k(params, k):
-    """The row (k, phi_k, Nielsen upper bound) of `witness_rows`."""
-    if k < 0:
-        raise WitnessError("need k >= 0")
-    return next(islice(witness_rows(params), k, None))
-
-
-def verify_factorization(params, k):
-    """compose(theta^k, phi_0, thetabar^k) equals phi_k on the basis."""
-    th, _ = theta(params.n, params.m)
-    _, built, _ = phi_k(params, 0)
-    _, phi, _ = phi_k(params, k)
-    for _ in range(k):
-        built = th.endo.compose(built).compose(th.inverse_endo)
-    return built == phi
 
 
 # -- case 2 / case 3 complex -------------------------------------------------
@@ -334,45 +301,6 @@ class Case2Complex:
 
     def B_gens(self):
         return [basis_word(i, self.params.n) for i in range(1, self.params.m + 1)]
-
-    def u_prime_path(self, k):
-        """u'_k: u_k with eta0 insertions at the H_0/H_1 transitions."""
-        uk = u_k(self.params.n, self.params.m, k)
-        p = self.params.ranks[0]
-
-        def side(letter):
-            return 0 if abs(letter) <= p else 1
-
-        out = []
-        letters = uk.letters
-        if side(letters[0]) == 0:
-            out.append(-self.eta0)
-        for i, a in enumerate(letters):
-            out.append(a)
-            if i + 1 < len(letters):
-                s1, s2 = side(a), side(letters[i + 1])
-                if s1 == 0 and s2 == 1:
-                    out.append(self.eta0)
-                elif s1 == 1 and s2 == 0:
-                    out.append(-self.eta0)
-        if side(letters[-1]) == 0:
-            out.append(self.eta0)
-        red, cancelled = reduce_letters(out)
-        if cancelled:
-            raise WitnessError("cancellation in u'_%d" % k)
-        return red
-
-    def phi_image_of_gamma(self, k):
-        """Phi'_k(gamma') = rho' eta1 u'_k sigma' u'_k^-1 eta1^-1, and the
-        no-cancellation certificate."""
-        up = self.u_prime_path(k)
-        rho = (self.h2_edges[0],)
-        path = rho + (self.eta1,) + up + self.sigma_path + invert_letters(up) \
-            + (-self.eta1,)
-        red, cancelled = reduce_letters(path)
-        if cancelled:
-            raise WitnessError("cancellation in Phi'_k(gamma')")
-        return red
 
     def counting_context(self):
         return counting.build_context(
@@ -420,6 +348,131 @@ def case2_build(params):
     return Case2Complex(params, Gp, G, eta0, eta1, h0, h1, h2, sigma, gamma, c0)
 
 
+# -- witness rows as straight-line programs ------------------------------------
+#
+# A row's class c_k = phi_k(c_0) is held as a program over theta: the symbol
+# E_{k,i} is the reduced G-edge path of theta^k(e_i) (i <= m) and I_{k,i} its
+# inverse; E_{k+1,i} is the concatenation of E_{k,y} over the letters y of
+# theta(e_i), and I_{k+1,i} that of the I_{k,y} in reverse order. A symbol
+# keeps `_END_EDGES` explicit edges at each end and a counting summary of
+# its middle (`counting.compose`), so a row costs the same at every k.
+
+# Explicit G-edges kept at each end of a compressed path. Cancellation at a
+# junction is read off the explicit ends; one that would reach the
+# summarized middle raises WitnessError, so a count is exact or refused.
+_END_EDGES = 4
+
+
+class _Path(NamedTuple):
+    head: tuple      # the whole path when mid is None
+    mid: object      # counting.Summary of the middle, or None
+    tail: tuple
+
+
+def _explicit(ctx, edges):
+    c = _END_EDGES
+    if len(edges) <= 2 * c:
+        return _Path(edges, None, ())
+    return _Path(edges[:c], path_summary(ctx, edges[c:-c]), edges[-c:])
+
+
+def _with_mid(ctx, head, mid, tail):
+    c = _END_EDGES
+    if len(head) > c:
+        mid = compose(path_summary(ctx, head[c:]), mid)
+        head = head[:c]
+    if len(tail) > c:
+        mid = compose(mid, path_summary(ctx, tail[:-c]))
+        tail = tail[-c:]
+    return _Path(head, mid, tail)
+
+
+def _cancelled(left, right):
+    """How many edges cancel where the path left meets the path right."""
+    j = 0
+    while j < len(left) and j < len(right) and left[-1 - j] == -right[j]:
+        j += 1
+    return j
+
+
+def _join(ctx, pieces):
+    """The reduced concatenation of reduced paths."""
+    P = pieces[0]
+    for Q in pieces[1:]:
+        left = P.head if P.mid is None else P.tail
+        j = _cancelled(left, Q.head)
+        if ((P.mid is not None and j == len(left))
+                or (Q.mid is not None and j == len(Q.head))):
+            raise WitnessError("cancellation reaches a compressed middle")
+        joint = left[:len(left) - j] + Q.head[j:]
+        if P.mid is None:
+            P = (_explicit(ctx, joint) if Q.mid is None
+                 else _with_mid(ctx, joint, Q.mid, Q.tail))
+        elif Q.mid is None:
+            P = _with_mid(ctx, P.head, P.mid, joint)
+        else:
+            mid = (compose(P.mid, path_summary(ctx, joint)) if joint
+                   else P.mid)
+            P = _Path(P.head, compose(mid, Q.mid), Q.tail)
+    return P
+
+
+def _count_cyclic(ctx, P):
+    """counting.count_i's value for the class of the closed path P."""
+    if P.mid is None:
+        core = cyclic_core(P.head)[1]
+        if not core:
+            raise counting.CountError("trivial class")
+        return close(path_summary(ctx, core))
+    j = _cancelled(P.tail, P.head)
+    if j == len(P.head) or j == len(P.tail):
+        raise WitnessError("cancellation reaches a compressed middle")
+    W = P.mid
+    if j < len(P.head):
+        W = compose(path_summary(ctx, P.head[j:]), W)
+    if j < len(P.tail):
+        W = compose(W, path_summary(ctx, P.tail[:len(P.tail) - j]))
+    return close(W)
+
+
+def _row_counts(ctx, c0, th, phi0, m):
+    """Yield i_k = count_i(ctx, phi_k(c_0)) for k = 0, 1, 2, ... from the
+    row programs, never expanding a row.
+
+    c_k is c_0 with each letter e_j^{+-1} (j > m) replaced by phi_0(e_j)^{+-1}
+    in which each e_1^{+-1} is the symbol E_{k,1} or I_{k,1}; every other
+    letter, the e_1..e_m that phi_k fixes included, is its marking path.
+
+    Cancellation where pieces meet (the cyclic closing junction included):
+    - case 1: G is the rose and u_k = theta^k(e_1) is a positive word, so
+      no edge cancels;
+    - cases 2 and 3: the marking paths of e_1..e_p and of the spare letters
+      are eta0- and eta1-conjugates of loops, so at most the one eta0 or
+      eta1 conjugator edge cancels at a junction.
+    Both are far inside `_END_EDGES`; a junction that would cancel into a
+    compressed middle raises WitnessError instead of miscounting.
+    """
+    G = ctx.G
+    images = {i: th.endo.images[i - 1].letters for i in range(1, m + 1)}
+    E = {i: _explicit(ctx, G.expand((i,))) for i in images}
+    I = {i: _explicit(ctx, invert_letters(G.expand((i,)))) for i in images}
+    template = []            # 1 and -1 stand for E_{k,1} and I_{k,1}
+    for x in c0.letters:
+        if abs(x) <= m:
+            template.append(_explicit(ctx, G.expand((x,))))
+            continue
+        im = phi0.images[abs(x) - 1].letters
+        for y in (im if x > 0 else invert_letters(im)):
+            template.append(y if abs(y) == 1
+                            else _explicit(ctx, G.expand((y,))))
+    while True:
+        yield _count_cyclic(ctx, _join(ctx, [
+            E[1] if p == 1 else I[1] if p == -1 else p for p in template]))
+        E = {i: _join(ctx, [E[y] for y in im]) for i, im in images.items()}
+        I = {i: _join(ctx, [I[y] for y in reversed(im)])
+             for i, im in images.items()}
+
+
 # -- distortion report --------------------------------------------------------
 
 @dataclass
@@ -433,11 +486,17 @@ class ReportRow:
 def distortion_report(params, k_max):
     """Exact per-k table: Nielsen upper bound, crossing count, spine bound.
 
-    One pass over `witness_rows`: row k+1 takes u_{k+1} from u_k by one
-    application of Theta. Case 1 counts are cross-checked against the
-    matrix-power oracle.
+    The counts come from the row programs (`_row_counts`), so a row costs
+    the same at every k. theta is certified once per table: besides the
+    checks of `witness_rows`, its images of e_1..e_m must be positive
+    words, so no theta^k(e_1) cancels (theta_powers' certificate, for every
+    k at once). Case 1 counts are cross-checked against the occurrence
+    count of e_m in theta^k(e_1), a column of M^k stepped once per row.
     """
     n, m = params.n, params.m
+    th, th_toks, phi0, p0_toks = _certified(params)
+    if any(a < 0 for im in th.endo.images[:m] for a in im.letters):
+        raise WitnessError("train-track positivity violated")
     if params.case == "connected":
         A = [basis_word(i, n) for i in range(1, params.r + 1)]
         B = [basis_word(i, n) for i in range(1, m + 1)]
@@ -447,15 +506,17 @@ def distortion_report(params, k_max):
         cx = case2_build(params)
         ctx = cx.counting_context()
         c0 = cx.c0
+    M = transition_matrix(m)
+    column = [1] + [0] * (m - 1)          # M^k e_1
     rows = []
-    for k, phi, upper in islice(witness_rows(params), k_max + 1):
-        ik = counting.count_i(ctx, phi.apply_cyclic(c0)).value
-        if params.case == "connected":
-            oracle = occurrence_count(m, m, k)
-            if ik != oracle:
-                raise WitnessError("trace count %d disagrees with matrix "
-                                   "oracle %d at k=%d" % (ik, oracle, k))
-        rows.append(ReportRow(k, upper, ik, ik // 2))
+    for k, ik in zip(range(k_max + 1), _row_counts(ctx, c0, th, phi0, m)):
+        if params.case == "connected" and ik != column[m - 1]:
+            raise WitnessError("trace count %d disagrees with matrix "
+                               "oracle %d at k=%d" % (ik, column[m - 1], k))
+        rows.append(ReportRow(k, 2 * k * len(th_toks) + len(p0_toks), ik,
+                              ik // 2))
+        column = [sum(M[j][t] * column[t] for t in range(m))
+                  for j in range(m)]
     return rows
 
 

@@ -1,11 +1,14 @@
 """Seeded differential tests of the one-pass crossing count against the
-two-pass trace it replaced (tests/count_oracle.py)."""
+two-pass trace it replaced (tests/count_oracle.py), and of the composed
+segment summaries against the one-pass count."""
 
 import random
 
 import count_oracle
+import witness_oracle
 from outerspine import counting, graphs, sampling, witness
-from outerspine.counting import CountError, build_context
+from outerspine.counting import (CountError, build_context, close, compose,
+                                 edge_summary)
 from outerspine.marked import MarkedGraph
 from outerspine.words import CyclicWord, ReducedWord, basis_word, word
 
@@ -100,7 +103,38 @@ def test_count_i_matches_two_pass_on_witness_classes():
                         MarkedGraph.rose_identity(4))
     c0 = CyclicWord.of(basis_word(4, 4))
     for k in (0, 5, 10):
-        _, phi, _ = witness.phi_k(params, k)
+        _, phi, _ = witness_oracle.phi_k(params, k)
         ck = phi.apply_cyclic(c0)
         assert outcome(counting.count_i, ctx, ck) == \
             outcome(count_oracle.count_i, ctx, ck)
+
+
+def bracketed_summary(ctx, circuit, rng):
+    """The circuit's summary, composed from its edge summaries in a random
+    bracketing."""
+    parts = [edge_summary(ctx, a) for a in circuit]
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [compose(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def test_close_of_composed_edge_summaries_matches_count_i():
+    rng = random.Random(73)
+    seen = set()
+    block_lengths = set()
+    for ctx, B in fixed_contexts() + random_contexts(rng, 24):
+        block_lengths.add(len(ctx.block))
+        for c in random_classes(rng, ctx.G.rank, B):
+            want = outcome(counting.count_i, ctx, c)
+            want = want if isinstance(want, type) else want[0]
+            W = bracketed_summary(ctx, ctx.G.circuit_of(c), rng)
+            try:
+                got = close(W)
+            except CountError as exc:
+                got = type(exc)
+            assert got == want, c.letters
+            seen.add(want if isinstance(want, type) else want > 0)
+    assert {counting.ConjugateIntoB, True, False} <= seen
+    # windows that straddle junctions: blocks longer than one edge
+    assert max(block_lengths) > 1

@@ -12,6 +12,7 @@ from outerspine.words import (Endomorphism, CyclicWord, basis_word,
 from outerspine.covers import (FreeFactorSystem, ffs_partial_order,
                                stallings_core, subgroups_conjugate, realizes)
 from outerspine.counting import build_context, count_i
+from outerspine.folding import LabeledGraph, fold_words
 from outerspine.retract_split import coindex1_to_splitting, in_CVKT
 from outerspine import sampling
 
@@ -165,7 +166,11 @@ def rebuilt(x):
     constructor, which raises on an invalid object, and require an equal
     object. A marked graph's graph is rebuilt too, and the public
     MarkedGraph constructor runs check_generates."""
-    if isinstance(x, graphs.CoreGraph):
+    if isinstance(x, LabeledGraph):
+        y = LabeledGraph(x.edges, x.base, x.vals)
+        assert (y.vertices, y.edges, y.base, y.vals, y.rank) == \
+            (x.vertices, x.edges, x.base, x.vals, x.rank)
+    elif isinstance(x, graphs.CoreGraph):
         y = graphs.CoreGraph(x.vertices, x.edges)
         assert (y.vertices, y.edges, y.rank) == (x.vertices, x.edges, x.rank)
     elif isinstance(x, MarkedGraph):
@@ -249,6 +254,29 @@ def test_pointed_derivations_rebuild_random():
         forest = sampling.random_relatively_natural_forest(rng, x)
         if forest is not None:
             rebuilt(retract_aut.lipschitz_audit(x, forest)[1])
+
+
+def test_folded_graph_derivations_rebuild_random():
+    """Seeded subgroup generators over random spine vertices: the folded
+    snapshots (with and without history), their prunings, based cores and
+    tails, and the unbased and based cores of covers.stallings_core rebuild
+    through the checking LabeledGraph constructor."""
+    rng = random.Random(37)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        G = sampling.random_marked_graph(rng, n, rng.randint(0, 4))
+        gens = [sampling.random_reduced_word(rng, n, 6, nontrivial=True)
+                for _ in range(rng.randint(1, 3))]
+        paths = [G.expand(w.letters) for w in gens]
+        for track in (False, True):
+            folded = rebuilt(fold_words(paths, track_history=track))
+            rebuilt(folded.pruned())
+            rebuilt(folded.pruned(keep=(folded.base,)))
+            core, _, _, based = folded.based_core_and_tail()
+            rebuilt(core)
+            rebuilt(based)
+        rebuilt(stallings_core(gens, G).core)
+        rebuilt(stallings_core(gens, G, based=True).core)
 
 
 def test_word_derivations_rebuild_random():

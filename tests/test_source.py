@@ -54,8 +54,7 @@ def test_input_boundaries_build_checked_objects():
 TEST_ONLY_API = {
     "is_natural", "theta_graph", "enumerate_blowups", "conjugate_by",
     "subgroups_conjugate", "subgroup_generators", "ffs_partial_order",
-    "restrict_endo", "coindex1_to_splitting", "theta_inverse", "pair_counts",
-    "phi_image_of_gamma", "transfer", "verify_factorization",
+    "restrict_endo", "coindex1_to_splitting", "transfer",
 }
 
 

@@ -10,12 +10,14 @@ from outerspine.words import (CyclicWord, Endomorphism, basis_word, word,
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.covers import FreeFactorSystem, realizes
 from outerspine.counting import count_i
-from outerspine.witness import (theta, theta_inverse, u_k, occurrence_count,
-                                pair_counts, theta_powers, ReportRow,
-                                WitnessParams, phi_k, verify_factorization,
-                                tokens_to_endo, case2_build, distortion_report,
-                                report_csv, ratio_within_of_golden, WitnessError,
+from outerspine.witness import (theta, u_k, occurrence_count, theta_powers,
+                                ReportRow, WitnessParams, tokens_to_endo,
+                                case2_build, distortion_report, report_csv,
+                                ratio_within_of_golden, WitnessError,
                                 witness_rows)
+from witness_oracle import (theta_inverse, pair_counts, phi_k,
+                            verify_factorization, u_prime_path,
+                            phi_image_of_gamma)
 
 
 def test_theta_shape():
@@ -130,7 +132,7 @@ def test_case2_build_shape():
     assert cx.G.rank == 3
     assert equivalent(cx.G, cx.Gp.collapse_marked([cx.eta0])[0]) is not None
     # u'_0: u_0 = e_1 in H_0, so both insertions fire
-    assert cx.u_prime_path(0) == (-cx.eta0, 1, cx.eta0)
+    assert u_prime_path(cx, 0) == (-cx.eta0, 1, cx.eta0)
     # class of gamma' equals b_1 a_{l1} a_{l0} a_{l1}^-1 in the basis
     expected = CyclicWord.of(word([3, 2, 1, -2], 3))
     assert cx.c0 == expected
@@ -157,8 +159,8 @@ def test_case2_no_cancellation_and_growth():
     cx = case2_build(params)
     prev = None
     for k in range(8):
-        path = cx.phi_image_of_gamma(k)  # raises on cancellation
-        up = cx.u_prime_path(k)
+        path = phi_image_of_gamma(cx, k)  # raises on cancellation
+        up = u_prime_path(cx, k)
         crossings = sum(1 for d in up if abs(d) == cx.eta0)
         # oracle: transitions in u_k via the pair-count recursion
         letters, pairs = pair_counts(3, 2, k)
@@ -179,7 +181,7 @@ def test_case2_phi_k_matches_gamma_image():
     for k in range(5):
         _, phi, _ = phi_k(params, k)
         ck = phi.apply_cyclic(cx.c0)
-        via_path = CyclicWord.of(cx.Gp.path_to_word(cx.phi_image_of_gamma(k),
+        via_path = CyclicWord.of(cx.Gp.path_to_word(phi_image_of_gamma(cx, k),
                                                     at_vertex=2))
         assert ck == via_path
 
@@ -246,6 +248,59 @@ def test_distortion_report_matches_rows_built_one_k_at_a_time():
             k_max = rng.randint(6, 12)
             assert distortion_report(params, k_max) == \
                 _rows_one_k_at_a_time(params, k_max), params
+
+
+def test_compressed_rows_match_expanded_rows():
+    """The row programs against the expanded classes for k <= 16, in all
+    three cases, ranks (2, 2) and r = 4 included."""
+    for params in (WitnessParams(3, "connected", r=1),
+                   WitnessParams(5, "connected", r=2),
+                   WitnessParams(6, "connected", r=4),
+                   WitnessParams(4, "two_component", ranks=(1, 2)),
+                   WitnessParams(6, "two_component", ranks=(2, 1)),
+                   WitnessParams(5, "two_component", ranks=(2, 2)),
+                   WitnessParams(5, "multi_component", ranks=(1, 1, 1)),
+                   WitnessParams(6, "multi_component", ranks=(1, 1, 1, 1))):
+        assert distortion_report(params, 16) == \
+            _rows_one_k_at_a_time(params, 16), params
+
+
+def test_case1_rows_at_k100_equal_letter_counts():
+    """i_k is the number of e_m in theta^k(e_1), from the letter-count
+    recursion, through k = 100."""
+    for n, r in ((4, 2), (5, 1), (6, 4)):
+        m = r + 1
+        rows = distortion_report(WitnessParams(n, "connected", r=r), 100)
+        th, _ = theta(n, m)
+        images = [th.endo.images[i].letters for i in range(m)]
+        counts = [1] + [0] * (m - 1)          # letters of theta^k(e_1)
+        for row in rows:
+            assert row.i_k == counts[m - 1]
+            new = [0] * m
+            for x, cnt in enumerate(counts):
+                for y in images[x]:
+                    new[y - 1] += cnt
+            counts = new
+        assert rows[-1].i_k > 10 ** 9
+
+
+def test_short_end_edges_raise(monkeypatch):
+    """With one explicit edge per end, the eta0 edges that cancel between
+    consecutive H_0 letters reach a compressed middle: the report refuses
+    instead of miscounting."""
+    monkeypatch.setattr(witness, "_END_EDGES", 1)
+    with pytest.raises(WitnessError, match="compressed middle"):
+        distortion_report(WitnessParams(4, "two_component", ranks=(1, 2)), 8)
+
+
+def test_case1_count_against_wrong_matrix_raises(monkeypatch):
+    """The per-row matrix oracle is live: a wrong transition matrix makes
+    the case-1 report raise at the first row it gets wrong."""
+    monkeypatch.setattr(witness, "transition_matrix",
+                        lambda m: [[int(i == j) for j in range(m)]
+                                   for i in range(m)])
+    with pytest.raises(WitnessError, match="disagrees with matrix"):
+        distortion_report(WitnessParams(3, "connected", r=1), 4)
 
 
 def test_witness_rows_match_composed_conjugates():
@@ -325,4 +380,4 @@ def test_u_prime_path_cancellation_raises(monkeypatch):
     monkeypatch.setattr(witness, "u_k",
                         lambda n, m, k: SimpleNamespace(letters=(1, -1)))
     with pytest.raises(WitnessError):
-        cx.u_prime_path(1)
+        u_prime_path(cx, 1)

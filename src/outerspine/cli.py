@@ -328,7 +328,10 @@ def build_parser():
         "core", help="Stallings core of a subgroup",
         description="Stallings core of a subgroup. Vertices v<i> and core"
         " edges k<i> are numbered by first visit from the base of the fold,"
-        " each vertex's directions taken in (|label|, sign) order.")
+        " each vertex's directions taken in (|label|, sign) order. With"
+        " --based that base is the basepoint; without, the generators are"
+        " first conjugated onto the first nontrivial one's axis, and the"
+        " base is a point of that axis.")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--gens", required=True)
     sp.add_argument("--based", action="store_true")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import folding, graphs
 from .folding import LabeledGraph, FoldError
 from .marked import MarkedGraph
-from .words import invert_letters, reduce_letters
+from .words import conjugate_letters, cyclic_core, invert_letters
 
 
 class CoverError(ValueError):
@@ -48,28 +48,45 @@ class SubgroupGraph:
 def stallings_core(gens, G, based=False):
     """Fold the marking images of the generators over G's edge alphabet.
 
+    The unbased core depends only on the subgroup's conjugacy class
+    (Stallings, "Topology of finite graphs", Invent. Math. 71, 1983), so
+    the whole generating set is first conjugated onto the axis of the first
+    nontrivial generator, by the conjugator of its cyclic core in F_n and
+    again by that of its expanded path (a cyclically reduced word can
+    expand to a path with a tail). That conjugator is then never folded:
+    the base of the fold lies on the core, where the numbering of
+    vertices and edges starts, and pruning drops only the other
+    generators' tails.
+
     The based form traces each generator's path from the base of the fold
     and conjugates it through the tail: the reduced path tail^-1 p tail is
     its loop in the core at the attach vertex (a trivial generator gets the
     empty loop).
     """
-    paths = [G.expand(w.letters) for w in gens]
-    if not any(paths):
-        raise CoverError("trivial subgroup has no core")
-    folded = folding.fold_words([p for p in paths if p])
     if not based:
-        core = folded.pruned()
+        words = [w.letters for w in gens if w.letters]
+        if not words:
+            raise CoverError("trivial subgroup has no core")
+        u = cyclic_core(words[0])[0]
+        paths = [G.expand(conjugate_letters(w, u)) for w in words]
+        k = cyclic_core(paths[0])[0]
+        core = folding.fold_words([conjugate_letters(p, k)
+                                   for p in paths]).pruned()
         if not core.edges:
             raise CoverError("trivial subgroup has no core")
         return SubgroupGraph(LabeledGraph._derived(core.edges, None,
                                                      core.vals), G)
+    paths = [G.expand(w.letters) for w in gens]
+    if not any(paths):
+        raise CoverError("trivial subgroup has no core")
+    folded = folding.fold_words([p for p in paths if p])
     core, tail, q, based_graph = folded.based_core_and_tail()
     loops = []
     for p in paths:
         loop, end, consumed = based_graph.trace(based_graph.base, p)
         if consumed != len(p) or end != based_graph.base:
             raise CoverError("generator loop strayed off the based core")
-        red, _ = reduce_letters(invert_letters(tail) + tuple(loop) + tail)
+        red = conjugate_letters(tuple(loop), tail)
         if any(abs(d) not in core.edges for d in red):
             raise CoverError("generator loop left the core")
         loops.append(red)

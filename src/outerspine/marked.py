@@ -11,13 +11,13 @@ Neither equality searches graph isomorphisms. Marking paths cross every
 edge, so two markings read in lockstep from a pair of base vertices fix
 the only isomorphism that could carry one onto the other (`match_paths`).
 Pointed equality walks from the two basepoints. Spine-vertex equality first
-rebases each marking onto its centre (`_centre`), the rebasings of least
-total length, which any isomorphism of marked graphs maps centre to
-centre. `canonical_key` is the same equality as one hashable value, for
-sets of spine vertices: at each centre point the paths name the edges by
-first traversal, and the least of these named markings is the key (the
-words alone rebuild the marked graph). `equivalent` also returns the
-witness certificates need.
+rebases each marking onto its centre (`_centre`, computed once per marked
+graph and kept on it), the rebasings of least total length, which any
+isomorphism of marked graphs maps centre to centre. `canonical_key` is the
+same equality as one hashable value, for sets of spine vertices: at each
+centre point the paths name the edges by first traversal, and the least of
+these named markings is the key (the words alone rebuild the marked graph).
+`equivalent` also returns the witness certificates need.
 
 Checks: `MarkedGraph` and the `textio` parsers check every marking, down to
 `check_generates`; a marked graph derived from valid ones (the operations
@@ -25,8 +25,8 @@ below, the retractions, fold paths) is built unchecked by `_derived`.
 """
 
 from . import folding, graphs
-from .words import (ReducedWord, canonical_rotation, cyclic_core,
-                    invert_letters, reduce_letters, substitute)
+from .words import (ReducedWord, canonical_rotation, conjugate_letters,
+                    cyclic_core, invert_letters, reduce_letters, substitute)
 from .graphs import map_path
 
 
@@ -63,6 +63,7 @@ class MarkedGraph:
         self._images = ((),) + self.marking  # basis letter i -> marking[i - 1]
         self.rank = graph.rank
         self._values = None
+        self._centre_points = None
 
     # -- construction ------------------------------------------------------
 
@@ -168,10 +169,7 @@ class MarkedGraph:
         if new_base == self.basepoint:
             return self
         k = self.spanning_paths()[new_base]
-        marking = []
-        for p in self.marking:
-            q, _ = reduce_letters(invert_letters(k) + p + k)
-            marking.append(q)
+        marking = [conjugate_letters(p, k) for p in self.marking]
         return MarkedGraph._derived(self.graph, new_base, marking)
 
     def naturalize(self, keep_base):
@@ -280,7 +278,9 @@ def equivalent(G1, G2):
     """
     if G1.rank != G2.rank or len(G1.graph.edges) != len(G2.graph.edges):
         return None
-    v1, paths1, j1 = _descend(G1)
+    # any centre point of G1 will do; the memo's first is `_descend`'s
+    (v1, paths1), j1 = (next(iter(G1._centre_points.items()))
+                        if G1._centre_points is not None else _descend(G1))
     for (v2, paths2), j2 in _centre(G2).items():
         got = match_paths(G1.graph, v1, paths1, G2.graph, v2, paths2)
         if got is not None:
@@ -295,7 +295,9 @@ def equivalent(G1, G2):
 
 
 def _conjugate(p, d):
-    """The reduced path d^-1 p d of a closed path p at the tail of d."""
+    """The reduced path d^-1 p d of a closed path p at the tail of d:
+    `conjugate_letters(p, (d,))`, written out for the centre walk, where it
+    takes half the time."""
     q = p[1:] if p[:1] == (d,) else (-d,) + p
     return q[:-1] if q[-1:] == (-d,) else q + (d,)
 
@@ -315,14 +317,14 @@ def _step(g, v, paths, j, d):
 
 
 def _descend(G):
-    """One centre point of G: (vertex, rebased paths, rebasing path j), with
-    the paths the reduced j^-1 p_i j and j reduced, from the basepoint."""
+    """One centre point of G: ((vertex, rebased paths), rebasing path j),
+    with the paths the reduced j^-1 p_i j and j reduced, from the basepoint."""
     g = G.graph
     v, paths, j = G.basepoint, G.marking, ()
     while (d := next((d for d, c in _changes(g, v, paths) if c < 0),
                      None)) is not None:
         v, paths, j = _step(g, v, paths, j, d)
-    return v, paths, j
+    return (v, paths), j
 
 
 def _centre(G):
@@ -336,10 +338,13 @@ def _centre(G):
     the basepoint reaches the least total, and the rebasings of least total
     span a finite subtree, walked here by the steps that keep the total.
     An isomorphism of marked graphs keeps the total, so it maps centre onto
-    centre.
+    centre. Computed once per marked graph and kept on it, as its transfer
+    words are; its first point is the one `_descend` reaches.
     """
+    if G._centre_points is not None:
+        return G._centre_points
     g = G.graph
-    v, paths, j = _descend(G)
+    (v, paths), j = _descend(G)
     centre = {(v, paths): j}
     stack = [(v, paths, j)]
     while stack:
@@ -350,6 +355,7 @@ def _centre(G):
                 if (w, q) not in centre:
                     centre[w, q] = k
                     stack.append((w, q, k))
+    G._centre_points = centre
     return centre
 
 

@@ -60,6 +60,27 @@ def invert_letters(letters):
     return tuple([-a for a in reversed(letters)])
 
 
+def conjugate_letters(p, u):
+    """The reduced u^-1 p u of reduced tuples p and u.
+
+    Only the two junctions can cancel: u's prefix shared with p, and u's
+    prefix shared with p^-1, as long as the two leave a middle of p; when
+    they consume p the rest is reduced in full.
+    """
+    if not u:
+        return p
+    n, m = len(p), len(u)
+    a = 0
+    while a < n and a < m and p[a] == u[a]:
+        a += 1
+    b = 0
+    while a + b < n and b < m and p[n - 1 - b] == -u[b]:
+        b += 1
+    if a + b == n:
+        return reduce_letters(invert_letters(u) + p + u)[0]
+    return invert_letters(u[a:]) + p[a:n - b] + u[b:]
+
+
 def substitute(letters, image):
     """Replace each letter a by image[a] (the inverse of image[-a] when a < 0)
     and freely reduce; returns (tuple, #cancelled pairs).

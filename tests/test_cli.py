@@ -334,3 +334,22 @@ def test_core_cli_based_numbering(tmp_path):
                    "k9: v6 -> v6 over e3\n"
                    "attach: v3\n"
                    "tail: e1 e4^-1 e1\n")
+
+
+def test_core_cli_unbased_numbering(tmp_path):
+    """Unbased `core` folds the generators conjugated onto the first one's
+    axis, so the numbering starts at a point of that axis, on the core."""
+    p = tmp_path / "g.txt"
+    p.write_text("graph { v: v0 v1; e: e1 v0 v1; e2 v1 v1; e3 v0 v0;"
+                 " e4 v0 v1; }\n"
+                 "marking { a1 = e3; a2 = e1 e2 e1^-1; a3 = e1 e4^-1; }\n"
+                 "basepoint: v0\n")
+    out = run_cli(["core", "--graph", str(p), "--gens",
+                   "a3 a2 a1 a2^-1 a3^-1, a3 a2 a3 a2 a3^-1"])
+    assert out == ("rank: 2\n"
+                   "k1: v0 -> v1 over e1\n"
+                   "k2: v0 -> v0 over e3\n"
+                   "k3: v2 -> v1 over e2\n"
+                   "k4: v3 -> v1 over e4\n"
+                   "k5: v4 -> v2 over e2\n"
+                   "k6: v3 -> v4 over e1\n")

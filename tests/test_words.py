@@ -8,8 +8,9 @@ from outerspine.words import (ReducedWord, CyclicWord, Endomorphism, WordError,
                               word, basis_word, cyclic_reduce,
                               is_automorphism, canonical_rotation,
                               least_rotation,
-                              cyclic_core, eventually_periodic_form,
-                              invert_letters, substitute)
+                              conjugate_letters, cyclic_core,
+                              eventually_periodic_form, invert_letters,
+                              reduce_letters, substitute)
 from iso_oracle import primitive_root, simultaneous_conjugator
 
 
@@ -119,6 +120,22 @@ def test_substitute_matches_expand_then_reduce():
                 expanded.extend(-x for x in reversed(image[-a]))
         assert substitute(letters, image) == brute_reduce(expanded)
 
+
+
+def test_conjugate_letters_matches_full_reduction():
+    """Seeded reduced p and u, p often built from prefixes of u and of u^-1
+    so that both junctions cancel, in part or through all of p."""
+    rng = random.Random(18)
+    for _ in range(3000):
+        u = reduce_letters(rand_letters(rng, 2, rng.randrange(6)))[0]
+        pieces = [u[:rng.randrange(len(u) + 1)],
+                  tuple(rand_letters(rng, 2, rng.randrange(3))),
+                  invert_letters(u[:rng.randrange(len(u) + 1)])]
+        if rng.random() < 0.5:
+            pieces[:2] = pieces[1::-1]
+        p = reduce_letters(sum(pieces, ()))[0]
+        assert conjugate_letters(p, u) == \
+            brute_reduce(invert_letters(u) + p + u)[0]
 
 def long_cases(seed):
     """Seeded tuples of at least 1000 letters: random ones, proper powers,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import folding, graphs
 from .folding import LabeledGraph, FoldError
 from .marked import MarkedGraph
-from .words import conjugate_letters, cyclic_core, invert_letters
+from .words import conjugate_letters, cyclic_core
 
 
 class CoverError(ValueError):
@@ -38,12 +38,6 @@ class SubgroupGraph:
         self.loops = loops
         self.rank = core.rank
 
-    def vertex_image(self, v):
-        """Ambient vertex under the immersion."""
-        d = self.core.directions(v)[0]
-        lab = self.core.label_of(d)
-        return self.ambient.graph.tail(lab)
-
 
 def stallings_core(gens, G, based=False):
     """Fold the marking images of the generators over G's edge alphabet.
@@ -56,7 +50,8 @@ def stallings_core(gens, G, based=False):
     expand to a path with a tail). That conjugator is then never folded:
     the base of the fold lies on the core, where the numbering of
     vertices and edges starts, and pruning drops only the other
-    generators' tails.
+    generators' tails. The folding engine prunes and numbers the core in
+    one walk (`Folder.core`).
 
     The based form traces each generator's path from the base of the fold
     and conjugates it through the tail: the reduced path tail^-1 p tail is
@@ -70,17 +65,13 @@ def stallings_core(gens, G, based=False):
         u = cyclic_core(words[0])[0]
         paths = [G.expand(conjugate_letters(w, u)) for w in words]
         k = cyclic_core(paths[0])[0]
-        core = folding.fold_words([conjugate_letters(p, k)
-                                   for p in paths]).pruned()
-        if not core.edges:
-            raise CoverError("trivial subgroup has no core")
-        return SubgroupGraph(LabeledGraph._derived(core.edges, None,
-                                                     core.vals), G)
+        return SubgroupGraph(folding.fold_words(
+            [conjugate_letters(p, k) for p in paths]).core(), G)
     paths = [G.expand(w.letters) for w in gens]
     if not any(paths):
         raise CoverError("trivial subgroup has no core")
-    folded = folding.fold_words([p for p in paths if p])
-    core, tail, q, based_graph = folded.based_core_and_tail()
+    core, tail, q, based_graph = folding.fold_words(
+        [p for p in paths if p]).based_core()
     loops = []
     for p in paths:
         loop, end, consumed = based_graph.trace(based_graph.base, p)
@@ -159,47 +150,6 @@ def conjugate_into(K1, K2):
     return next(labeled_morphisms(K1, K2), None)
 
 
-def subgroups_conjugate(A, B):
-    if A.ambient is not B.ambient:
-        raise CoverError("subgroup graphs over different marked graphs")
-    return labeled_isomorphism(A.core, B.core) is not None
-
-
-def subgroup_generators(sub, G):
-    """Free generators of the subgroup, read off a spanning tree of the core.
-
-    Based form gives exact elements; unbased gives a conjugacy representative.
-    """
-    core = sub.core
-    root = sub.attach if sub.attach is not None else min(core.vertices)
-    tree_path = {root: ()}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for d in core.directions(v):
-                h = core.head(d)
-                if h not in tree_path:
-                    tree_path[h] = tree_path[v] + (d,)
-                    nxt.append(h)
-        frontier = nxt
-    tree_edges = set()
-    for p in tree_path.values():
-        for d in p:
-            tree_edges.add(abs(d))
-    pre = tuple(sub.tail_labels) if sub.tail_labels else ()
-    gens = []
-    for eid in sorted(core.edges):
-        if eid in tree_edges:
-            continue
-        o, t, _ = core.edges[eid]
-        loop = tree_path[o] + (eid,) + invert_letters(tree_path[t])
-        labels = pre + core.path_labels(loop) + invert_letters(pre)
-        at = G.basepoint if sub.tail_labels is not None else sub.vertex_image(root)
-        gens.append(G.path_to_word(labels, at_vertex=at))
-    return gens
-
-
 @dataclass(frozen=True)
 class FreeFactorSystem:
     """Conjugacy classes of free factors, stored by generating words."""
@@ -261,16 +211,24 @@ def core_images(G, F):
     Returns one (edge set, vertex set) pair per component, or None when a
     core's vertex map is not injective or two images share a vertex. An
     immersion injective on vertices is injective on edges: two edges with one
-    label would start at one vertex, which a folded graph forbids.
+    label would start at one vertex, which a folded graph forbids. The
+    components are folded one at a time, and none after the first that
+    fails; a trivial component is an input error, found before any fold.
     """
+    if not all(any(w.letters for w in gens) for gens in F.components):
+        raise CoverError("trivial subgroup has no core")
     images = []
     used = set()
-    for K in F.cores_over(G):
-        verts = {K.vertex_image(v) for v in K.core.vertices}
-        if len(verts) != len(K.core.vertices) or verts & used:
+    for gens in F.components:
+        core = stallings_core(gens, G).core
+        image = {}
+        for o, t, lab in core.edges.values():
+            image[o], image[t] = G.graph.edges[lab]
+        verts = set(image.values())
+        if len(verts) != len(image) or verts & used:
             return None
         used |= verts
-        images.append((frozenset(lab for _, _, lab in K.core.edges.values()),
+        images.append((frozenset(lab for _, _, lab in core.edges.values()),
                        frozenset(verts)))
     return images
 

@@ -15,8 +15,14 @@ at the least vertex with two directions of one label, the first such pair
 in (|eid|, sign) order. Plain folds (`fold_words` without history) read
 each word through the graph folded so far and attach only the unread
 middle (`Folder.add_word`), so they make only the folds the new piece
-starts. Either way `Folder.snapshot` numbers the result by first visit from
-the base, so it does not depend on the order the folds were made in.
+starts. Either way the result is numbered by first visit from the base,
+so it does not depend on the order the folds were made in.
+
+`fold_words` returns the folded engine. The engine prunes its own incidence
+maps for the Stallings core (`Folder.core`, `Folder.based_core`) and then
+numbers and emits the graph in one walk, as `Folder.snapshot` does, leaving
+out the pruned edges: each core is built once, and keeps the numbers the
+whole folded graph would give its edges and vertices.
 
 History mode attaches to every edge a transfer word over a second alphabet
 x_1..x_k (one letter per input word) such that the transfer product along any
@@ -247,6 +253,14 @@ class Folder:
         vertex's directions in (|label|, sign) order (`_order`), so the
         numbering does not depend on the order the folds were made in:
         label-isomorphic based graphs give identical snapshots."""
+        return self._emit(())[0]
+
+    def _emit(self, dropped, base=0):
+        """(graph, enum): the snapshot walk over the whole folded graph,
+        emitting only the edges whose ids are not in `dropped`, so the
+        survivors keep their snapshot numbers; enum maps each engine edge id
+        to its signed snapshot id (negative when the engine edge runs
+        against its label)."""
         vnum = {self.base: 0}
         enum = {}
         edges = {}
@@ -266,20 +280,84 @@ class Folder:
                 if h not in vnum:
                     vnum[h] = len(vnum)
                     queue.append(h)
+                k = len(enum) + 1
+                enum[eid] = k if lab > 0 else -k
+                if eid in dropped:
+                    continue
                 if lab < 0:
                     o, t, lab, val = t, o, -lab, invert_letters(val)
-                k = enum[eid] = len(enum) + 1
                 edges[k] = (vnum[o], vnum[t], lab)
                 if vals is not None:
                     vals[k] = val
-        return LabeledGraph._derived(edges, 0, vals)
+        return LabeledGraph._derived(edges, base, vals), enum
+
+    def _prune(self):
+        """(dropped, tail) for the Stallings core: `dropped` holds the ids of
+        the edges deleted by repeatedly deleting every leaf but the base,
+        and `tail` the directions of the arc that then runs from the base to
+        the first vertex where it would stop being a leaf (empty when the
+        base lies on the core). The folded graph itself is left as it is."""
+        base = self.base
+        live = {}  # vertex -> valence left, for the vertices pruning touched
+        dropped = set()
+        leaves = [v for v in self.vertices.values()
+                  if v.valence == 1 and v is not base]
+        while leaves:
+            v = leaves.pop()
+            if live.get(v, 1) != 1:
+                continue
+            live[v] = 0
+            d = next(d for ds in v.out.values() for d in ds
+                     if abs(d) not in dropped)
+            dropped.add(abs(d))
+            h = self._head(d)
+            k = live[h] = live.get(h, h.valence) - 1
+            if k == 1 and h is not base:
+                leaves.append(h)
+        tail = []
+        v, back = base, None
+        while len(outs := [d for ds in v.out.values() for d in ds
+                           if d != back and abs(d) not in dropped]) == 1:
+            tail.append(outs[0])
+            back = -outs[0]
+            v = self._head(outs[0])
+        return dropped, tail
+
+    def core(self):
+        """The Stallings core, unbased: the snapshot with every hanging tree
+        pruned away, the survivors keeping their snapshot numbers."""
+        dropped, tail = self._prune()
+        core = self._emit(dropped.union(map(abs, tail)), None)[0]
+        if not core.edges:
+            raise FoldError("trivial core")
+        return core
+
+    def based_core(self):
+        """(core, tail, attach, based graph): the based graph is the
+        snapshot pruned down to the core and the hanging arc from the base
+        to it, the nearest-point arc; `tail` is that arc as directions of
+        the based graph, `attach` its core end, and the core is the based
+        graph without it, keeping the base only if the base lies on it.
+        Numbers are the snapshot's."""
+        dropped, tail = self._prune()
+        based, enum = self._emit(dropped)
+        tail = tuple(enum[d] if d > 0 else -enum[-d] for d in tail)
+        arc = set(map(abs, tail))
+        edges = {k: e for k, e in based.edges.items() if k not in arc}
+        if not edges:
+            raise FoldError("trivial core")
+        vals = based.vals and {k: based.vals[k] for k in edges}
+        attach = based.head(tail[-1]) if tail else based.base
+        return (LabeledGraph._derived(edges, None if tail else based.base,
+                                      vals), tail, attach, based)
 
 
 class LabeledGraph:
     """Immutable folded graph: an immersion over the label alphabet.
 
     Edges: eid -> (origin, terminus, positive label). Directed edges are
-    +eid/-eid. `base` may be None for unbased (core) forms.
+    +eid/-eid. `base` may be None for unbased (core) forms. The folding
+    engine emits snapshots and cores already pruned and numbered.
     """
 
     def __init__(self, edges, base, vals=None):
@@ -291,7 +369,7 @@ class LabeledGraph:
     @classmethod
     def _derived(cls, edges, base, vals=None):
         """The graph with no check, for one derived from a folded graph
-        (snapshots, prunings); it keeps the given dicts."""
+        (snapshots, cores); it keeps the given dicts."""
         G = object.__new__(cls)
         G._fill(edges, base, vals or None)
         return G
@@ -369,58 +447,11 @@ class LabeledGraph:
         """Transfer word of a path (closed paths at base give exact values)."""
         return _mul(*[self.dval(d) for d in path])
 
-    # -- pruning -----------------------------------------------------------
-
-    def pruned(self, keep=()):
-        """Iteratively delete valence-1 vertices not in `keep`; the base
-        survives if it is in `keep` or still on an edge."""
-        valence = {v: len(out) for v, out in self._out.items()}
-        leaves = [v for v, k in valence.items() if k == 1 and v not in keep]
-        dropped = set()
-        while leaves:
-            v = leaves.pop()
-            if valence[v] != 1:
-                continue
-            d = next(d for d in self._out[v].values() if abs(d) not in dropped)
-            dropped.add(abs(d))
-            valence[v] = 0
-            h = self.head(d)
-            valence[h] -= 1
-            if valence[h] == 1 and h not in keep:
-                leaves.append(h)
-        edges = {eid: e for eid, e in self.edges.items() if eid not in dropped}
-        vals = {eid: self.vals[eid] for eid in edges} if self.vals else None
-        base = self.base if self.base in keep or valence.get(self.base) else None
-        return LabeledGraph._derived(edges, base, vals)
-
-    def based_core_and_tail(self):
-        """(core graph, tail path from base, attachment vertex q).
-
-        The tail is the hanging arc from the base to the core; it is empty
-        when the base already lies in the core.
-        """
-        if self.base is None:
-            raise FoldError("graph has no base")
-        based = self.pruned(keep=(self.base,))
-        core = based.pruned()
-        if not core.edges:
-            raise FoldError("trivial core")
-        tail = []
-        cur = self.base
-        used = None
-        while cur not in core.vertices:
-            outs = [d for d in based.directions(cur) if d != used]
-            if len(outs) != 1:
-                raise FoldError("tail is not an arc")
-            d = outs[0]
-            tail.append(d)
-            used = -d
-            cur = based.head(d)
-        return core, tuple(tail), cur, based
-
 
 def fold_words(word_list, track_history=False):
-    """Fold the wedge of loops spelling the given signed-label words.
+    """Fold the wedge of loops spelling the given signed-label words and
+    return the folded `Folder`; take its `snapshot`, `core` or
+    `based_core`.
 
     With history every loop is attached whole and folded in the fixed fold
     order; without, each word in turn is read through the graph folded so
@@ -433,7 +464,7 @@ def fold_words(word_list, track_history=False):
             fo.add_word(tuple(w))
             fo.fold_all()
     fo.fold_all()
-    return fo.snapshot()
+    return fo
 
 
 def is_full_rose(gr, n):

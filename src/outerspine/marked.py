@@ -77,7 +77,7 @@ class MarkedGraph:
     def check_generates(self):
         """The marking images must generate pi_1: folding them over the edge
         alphabet has to reproduce the graph itself, base at basepoint."""
-        folded = folding.fold_words(self.marking, track_history=False)
+        folded = folding.fold_words(self.marking).snapshot()
         self._check_folded_is_graph(folded)
         return True
 
@@ -102,7 +102,8 @@ class MarkedGraph:
         """Per-edge transfer words: closed paths at the basepoint map to their
         exact F_n elements. Cached."""
         if self._values is None:
-            folded = folding.fold_words(self.marking, track_history=True)
+            folded = folding.fold_words(self.marking,
+                                        track_history=True).snapshot()
             self._check_folded_is_graph(folded)
             vals = {}
             for eid, (o, t, lab) in folded.edges.items():

@@ -371,7 +371,8 @@ def is_automorphism(f):
     """
     from . import folding
 
-    gr = folding.fold_words([im.letters for im in f.images], track_history=True)
+    gr = folding.fold_words([im.letters for im in f.images],
+                            track_history=True).snapshot()
     if not folding.is_full_rose(gr, f.rank):
         return None
     # the petals' transfer words are reduced by the fold and spelled in

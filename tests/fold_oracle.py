@@ -3,7 +3,10 @@ engine. `_Fold` scanned every live edge for each fold (quadratic) and took
 folds from an unordered queue; `_FoldState` was the spine's own fold loop
 (least vertex, first label collision in |eid| order). `canonical` renumbers
 a folded graph by first visit from the base, as `Folder.snapshot` does, so
-graphs folded in different orders compare exactly. Only the differential
+graphs folded in different orders compare exactly. `pruned` and
+`based_core_and_tail` are the cores as they were cut from a snapshot, in
+two prunings, before the engine pruned and numbered each core in one walk;
+`Folded` serves them in place of a folded engine. Only the differential
 tests in test_fold_engine.py import this module.
 """
 
@@ -414,3 +417,44 @@ def pruned(gr, keep=()):
     vals = {eid: gr.vals[eid] for eid in alive} if gr.vals else None
     base = gr.base if (gr.base is not None and gr.base not in gone) else None
     return LabeledGraph(edges, base, vals)
+
+
+def based_core_and_tail(gr):
+    """LabeledGraph.based_core_and_tail as it was: (core, tail, attach,
+    based graph), the based graph the snapshot pruned with its base kept,
+    the core that pruned again, and the tail walked from the base."""
+    based = pruned(gr, keep=(gr.base,))
+    core = pruned(based)
+    if not core.edges:
+        raise FoldError("trivial core")
+    tail = []
+    cur = gr.base
+    used = None
+    while cur not in core.vertices:
+        outs = [d for d in based.directions(cur) if d != used]
+        if len(outs) != 1:
+            raise FoldError("tail is not an arc")
+        tail.append(outs[0])
+        used = -outs[0]
+        cur = based.head(outs[0])
+    return core, tuple(tail), cur, based
+
+
+class Folded:
+    """A folded graph as `folding.fold_words` returns it, its cores cut by
+    the oracle: `core` drops the base, as `covers.stallings_core` did."""
+
+    def __init__(self, gr):
+        self.gr = gr
+
+    def snapshot(self):
+        return self.gr
+
+    def core(self):
+        core = pruned(self.gr)
+        if not core.edges:
+            raise FoldError("trivial core")
+        return LabeledGraph(core.edges, None, core.vals)
+
+    def based_core(self):
+        return based_core_and_tail(self.gr)

@@ -309,6 +309,16 @@ def test_realizes_cli(tmp_path):
     assert out.strip() == "none"
 
 
+def test_realizes_cli_trivial_component_after_failing_one(tmp_path):
+    """A trivial component is an input error even when an earlier
+    component's core fails to embed: every component is checked before
+    any is folded."""
+    rose = write_rose(tmp_path)
+    err = run_cli_error(["realizes", "--graph", rose, "--component", "a1 a2",
+                         "--component", ""])
+    assert err == "error: trivial subgroup has no core\n"
+
+
 def test_core_cli(tmp_path):
     rose = write_rose(tmp_path, n=2)
     out = run_cli(["core", "--graph", rose, "--gens", "a1 a2"])

@@ -11,7 +11,7 @@ give the same verdict and the same edge sets on either.
 
 import random
 
-from outerspine import sampling
+from outerspine import covers, sampling
 from outerspine.covers import (CoreSubgraphWitness, FreeFactorSystem,
                                labeled_isomorphism, realizes, stallings_core)
 from outerspine.folding import LabeledGraph, fold_words
@@ -26,7 +26,7 @@ def whole_words_core(gens, G):
     """The unbased core as it was folded before: every generator's whole
     path, conjugator and all, folded at one base, then pruned."""
     paths = [G.expand(w.letters) for w in gens]
-    return fold_words([p for p in paths if p]).pruned()
+    return fold_words([p for p in paths if p]).core()
 
 
 def oracle_realizes(G, components):
@@ -139,3 +139,41 @@ def test_axis_core_of_tailed_cyclic_word():
         core = stallings_core(gens, G).core
         assert list(core.edges.values()) == [(0, 0, 2)]
         assert labeled_isomorphism(core, whole_words_core(gens, G))
+
+
+def test_realizes_folds_up_to_the_first_failing_component(monkeypatch):
+    """`realizes` folds the components in order and stops at the first
+    whose core fails to embed or meets an earlier image: a system whose
+    first component is a conjugated proper power folds only that one. On
+    every seeded system the verdict matches `oracle_realizes`, and the
+    number of cores folded is the length of the shortest failing prefix
+    (the whole system when it is realized)."""
+    calls = []
+    real = covers.stallings_core
+
+    def counting(gens, G, based=False):
+        calls.append(based)
+        return real(gens, G, based)
+
+    monkeypatch.setattr(covers, "stallings_core", counting)
+    rng = random.Random(19)
+    early = 0
+    for case in range(120):
+        n = rng.randint(2, 5)
+        G = sampling.random_marked_graph(rng, n, rng.randint(0, 4))
+        components = [[conjugated(rng, n, basis_word(i, n))]
+                      for i in rng.sample(range(1, n + 1), rng.randint(1, n))]
+        if case % 2 == 0:
+            root = sampling.random_reduced_word(rng, n, 3, nontrivial=True)
+            components.insert(0, [conjugated(rng, n, root.power(2))])
+        calls.clear()
+        got = realizes(G, FreeFactorSystem.of(components, n))
+        assert got == oracle_realizes(G, components)
+        prefix = next((k for k in range(1, len(components) + 1)
+                       if oracle_realizes(G, components[:k]) is None),
+                      len(components))
+        assert calls == [False] * prefix
+        if case % 2 == 0:
+            assert got is None and prefix == 1
+        early += prefix < len(components)
+    assert early > 60

@@ -2,7 +2,8 @@
 it replaced (tests/fold_oracle.py). The oracle's graphs are compared after
 `fold_oracle.canonical`, the first-visit numbering `Folder.snapshot` uses,
 so the untracked read-then-attach fold meets the oracle's whole-loop fold
-edge for edge."""
+edge for edge. The engine's one-walk cores are compared with the oracle's
+two prunings of the same snapshot."""
 
 import random
 
@@ -10,7 +11,7 @@ import pytest
 
 import fold_oracle
 from outerspine import covers, folding, sampling, spine, textio
-from outerspine.folding import fold_words, rose_petal_values
+from outerspine.folding import FoldError, fold_words, rose_petal_values
 from outerspine.marked import MarkedGraph
 from outerspine.retract_split import SplittingBlueprint, in_CVKT
 from outerspine.words import basis_word, reduce_letters, substitute, word
@@ -50,6 +51,43 @@ def assert_same_graph(a, b):
     assert len(set(vmap.values())) == len(vmap) == len(b.vertices)
 
 
+def assert_cores_match_oracle(folded):
+    """The engine's cores of a folded graph equal the oracle's prunings of
+    its snapshot: identical edges, vertices, base and transfer words, and
+    the same tail and attach vertex; a trivial core raises either way.
+    Returns whether the based graph has a tail."""
+    gr = folded.snapshot()
+    if not fold_oracle.pruned(gr).edges:
+        for entry in (folded.core, folded.based_core):
+            with pytest.raises(FoldError):
+                entry()
+        return False
+    old = fold_oracle.based_core_and_tail(gr)
+    new = folded.based_core()
+    assert new[1:3] == old[1:3]
+    pairs = list(zip((old[0], old[3]), (new[0], new[3])))
+    pairs.append((fold_oracle.Folded(gr).core(), folded.core()))
+    for a, b in pairs:
+        assert (b.edges, b.vertices, b.base, b.vals) == \
+            (a.edges, a.vertices, a.base, a.vals)
+    return bool(new[1])
+
+
+def hanging_wedge(rng, n):
+    """A random wedge with each word conjugated by its own random word, so
+    the fold hangs trees off the core, plus a proper power of one of them
+    and sometimes the trivial word."""
+    words = []
+    for w in random_wedge(rng, n):
+        c = tuple(rng.choice([1, -1]) * rng.randint(1, n)
+                  for _ in range(rng.randint(0, 5)))
+        words.append(tuple(-a for a in reversed(c)) + w + c)
+    words.append(rng.choice(words) * rng.randint(2, 3))
+    if rng.random() < 0.3:
+        words.insert(rng.randrange(len(words) + 1), ())
+    return words
+
+
 def evaluate(xword, words):
     """Transfer word read in the input words, freely reduced."""
     return substitute(xword, dict(enumerate(words, 1)))[0]
@@ -71,19 +109,33 @@ def test_wedges_match_oracle(n):
     for _ in range(150):
         words = random_wedge(rng, n)
         old = fold_oracle.canonical(fold_oracle.fold_words(words))
-        new = fold_words(words)
+        folded = fold_words(words)
+        new = folded.snapshot()
         assert_same_graph(old, new)
         tracked = fold_words(words, track_history=True)
-        assert_same_graph(old, tracked)
-        assert_transfers_spell(tracked, words)
+        assert_same_graph(old, tracked.snapshot())
+        assert_transfers_spell(tracked.snapshot(), words)
         if old.rank < sum(1 for w in words if reduce_letters(w)[0]):
             relation_folds += 1
-        for keep in ((), (new.base,)):
-            a, b = fold_oracle.pruned(new, keep), new.pruned(keep)
-            assert a.edges == b.edges and a.vals == b.vals
-            if a.edges:
-                assert a.base == b.base
+        assert_cores_match_oracle(folded)
+        assert_cores_match_oracle(tracked)
     assert relation_folds > 30
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cores_match_oracle(n):
+    """Wedges with hanging trees, proper powers and trivial words, folded
+    with and without history: the one-walk cores, unbased and based, equal
+    the oracle's prunings of the snapshot."""
+    rng = random.Random(1900 + n)
+    tails = trivial = 0
+    for _ in range(200):
+        words = hanging_wedge(rng, n)
+        for track in (False, True):
+            folded = fold_words(words, track_history=track)
+            tails += assert_cores_match_oracle(folded)
+            trivial += not folded.snapshot().rank
+    assert tails > 40 and trivial > 5
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -93,7 +145,7 @@ def test_bases_match_oracle(n):
         words = random_basis(rng, n)
         old = fold_oracle.canonical(
             fold_oracle.fold_words(words, track_history=True))
-        new = fold_words(words, track_history=True)
+        new = fold_words(words, track_history=True).snapshot()
         assert_same_graph(old, new)
         assert new.vals == old.vals
         assert rose_petal_values(new, n) == rose_petal_values(old, n)
@@ -141,8 +193,8 @@ def test_fold_paths_match_oracle(monkeypatch):
 
 
 def oracle_fold_words(word_list, track_history=False):
-    return fold_oracle.canonical(
-        fold_oracle.fold_words(word_list, track_history))
+    return fold_oracle.Folded(fold_oracle.canonical(
+        fold_oracle.fold_words(word_list, track_history)))
 
 
 def conjugated_system(rng, n):
@@ -201,3 +253,45 @@ def test_membership_matches_whole_loop_fold(monkeypatch):
             verdicts.append((new[1] is not None, new[2] is not None))
     for i in (0, 1):
         assert 5 < sum(v[i] for v in verdicts) < len(verdicts) - 5
+
+
+def subgroup_cores(gens, G):
+    K = covers.stallings_core(gens, G)
+    B = covers.stallings_core(gens, G, based=True)
+    return ([(g.edges, g.vertices, g.base) for g in (K.core, B.core, B.based)]
+            + [B.tail_labels, B.attach, B.loops])
+
+
+def test_subgroup_cores_match_oracle(monkeypatch):
+    """`covers.stallings_core`, unbased and based, over random marked
+    graphs, from the engine's cores and from the oracle's prunings of the
+    same snapshots: identical core and based graphs, tails, attach
+    vertices and generator loops. Each generator is conjugated by a shared
+    word or by its own, one is a proper power and some systems have a
+    trivial generator."""
+    real = folding.fold_words
+
+    def oracle(word_list, track_history=False):
+        return fold_oracle.Folded(real(word_list, track_history).snapshot())
+
+    rng = random.Random(1901)
+    tails = 0
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        G = sampling.random_marked_graph(rng, n, rng.randint(0, 3))
+        gens = [sampling.random_reduced_word(rng, n, 4, nontrivial=True)
+                for _ in range(rng.randint(1, 3))]
+        gens.append(rng.choice(gens).power(rng.randint(2, 3)))
+        shared = rng.random() < 0.5
+        c = sampling.random_reduced_word(rng, n, 4)
+        gens = [w.conjugate_by(c if shared else
+                               sampling.random_reduced_word(rng, n, 4))
+                for w in gens]
+        if rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens) + 1), word([], n))
+        new = subgroup_cores(gens, G)
+        with monkeypatch.context() as m:
+            m.setattr(folding, "fold_words", oracle)
+            assert subgroup_cores(gens, G) == new
+        tails += bool(new[3])
+    assert tails > 40

@@ -10,11 +10,12 @@ from outerspine.witness import WitnessParams, theta, theta_powers, witness_rows
 from outerspine.words import (Endomorphism, CyclicWord, basis_word,
                               cyclic_reduce, word, is_automorphism)
 from outerspine.covers import (FreeFactorSystem, ffs_partial_order,
-                               stallings_core, subgroups_conjugate, realizes)
+                               stallings_core, realizes)
 from outerspine.counting import build_context, count_i
 from outerspine.folding import LabeledGraph, fold_words
 from outerspine.retract_split import coindex1_to_splitting, in_CVKT
 from outerspine import sampling
+from subgroup_tools import subgroups_conjugate
 
 
 def small_systems_f3():
@@ -269,10 +270,10 @@ def test_folded_graph_derivations_rebuild_random():
                 for _ in range(rng.randint(1, 3))]
         paths = [G.expand(w.letters) for w in gens]
         for track in (False, True):
-            folded = rebuilt(fold_words(paths, track_history=track))
-            rebuilt(folded.pruned())
-            rebuilt(folded.pruned(keep=(folded.base,)))
-            core, _, _, based = folded.based_core_and_tail()
+            folded = fold_words(paths, track_history=track)
+            rebuilt(folded.snapshot())
+            rebuilt(folded.core())
+            core, _, _, based = folded.based_core()
             rebuilt(core)
             rebuilt(based)
         rebuilt(stallings_core(gens, G).core)

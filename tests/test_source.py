@@ -31,10 +31,12 @@ def library_calls():
 
 
 def test_core_decisions_stay_in_covers():
-    """Based cores and seeded core morphisms are computed only in covers."""
-    names = {"based_core_and_tail", "_labeled_extension"}
+    """Based cores and seeded core morphisms are computed only in covers,
+    and every core is pruned by the folding engine: no library call is
+    named `pruned`."""
+    names = {"based_core", "_labeled_extension"}
     found = ["%s:%d" % (mod, node.lineno) for mod, node, name in library_calls()
-             if name in names and mod != "covers.py"]
+             if (name in names and mod != "covers.py") or name == "pruned"]
     assert found == []
 
 
@@ -53,8 +55,8 @@ def test_input_boundaries_build_checked_objects():
 # or kept for a planned use (ROADMAP, "Keep the source small").
 TEST_ONLY_API = {
     "is_natural", "theta_graph", "enumerate_blowups", "conjugate_by",
-    "subgroups_conjugate", "subgroup_generators", "ffs_partial_order",
-    "restrict_endo", "coindex1_to_splitting", "transfer",
+    "ffs_partial_order", "restrict_endo", "coindex1_to_splitting",
+    "transfer",
 }
 
 

@@ -174,8 +174,6 @@ class FreeFactorSystem:
 
     def coindex(self):
         ranks = self.component_ranks()
-        if any(r < 1 for r in ranks):
-            raise CoverError("trivial component in free factor system")
         if sum(r - 1 for r in ranks) > self.rank - 1:
             raise CoverError("component ranks exceed ambient rank")
         return (self.rank - 1) - sum(r - 1 for r in ranks)

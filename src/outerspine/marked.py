@@ -276,7 +276,13 @@ def equivalent(G1, G2):
     the only isomorphism that can carry the one marking onto the other. With
     j1, j2 the rebasing paths and T G2's tree path from its basepoint to
     h(G1's basepoint), g is the word of T h(j1) j2^-1.
+
+    One object compared with itself gets the identity witness at once: the
+    identity maps and g = 1.
     """
+    if G1 is G2:
+        return ({v: v for v in G1.graph.vertices},
+                {e: e for e in G1.graph.edges}, ReducedWord((), G1.rank))
     if G1.rank != G2.rank or len(G1.graph.edges) != len(G2.graph.edges):
         return None
     # any centre point of G1 will do; the memo's first is `_descend`'s

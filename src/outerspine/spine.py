@@ -1,10 +1,15 @@
 """Local spine exploration: neighbors, exact BFS distances, fold paths.
 
-Neighbours and BFS balls are deduplicated by `marked.canonical_key`, one
-exact key per spine vertex, kept in plain sets; fold paths check each
-certificate with `marked.equivalent`, which rebases both markings onto
-their centres and reads them in lockstep, centre point against centre
-point, with no search over graph isomorphisms.
+The neighbours of a natural marked graph G are its collapses G/F, one per
+nonempty forest F, and its one-edge blow-ups, one per ideal edge; they are
+pairwise distinct spine vertices, so they are listed with no equivalence
+work. `bfs_distance` grows balls keyed by `marked.canonical_key`, one
+exact key per spine vertex, in plain sets: one around each end in rank 2,
+where `neighbors` is symmetric, and one around the first end alone from
+rank 3 on. Fold paths check each certificate with `marked.equivalent`,
+which rebases both markings onto their centres and reads them in
+lockstep, centre point against centre point, with no search over graph
+isomorphisms.
 
 A spine path stores self-contained adjacency certificates: each step keeps
 its own representative graph X and natural forest f with X equivalent to the
@@ -46,46 +51,66 @@ def blowup_neighbors(G):
     return out
 
 
-def neighbors(G, dedupe=True):
-    """All spine neighbors (collapses and single-edge blow-ups); with
-    dedupe, the first candidate of each spine vertex, in candidate order."""
+def neighbors(G):
+    """The collapses of G's natural representative by every nonempty
+    forest, in forest order, then its one-edge blow-ups.
+
+    No two are the same spine vertex. The vertices below [G] form the
+    poset of forests of G (Culler-Vogtmann 1986), so distinct forests give
+    distinct collapses. Distinct ideal edges e1, e2 give distinct blow-ups
+    H1, H2: a marked isomorphism H1 -> H2 over G must send e1 to the one
+    edge of H2 whose collapse is G, which is e2, and then induce the
+    identity of G, so e1 and e2 split the same directions. A collapse has
+    fewer edges than G and a blow-up one more.
+
+    Blow-ups along forests of two or more edges are left out, so from
+    rank 3 on H can be a neighbour of G without G being one of H.
+    """
     G = G.natural_marked()
-    cands = collapse_neighbors(G) + blowup_neighbors(G)
-    if not dedupe:
-        return cands
-    first = {}
-    for h in cands:
-        first.setdefault(canonical_key(h), h)
-    return list(first.values())
+    return collapse_neighbors(G) + blowup_neighbors(G)
 
 
 def bfs_distance(G1, G2, cap):
-    """Exact 1-skeleton distance if at most cap, else None; SpineError if
-    the ranks differ."""
+    """The length of a shortest path from [G1] to [G2] along `neighbors`
+    if at most cap, else None; SpineError if the ranks differ. In rank 2,
+    where no forest or ideal forest has two edges, `neighbors` is
+    symmetric and this is the spine's 1-skeleton distance.
+
+    Each step adds a whole layer to one ball of keys: in rank 2 to the
+    ball around either end with the smaller frontier (Pohl 1971); from
+    rank 3 on, where `neighbors` is not symmetric, always to G1's. The
+    balls of radii r1, r2 are disjoint before a layer, so the distance is
+    at least r1 + r2 + 1, and a new vertex in the other ball attains it.
+    Disjoint balls with r1 + r2 = cap put the distance above cap; a layer
+    that adds nothing closes its ball without meeting the other.
+    """
     if G1.rank != G2.rank:
         raise SpineError("rank mismatch: %d vs %d" % (G1.rank, G2.rank))
     if cap < 0:
         return None
-    G1 = G1.natural_marked()
-    target = canonical_key(G2.natural_marked())
-    seen = {canonical_key(G1)}
-    if target in seen:
+    ends = [G1.natural_marked(), G2.natural_marked()]
+    seen = [{canonical_key(G)} for G in ends]
+    if seen[0] == seen[1]:
         return 0
-    frontier = [G1]
-    for dist in range(1, cap + 1):
+    frontiers = [[G] for G in ends]
+    radii = [0, 0]
+    both_ends = G1.rank <= 2
+    while radii[0] + radii[1] < cap:
+        s = 1 if both_ends and len(frontiers[1]) < len(frontiers[0]) else 0
+        mine, other = seen[s], seen[1 - s]
         nxt = []
-        for g in frontier:
-            for h in neighbors(g, dedupe=False):
+        for g in frontiers[s]:
+            for h in neighbors(g):
                 key = canonical_key(h)
-                if key in seen:
-                    continue
-                if key == target:
-                    return dist
-                seen.add(key)
-                nxt.append(h)
+                if key in other:
+                    return radii[0] + radii[1] + 1
+                if key not in mine:
+                    mine.add(key)
+                    nxt.append(h)
         if not nxt:
             return None
-        frontier = nxt
+        frontiers[s] = nxt
+        radii[s] += 1
     return None
 
 

@@ -121,11 +121,11 @@ def test_key_matches_equivalent_on_neighbor_candidates():
     rng = random.Random(13)
     for n in (2, 3, 4):
         G = sampling.random_marked_graph(rng, n, 2)
-        cands = neighbors(G, dedupe=False)
+        cands = neighbors(G)
         assert_key_iff_equivalent(rng.sample(cands, min(len(cands), 16)))
         # the candidates around a neighbour include G again
         key = canonical_key(G)
-        back = neighbors(rng.choice(cands), dedupe=False)
+        back = neighbors(rng.choice(cands))
         hits = [canonical_key(x) == key for x in back]
         assert hits == [equivalent(x, G) is not None for x in back]
         assert any(hits)
@@ -137,7 +137,7 @@ def test_key_partition_matches_old_key():
     for n in (2, 3, 4):
         for _ in range(5):
             G = sampling.random_marked_graph(rng, n, 3)
-            cands += [G, relabel(G, rng)] + neighbors(G, dedupe=False)
+            cands += [G, relabel(G, rng)] + neighbors(G)
     K = k33_marked()
     autos = [sampling.transvection(4, i, j, side) for i, j in
              itertools.permutations(range(1, 5), 2) for side in "LR"]

@@ -301,6 +301,12 @@ def test_coindex_cli():
     assert out.strip() == "1"
 
 
+def test_coindex_cli_trivial_component():
+    err = run_cli_error(["coindex", "--rank", "3", "--component", "a1",
+                         "--component", ""])
+    assert err == "error: trivial subgroup has no core\n"
+
+
 def test_realizes_cli(tmp_path):
     rose = write_rose(tmp_path)
     out = run_cli(["realizes", "--graph", rose, "--component", "a1"])

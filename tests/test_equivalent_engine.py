@@ -133,8 +133,8 @@ def neighbor_group(rng, G, relabel_copy):
     """Some spine-neighbour candidates of G, G itself, some candidates
     around one neighbour (they include G again) and relabelled copies of
     three of these."""
-    cands = neighbors(G, dedupe=False)
-    back = neighbors(rng.choice(cands), dedupe=False)
+    cands = neighbors(G)
+    back = neighbors(rng.choice(cands))
     group = rng.sample(cands, min(len(cands), 12)) + [G]
     group += rng.sample(back, min(len(back), 5))
     return group + [relabel_copy(H, rng) for H in rng.sample(group, 3)]

@@ -115,6 +115,28 @@ def test_equivalent_reflexive_and_swap():
     assert equivalent(G, transv) is None
 
 
+def test_equivalent_reflexive_is_identity_without_centres(monkeypatch):
+    rng = random.Random(31)
+    samples = [theta_marked()] + [sampling.random_marked_graph(rng, n, 3)
+                                 for n in (2, 3, 4, 4)]
+    # a copy of the same marked graph takes the centre walk, and the only
+    # marked automorphism of a natural graph of rank >= 2 is the identity
+    copies = [equivalent(G, MarkedGraph._derived(G.graph, G.basepoint,
+                                                 G.marking))
+              for G in samples]
+
+    def refuse(G):
+        raise AssertionError("centre computed")
+    monkeypatch.setattr("outerspine.marked._centre", refuse)
+    monkeypatch.setattr("outerspine.marked._descend", refuse)
+    for G, copy in zip(samples, copies):
+        vmap, emap, g = equivalent(G, G)
+        assert vmap == {v: v for v in G.graph.vertices}
+        assert emap == {e: e for e in G.graph.edges}
+        assert g.letters == () and g.rank == G.rank
+        assert (vmap, emap, g) == copy
+
+
 def test_equivalent_symmetric_transitive_sample():
     G = theta_marked()
     phi = transvection(2, 1, 2)

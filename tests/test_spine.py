@@ -1,10 +1,12 @@
 import random
 
-from outerspine import graphs
+from outerspine import graphs, sampling, spine
 from outerspine.marked import MarkedGraph, canonical_key, equivalent
 from outerspine.words import Endomorphism, basis_word, is_automorphism
 from outerspine.covers import FreeFactorSystem
 from outerspine.spine import neighbors, bfs_distance, fold_path
+import spine_oracle
+from spine_oracle import oracle_bfs_distance
 
 
 def transv(n, i, j, side="R"):
@@ -21,9 +23,13 @@ def theta_marked():
 def test_neighbors_rose2():
     G = MarkedGraph.rose_identity(2)
     ns = neighbors(G)
-    # no collapse neighbors (rose has no natural forest), 3 blow-ups,
-    # some of which may coincide as spine vertices
-    assert 1 <= len(ns) <= 3
+    # no collapse neighbors (rose has no natural forest), one blow-up per
+    # bipartition of the four directions into pairs: a1 a1^-1 | a2 a2^-1
+    # gives the barbell, the other two give thetas
+    assert len(ns) == 3
+    loops = sorted(sum(o == t for o, t in h.graph.edges.values()) for h in ns)
+    assert loops == [0, 0, 2]
+    assert len({canonical_key(h) for h in ns}) == 3
     for h in ns:
         assert h.rank == 2
         assert any(equivalent(x, G) is not None for x in neighbors(h))
@@ -31,7 +37,7 @@ def test_neighbors_rose2():
 
 def test_neighbors_theta():
     T = theta_marked()
-    ns = neighbors(T, dedupe=False)
+    ns = neighbors(T)
     collapses = [h for h in ns if len(h.graph.edges) == 2]
     assert len(collapses) == 3  # one per theta edge
 
@@ -96,7 +102,7 @@ def spine_ball(n, radius):
     for _ in range(radius):
         nxt = []
         for g in layers[-1]:
-            for h in neighbors(g, dedupe=False):
+            for h in neighbors(g):
                 key = canonical_key(h)
                 if key not in keys:
                     keys.add(key)
@@ -110,8 +116,7 @@ def test_rank2_ball_is_a_tree():
     # adjacency fewer than vertices
     layers, keys = spine_ball(2, 6)
     assert [len(layer) for layer in layers] == [1, 3, 4, 8, 8, 16, 16]
-    ends = sum(len({canonical_key(h) for h in neighbors(g, dedupe=False)}
-                   & keys)
+    ends = sum(len({canonical_key(h) for h in neighbors(g)} & keys)
                for layer in layers for g in layer)
     assert ends == 2 * (len(keys) - 1)
 
@@ -119,6 +124,129 @@ def test_rank2_ball_is_a_tree():
 def test_rank3_ball_layer_sizes():
     layers, _ = spine_ball(3, 3)
     assert [len(layer) for layer in layers] == [1, 25, 147, 1149]
+
+
+def assert_links_distinct(G):
+    keys = [canonical_key(h) for h in neighbors(G)]
+    assert len(set(keys)) == len(keys)
+
+
+def test_neighbors_are_distinct_spine_vertices():
+    # neighbors keys nothing: distinct forests and distinct ideal edges
+    # already give distinct spine vertices
+    for n, radius in ((2, 6), (3, 1)):
+        layers, _ = spine_ball(n, radius)
+        for layer in layers:
+            for g in layer:
+                assert_links_distinct(g)
+    rng = random.Random(61)
+    for i in range(100):
+        n = 3 + i % 3
+        assert_links_distinct(
+            sampling.random_marked_graph(rng, n, rng.randint(0, 3)))
+
+
+def walk_away(rng, G, steps):
+    """A random walk along `neighbors` that never steps back to the vertex
+    it came from, restarted at a dead end (a barbell in rank 2); in the
+    rank-2 spine, a tree, it ends `steps` away."""
+    while True:
+        H, back = G, None
+        for _ in range(steps):
+            here = canonical_key(H)
+            ahead = [h for h in neighbors(H) if canonical_key(h) != back]
+            if not ahead:
+                break
+            H, back = rng.choice(ahead), here
+        else:
+            return H
+
+
+def differential_pairs():
+    """Seeded pairs: rank 2 up to distance 6, rank 3 up to distance 4."""
+    rng = random.Random(73)
+    pairs = []
+    for steps in range(7):
+        for _ in range(3):
+            G1 = sampling.random_marked_graph(rng, 2, rng.randint(0, 3))
+            pairs.append((G1, walk_away(rng, G1, steps), steps))
+    for steps in (1, 2, 2, 3, 3, 3) * 2:
+        G1 = sampling.random_marked_graph(rng, 3, rng.randint(0, 3))
+        pairs.append((G1, walk_away(rng, G1, steps), steps))
+    # one rank-3 pair at distance 4, seeded apart: these balls run to
+    # about a thousand vertices, and this one is among the smaller
+    rng = random.Random(3)
+    G1 = sampling.random_marked_graph(rng, 3, 6)
+    pairs.append((G1, walk_away(rng, G1, 4), 4))
+    return pairs
+
+
+def test_bfs_distance_matches_one_sided_oracle():
+    distances = []
+    for G1, G2, steps in differential_pairs():
+        d = oracle_bfs_distance(G1, G2, steps)
+        assert d is not None
+        if G1.rank == 2:
+            assert d == steps
+            assert oracle_bfs_distance(G2, G1, steps) == d
+        distances.append((G1.rank, d))
+        # caps below the distance give None, at or above it the distance
+        for cap in range(-1, d + 2):
+            want = d if cap >= d else None
+            assert bfs_distance(G1, G2, cap) == want
+    assert {(2, d) for d in range(7)} <= set(distances)
+    assert (3, 4) in distances and (3, 0) not in distances
+    G = sampling.random_marked_graph(random.Random(5), 3, 2)
+    for H in (G, MarkedGraph._derived(G.graph, G.basepoint, G.marking)):
+        assert bfs_distance(G, H, 0) == oracle_bfs_distance(G, H, 0) == 0
+        assert bfs_distance(G, H, -1) is oracle_bfs_distance(G, H, -1) is None
+
+
+def test_neighbors_not_symmetric_from_rank_3():
+    # X collapses onto the rose along the forest {e4, e5}, but the rose's
+    # neighbors hold only one-edge blow-ups, so the path back has two steps
+    # and bfs_distance grows one ball, from its first argument
+    X = MarkedGraph(graphs.CoreGraph([0, 2, 3], {
+        2: (0, 3), 3: (2, 3), 4: (3, 2), 5: (0, 2), 6: (0, 3)}), 0,
+        [(5, -4, -6), (6, 4, -5, 2, -6), (6, 4, 3, -6)])
+    R = MarkedGraph.rose_identity(3)
+    assert equivalent(X.collapse_marked({4, 5})[0], R) is not None
+    assert oracle_bfs_distance(X, R, 4) == bfs_distance(X, R, 4) == 1
+    assert oracle_bfs_distance(R, X, 4) == bfs_distance(R, X, 4) == 2
+
+
+def count_keys(monkeypatch):
+    """Count canonical_key calls made through spine and the oracle."""
+    calls = [0]
+
+    def counted(G):
+        calls[0] += 1
+        return canonical_key(G)
+    monkeypatch.setattr(spine, "canonical_key", counted)
+    monkeypatch.setattr(spine_oracle, "canonical_key", counted)
+    return calls
+
+
+def test_neighbors_key_nothing(monkeypatch):
+    calls = count_keys(monkeypatch)
+    monkeypatch.setattr("outerspine.marked.canonical_key", None)
+    for n in (2, 3, 4):
+        assert neighbors(MarkedGraph.rose_identity(n))
+    assert calls == [0]
+
+
+def test_bfs_distance_keys_fewer_than_oracle(monkeypatch):
+    rng = random.Random(97)
+    G1 = sampling.random_marked_graph(rng, 2, 2)
+    G2 = walk_away(rng, G1, 4)
+    calls = count_keys(monkeypatch)
+    assert bfs_distance(G1, G2, 4) == 4
+    two_ended = calls[0]
+    calls[0] = 0
+    assert oracle_bfs_distance(G1, G2, 4) == 4
+    # two balls of radius 2 against one of radius 3 and part of its fourth
+    # layer; the ends' own keys count too
+    assert (two_ended, calls[0]) == (11, 30)
 
 
 def test_fold_path_identity():

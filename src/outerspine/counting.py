@@ -16,13 +16,14 @@ at its end; and the most crossings of a run that starts and dies inside.
 Window states of the block matcher carry a crossing across a junction.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .covers import embeddings, stallings_core
+from .covers import collapse_labeled, embeddings, stallings_core
 from .graphs import union_find
-from .words import invert_letters
+from .words import cyclic_core, invert_letters
 
 
 class CountError(ValueError):
@@ -147,25 +148,41 @@ def _walk(K, edges, start, closed):
     return tuple(block)
 
 
-def build_context(A_gens_list, B_gens, G):
-    """Counting context for one A (case 1) or two disjoint A's (case 2)."""
+def _fold(A_gens_list, B_gens, G):
+    """The fold step: the B-core and the A-cores over G."""
     K = stallings_core(B_gens, G).core
-    two = len(A_gens_list) == 2
-    A_cores = [stallings_core(gens, G).core for gens in A_gens_list]
+    return K, [stallings_core(gens, G).core for gens in A_gens_list]
+
+
+def _images(A_cores, K):
+    """The (edge set, vertex set) choices of embedded A-cores to try, in
+    embedding order: one A-core's images lazily, as the search meets them;
+    two A-cores' images as every pair."""
+    lists = []
+    for i, KA in enumerate(A_cores):
+        found = ((frozenset(emap.values()), frozenset(vmap.values()))
+                 for vmap, emap in embeddings(KA, K))
+        first = next(found, None)
+        if first is None:
+            raise CountError("A-core %d does not embed in the B-core "
+                             "(G not in CVK^[A])" % i)
+        lists.append(itertools.chain([first], found))
+    if len(lists) == 1:
+        return zip(lists[0])
+    return itertools.product(*lists)
+
+
+def _locate(G, K, A_cores):
+    """The locate step: embed the A-cores in K and classify the complement
+    of the first embedding whose complement has a crossing block."""
+    two = len(A_cores) == 2
     if two:
         if A_cores[0].rank + A_cores[1].rank != K.rank:
             raise CountError("rank(A_0) + rank(A_1) must equal rank(B)")
     else:
         if A_cores[0].rank + 1 != K.rank:
             raise CountError("rank(B) must exceed rank(A) by one")
-    images = [[(frozenset(emap.values()), frozenset(vmap.values()))
-               for vmap, emap in embeddings(KA, K)] for KA in A_cores]
-    for i, embs in enumerate(images):
-        if not embs:
-            raise CountError("A-core %d does not embed in the B-core "
-                             "(G not in CVK^[A])" % i)
-    import itertools
-    for choice in itertools.product(*images):
+    for choice in _images(A_cores, K):
         esets = [c[0] for c in choice]
         vsets = [c[1] for c in choice]
         if two and (esets[0] & esets[1] or vsets[0] & vsets[1]):
@@ -183,10 +200,15 @@ def build_context(A_gens_list, B_gens, G):
     raise CountError("complement shape matches neither rank-increment case")
 
 
+def build_context(A_gens_list, B_gens, G):
+    """Counting context for one A (case 1) or two disjoint A's (case 2):
+    fold the cores over G, then locate the A-cores and the block in K."""
+    return _locate(G, *_fold(A_gens_list, B_gens, G))
+
+
 @dataclass
 class CrossingCount:
     value: int
-    start: tuple  # maximizing (vertex, phase), diagnostic
 
 
 def _count_block(mu, block, rev):
@@ -201,7 +223,10 @@ def _count_block(mu, block, rev):
 
 def count_i(ctx, c):
     """Maximum number of complete crossings of the block by the periodic
-    trace of c through K, over all start positions and phases.
+    trace of c through K, over all start positions and phases. Every
+    rotation of the circuit has the same states, up to a shift of the
+    phase, so the trace starts from c's cyclic core as it is read, not
+    from a least rotation.
 
     A trace that cycles proves c conjugate into B, which is an error (the
     quantity is undefined there).
@@ -213,11 +238,10 @@ def count_i(ctx, c):
     step is injective. Its orbits are therefore disjoint paths and cycles,
     and the runs from the entry states (no predecessor) cover every state
     on a path exactly once. The run from each entry state is walked once,
-    in K.vertices x range(L) order (so ties keep the first start), and the
-    states it covers are counted; fewer than |V(K)| L covered states means
-    some state lies on a cycle, i.e. c is conjugate into B.
+    and the states it covers are counted; fewer than |V(K)| L covered
+    states means some state lies on a cycle, i.e. c is conjugate into B.
     """
-    circuit = ctx.G.circuit_of(c)
+    circuit = cyclic_core(ctx.G.expand(c.letters))[1]
     if not circuit:
         raise CountError("trivial class")
     K = ctx.K
@@ -228,7 +252,6 @@ def count_i(ctx, c):
     rev = invert_letters(block)
     covered = 0
     best = 0
-    best_start = None
     for v in K.vertices:
         out_v = out[v]
         for p in range(L):
@@ -248,13 +271,10 @@ def count_i(ctx, c):
             if not budget:
                 raise CountError("entry-state run exceeded budget")
             covered += len(mu) + 1
-            score = _count_block(tuple(mu), block, rev)
-            if score > best or best_start is None:
-                best = score
-                best_start = (v, p)
+            best = max(best, _count_block(tuple(mu), block, rev))
     if covered < n_states:
         raise ConjugateIntoB("class is conjugate into B; count undefined")
-    return CrossingCount(best, best_start)
+    return CrossingCount(best)
 
 
 # -- segment summaries -------------------------------------------------------
@@ -433,11 +453,25 @@ def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
     """Counts before and after a forest collapse staying in CVK^[A].
 
     The harness asserts i_before <= i_after <= i_before + 2.
+
+    The cores are folded once, over G. The core of a subgroup over G/F is
+    its core over G with the label preimage of F collapsed (Stallings,
+    "Topology of finite graphs", 1983; criterion 4 checks it), so the
+    context on G/F locates the A-cores and the block in the collapsed
+    B-core from the collapsed A-cores. The locate step runs on them from
+    scratch: a collapse can join two vertices of an embedded A-core through
+    F-edges outside it, and then G/F is not in CVK^[A]. G/F is naturalized
+    as the other end; where that renumbers its edges (some vertex of G/F
+    has valence 2, which a natural G never leaves), the labels no longer
+    name its edges, and its cores are folded from scratch.
     """
-    ctx1 = build_context(A_gens_list, B_gens, G)
-    G2, _ = G.collapse_marked(forest)
-    G2 = G2.natural_marked()
-    ctx2 = build_context(A_gens_list, B_gens, G2)
-    i1 = count_i(ctx1, c).value
-    i2 = count_i(ctx2, c).value
-    return i1, i2
+    K, A_cores = _fold(A_gens_list, B_gens, G)
+    ctx1 = _locate(G, K, A_cores)
+    G2, chains = G.collapse_marked(forest)[0].naturalize(keep_base=False)
+    if all(chain == (eid,) for eid, chain in chains.items()):
+        labels = set(forest)
+        ctx2 = _locate(G2, collapse_labeled(K, labels),
+                       [collapse_labeled(KA, labels) for KA in A_cores])
+    else:
+        ctx2 = build_context(A_gens_list, B_gens, G2)
+    return count_i(ctx1, c).value, count_i(ctx2, c).value

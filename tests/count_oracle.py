@@ -1,11 +1,17 @@
-"""Test oracle: the two-pass crossing count the library used before
-`counting.count_i` walked each entry state once. The first pass colours the
-trace states to find a cycle (a class conjugate into B); the second walks
-every entry state's run. Only the differential tests in
+"""Test oracles for the crossing count.
+
+`count_i` is the two-pass count the library used before `counting.count_i`
+walked each entry state once. The first pass colours the trace states to
+find a cycle (a class conjugate into B); the second walks every entry
+state's run. `lipschitz_audit` is the bracket audit as it was before the
+collapsed side's context was derived from the uncollapsed one: it builds
+both contexts from scratch. Only the differential tests in
 test_count_engine.py import this module.
 """
 
-from outerspine.counting import ConjugateIntoB, CountError, CrossingCount
+from outerspine import counting
+from outerspine.counting import (ConjugateIntoB, CountError, CrossingCount,
+                                 build_context)
 from outerspine.words import invert_letters
 
 
@@ -52,7 +58,6 @@ def count_i(ctx, c):
             color[x] = 2
 
     best = 0
-    best_start = None
     for (v, p) in states:
         back = K.step(v, -circuit[(p - 1) % L])
         if back is not None:
@@ -69,8 +74,12 @@ def count_i(ctx, c):
             budget -= 1
         if not budget:
             raise CountError("entry-state run exceeded budget")
-        score = _count_block(tuple(mu), ctx.block)
-        if score > best or best_start is None:
-            best = score
-            best_start = (v, p)
-    return CrossingCount(best, best_start)
+        best = max(best, _count_block(tuple(mu), ctx.block))
+    return CrossingCount(best)
+
+
+def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
+    ctx1 = build_context(A_gens_list, B_gens, G)
+    G2 = G.collapse_marked(forest)[0].natural_marked()
+    ctx2 = build_context(A_gens_list, B_gens, G2)
+    return counting.count_i(ctx1, c).value, counting.count_i(ctx2, c).value

@@ -75,6 +75,34 @@ def test_count_i_precondition_error(tmp_path):
     assert proc.returncode == 2
 
 
+# Two subdivided petals and a loop: a1 and a2 each run over two edges
+# through a valence-2 vertex.
+TWO_PETALS = ("graph { v: v0 v1 v2; e: e1 v0 v1; e2 v0 v2; e3 v0 v0; "
+              "e4 v1 v0; e5 v2 v0; }\n"
+              "marking { a1 = e1 e4; a2 = e2 e5; a3 = e3; }\n")
+
+
+def lipschitz_audit_args(tmp_path, b="a1, a2", cls="a3 a1 a2 a2",
+                         collapse="e1"):
+    p = tmp_path / "petals.txt"
+    p.write_text(TWO_PETALS)
+    return ["lipschitz-audit", "--graph", str(p), "--a", "a1", "--b", b,
+            "--cls", cls, "--collapse", collapse]
+
+
+def test_lipschitz_audit_known_brackets(tmp_path):
+    # G/e1 keeps a valence-2 vertex, so its side is folded from scratch;
+    # G/{e1, e2} is the natural rose, derived from G's cores
+    for collapse in ("e1", "e1, e2"):
+        out = run_cli(lipschitz_audit_args(tmp_path, collapse=collapse))
+        assert out.strip() == "2 2"
+
+
+def test_lipschitz_audit_precondition_errors(tmp_path):
+    run_cli_error(lipschitz_audit_args(tmp_path, b="a1 a2"))
+    run_cli_error(lipschitz_audit_args(tmp_path, cls="a1"))
+
+
 def test_witness_csv():
     out = run_cli(["witness", "--case", "1", "--n", "3", "--r", "1",
                    "--kmax", "10"])

@@ -1,14 +1,20 @@
 """Seeded differential tests of the one-pass crossing count against the
-two-pass trace it replaced (tests/count_oracle.py), and of the composed
-segment summaries against the one-pass count."""
+two-pass trace it replaced (tests/count_oracle.py), of the composed
+segment summaries against the one-pass count, and of the bracket audit
+against one that builds both contexts from scratch.
+
+The oracle traces the least rotation of each circuit (`circuit_of`) and
+count_i the cyclic core as it is read, so equal values also check that
+the count does not depend on the rotation."""
 
 import random
 
 import count_oracle
 import witness_oracle
-from outerspine import counting, graphs, sampling, witness
+from outerspine import counting, covers, graphs, sampling, witness
 from outerspine.counting import (CountError, build_context, close, compose,
                                  edge_summary)
+from outerspine.covers import stallings_core
 from outerspine.marked import MarkedGraph
 from outerspine.words import CyclicWord, ReducedWord, basis_word, word
 
@@ -18,7 +24,7 @@ def outcome(count, ctx, c):
         got = count(ctx, c)
     except CountError as exc:
         return type(exc)
-    return got.value, got.start
+    return got.value
 
 
 def fixed_contexts():
@@ -65,19 +71,24 @@ def random_contexts(rng, count):
     return out
 
 
+def word_in_B_conjugate(rng, n, B):
+    """A random product of B's generators, conjugated by a random word."""
+    letters = []
+    for _ in range(rng.randint(1, 5)):
+        b = rng.choice(B)
+        letters.extend(b.letters if rng.random() < 0.5
+                       else b.inverse().letters)
+    g = sampling.random_reduced_word(rng, n, 6)
+    return ReducedWord.make(letters, n).conjugate_by(g)
+
+
 def random_classes(rng, n, B):
     """Random classes, classes conjugate into B, and long products of both."""
     out = []
     for _ in range(12):
         out.append(sampling.random_reduced_word(rng, n, 12, nontrivial=True))
     for _ in range(6):
-        letters = []
-        for _ in range(rng.randint(1, 5)):
-            b = rng.choice(B)
-            letters.extend(b.letters if rng.random() < 0.5
-                           else b.inverse().letters)
-        g = sampling.random_reduced_word(rng, n, 6)
-        out.append(ReducedWord.make(letters, n).conjugate_by(g))
+        out.append(word_in_B_conjugate(rng, n, B))
     for _ in range(2):
         w = sampling.random_reduced_word(rng, n, 40, nontrivial=True)
         out.append(w.power(rng.randint(2, 25)))
@@ -91,7 +102,7 @@ def test_count_i_matches_two_pass_trace():
         for c in random_classes(rng, ctx.G.rank, B):
             want = outcome(count_oracle.count_i, ctx, c)
             assert outcome(counting.count_i, ctx, c) == want, c.letters
-            seen.add(want if isinstance(want, type) else want[0] > 0)
+            seen.add(want if isinstance(want, type) else want > 0)
     # both verdicts and nonzero counts were exercised
     assert {counting.ConjugateIntoB, True, False} <= seen
 
@@ -127,7 +138,6 @@ def test_close_of_composed_edge_summaries_matches_count_i():
         block_lengths.add(len(ctx.block))
         for c in random_classes(rng, ctx.G.rank, B):
             want = outcome(counting.count_i, ctx, c)
-            want = want if isinstance(want, type) else want[0]
             W = bracketed_summary(ctx, ctx.G.circuit_of(c), rng)
             try:
                 got = close(W)
@@ -138,3 +148,107 @@ def test_close_of_composed_edge_summaries_matches_count_i():
     assert {counting.ConjugateIntoB, True, False} <= seen
     # windows that straddle junctions: blocks longer than one edge
     assert max(block_lengths) > 1
+
+
+def subdivided(rng, G):
+    """G with a valence-2 vertex inserted next to a random vertex: the
+    blow-up that moves one direction alone to the new vertex's side."""
+    v = rng.choice(sorted(G.graph.vertices))
+    dirs = sorted(G.graph.directions(v), key=abs)
+    d = rng.choice(dirs)
+    return G.blowup_marked(v, (d,), tuple(x for x in dirs if x != d))[0]
+
+
+def case1_instance(rng):
+    """Case 1 at ranks 3-4: A = <a1..ar>, B = A plus a_{r+1} or a word in
+    the letters outside A, over a natural or a subdivided graph."""
+    n = rng.choice([3, 4])
+    r = rng.randint(1, n - 2)
+    A = [basis_word(i, n) for i in range(1, r + 1)]
+    extra = basis_word(r + 1, n)
+    if rng.random() < 0.3:
+        extra = ReducedWord.make([rng.choice([1, -1]) * rng.randint(r + 1, n)
+                                  for _ in range(rng.randint(2, 3))], n)
+    G = MarkedGraph.rose_identity(n).act(
+        sampling.random_stab_auto(rng, n, r, rng.randint(0, 3)))
+    for _ in range(rng.randint(1, 3)):
+        G = sampling.random_blowup(rng, G) or G
+    return [A], A + [extra], G
+
+
+def case2_instance(rng):
+    """Case 2: A0 = <a1> and A1 = <a2> in B = <a1, a2>, over blow-ups of
+    the lollipop that carries them on two loops joined by an edge, acted
+    on by transvections of the letters outside B (which fix a1 and a2)."""
+    n = rng.choice([3, 4])
+    loops = {k: (0, 0) for k in range(4, n + 2)}
+    g = graphs.CoreGraph([0, 1], {1: (0, 0), 2: (1, 1), 3: (0, 1), **loops})
+    G = MarkedGraph(g, 0, [(1,), (3, 2, -3)] + [(k,) for k in loops])
+    for _ in range(rng.randint(0, 2)):
+        j = rng.randint(3, n)
+        i = rng.choice([x for x in range(1, n + 1) if x != j])
+        G = G.act(sampling.transvection(n, j, i, rng.choice("LR")))
+    for _ in range(rng.randint(1, 3)):
+        G = sampling.random_blowup(rng, G) or G
+    A0, A1 = [basis_word(1, n)], [basis_word(2, n)]
+    return [A0, A1], A0 + A1, G
+
+
+def audit_outcome(audit, *args):
+    try:
+        return audit(*args)
+    except CountError as exc:
+        return type(exc)
+
+
+def test_lipschitz_audit_matches_from_scratch_contexts(monkeypatch):
+    """The derived context on G/F gives the same counts, or the same error,
+    as the one built from scratch, and its cores are the folded ones up to
+    label isomorphism."""
+    located = []
+    locate = counting._locate
+
+    def recording_locate(G, K, A_cores):
+        located.append((G, K, A_cores))
+        return locate(G, K, A_cores)
+
+    monkeypatch.setattr(counting, "_locate", recording_locate)
+    rng = random.Random(79)
+    seen = {"case 2 pair": 0, "derived": 0, "from scratch": 0,
+            "G/F out of CVK^[A]": 0, "conjugate into B": 0, "instances": 0}
+    for k in range(1100):
+        A_list, B, G = (case2_instance if k % 4 == 3 else case1_instance)(rng)
+        if rng.random() < 0.3:
+            G = subdivided(rng, G)
+        forests = graphs.enumerate_natural_subforests(G.graph,
+                                                      include_empty=False)
+        forest = rng.choice(forests)
+        w = (word_in_B_conjugate(rng, G.rank, B) if rng.random() < 0.2 else
+             sampling.random_reduced_word(rng, G.rank, 8, nontrivial=True))
+        if w.is_trivial():
+            continue
+        c = CyclicWord.of(w)
+        want = audit_outcome(count_oracle.lipschitz_audit, A_list, B, G,
+                             forest, c)
+        located.clear()
+        assert audit_outcome(counting.lipschitz_audit, A_list, B, G, forest,
+                             c) == want, (k, forest, c.letters)
+        if len(located) == 2:
+            G2, K2, A_cores2 = located[1]
+            assert covers.labeled_isomorphism(
+                K2, stallings_core(B, G2).core) is not None
+            for KA, gens in zip(A_cores2, A_list):
+                assert covers.labeled_isomorphism(
+                    KA, stallings_core(gens, G2).core) is not None
+            chains = G.collapse_marked(forest)[0].naturalize(False)[1]
+            natural = all(ch == (e,) for e, ch in chains.items())
+            seen["derived" if natural else "from scratch"] += 1
+            if want is CountError:
+                seen["G/F out of CVK^[A]"] += 1
+        if want is counting.ConjugateIntoB:
+            seen["conjugate into B"] += 1
+        elif len(A_list) == 2 and not isinstance(want, type):
+            seen["case 2 pair"] += 1
+        seen["instances"] += 1
+    assert seen["instances"] >= 1000
+    assert all(seen.values()), seen

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from outerspine import graphs
+from outerspine import counting, graphs
 from outerspine.marked import MarkedGraph
 from outerspine.words import (Endomorphism, CyclicWord, basis_word, word,
                               is_automorphism)
@@ -132,6 +132,35 @@ def test_lipschitz_audit_blowup_collapse():
             i1, i2 = lipschitz_audit([A], B, blown, [new_eid], c)
             assert i1 <= i2 <= i1 + 2
             assert i2 == base
+
+
+def test_lipschitz_audit_folds_each_core_once(monkeypatch):
+    """With a natural G/F, the audit folds B and each A over G alone: the
+    cores over G/F are collapses of those."""
+    folded = []
+    fold = counting.stallings_core
+
+    def counting_fold(gens, G, based=False):
+        folded.append(gens)
+        return fold(gens, G, based)
+
+    monkeypatch.setattr(counting, "stallings_core", counting_fold)
+    n = 3
+    G = MarkedGraph.rose_identity(n)
+    blown, new_eid, _ = G.blowup_marked(0, (1, -1), (2, -2, 3, -3))
+    A0, A1 = [basis_word(1, n)], [basis_word(2, n)]
+    B = A0 + A1
+    c = CyclicWord.of(word([3, 1, 2, 1, 2, 2], n))
+    assert lipschitz_audit([A0], B, blown, [new_eid], c) == (3, 3)
+    assert len(folded) == 2
+    # case 2: a1's and a2's loops joined through a3's vertex by e3 and e5
+    g = graphs.CoreGraph([0, 1, 2], {1: (0, 0), 2: (1, 1), 3: (0, 2),
+                                     4: (2, 2), 5: (2, 1)})
+    G = MarkedGraph(g, 0, [(1,), (3, 5, 2, -5, -3), (3, 4, -3)])
+    folded.clear()
+    c = CyclicWord.of(word([3, 1, 3, 2], n))
+    assert lipschitz_audit([A0, A1], B, G, [3], c) == (0, 2)
+    assert len(folded) == 3
 
 
 def test_two_component_context():

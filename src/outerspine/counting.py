@@ -154,49 +154,48 @@ def _fold(A_gens_list, B_gens, G):
     return K, [stallings_core(gens, G).core for gens in A_gens_list]
 
 
-def _images(A_cores, K):
-    """The (edge set, vertex set) choices of embedded A-cores to try, in
-    embedding order: one A-core's images lazily, as the search meets them;
-    two A-cores' images as every pair."""
-    lists = []
-    for i, KA in enumerate(A_cores):
-        found = ((frozenset(emap.values()), frozenset(vmap.values()))
-                 for vmap, emap in embeddings(KA, K))
-        first = next(found, None)
-        if first is None:
-            raise CountError("A-core %d does not embed in the B-core "
-                             "(G not in CVK^[A])" % i)
-        lists.append(itertools.chain([first], found))
-    if len(lists) == 1:
-        return zip(lists[0])
-    return itertools.product(*lists)
+def _no_embedding(i):
+    return CountError("A-core %d does not embed in the B-core "
+                      "(G not in CVK^[A])" % i)
 
 
 def _locate(G, K, A_cores):
     """The locate step: embed the A-cores in K and classify the complement
-    of the first embedding whose complement has a crossing block."""
-    two = len(A_cores) == 2
-    if two:
-        if A_cores[0].rank + A_cores[1].rank != K.rank:
-            raise CountError("rank(A_0) + rank(A_1) must equal rank(B)")
-    else:
+    of the first embedding whose complement has a crossing block. One
+    A-core's embeddings are tried as the search finds them, two A-cores'
+    as every pair, in embedding order."""
+    if len(A_cores) == 1:
         if A_cores[0].rank + 1 != K.rank:
             raise CountError("rank(B) must exceed rank(A) by one")
-    for choice in _images(A_cores, K):
-        esets = [c[0] for c in choice]
-        vsets = [c[1] for c in choice]
-        if two and (esets[0] & esets[1] or vsets[0] & vsets[1]):
+        embedded = False
+        for vmap, emap in embeddings(A_cores[0], K):
+            embedded = True
+            eset, vset = frozenset(emap.values()), frozenset(vmap.values())
+            res = _classify_complement(K, eset, vset, False)
+            if res is not None:
+                return CountingContext(G, K, (eset,), (vset,), *res)
+        if not embedded:
+            raise _no_embedding(0)
+        raise CountError("complement shape matches neither rank-increment "
+                         "case")
+    if A_cores[0].rank + A_cores[1].rank != K.rank:
+        raise CountError("rank(A_0) + rank(A_1) must equal rank(B)")
+    images = []
+    for i, KA in enumerate(A_cores):
+        images.append([(frozenset(emap.values()), frozenset(vmap.values()))
+                       for vmap, emap in embeddings(KA, K)])
+        if not images[-1]:
+            raise _no_embedding(i)
+    for (e0, v0), (e1, v1) in itertools.product(*images):
+        if e0 & e1 or v0 & v1:
             continue
-        res = _classify_complement(K, set().union(*esets),
-                                   set().union(*vsets), two)
+        res = _classify_complement(K, e0 | e1, v0 | v1, True)
         if res is None:
             continue
         block, shape = res
-        if two:
-            ends = {K.tail(block[0]), K.head(block[-1])}
-            if not (ends & vsets[0] and ends & vsets[1]):
-                continue
-        return CountingContext(G, K, tuple(esets), tuple(vsets), block, shape)
+        ends = {K.tail(block[0]), K.head(block[-1])}
+        if ends & v0 and ends & v1:
+            return CountingContext(G, K, (e0, e1), (v0, v1), block, shape)
     raise CountError("complement shape matches neither rank-increment case")
 
 
@@ -460,18 +459,27 @@ def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
     context on G/F locates the A-cores and the block in the collapsed
     B-core from the collapsed A-cores. The locate step runs on them from
     scratch: a collapse can join two vertices of an embedded A-core through
-    F-edges outside it, and then G/F is not in CVK^[A]. G/F is naturalized
-    as the other end; where that renumbers its edges (some vertex of G/F
-    has valence 2, which a natural G never leaves), the labels no longer
-    name its edges, and its cores are folded from scratch.
+    F-edges outside it, and then G/F is not in CVK^[A].
+
+    G/F is not naturalized. A valence-2 vertex of G/F subdivides the edges
+    of K and of the A-cores over it, one K-vertex with one edge in and one
+    out for each pass of a core through it. That subdivides the block, the
+    circuit and every run through K alike, and keeps the complement's
+    edges minus its free vertices, so the count is the one on the natural
+    representative (the differential test checks it against folding that
+    representative from scratch).
+
+    Each end counts against the first embedding of the A-cores its search
+    meets, and the count depends only on their images in K. Where B is a
+    free factor of F_n, as in the paper, that image is unique: free
+    factors are malnormal, so a conjugate of A inside B is B-conjugate to
+    A. Otherwise it need not be (A = <a1> in B = <a1, a2 a1 a2^-1> embeds
+    twice), the two embeddings can count a class differently, and the two
+    ends need not count against the same conjugate of A.
     """
     K, A_cores = _fold(A_gens_list, B_gens, G)
     ctx1 = _locate(G, K, A_cores)
-    G2, chains = G.collapse_marked(forest)[0].naturalize(keep_base=False)
-    if all(chain == (eid,) for eid, chain in chains.items()):
-        labels = set(forest)
-        ctx2 = _locate(G2, collapse_labeled(K, labels),
-                       [collapse_labeled(KA, labels) for KA in A_cores])
-    else:
-        ctx2 = build_context(A_gens_list, B_gens, G2)
+    labels = set(forest)
+    ctx2 = _locate(G.collapse_marked(forest)[0], collapse_labeled(K, labels),
+                   [collapse_labeled(KA, labels) for KA in A_cores])
     return count_i(ctx1, c).value, count_i(ctx2, c).value

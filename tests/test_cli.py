@@ -91,8 +91,8 @@ def lipschitz_audit_args(tmp_path, b="a1, a2", cls="a3 a1 a2 a2",
 
 
 def test_lipschitz_audit_known_brackets(tmp_path):
-    # G/e1 keeps a valence-2 vertex, so its side is folded from scratch;
-    # G/{e1, e2} is the natural rose, derived from G's cores
+    # G/e1 keeps a valence-2 vertex and is counted as it is; G/{e1, e2}
+    # is the natural rose
     for collapse in ("e1", "e1, e2"):
         out = run_cli(lipschitz_audit_args(tmp_path, collapse=collapse))
         assert out.strip() == "2 2"

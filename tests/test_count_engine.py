@@ -201,20 +201,33 @@ def audit_outcome(audit, *args):
         return type(exc)
 
 
+def images(KA, K):
+    """The distinct (edge set, vertex set) images of KA's embeddings in K."""
+    return {(frozenset(emap.values()), frozenset(vmap.values()))
+            for vmap, emap in covers.embeddings(KA, K)}
+
+
 def test_lipschitz_audit_matches_from_scratch_contexts(monkeypatch):
     """The derived context on G/F gives the same counts, or the same error,
-    as the one built from scratch, and its cores are the folded ones up to
-    label isomorphism."""
+    as the one built from scratch over the natural representative of G/F,
+    and its cores are the folded ones up to label isomorphism. Each A-core
+    has one image in K at both ends, so the two contexts count against the
+    same embedded A whichever embedding their searches meet first."""
     located = []
     locate = counting._locate
 
     def recording_locate(G, K, A_cores):
-        located.append((G, K, A_cores))
-        return locate(G, K, A_cores)
+        try:
+            ctx = locate(G, K, A_cores)
+        except CountError:
+            located.append((G, K, A_cores, False))
+            raise
+        located.append((G, K, A_cores, True))
+        return ctx
 
     monkeypatch.setattr(counting, "_locate", recording_locate)
     rng = random.Random(79)
-    seen = {"case 2 pair": 0, "derived": 0, "from scratch": 0,
+    seen = {"case 2 pair": 0, "natural G/F": 0, "subdivided G/F": 0,
             "G/F out of CVK^[A]": 0, "conjugate into B": 0, "instances": 0}
     for k in range(1100):
         A_list, B, G = (case2_instance if k % 4 == 3 else case1_instance)(rng)
@@ -233,17 +246,20 @@ def test_lipschitz_audit_matches_from_scratch_contexts(monkeypatch):
         located.clear()
         assert audit_outcome(counting.lipschitz_audit, A_list, B, G, forest,
                              c) == want, (k, forest, c.letters)
+        for _, K, A_cores, _ in located:
+            for KA in A_cores:
+                assert len(images(KA, K)) <= 1, (k, forest)
         if len(located) == 2:
-            G2, K2, A_cores2 = located[1]
+            G2, K2, A_cores2, ok = located[1]
             assert covers.labeled_isomorphism(
                 K2, stallings_core(B, G2).core) is not None
             for KA, gens in zip(A_cores2, A_list):
                 assert covers.labeled_isomorphism(
                     KA, stallings_core(gens, G2).core) is not None
-            chains = G.collapse_marked(forest)[0].naturalize(False)[1]
-            natural = all(ch == (e,) for e, ch in chains.items())
-            seen["derived" if natural else "from scratch"] += 1
-            if want is CountError:
+            natural = all(len(G2.graph.directions(v)) > 2
+                          for v in G2.graph.vertices)
+            seen["natural G/F" if natural else "subdivided G/F"] += 1
+            if not ok:
                 seen["G/F out of CVK^[A]"] += 1
         if want is counting.ConjugateIntoB:
             seen["conjugate into B"] += 1
@@ -252,3 +268,23 @@ def test_lipschitz_audit_matches_from_scratch_contexts(monkeypatch):
         seen["instances"] += 1
     assert seen["instances"] >= 1000
     assert all(seen.values()), seen
+
+
+def test_count_depends_on_the_embedding_where_B_is_not_a_free_factor():
+    """A = <a1> in B = <a1, a2 a1 a2^-1> over the rose: B is not a free
+    factor (a2 conjugates a1 into it), the A-core embeds in K twice, and
+    the two embeddings count a class differently. The unbased cores do not
+    say which image is A itself, so `lipschitz_audit` is only tied across
+    a collapse where the image is unique, as it is for a free factor B."""
+    n = 3
+    G = MarkedGraph.rose_identity(n)
+    A = [basis_word(1, n)]
+    B = A + [word([2, 1, -2], n)]
+    K, KA = stallings_core(B, G).core, stallings_core(A, G).core
+    c = CyclicWord.of(word([-3, -1, 2, 1, -2, -1], n))
+    counts = []
+    for eset, vset in sorted(images(KA, K), key=lambda im: sorted(im[1])):
+        block, shape = counting._classify_complement(K, eset, vset, False)
+        ctx = counting.CountingContext(G, K, (eset,), (vset,), block, shape)
+        counts.append(counting.count_i(ctx, c).value)
+    assert counts == [1, 2]

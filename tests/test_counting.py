@@ -135,8 +135,8 @@ def test_lipschitz_audit_blowup_collapse():
 
 
 def test_lipschitz_audit_folds_each_core_once(monkeypatch):
-    """With a natural G/F, the audit folds B and each A over G alone: the
-    cores over G/F are collapses of those."""
+    """The audit folds B and each A over G alone: the cores over G/F are
+    collapses of those, whether or not G/F is natural."""
     folded = []
     fold = counting.stallings_core
 
@@ -152,6 +152,15 @@ def test_lipschitz_audit_folds_each_core_once(monkeypatch):
     B = A0 + A1
     c = CyclicWord.of(word([3, 1, 2, 1, 2, 2], n))
     assert lipschitz_audit([A0], B, blown, [new_eid], c) == (3, 3)
+    assert len(folded) == 2
+    # two subdivided petals, a1 = e1 e4 and a2 = e2 e5: G/e1 keeps the
+    # valence-2 vertex of a2's petal
+    g = graphs.CoreGraph([0, 1, 2], {1: (0, 1), 2: (0, 2), 3: (0, 0),
+                                     4: (1, 0), 5: (2, 0)})
+    G = MarkedGraph(g, 0, [(1, 4), (2, 5), (3,)])
+    folded.clear()
+    c = CyclicWord.of(word([3, 1, 2, 2], n))
+    assert lipschitz_audit([A0], B, G, [1], c) == (2, 2)
     assert len(folded) == 2
     # case 2: a1's and a2's loops joined through a3's vertex by e3 and e5
     g = graphs.CoreGraph([0, 1, 2], {1: (0, 0), 2: (1, 1), 3: (0, 2),

@@ -5,8 +5,9 @@ walked each entry state once. The first pass colours the trace states to
 find a cycle (a class conjugate into B); the second walks every entry
 state's run. `lipschitz_audit` is the bracket audit as it was before the
 collapsed side's context was derived from the uncollapsed one: it builds
-both contexts from scratch. Only the differential tests in
-test_count_engine.py import this module.
+both contexts from scratch, the second over the natural representative
+of G/F. Only the differential tests in test_count_engine.py import this
+module.
 """
 
 from outerspine import counting

@@ -246,7 +246,6 @@ def cmd_fold_path(args):
         F = FreeFactorSystem.of([[w for w in _words(c, G1.rank)]
                                  for c in args.component], G1.rank)
     path = spine.fold_path(G1, G2, F=F)
-    path.verify()
     print("length: %d" % len(path))
     if F is not None:
         print("guarded: %s%s" % (path.guarded,

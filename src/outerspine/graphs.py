@@ -120,20 +120,22 @@ def union_find(ends):
     representatives depend only on the order of `ends`.
     """
     parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     joined = []
     for e, o, t in ends:
-        ro, rt = find(o), find(t)
-        if ro != rt:
-            parent[rt] = ro
+        # the roots of o and t, halving each path on the way
+        while (p := parent.setdefault(o, o)) != o:
+            parent[o] = o = parent[p]
+        while (p := parent.setdefault(t, t)) != t:
+            parent[t] = t = parent[p]
+        if o != t:
+            parent[t] = o
             joined.append(e)
-    return {v: find(v) for v in parent}, joined
+    root = {}
+    for v, r in parent.items():
+        while (p := parent[r]) != r:
+            r = p
+        root[v] = r
+    return root, joined
 
 
 def is_forest(graph, edge_set):

@@ -198,7 +198,10 @@ class MarkedGraph:
         return MarkedGraph._derived(new_g, me.basepoint, marking), chains
 
     def natural_marked(self):
-        """The natural representative of this spine vertex."""
+        """The natural representative of this spine vertex: this graph
+        itself if it is natural, as `naturalize` would return it."""
+        if self.graph.is_natural():
+            return self
         return self.naturalize(keep_base=False)[0]
 
     def blowup_marked(self, v, part1, part2):

@@ -12,7 +12,7 @@ from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     cyclic_core, cyclic_reduce, eventually_periodic_form,
                     invert_letters, is_automorphism, reduce_letters,
                     substitute)
-from .graphs import CoreGraph
+from .graphs import CoreGraph, enumerate_natural_subforests
 from .marked import MarkedGraph, equivalent
 from .covers import (CoreSubgraphWitness, FreeFactorSystem, core_images,
                      stallings_core)
@@ -279,7 +279,6 @@ def retraction_audit(G, forest, data):
             raise SplitError("retraction output left the subcomplex")
     if equivalent(r1, r2) is not None:
         return 0
-    from .graphs import enumerate_natural_subforests
     for f in enumerate_natural_subforests(r1.graph, include_empty=False):
         cand, _ = r1.collapse_marked(f)
         if equivalent(cand.natural_marked(), r2) is not None:

@@ -4,7 +4,8 @@ import pytest
 
 from outerspine.graphs import (CoreGraph, GraphError, rose, theta_graph,
                                collapse, enumerate_natural_subforests,
-                               enumerate_blowups, natural_structure)
+                               enumerate_blowups, natural_structure,
+                               union_find)
 from outerspine.words import reduce_letters
 from iso_oracle import graph_isomorphisms, graphs_isomorphic
 
@@ -172,3 +173,37 @@ def test_rank_preserved_random_collapse():
             if g2.is_natural():
                 g = g2
         assert g.rank == 3
+
+
+def union_find_oracle(ends):
+    """union_find as it was: a nested find with path halving, then one
+    find per endpoint."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = []
+    for e, o, t in ends:
+        ro, rt = find(o), find(t)
+        if ro != rt:
+            parent[rt] = ro
+            joined.append(e)
+    return {v: find(v) for v in parent}, joined
+
+
+def test_union_find_matches_oracle():
+    # representatives, their order and the joined edges are all the same,
+    # on random multigraphs with loops and parallel edges
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        ends = [(e, rng.randrange(n), rng.randrange(n))
+                for e in range(1, rng.randint(1, 2 * n) + 1)]
+        root, joined = union_find(ends)
+        want_root, want_joined = union_find_oracle(ends)
+        assert list(root.items()) == list(want_root.items())
+        assert joined == want_joined

@@ -232,6 +232,28 @@ def test_naturalize_random():
                 assert N.natural_marked() is N
 
 
+def test_natural_marked_matches_naturalize():
+    # natural_marked returns a natural graph itself; on every graph it is
+    # the marked graph naturalize(keep_base=False) returns
+    rng = random.Random(31)
+    natural = 0
+    for i in range(120):
+        G = sampling.random_marked_graph(rng, 2 + i % 3, rng.randint(0, 4))
+        if i % 2:
+            for _ in range(rng.randint(1, 3)):
+                G = subdivide(G, rng.choice(sorted(G.graph.edges)))
+            if rng.random() < 0.5:
+                G = G.rebase(rng.choice(sorted(G.graph.vertices)))
+        N, _ = G.naturalize(keep_base=False)
+        got = G.natural_marked()
+        assert (got.graph.vertices, got.graph.edges, got.basepoint,
+                got.marking) == (N.graph.vertices, N.graph.edges,
+                                 N.basepoint, N.marking)
+        assert (got is G) == G.graph.is_natural() == (i % 2 == 0)
+        natural += got is G
+    assert natural == 60
+
+
 def test_canonical_key_matches_equivalent_on_theta_blowups():
     G = theta_marked()
     H, _ = G.collapse_marked([3])

@@ -54,7 +54,7 @@ def test_input_boundaries_build_checked_objects():
 # Public functions whose only callers are tests; each is named in the README
 # or kept for a planned use (ROADMAP, "Keep the source small").
 TEST_ONLY_API = {
-    "is_natural", "theta_graph", "enumerate_blowups", "conjugate_by",
+    "theta_graph", "enumerate_blowups", "conjugate_by",
     "ffs_partial_order", "restrict_endo", "coindex1_to_splitting",
     "transfer",
 }

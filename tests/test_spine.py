@@ -1,10 +1,12 @@
 import random
 
-from outerspine import graphs, sampling, spine
+import pytest
+
+from outerspine import folding, graphs, sampling, spine
 from outerspine.marked import MarkedGraph, canonical_key, equivalent
 from outerspine.words import Endomorphism, basis_word, is_automorphism
 from outerspine.covers import FreeFactorSystem
-from outerspine.spine import neighbors, bfs_distance, fold_path
+from outerspine.spine import SpineError, neighbors, bfs_distance, fold_path
 import spine_oracle
 from spine_oracle import oracle_bfs_distance
 
@@ -312,3 +314,106 @@ def test_fold_path_guard_dropped_for_nonrose():
     p.verify()
     assert not p.guarded
     assert "dropped" in p.guard_report
+
+
+def fault_pairs():
+    """Seeded rank-3 pairs: the rose and an image of it, and two blown-up
+    graphs, so that both tree steps are on the path."""
+    rng = random.Random(2)
+    rose = MarkedGraph.rose_identity(3)
+    return [(rose, rose.act(sampling.random_token_auto(rng, 3, 3))),
+            (sampling.random_marked_graph(rng, 3, 3),
+             sampling.random_marked_graph(rng, 3, 3))]
+
+
+CERTIFICATE_FAILED = r"^certificate \d+: (collapse|representative) mismatch$"
+
+
+def test_fold_path_rejects_swapped_step_forests(monkeypatch):
+    hulls = spine._hulls
+
+    def swapped(star, *forests):
+        nat, (hull_eta, hull_rs0) = hulls(star, *forests)
+        return nat, [hull_rs0, hull_eta]
+    monkeypatch.setattr(spine, "_hulls", swapped)
+    for G1, G2 in fault_pairs():
+        with pytest.raises(SpineError, match=CERTIFICATE_FAILED):
+            fold_path(G1, G2)
+
+
+def test_fold_path_rejects_a_step_forest_short_of_an_edge(monkeypatch):
+    hulls = spine._hulls
+    dropped = []
+
+    def short(star, *forests):
+        nat, out = hulls(star, *forests)
+        for i, hull in enumerate(out):
+            if len(hull) > 1:
+                out[i] = hull - {min(hull)}
+                dropped.append(hull)
+        return nat, out
+    monkeypatch.setattr(spine, "_hulls", short)
+    for G1, G2 in fault_pairs():
+        dropped.clear()
+        with pytest.raises(SpineError, match=CERTIFICATE_FAILED):
+            fold_path(G1, G2)
+        assert dropped
+
+
+class TransvectedSubdivision(folding.Folder):
+    """The first petal's chain read after the second's: the subdivided
+    rose's marking sends a2 to a2 a1, another spine vertex."""
+    chains = ()
+
+    def add_loop(self, labels, val=()):
+        chain = super().add_loop(labels, val)
+        self.chains += (chain,)
+        return chain + self.chains[0] if len(self.chains) == 2 else chain
+
+
+class StopsAfterOneFold(folding.Folder):
+    folds = 0
+
+    def next_fold(self):
+        self.folds += 1
+        return super().next_fold() if self.folds == 1 else None
+
+
+@pytest.mark.parametrize("folder", [TransvectedSubdivision, StopsAfterOneFold])
+def test_fold_path_rejects_a_wrong_terminus(monkeypatch, folder):
+    # a subdivision with another marking folds to another rose, and a
+    # folder that stops early ends short of G2's rose; the terminus check
+    # finds both, so the subdivided rose needs no check of its own
+    monkeypatch.setattr(spine, "Folder", folder)
+    for G1, G2 in fault_pairs():
+        with pytest.raises(SpineError, match="^fold terminus does not match"
+                                             " the target rose$"):
+            fold_path(G1, G2)
+
+
+def test_fold_path_computes_each_certificate_once(monkeypatch):
+    rng = random.Random(7)
+    G1 = sampling.random_marked_graph(rng, 3, 3)
+    G2 = sampling.random_marked_graph(rng, 3, 3)
+    calls = {"equivalent": 0, "collapse_marked": 0, "naturalize": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+    counted(spine, "equivalent")
+    counted(MarkedGraph, "collapse_marked")
+    counted(MarkedGraph, "naturalize")
+    path = fold_path(G1, G2)
+    kinds = "".join(st.kind[0] for st in path.steps)
+    assert kinds == "duududdudu"
+    # collapse_marked: the two spanning trees and one certificate per step.
+    # equivalent: one collapse certificate per step, the two representatives
+    # that are not their upper vertex, one new-vertex test per fold-down
+    # and the terminus. naturalize: one star per fold, the graph after each
+    # fold-down and the certificate collapses that are not natural.
+    assert calls == {"equivalent": 10 + 2 + 4 + 1, "collapse_marked": 2 + 10,
+                     "naturalize": 9}

@@ -398,7 +398,10 @@ def build_parser():
     sp.add_argument("--collapse", required=True)
     sp.set_defaults(fn=cmd_retract_split_audit)
 
-    sp = sub.add_parser("spine-bfs", help="exact spine distance up to a cap")
+    sp = sub.add_parser("spine-bfs", help=(
+        "shortest path length along spine neighbours (collapses, one-edge"
+        " blow-ups) up to a cap: the spine distance in rank 2, an upper"
+        " bound from rank 3 on"))
     sp.add_argument("left")
     sp.add_argument("right")
     sp.add_argument("--cap", type=int, default=4)

@@ -4,19 +4,21 @@ A marking is stored based: one closed reduced edge path per basis letter,
 all at the basepoint. The same class serves the pointed theory of
 retract_aut; pointedness is chosen by the caller, not stored. Spine-vertex
 equality (`equivalent`) quantifies over a free-homotopy conjugator, so the
-basepoint carries no meaning there; pointed equality
-(`retract_aut.pointed_equivalent`) and `naturalize(keep_base=True)` keep it.
+basepoint carries no meaning there; pointed equality (`pointed_equivalent`)
+and `naturalize(keep_base=True)` keep it.
 
 Neither equality searches graph isomorphisms. Marking paths cross every
 edge, so two markings read in lockstep from a pair of base vertices fix
 the only isomorphism that could carry one onto the other (`match_paths`).
-Pointed equality walks from the two basepoints. Spine-vertex equality first
-rebases each marking onto its centre (`_centre`, computed once per marked
-graph and kept on it), the rebasings of least total length, which any
-isomorphism of marked graphs maps centre to centre. `canonical_key` is the
-same equality as one hashable value, for sets of spine vertices: at each
-centre point the paths name the edges by first traversal, and the least of
-these named markings is the key (the words alone rebuild the marked graph).
+Pointed equality is that walk from the two basepoints. Spine-vertex
+equality takes the same based walk first: a match is already a marked
+equivalence, with conjugator 1. Only when it fails does it rebase each
+marking onto its centre (`_centre`, computed once per marked graph and
+kept on it), the rebasings of least total length, which any isomorphism
+of marked graphs maps centre to centre. `canonical_key` is the same
+equality as one hashable value, for sets of spine vertices: at each centre
+point the paths name the edges by first traversal, and the least of these
+named markings is the key (the words alone rebuild the marked graph).
 `equivalent` also returns the witness certificates need.
 
 Checks: `MarkedGraph` and the `textio` parsers check every marking, down to
@@ -267,27 +269,39 @@ def match_paths(g1, v1, paths1, g2, v2, paths2):
     return (vmap, emap) if len(einv) == len(g2.edges) else None
 
 
+def pointed_equivalent(x1, x2):
+    """Exact pointed equality: the base-preserving isomorphism matching every
+    marking path on the nose, as (vertex_map, edge_map), or None. The walk
+    of `match_paths` from the two basepoints finds it or rules it out."""
+    return match_paths(x1.graph, x1.basepoint, x1.marking,
+                       x2.graph, x2.basepoint, x2.marking)
+
+
 def equivalent(G1, G2):
     """Exact spine-vertex equality. Returns a witness (vertex_map, edge_map,
     g) or None: a graph isomorphism h and g in F_n with g^-1 u_i g = a_i,
     where u_i reads h(p_i), rebased at G2's basepoint, through G2's marking.
 
-    An isomorphism carrying [G1] to [G2] maps every rebasing of G1's
-    marking onto a rebasing of G2's of the same total length, so it maps
-    G1's centre (`_centre`) onto G2's. One centre point of G1 is therefore
-    matched against each centre point of G2 by `match_paths`, which finds
-    the only isomorphism that can carry the one marking onto the other. With
-    j1, j2 the rebasing paths and T G2's tree path from its basepoint to
-    h(G1's basepoint), g is the word of T h(j1) j2^-1.
+    The based walk (`pointed_equivalent`) comes first. An isomorphism h that
+    takes basepoint to basepoint and each marking path onto the matching
+    one reads u_i = a_i, so it is a marked equivalence with g = 1; one
+    object compared with itself gets the identity witness this way.
 
-    One object compared with itself gets the identity witness at once: the
-    identity maps and g = 1.
+    When that walk fails, the conjugator is searched for. An isomorphism
+    carrying [G1] to [G2] maps every rebasing of G1's marking onto a
+    rebasing of G2's of the same total length, so it maps G1's centre
+    (`_centre`) onto G2's. One centre point of G1 is therefore matched
+    against each centre point of G2 by `match_paths`, which finds the only
+    isomorphism that can carry the one marking onto the other. With j1, j2
+    the rebasing paths and T G2's tree path from its basepoint to h(G1's
+    basepoint), g is the word of T h(j1) j2^-1. The based walk only skips
+    this search when it has found a witness, so the verdict is the search's.
     """
-    if G1 is G2:
-        return ({v: v for v in G1.graph.vertices},
-                {e: e for e in G1.graph.edges}, ReducedWord((), G1.rank))
     if G1.rank != G2.rank or len(G1.graph.edges) != len(G2.graph.edges):
         return None
+    based = pointed_equivalent(G1, G2)
+    if based is not None:
+        return based + (ReducedWord((), G1.rank),)
     # any centre point of G1 will do; the memo's first is `_descend`'s
     (v1, paths1), j1 = (next(iter(G1._centre_points.items()))
                         if G1._centre_points is not None else _descend(G1))

@@ -6,25 +6,17 @@ at valence 2 (`naturalize(keep_base=True)`), and pointed markings carry no
 conjugator slack: pointed equivalence is a basepoint-preserving graph
 isomorphism plus exact equality of marking paths. The marking paths cross
 every edge, so reading them in lockstep from the two basepoints
-(`marked.match_paths`) fixes the only candidate isomorphism.
+(`marked.pointed_equivalent`) fixes the only candidate isomorphism.
 """
 
 from .covers import stallings_core
 from .words import Endomorphism, basis_word
 from .graphs import CoreGraph
-from .marked import MarkedGraph, MarkingError, match_paths
+from .marked import MarkedGraph, MarkingError, pointed_equivalent
 
 
 class PointedError(ValueError):
     pass
-
-
-def pointed_equivalent(x1, x2):
-    """Exact pointed equality: the base-preserving isomorphism matching every
-    marking path on the nose, as (vertex_map, edge_map), or None. The walk
-    of `match_paths` from the two basepoints finds it or rules it out."""
-    return match_paths(x1.graph, x1.basepoint, x1.marking,
-                       x2.graph, x2.basepoint, x2.marking)
 
 
 def embed_j(w):

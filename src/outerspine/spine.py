@@ -10,10 +10,11 @@ rank 3 on.
 
 A spine path stores self-contained adjacency certificates: each step keeps
 its own representative graph X and natural forest f with X equivalent to the
-upper endpoint and X/f equivalent to the lower one. verify() recomputes all
-of it from scratch with `marked.equivalent`, which rebases both markings
-onto their centres and reads them in lockstep, centre point against centre
-point, with no search over graph isomorphisms.
+upper endpoint and X/f equivalent to the lower one. verify() checks that
+every vertex is natural and recomputes every certificate from scratch with
+`marked.equivalent`, which reads the two markings in lockstep from their
+basepoints and, only if that walk fails, from their centres, with no search
+over graph isomorphisms.
 
 fold_path drives the folding engine (`folding.Folder`) one fold at a time;
 the engine chooses each fold, and this module only builds the partially
@@ -135,13 +136,18 @@ class SpinePath:
         return len(self.steps)
 
     def verify(self):
-        """Check every step's certificate from scratch: its representative X
-        is equivalent to the upper vertex (nothing to check where X is that
-        vertex) and X/forest, naturalized, to the lower one. The ends are
-        not checked here; `fold_path` checks that its path ends at G2.
+        """Check that every vertex of rank >= 2 is natural (rank 1 has only
+        the one-loop circle), and every step's certificate from scratch:
+        its representative X is equivalent to the upper vertex (nothing to
+        check where X is that vertex) and X/forest, naturalized, to the
+        lower one. The ends are not checked here; `fold_path` checks that
+        its path ends at G2.
         """
         if len(self.vertices) != len(self.steps) + 1:
             raise SpineError("malformed path")
+        for i, vtx in enumerate(self.vertices):
+            if vtx.rank > 1 and not vtx.graph.is_natural():
+                raise SpineError("vertex %d is not natural" % i)
         for i, st in enumerate(self.steps):
             a, b = self.vertices[i], self.vertices[i + 1]
             upper, lower = (a, b) if st.kind == "down" else (b, a)
@@ -229,6 +235,19 @@ def fold_path(G1, G2, F=None):
         if not path:
             raise SpineError("petal image collapsed; markings incompatible")
         images[eid] = path
+    # Conjugating every image by one letter changes the map rose1 -> rose2
+    # by a free homotopy only, so the folds still end at [rose2]. Strip the
+    # x ... x^-1 that all images share, until the base directions, labelled
+    # by the images' first letters and their last letters inverted, carry
+    # at least two labels. A fold identifies two directions of one label,
+    # and the vertices it merges pool their directions, so no vertex loses
+    # a label: the base keeps two, and valence >= 2, to the last fold. With
+    # one label the folds at the base would leave it at valence 1 on a
+    # tail, and the graphs below would not be spine vertices. A reduced
+    # closed path x ... x^-1 has at least three letters, so no image
+    # becomes empty.
+    while len({d for p in images.values() for d in (p[0], -p[-1])}) == 1:
+        images = {eid: p[1:-1] for eid, p in images.items()}
 
     # subdivide each petal of rose1 along its image, which maps the graph
     # edge by edge onto rose2; the folding engine labels each edge by the

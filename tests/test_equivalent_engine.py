@@ -1,4 +1,4 @@
-"""Seeded differential tests of the centre-matching equalities against the
+"""Seeded differential tests of the lockstep-walk equalities against the
 isomorphism search they replaced (tests/iso_oracle.py).
 
 `marked.equivalent` and `retract_aut.pointed_equivalent` must give the
@@ -8,7 +8,9 @@ equality g^-1 u_i g = a_i, where u_i reads the image of the i-th marking
 path through the second marking; for pointed equality every marking path
 on the nose, basepoint to basepoint. The inputs are relabelled and rebased
 copies, signed-petal-permutation, transvection and inner images, and
-spine-neighbour candidates, at ranks 2-4 and on K_{3,3}.
+spine-neighbour candidates, at ranks 2-4 and on K_{3,3}. Pairs that the
+based walk of `equivalent` misses although they are one spine vertex, and
+pairs it hits, are also checked against `canonical_key`.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import pytest
 import iso_oracle
 from outerspine import sampling
 from outerspine.graphs import CoreGraph, map_path
-from outerspine.marked import MarkedGraph, equivalent
+from outerspine.marked import MarkedGraph, canonical_key, equivalent
 from outerspine.retract_aut import embed_j, pointed_equivalent, retract_r
 from outerspine.spine import neighbors
 from outerspine.words import Endomorphism, basis_word, is_automorphism
@@ -127,6 +129,40 @@ def test_equivalent_matches_search_on_images_rank4_and_k33():
         pairs, hits = pairs + p, hits + h
     assert pairs == 168
     assert 0 < hits < pairs
+
+
+def based_walk_group(rng, G):
+    """G; copies that keep the basepoint, which the based walk matches;
+    rebasings at the other vertices and inner images, the same spine vertex
+    but missed by the based walk; and two other spine vertices."""
+    n = G.rank
+    hit = [pointed_relabel(G, rng), G.act(Endomorphism.identity(n))]
+    miss = [G.rebase(v) for v in sorted(G.graph.vertices)
+            if v != G.basepoint][:3]
+    miss += [pointed_relabel(G.act(inner(rng, n)), rng) for _ in range(2)]
+    other = [G.act(sampling.transvection(n, 1, 2, side)) for side in "LR"]
+    return [G] + hit + miss + other
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_equivalent_based_walk_then_centres(n):
+    rng = random.Random(600 + n)
+    based = centred = apart = 0
+    for steps in (0, 3, 6):
+        for a, b in itertools.permutations(
+                based_walk_group(rng, sampling.random_marked_graph(rng, n,
+                                                                   steps)),
+                2):
+            same = check_free(a, b)
+            assert same == (canonical_key(a) == canonical_key(b))
+            if pointed_equivalent(a, b) is not None:
+                assert equivalent(a, b)[2].letters == ()
+                based += 1
+            elif same:
+                centred += 1
+            else:
+                apart += 1
+    assert based >= 18 and centred >= 18 and apart >= 18
 
 
 def neighbor_group(rng, G, relabel_copy):

@@ -119,8 +119,9 @@ def test_equivalent_reflexive_is_identity_without_centres(monkeypatch):
     rng = random.Random(31)
     samples = [theta_marked()] + [sampling.random_marked_graph(rng, n, 3)
                                  for n in (2, 3, 4, 4)]
-    # a copy of the same marked graph takes the centre walk, and the only
-    # marked automorphism of a natural graph of rank >= 2 is the identity
+    # the based walk matches a copy of the same marked graph, as it does
+    # the object itself, and reads the identity off the two markings with
+    # no centre
     copies = [equivalent(G, MarkedGraph._derived(G.graph, G.basepoint,
                                                  G.marking))
               for G in samples]

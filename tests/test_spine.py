@@ -407,6 +407,13 @@ def test_fold_path_computes_each_certificate_once(monkeypatch):
     counted(spine, "equivalent")
     counted(MarkedGraph, "collapse_marked")
     counted(MarkedGraph, "naturalize")
+
+    def refuse(*args):
+        raise AssertionError("centre walk or witness tree computed")
+    # every certificate here is met by the based walk, with g = 1
+    monkeypatch.setattr("outerspine.marked._centre", refuse)
+    monkeypatch.setattr("outerspine.marked._descend", refuse)
+    monkeypatch.setattr(MarkedGraph, "spanning_paths", refuse)
     path = fold_path(G1, G2)
     kinds = "".join(st.kind[0] for st in path.steps)
     assert kinds == "duududdudu"
@@ -417,3 +424,71 @@ def test_fold_path_computes_each_certificate_once(monkeypatch):
     # fold-down and the certificate collapses that are not natural.
     assert calls == {"equivalent": 10 + 2 + 4 + 1, "collapse_marked": 2 + 10,
                      "naturalize": 9}
+
+
+def recipe_pair(s):
+    """The seeded rank-3 pair of the fold-path tail defect."""
+    rng = random.Random(s)
+    sampling.random_token_auto(rng, 3, 3)
+    return (sampling.random_marked_graph(rng, 3, 3),
+            sampling.random_marked_graph(rng, 3, 3))
+
+
+def shared_conjugator(G1, G2):
+    """Whether every petal image of G1's rose in G2's rose runs x ... x^-1
+    for one edge letter x."""
+    rose1, _ = spine._tree_collapse_to_rose(G1.natural_marked())
+    rose2, _ = spine._tree_collapse_to_rose(G2.natural_marked())
+    vals = rose1.inverse_marking_values()
+    images = [rose2.expand(vals[e]) for e in sorted(rose1.graph.edges)]
+    return len({(p[0], p[-1]) for p in images}) == 1 and \
+        images[0][0] == -images[0][-1]
+
+
+@pytest.mark.parametrize("s", [4, 12, 39])
+def test_fold_path_strips_a_shared_conjugator(s):
+    # every petal image shares x ... x^-1: the folds at the base would
+    # leave the basepoint on a tail if the conjugator were kept
+    G1, G2 = recipe_pair(s)
+    assert shared_conjugator(G1, G2)
+    path = fold_path(G1, G2)
+    assert equivalent(path.vertices[-1], G2) is not None
+
+
+def test_fold_path_vertices_are_natural_random():
+    shared = 0
+    for s in range(200):
+        G1, G2 = recipe_pair(s)
+        shared += shared_conjugator(G1, G2)
+        path = fold_path(G1, G2)
+        path.verify()
+        assert all(v.graph.is_natural() for v in path.vertices)
+        assert all(st.X.graph.is_natural() for st in path.steps)
+    assert shared == 14
+
+
+def on_a_tail(G):
+    """G with its basepoint moved to the end of a new edge hanging off it:
+    the same spine vertex, but not a core graph."""
+    g = G.graph
+    tail, b = max(g.edges) + 1, max(g.vertices) + 1
+    edges = dict(g.edges)
+    edges[tail] = (b, G.basepoint)
+    graph = graphs.CoreGraph._derived(sorted(g.vertices) + [b], edges)
+    return MarkedGraph._derived(graph, b, [(tail,) + p + (-tail,)
+                                           for p in G.marking])
+
+
+def test_verify_rejects_a_vertex_on_a_tail():
+    T = on_a_tail(MarkedGraph.rose_identity(3))
+    # no step certifies anything here, so only the vertex check can fail
+    with pytest.raises(SpineError, match="^vertex 0 is not natural$"):
+        spine.SpinePath([T], []).verify()
+    for G1, G2 in fault_pairs():
+        path = fold_path(G1, G2)
+        for i in range(len(path.vertices)):
+            vertices = list(path.vertices)
+            vertices[i] = on_a_tail(vertices[i])
+            with pytest.raises(SpineError,
+                               match="^vertex %d is not natural$" % i):
+                spine.SpinePath(vertices, path.steps).verify()

@@ -294,7 +294,7 @@ class _Tables:
         self.block = ctx.block
         self.rev = invert_letters(ctx.block)
         self.q = len(ctx.block)
-        self.paths = {}          # path_summary's summaries by path
+        self.paths = {}          # summaries by path, one-letter paths too
         self._entries = {}
         self._moves = {}
 
@@ -365,23 +365,28 @@ def _through(S, v, s):
 
 
 def edge_summary(ctx, a):
-    """Summary of the one-letter segment a (a signed G-edge)."""
+    """Summary of the one-letter segment a (a signed G-edge), kept per
+    context with the path summaries under the key (a,)."""
     tb = ctx.tables
-    through = {}
-    for v in tb.vertices:
-        d = tb.out[v].get(a)
-        if d is None:
-            through[v] = (None, 0, (), ())
-        else:
-            t, hit = tb.move((), d)
-            through[v] = (tb.heads[d], hit, t, (d,))
-    return Summary(tb, a, through, {}, 0)
+    got = tb.paths.get((a,))
+    if got is None:
+        through = {}
+        for v in tb.vertices:
+            d = tb.out[v].get(a)
+            if d is None:
+                through[v] = (None, 0, (), ())
+            else:
+                t, hit = tb.move((), d)
+                through[v] = (tb.heads[d], hit, t, (d,))
+        got = tb.paths[(a,)] = Summary(tb, a, through, {}, 0)
+    return got
 
 
 def path_summary(ctx, path):
     """Summary of a nonempty explicit path, composed from its edges'
     summaries; kept per context, since a program's explicit pieces
-    repeat."""
+    repeat. A summary is never changed once built, so the cache hands
+    out shared ones."""
     paths = ctx.tables.paths
     got = paths.get(path)
     if got is None:

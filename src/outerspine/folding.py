@@ -443,10 +443,6 @@ class LabeledGraph:
         val = self.vals[abs(d)]
         return val if d > 0 else invert_letters(val)
 
-    def transfer(self, path):
-        """Transfer word of a path (closed paths at base give exact values)."""
-        return _mul(*[self.dval(d) for d in path])
-
 
 def fold_words(word_list, track_history=False):
     """Fold the wedge of loops spelling the given signed-label words and

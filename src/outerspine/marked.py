@@ -182,9 +182,13 @@ class MarkedGraph:
         With keep_base the basepoint survives even at valence 2 (the pointed
         normal form). Without it a valence-2 basepoint first moves to the
         least vertex of valence >= 3, so the result is natural; a rank-1
-        graph keeps its one-loop form.
+        graph keeps its one-loop form. A basepoint of valence < 2 (on a
+        tail) raises MarkingError: no merging makes such a graph natural.
         """
         g = self.graph
+        if g.valence(self.basepoint) < 2:
+            raise MarkingError("basepoint %r has valence %d"
+                               % (self.basepoint, g.valence(self.basepoint)))
         me = self
         if not keep_base:
             if self.rank == 1:

@@ -7,10 +7,10 @@ after which each phi_k is one substitution of u_k = theta^k(e_1) into
 phi_0's images.
 
 `distortion_report` never expands a row: each class phi_k(c_0) is a
-straight-line program over theta (symbols for theta^k(e_i) and their
-inverses, each built from row k-1's symbols), and its crossing count
-composes the counting layer's segment summaries, so a row costs the same
-at every k. `count_i` on the expanded rows of `witness_rows` is the
+straight-line program over theta (symbols for theta^k(e_i), and for
+their inverses when the class reads one, each built from row k-1's
+symbols), and its crossing count composes the counting layer's segment
+summaries, so a row costs the same at every k. `count_i` on the expanded rows of `witness_rows` is the
 oracle the tests hold it to.
 
 Everything is exact: integers of arbitrary precision, no fitted growth.
@@ -353,7 +353,9 @@ def case2_build(params):
 # A row's class c_k = phi_k(c_0) is held as a program over theta: the symbol
 # E_{k,i} is the reduced G-edge path of theta^k(e_i) (i <= m) and I_{k,i} its
 # inverse; E_{k+1,i} is the concatenation of E_{k,y} over the letters y of
-# theta(e_i), and I_{k+1,i} that of the I_{k,y} in reverse order. A symbol
+# theta(e_i), and I_{k+1,i} that of the I_{k,y} in reverse order. The I
+# symbols exist only when the class reads one: not in case 1, where
+# phi_0(e_n) = e_n e_1, but in cases 2 and 3, where e_1^-1 occurs. A symbol
 # keeps `_END_EDGES` explicit edges at each end and a counting summary of
 # its middle (`counting.compose`), so a row costs the same at every k.
 
@@ -442,6 +444,8 @@ def _row_counts(ctx, c0, th, phi0, m):
     c_k is c_0 with each letter e_j^{+-1} (j > m) replaced by phi_0(e_j)^{+-1}
     in which each e_1^{+-1} is the symbol E_{k,1} or I_{k,1}; every other
     letter, the e_1..e_m that phi_k fixes included, is its marking path.
+    The I symbols are built and stepped only when the class reads I_{k,1}
+    (cases 2 and 3), so a case-1 row steps the m symbols E_{k,i} alone.
 
     Cancellation where pieces meet (the cyclic closing junction included):
     - case 1: G is the rose and u_k = theta^k(e_1) is a positive word, so
@@ -453,9 +457,6 @@ def _row_counts(ctx, c0, th, phi0, m):
     compressed middle raises WitnessError instead of miscounting.
     """
     G = ctx.G
-    images = {i: th.endo.images[i - 1].letters for i in range(1, m + 1)}
-    E = {i: _explicit(ctx, G.expand((i,))) for i in images}
-    I = {i: _explicit(ctx, invert_letters(G.expand((i,)))) for i in images}
     template = []            # 1 and -1 stand for E_{k,1} and I_{k,1}
     for x in c0.letters:
         if abs(x) <= m:
@@ -465,12 +466,17 @@ def _row_counts(ctx, c0, th, phi0, m):
         for y in (im if x > 0 else invert_letters(im)):
             template.append(y if abs(y) == 1
                             else _explicit(ctx, G.expand((y,))))
+    images = {i: th.endo.images[i - 1].letters for i in range(1, m + 1)}
+    E = {i: _explicit(ctx, G.expand((i,))) for i in images}
+    I = ({i: _explicit(ctx, invert_letters(G.expand((i,)))) for i in images}
+         if -1 in template else None)
     while True:
         yield _count_cyclic(ctx, _join(ctx, [
             E[1] if p == 1 else I[1] if p == -1 else p for p in template]))
         E = {i: _join(ctx, [E[y] for y in im]) for i, im in images.items()}
-        I = {i: _join(ctx, [I[y] for y in reversed(im)])
-             for i, im in images.items()}
+        if I is not None:
+            I = {i: _join(ctx, [I[y] for y in reversed(im)])
+                 for i, im in images.items()}
 
 
 # -- distortion report --------------------------------------------------------

@@ -1,19 +1,21 @@
 """Seeded differential tests of the one-pass crossing count against the
 two-pass trace it replaced (tests/count_oracle.py), of the composed
-segment summaries against the one-pass count, and of the bracket audit
+segment summaries against the one-pass count, of the summaries a context keeps
+against ones composed on a fresh context, and of the bracket audit
 against one that builds both contexts from scratch.
 
 The oracle traces the least rotation of each circuit (`circuit_of`) and
 count_i the cyclic core as it is read, so equal values also check that
 the count does not depend on the rotation."""
 
+import dataclasses
 import random
 
 import count_oracle
 import witness_oracle
 from outerspine import counting, covers, graphs, sampling, witness
 from outerspine.counting import (CountError, build_context, close, compose,
-                                 edge_summary)
+                                 edge_summary, path_summary)
 from outerspine.covers import stallings_core
 from outerspine.marked import MarkedGraph
 from outerspine.words import CyclicWord, ReducedWord, basis_word, word
@@ -148,6 +150,39 @@ def test_close_of_composed_edge_summaries_matches_count_i():
     assert {counting.ConjugateIntoB, True, False} <= seen
     # windows that straddle junctions: blocks longer than one edge
     assert max(block_lengths) > 1
+
+
+def fields(S):
+    """A summary without its context's tables."""
+    return S.last, S.through, S.arrivals, S.best
+
+
+def test_kept_summaries_equal_fresh_ones():
+    """The one-letter and path summaries a context keeps equal the ones a
+    fresh context composes edge by edge, after every circuit and its
+    overlapping pieces went through the kept ones; each one-letter
+    summary is built once and shared."""
+    rng = random.Random(79)
+    shared = 0
+    for ctx, B in fixed_contexts() + random_contexts(rng, 12):
+        pieces = []
+        for c in random_classes(rng, ctx.G.rank, B):
+            circuit = tuple(ctx.G.circuit_of(c))
+            i = rng.randrange(len(circuit))
+            j = rng.randrange(i, len(circuit)) + 1
+            pieces += [circuit, circuit[:j], circuit[i:j], circuit[i:]]
+        kept = [path_summary(ctx, p) for p in pieces]
+        for a in {a for p in pieces for a in p}:
+            assert path_summary(ctx, (a,)) is edge_summary(ctx, a)
+            shared += 1
+        for p, S in zip(pieces, kept):
+            assert path_summary(ctx, p) is S
+            fresh = dataclasses.replace(ctx)
+            want = edge_summary(fresh, p[0])
+            for a in p[1:]:
+                want = compose(want, edge_summary(fresh, a))
+            assert fields(S) == fields(want), p
+    assert shared > 100
 
 
 def subdivided(rng, G):

@@ -56,7 +56,6 @@ def test_input_boundaries_build_checked_objects():
 TEST_ONLY_API = {
     "theta_graph", "enumerate_blowups", "conjugate_by",
     "ffs_partial_order", "restrict_endo", "coindex1_to_splitting",
-    "transfer",
 }
 
 

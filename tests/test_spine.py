@@ -3,7 +3,8 @@ import random
 import pytest
 
 from outerspine import folding, graphs, sampling, spine
-from outerspine.marked import MarkedGraph, canonical_key, equivalent
+from outerspine.marked import (MarkedGraph, MarkingError, canonical_key,
+                               equivalent)
 from outerspine.words import Endomorphism, basis_word, is_automorphism
 from outerspine.covers import FreeFactorSystem
 from outerspine.spine import SpineError, neighbors, bfs_distance, fold_path
@@ -477,6 +478,18 @@ def on_a_tail(G):
     graph = graphs.CoreGraph._derived(sorted(g.vertices) + [b], edges)
     return MarkedGraph._derived(graph, b, [(tail,) + p + (-tail,)
                                            for p in G.marking])
+
+
+def test_naturalize_rejects_a_basepoint_on_a_tail():
+    """A basepoint of valence 1 is not natural, and no merging of
+    valence-2 vertices makes it so: both forms raise."""
+    T = on_a_tail(MarkedGraph.rose_identity(3))
+    assert T.graph.valence(T.basepoint) == 1
+    for keep_base in (True, False):
+        with pytest.raises(MarkingError, match="valence 1"):
+            T.naturalize(keep_base)
+    with pytest.raises(MarkingError, match="valence 1"):
+        T.natural_marked()
 
 
 def test_verify_rejects_a_vertex_on_a_tail():

@@ -284,6 +284,54 @@ def test_case1_rows_at_k100_equal_letter_counts():
         assert rows[-1].i_k > 10 ** 9
 
 
+def counted_report_work(monkeypatch):
+    """Count `counting.compose` and `witness._join` calls; returns the
+    counter and a function that runs one report and returns its counts."""
+    calls = {"compose": 0, "join": 0}
+
+    def counted(key, f):
+        def g(*args):
+            calls[key] += 1
+            return f(*args)
+        return g
+
+    compose = counted("compose", counting.compose)
+    monkeypatch.setattr(counting, "compose", compose)
+    monkeypatch.setattr(witness, "compose", compose)
+    monkeypatch.setattr(witness, "_join", counted("join", witness._join))
+
+    def report(params, k_max):
+        calls.update(compose=0, join=0)
+        distortion_report(params, k_max)
+        return dict(calls)
+    return report
+
+
+# Compositions per case-1 row once its symbols have compressed middles:
+# two to step E_{k,1} = E_{k-1,1} E_{k-1,m}, one to join e_n to E_{k,1},
+# two to close the class.
+CASE1_COMPOSES_PER_ROW = 5
+
+
+def test_case1_row_work_is_constant(monkeypatch):
+    """Ten more case-1 rows cost exactly ten times a fixed number of
+    compositions at every m, and m + 1 joins each: the row and the m
+    symbols E_{k,i}. Case 1 never reads an inverse symbol, so none is
+    stepped; cases 2 and 3 read I_{k,1} and step m more joins per row."""
+    report = counted_report_work(monkeypatch)
+    K = 20
+    for n, r in ((3, 1), (5, 2), (6, 3), (7, 4)):
+        params = WitnessParams(n, "connected", r=r)
+        before, after = report(params, K), report(params, K + 10)
+        assert after["compose"] - before["compose"] == \
+            10 * CASE1_COMPOSES_PER_ROW, params
+        assert after["join"] - before["join"] == 10 * (r + 2), params
+    for params in (WitnessParams(4, "two_component", ranks=(1, 2)),
+                   WitnessParams(5, "multi_component", ranks=(1, 1, 1))):
+        before, after = report(params, K), report(params, K + 10)
+        assert after["join"] - before["join"] == 10 * (2 * params.m + 1)
+
+
 def test_short_end_edges_raise(monkeypatch):
     """With one explicit edge per end, the eta0 edges that cancel between
     consecutive H_0 letters reach a compressed middle: the report refuses

@@ -9,7 +9,7 @@ from itertools import islice
 
 from . import graphs
 from .words import CyclicWord, Endomorphism, basis_word, is_automorphism
-from .marked import MarkedGraph, canonical_key, equivalent
+from .marked import MarkedGraph, VertexSet, equivalent
 from .covers import FreeFactorSystem, realizes, minimal_subtree_collapse_check
 from .counting import build_context, count_i, lipschitz_audit, CountError
 from .witness import (WitnessParams, distortion_report, case2_build,
@@ -169,7 +169,7 @@ def criterion_6(audit_instances=300, radius=4, per_level=10, seed=404):
 
     base = MarkedGraph.rose_identity(n)
     ball = [base]
-    seen = {canonical_key(base)}
+    seen = VertexSet([base])
     frontier = [base]
     for _ in range(radius):
         nxt = []
@@ -179,10 +179,8 @@ def criterion_6(audit_instances=300, radius=4, per_level=10, seed=404):
             for h in cands:
                 if in_CVKT(h, bp) is None:
                     continue
-                key = canonical_key(h)
-                if key in seen:
+                if not seen.add(h):
                     continue
-                seen.add(key)
                 nxt.append(h)
                 if len(nxt) >= per_level:
                     break

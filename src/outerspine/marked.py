@@ -16,10 +16,15 @@ equivalence, with conjugator 1. Only when it fails does it rebase each
 marking onto its centre (`_centre`, computed once per marked graph and
 kept on it), the rebasings of least total length, which any isomorphism
 of marked graphs maps centre to centre. `canonical_key` is the same
-equality as one hashable value, for sets of spine vertices: at each centre
-point the paths name the edges by first traversal, and the least of these
-named markings is the key (the words alone rebuild the marked graph).
-`equivalent` also returns the witness certificates need.
+equality as one hashable value: at each centre point the paths name the
+edges by first traversal, and the least of these named markings is the key
+(the words alone rebuild the marked graph). `equivalent` also returns the
+witness certificates need.
+
+Sets of spine vertices (`VertexSet`) bucket them by `circuit_lengths`, an
+exact invariant that costs one pass over the marking, and compare within a
+bucket: its first vertex against a newcomer by `equivalent`, and only once
+two distinct vertices share the bucket by `canonical_key`.
 
 Checks: `MarkedGraph` and the `textio` parsers check every marking, down to
 `check_generates`; a marked graph derived from valid ones (the operations
@@ -426,3 +431,55 @@ def canonical_key(G):
     all of them.
     """
     return min(_edge_names(paths)[0] for _, paths in _centre(G))
+
+
+def circuit_lengths(G):
+    """The edge count of G, then the length of the circuit of each basis
+    letter: an invariant of the spine vertex, the key of `VertexSet`'s
+    buckets. A marked equivalence is a graph isomorphism carrying the
+    circuit of each conjugacy class onto the circuit of the same class,
+    so these are equal on equivalent marked graphs; they are the
+    translation lengths of the basis letters (Culler-Morgan 1987)."""
+    return (len(G.graph.edges),) + tuple(len(cyclic_core(p)[1])
+                                         for p in G.marking)
+
+
+class VertexSet:
+    """An exact set of spine vertices: `add(G)` is True when [G] is new,
+    and `G in S` when [G] is already there.
+
+    Vertices are bucketed by `circuit_lengths`. A bucket holds one marked
+    graph until a second vertex arrives: `equivalent` tells whether it is
+    the same vertex, and if it is not the bucket becomes a dict of its
+    vertices keyed by `canonical_key`, which keys every later arrival. No
+    key is computed until two distinct vertices share a bucket.
+    """
+
+    def __init__(self, vertices=()):
+        self._buckets = {}
+        for G in vertices:
+            self.add(G)
+
+    def add(self, G):
+        lengths = circuit_lengths(G)
+        held = self._buckets.get(lengths)
+        if held is None:
+            self._buckets[lengths] = G
+            return True
+        if isinstance(held, MarkedGraph):
+            if equivalent(held, G) is not None:
+                return False
+            held = self._buckets[lengths] = {canonical_key(held): held}
+        key = canonical_key(G)
+        if key in held:
+            return False
+        held[key] = G
+        return True
+
+    def __contains__(self, G):
+        held = self._buckets.get(circuit_lengths(G))
+        if held is None:
+            return False
+        if isinstance(held, MarkedGraph):
+            return equivalent(held, G) is not None
+        return canonical_key(G) in held

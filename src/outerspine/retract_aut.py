@@ -10,7 +10,7 @@ every edge, so reading them in lockstep from the two basepoints
 """
 
 from .covers import stallings_core
-from .words import Endomorphism, basis_word
+from .words import basis_word
 from .graphs import CoreGraph
 from .marked import MarkedGraph, MarkingError, pointed_equivalent
 
@@ -76,13 +76,3 @@ def lipschitz_audit(x, forest):
         raise PointedError("hull collapse does not reproduce the retraction")
     return 1, x2
 
-
-def restrict_endo(endo, new_rank):
-    """Restriction of an endomorphism preserving <a_1..a_new_rank>."""
-    from .words import ReducedWord
-    images = []
-    for im in endo.images[:new_rank]:
-        if any(abs(a) > new_rank for a in im.letters):
-            raise PointedError("endomorphism does not preserve the subgroup")
-        images.append(ReducedWord(im.letters, new_rank))
-    return Endomorphism(new_rank, tuple(images))

@@ -3,10 +3,10 @@
 The neighbours of a natural marked graph G are its collapses G/F, one per
 nonempty forest F, and its one-edge blow-ups, one per ideal edge; they are
 pairwise distinct spine vertices, so they are listed with no equivalence
-work. `bfs_distance` grows balls keyed by `marked.canonical_key`, one
-exact key per spine vertex, in plain sets: one around each end in rank 2,
-where `neighbors` is symmetric, and one around the first end alone from
-rank 3 on.
+work. `bfs_distance` grows balls of spine vertices in `marked.VertexSet`s,
+which compare a vertex only with those of equal circuit lengths: one ball
+around each end in rank 2, where `neighbors` is symmetric, and one around
+the first end alone from rank 3 on.
 
 A spine path stores self-contained adjacency certificates: each step keeps
 its own representative graph X and natural forest f with X equivalent to the
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from . import graphs
 from .folding import Folder
 from .words import substitute
-from .marked import MarkedGraph, canonical_key, equivalent
+from .marked import MarkedGraph, VertexSet, equivalent
 from .covers import realizes
 
 
@@ -79,21 +79,22 @@ def bfs_distance(G1, G2, cap):
     where no forest or ideal forest has two edges, `neighbors` is
     symmetric and this is the spine's 1-skeleton distance.
 
-    Each step adds a whole layer to one ball of keys: in rank 2 to the
-    ball around either end with the smaller frontier (Pohl 1971); from
-    rank 3 on, where `neighbors` is not symmetric, always to G1's. The
-    balls of radii r1, r2 are disjoint before a layer, so the distance is
-    at least r1 + r2 + 1, and a new vertex in the other ball attains it.
-    Disjoint balls with r1 + r2 = cap put the distance above cap; a layer
-    that adds nothing closes its ball without meeting the other.
+    Each step adds a whole layer to one ball, a `marked.VertexSet`: in
+    rank 2 to the ball around either end with the smaller frontier (Pohl
+    1971); from rank 3 on, where `neighbors` is not symmetric, always to
+    G1's. The balls of radii r1, r2 are disjoint before a layer, so the
+    distance is at least r1 + r2 + 1, and a new vertex in the other ball
+    attains it. Disjoint balls with r1 + r2 = cap put the distance above
+    cap; a layer that adds nothing closes its ball without meeting the
+    other.
     """
     if G1.rank != G2.rank:
         raise SpineError("rank mismatch: %d vs %d" % (G1.rank, G2.rank))
     if cap < 0:
         return None
     ends = [G1.natural_marked(), G2.natural_marked()]
-    seen = [{canonical_key(G)} for G in ends]
-    if seen[0] == seen[1]:
+    seen = [VertexSet([G]) for G in ends]
+    if ends[1] in seen[0]:
         return 0
     frontiers = [[G] for G in ends]
     radii = [0, 0]
@@ -104,11 +105,9 @@ def bfs_distance(G1, G2, cap):
         nxt = []
         for g in frontiers[s]:
             for h in neighbors(g):
-                key = canonical_key(h)
-                if key in other:
+                if h in other:
                     return radii[0] + radii[1] + 1
-                if key not in mine:
-                    mine.add(key)
+                if mine.add(h):
                     nxt.append(h)
         if not nxt:
             return None

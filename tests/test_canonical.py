@@ -6,7 +6,9 @@ witness exists) and induce the same partition as `old_canonical_key`, and
 tests/iso_oracle.py, on relabelled and rebased copies, on transvection and
 signed-petal-permutation images at ranks 2-4 (K_{3,3} included), and on
 spine-neighbour candidates. `canonical_form` and `old_canonical_key` are
-the test oracles of tests/canonical_oracle.py.
+the test oracles of tests/canonical_oracle.py. `marked.VertexSet` must
+split the same candidates, and the balls of the spine, into the classes
+of `canonical_key`.
 """
 
 import itertools
@@ -14,9 +16,10 @@ import random
 
 from outerspine import graphs, sampling
 from outerspine.graphs import CoreGraph
-from outerspine.marked import MarkedGraph, canonical_key, equivalent
+from outerspine.marked import (MarkedGraph, VertexSet, canonical_key,
+                               circuit_lengths, equivalent)
 from outerspine.spine import neighbors
-from outerspine.words import Endomorphism, is_automorphism
+from outerspine.words import Endomorphism, is_automorphism, substitute
 from canonical_oracle import canonical_form, old_canonical_key
 from iso_oracle import graphs_isomorphic
 
@@ -131,7 +134,11 @@ def test_key_matches_equivalent_on_neighbor_candidates():
         assert any(hits)
 
 
-def test_key_partition_matches_old_key():
+def partition_sets():
+    """Two seeded candidate sets: random graphs of ranks 2-4, each with a
+    relabelled copy and its neighbours (351 spine vertices), and K_{3,3}'s
+    transvection and signed-permutation images, each with two relabelled
+    copies (32)."""
     rng = random.Random(15)
     cands = []
     for n in (2, 3, 4):
@@ -143,10 +150,90 @@ def test_key_partition_matches_old_key():
              itertools.permutations(range(1, 5), 2) for side in "LR"]
     autos += [signed_permutation(rng, 4) for _ in range(8)]
     images = [K.act(phi) for phi in autos]
-    cands += images + [relabel(H, rng) for H in images for _ in range(2)]
-    classes = assert_same_partition_as_old_key(cands)
+    return cands, images + [relabel(H, rng) for H in images for _ in range(2)]
+
+
+def test_key_partition_matches_old_key():
+    cands, images = partition_sets()
+    classes = assert_same_partition_as_old_key(cands + images)
     # the set has both repeated and distinct spine vertices
-    assert 1 < classes < len(cands)
+    assert 1 < classes < len(cands + images)
+
+
+def ball_candidates(G, radius):
+    """Every neighbour met while growing the ball of the given radius
+    around G, repeats included, in the order met; G comes first."""
+    out, keys, frontier = [G], {canonical_key(G)}, [G]
+    for _ in range(radius):
+        nxt = []
+        for g in frontier:
+            for h in neighbors(g):
+                out.append(h)
+                key = canonical_key(h)
+                if key not in keys:
+                    keys.add(key)
+                    nxt.append(h)
+        frontier = nxt
+    return out
+
+
+def assert_vertexset_matches_keys(cands):
+    """Add cands one at a time to a VertexSet: before each add, `in` must
+    agree with membership of the key, add must be True exactly for a new
+    key, and afterwards the vertex is in. Returns (classes, classes that
+    share their circuit lengths with another class)."""
+    S, keys, buckets = VertexSet(), set(), {}
+    for h in cands:
+        key = canonical_key(h)
+        assert (h in S) == (key in keys)
+        assert S.add(h) == (key not in keys)
+        assert h in S
+        keys.add(key)
+        buckets.setdefault(circuit_lengths(h), set()).add(key)
+    return len(keys), sum(len(b) for b in buckets.values() if len(b) > 1)
+
+
+def test_vertexset_partition_matches_keys():
+    cands, images = partition_sets()
+    assert assert_vertexset_matches_keys(cands)[0] == 351
+    assert assert_vertexset_matches_keys(images)[0] == 32
+    rng = random.Random(16)
+    shared = 0
+    for n, radius in ((2, 3), (3, 2), (4, 1)):
+        for G in [MarkedGraph.rose_identity(n)] + [
+                sampling.random_marked_graph(rng, n, 3) for _ in range(2)]:
+            shared += assert_vertexset_matches_keys(
+                ball_candidates(G.natural_marked(), radius))[1]
+    # distinct vertices share buckets, so the keyed buckets are exercised
+    assert shared > 100
+
+
+def subdivided(G, e):
+    """G with edge e subdivided at a new vertex, which becomes the
+    basepoint: a marked graph that naturalizes to G's spine vertex."""
+    g = G.graph
+    o, t = g.edges[e]
+    m, f = max(g.vertices) + 1, max(g.edges) + 1
+    edges = dict(g.edges)
+    edges[e], edges[f] = (o, m), (m, t)
+    image = {x: (x,) for x in g.edges}
+    image[e] = (e, f)
+    H = MarkedGraph(CoreGraph(list(g.vertices) + [m], edges), G.basepoint,
+                    [substitute(p, image)[0] for p in G.marking])
+    return H.rebase(m)
+
+
+def test_circuit_lengths_invariant_on_equivalent_copies():
+    rng = random.Random(17)
+    for G in base_graphs(rng):
+        lengths = circuit_lengths(G)
+        copies = [relabel(G, rng) for _ in range(3)]
+        copies += [G.rebase(v) for v in sorted(G.graph.vertices)]
+        copies += [subdivided(G, e).naturalize(keep_base=False)[0]
+                   for e in sorted(G.graph.edges)]
+        for H in copies:
+            assert equivalent(H, G) is not None
+            assert circuit_lengths(H) == lengths
 
 
 def test_canonical_form_matches_graphs_isomorphic():

@@ -51,11 +51,20 @@ def test_input_boundaries_build_checked_objects():
     assert found == []
 
 
+def test_spine_vertex_sets_use_vertexset():
+    """Sets of spine vertices are `marked.VertexSet`s, which key a vertex
+    only when another of its circuit lengths is already there: no call of
+    `canonical_key` outside marked."""
+    found = ["%s:%d" % (mod, node.lineno) for mod, node, name in library_calls()
+             if name == "canonical_key" and mod != "marked.py"]
+    assert found == []
+
+
 # Public functions whose only callers are tests; each is named in the README
 # or kept for a planned use (ROADMAP, "Keep the source small").
 TEST_ONLY_API = {
     "theta_graph", "enumerate_blowups", "conjugate_by",
-    "ffs_partial_order", "restrict_endo", "coindex1_to_splitting",
+    "ffs_partial_order", "coindex1_to_splitting",
 }
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from outerspine import folding, graphs, sampling, spine
+from outerspine import folding, graphs, marked, sampling, spine
 from outerspine.marked import (MarkedGraph, MarkingError, canonical_key,
                                equivalent)
 from outerspine.words import Endomorphism, basis_word, is_automorphism
@@ -219,23 +219,26 @@ def test_neighbors_not_symmetric_from_rank_3():
 
 
 def count_keys(monkeypatch):
-    """Count canonical_key calls made through spine and the oracle."""
-    calls = [0]
+    """Count the canonical_key and equivalent calls made through marked,
+    where `VertexSet` makes them, and the oracle's canonical_key calls."""
+    calls = {"canonical_key": 0, "equivalent": 0}
 
-    def counted(G):
-        calls[0] += 1
-        return canonical_key(G)
-    monkeypatch.setattr(spine, "canonical_key", counted)
-    monkeypatch.setattr(spine_oracle, "canonical_key", counted)
+    def counted(f):
+        def wrapped(*args):
+            calls[f.__name__] += 1
+            return f(*args)
+        return wrapped
+    monkeypatch.setattr(marked, "canonical_key", counted(canonical_key))
+    monkeypatch.setattr(marked, "equivalent", counted(equivalent))
+    monkeypatch.setattr(spine_oracle, "canonical_key", counted(canonical_key))
     return calls
 
 
 def test_neighbors_key_nothing(monkeypatch):
     calls = count_keys(monkeypatch)
-    monkeypatch.setattr("outerspine.marked.canonical_key", None)
     for n in (2, 3, 4):
         assert neighbors(MarkedGraph.rose_identity(n))
-    assert calls == [0]
+    assert calls == {"canonical_key": 0, "equivalent": 0}
 
 
 def test_bfs_distance_keys_fewer_than_oracle(monkeypatch):
@@ -244,12 +247,15 @@ def test_bfs_distance_keys_fewer_than_oracle(monkeypatch):
     G2 = walk_away(rng, G1, 4)
     calls = count_keys(monkeypatch)
     assert bfs_distance(G1, G2, 4) == 4
-    two_ended = calls[0]
-    calls[0] = 0
+    two_ended = dict(calls)
+    calls.update(canonical_key=0, equivalent=0)
     assert oracle_bfs_distance(G1, G2, 4) == 4
     # two balls of radius 2 against one of radius 3 and part of its fourth
-    # layer; the ends' own keys count too
-    assert (two_ended, calls[0]) == (11, 30)
+    # layer; the ends' own keys count too. No two distinct vertices of the
+    # two balls share their circuit lengths, so they key nothing and call
+    # equivalent only on the two arrivals already in a ball.
+    assert two_ended == {"canonical_key": 0, "equivalent": 2}
+    assert calls == {"canonical_key": 30, "equivalent": 0}
 
 
 def test_fold_path_identity():

@@ -8,7 +8,7 @@ import random
 from itertools import islice
 
 from . import graphs
-from .words import CyclicWord, Endomorphism, basis_word, is_automorphism
+from .words import CyclicWord, basis_word, is_automorphism, nielsen_product
 from .marked import MarkedGraph, VertexSet, equivalent
 from .covers import FreeFactorSystem, realizes, minimal_subtree_collapse_check
 from .counting import build_context, count_i, lipschitz_audit, CountError
@@ -286,14 +286,12 @@ def criterion_9(n_paths=100, seed=505):
         moves = rng.randint(1, 4)
         if i % 3 == 0:
             # transvections away from a1: endpoints stay in CVK^F
-            endo = Endomorphism.identity(n)
+            tokens = []
             for _ in range(moves):
                 j = rng.choice([2, 3])
                 t = rng.choice([x for x in range(1, n + 1) if x != j])
-                endo = sampling.transvection(n, j, t,
-                                             rng.choice(["L", "R"])).endo \
-                    .compose(endo)
-            phi = is_automorphism(endo)
+                tokens.append((rng.choice(["L", "R"]), j, t, 1))
+            phi = nielsen_product(tokens, n)
             path = fold_path(G0, G0.act(phi), F=F)
             if path.guarded:
                 if not all(path.realize_flags):

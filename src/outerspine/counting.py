@@ -16,7 +16,6 @@ at its end; and the most crossings of a run that starts and dies inside.
 Window states of the block matcher carry a crossing across a junction.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -154,48 +153,48 @@ def _fold(A_gens_list, B_gens, G):
     return K, [stallings_core(gens, G).core for gens in A_gens_list]
 
 
-def _no_embedding(i):
-    return CountError("A-core %d does not embed in the B-core "
-                      "(G not in CVK^[A])" % i)
+def _image(KA, K, i):
+    """(edge set, vertex set) of the one image of the i-th A-core in K.
+
+    The count depends on that image, so it must be unique. It is where B
+    is a free factor of F_n, as in the paper: free factors are malnormal,
+    so a conjugate of A inside B is B-conjugate to A. Otherwise it need
+    not be (A = <a1> in B = <a1, a2 a1 a2^-1> embeds twice), and then the
+    count is undefined.
+    """
+    images = {(frozenset(emap.values()), frozenset(vmap.values()))
+              for vmap, emap in embeddings(KA, K)}
+    if not images:
+        raise CountError("A-core %d does not embed in the B-core "
+                         "(G not in CVK^[A])" % i)
+    if len(images) > 1:
+        raise CountError("count undefined: the A-core embeds in K more "
+                         "than once")
+    return images.pop()
 
 
 def _locate(G, K, A_cores):
-    """The locate step: embed the A-cores in K and classify the complement
-    of the first embedding whose complement has a crossing block. One
-    A-core's embeddings are tried as the search finds them, two A-cores'
-    as every pair, in embedding order."""
+    """The locate step: embed the A-cores in K, each at its one image
+    (`_image`), and classify the complement of their union."""
     if len(A_cores) == 1:
         if A_cores[0].rank + 1 != K.rank:
             raise CountError("rank(B) must exceed rank(A) by one")
-        embedded = False
-        for vmap, emap in embeddings(A_cores[0], K):
-            embedded = True
-            eset, vset = frozenset(emap.values()), frozenset(vmap.values())
-            res = _classify_complement(K, eset, vset, False)
-            if res is not None:
-                return CountingContext(G, K, (eset,), (vset,), *res)
-        if not embedded:
-            raise _no_embedding(0)
-        raise CountError("complement shape matches neither rank-increment "
-                         "case")
-    if A_cores[0].rank + A_cores[1].rank != K.rank:
-        raise CountError("rank(A_0) + rank(A_1) must equal rank(B)")
-    images = []
-    for i, KA in enumerate(A_cores):
-        images.append([(frozenset(emap.values()), frozenset(vmap.values()))
-                       for vmap, emap in embeddings(KA, K)])
-        if not images[-1]:
-            raise _no_embedding(i)
-    for (e0, v0), (e1, v1) in itertools.product(*images):
-        if e0 & e1 or v0 & v1:
-            continue
-        res = _classify_complement(K, e0 | e1, v0 | v1, True)
-        if res is None:
-            continue
-        block, shape = res
-        ends = {K.tail(block[0]), K.head(block[-1])}
-        if ends & v0 and ends & v1:
-            return CountingContext(G, K, (e0, e1), (v0, v1), block, shape)
+        eset, vset = _image(A_cores[0], K, 0)
+        res = _classify_complement(K, eset, vset, False)
+        if res is not None:
+            return CountingContext(G, K, (eset,), (vset,), *res)
+    else:
+        if A_cores[0].rank + A_cores[1].rank != K.rank:
+            raise CountError("rank(A_0) + rank(A_1) must equal rank(B)")
+        (e0, v0), (e1, v1) = [_image(KA, K, i)
+                              for i, KA in enumerate(A_cores)]
+        res = (None if e0 & e1 or v0 & v1
+               else _classify_complement(K, e0 | e1, v0 | v1, True))
+        if res is not None:
+            block, shape = res
+            ends = {K.tail(block[0]), K.head(block[-1])}
+            if ends & v0 and ends & v1:
+                return CountingContext(G, K, (e0, e1), (v0, v1), block, shape)
     raise CountError("complement shape matches neither rank-increment case")
 
 
@@ -474,13 +473,9 @@ def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
     representative (the differential test checks it against folding that
     representative from scratch).
 
-    Each end counts against the first embedding of the A-cores its search
-    meets, and the count depends only on their images in K. Where B is a
-    free factor of F_n, as in the paper, that image is unique: free
-    factors are malnormal, so a conjugate of A inside B is B-conjugate to
-    A. Otherwise it need not be (A = <a1> in B = <a1, a2 a1 a2^-1> embeds
-    twice), the two embeddings can count a class differently, and the two
-    ends need not count against the same conjugate of A.
+    Each end counts against the one image of each A-core in its K
+    (`_image`, which refuses an A-core with two images), so both ends
+    count against the same conjugate of A.
     """
     K, A_cores = _fold(A_gens_list, B_gens, G)
     ctx1 = _locate(G, K, A_cores)

@@ -71,6 +71,7 @@ class MarkedGraph:
         self.rank = graph.rank
         self._values = None
         self._centre_points = None
+        self._lengths = None
 
     # -- construction ------------------------------------------------------
 
@@ -439,9 +440,12 @@ def circuit_lengths(G):
     buckets. A marked equivalence is a graph isomorphism carrying the
     circuit of each conjugacy class onto the circuit of the same class,
     so these are equal on equivalent marked graphs; they are the
-    translation lengths of the basis letters (Culler-Morgan 1987)."""
-    return (len(G.graph.edges),) + tuple(len(cyclic_core(p)[1])
-                                         for p in G.marking)
+    translation lengths of the basis letters (Culler-Morgan 1987). Kept on
+    G once computed, so a set lookup and an add measure G once."""
+    if G._lengths is None:
+        G._lengths = (len(G.graph.edges),) + tuple(len(cyclic_core(p)[1])
+                                                   for p in G.marking)
+    return G._lengths
 
 
 class VertexSet:

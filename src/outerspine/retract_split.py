@@ -217,7 +217,23 @@ def attach_point(sub, ray):
 
 def retract_R(G, data):
     """The retraction: vertex cores pulled apart, one fresh edge attached at
-    the ray points, marking assembled from exact generator and stable paths."""
+    the ray points, marking assembled from exact generator and stable paths.
+
+    The output is derived, not checked. Each vertex core is the Stallings
+    core of its vertex group, a connected core graph whose loops at the
+    attach vertex read the group's generators, a basis of its pi_1.
+    - loop: one fresh edge eps joins two core vertices, so the graph is a
+      connected core graph of rank n, and the core loops plus the loop
+      sigma = alpha1 eps alpha2^-1, which crosses eps once, form a basis of
+      its pi_1;
+    - segment: eps joins the two cores, so their disjoint union plus eps is
+      a connected core graph, and the first core's loops plus the second's
+      conjugated by the bridge across eps form a basis of the free product.
+    These x-paths stand for the blueprint's x-alphabet (`x_tuple`), a basis
+    of F_n by the blueprint's check, and `basis_exprs` writes each a_j in
+    it, so the marking paths (reduced by `substitute`, closed at the base)
+    are the images of a basis under an isomorphism F_n -> pi_1: they
+    generate, which is what `MarkedGraph`'s check would refold to learn."""
     bp = data.blueprint
     if bp.kind == "loop":
         sub = stallings_core(bp.vertex_gens[0], G, based=True)
@@ -227,7 +243,7 @@ def retract_R(G, data):
         eps = max(core.edges) + 1
         edges = {eid: (o, t) for eid, (o, t, _) in core.edges.items()}
         edges[eps] = (Q1, Q2)
-        graph = CoreGraph(sorted(core.vertices), edges)
+        graph = CoreGraph._derived(sorted(core.vertices), edges)
         sigma, _ = reduce_letters(tuple(alpha1) + (eps,) + invert_letters(alpha2))
         x_paths = list(sub.loops) + [sigma]
         basept = sub.attach
@@ -246,7 +262,7 @@ def retract_R(G, data):
         edges[eps] = (Q0, Q1 + vshift)
         verts = sorted(sub0.core.vertices) + \
             [v + vshift for v in sorted(sub1.core.vertices)]
-        graph = CoreGraph(verts, edges)
+        graph = CoreGraph._derived(verts, edges)
 
         def shift_path(p):
             return tuple(d + eshift if d > 0 else d - eshift for d in p)
@@ -261,8 +277,7 @@ def retract_R(G, data):
 
     x_image = dict(enumerate(x_paths, 1))
     marking = [substitute(expr.letters, x_image)[0] for expr in bp.basis_exprs]
-    out = MarkedGraph(graph, basept, marking)
-    return out.natural_marked()
+    return MarkedGraph._derived(graph, basept, marking).natural_marked()
 
 
 def retraction_audit(G, forest, data):

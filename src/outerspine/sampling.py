@@ -1,10 +1,13 @@
 """Deterministic randomized instance generators for the audit suites.
 
 Everything takes an explicit random.Random so suites are reproducible.
+Automorphisms are products of Nielsen generators built by
+`words.nielsen_product`, which writes down their inverses in closed form:
+no sampler folds.
 """
 
 from . import graphs
-from .words import Endomorphism, ReducedWord, WordError, is_automorphism
+from .words import ReducedWord, nielsen_product
 from .marked import MarkedGraph
 
 
@@ -23,54 +26,39 @@ def random_reduced_word(rng, rank, max_len, nontrivial=False):
 
 
 def transvection(n, i, j, side="R"):
-    imgs = [[x] for x in range(1, n + 1)]
-    imgs[i - 1] = [j, i] if side == "L" else [i, j]
-    return is_automorphism(Endomorphism.from_lists(imgs, n))
-
-
-def inversion(n, i):
-    imgs = [[x] for x in range(1, n + 1)]
-    imgs[i - 1] = [-i]
-    return is_automorphism(Endomorphism.from_lists(imgs, n))
+    """a_i -> a_j a_i (side "L") or a_i a_j (side "R")."""
+    return nielsen_product([(side, i, j, 1)], n)
 
 
 def random_token_auto(rng, n, moves):
-    endo = Endomorphism.identity(n)
+    tokens = []
     for _ in range(moves):
         if rng.random() < 0.15:
-            endo = inversion(n, rng.randint(1, n)).endo.compose(endo)
+            tokens.append(("inv", rng.randint(1, n)))
         else:
             i = rng.randint(1, n)
             j = rng.choice([x for x in range(1, n + 1) if x != i])
-            endo = transvection(n, i, j,
-                                rng.choice(["L", "R"])).endo.compose(endo)
-    auto = is_automorphism(endo)
-    if auto is None:
-        raise WordError("product of automorphisms is not invertible")
-    return auto
+            tokens.append((rng.choice(["L", "R"]), i, j, 1))
+    return nielsen_product(tokens, n)
 
 
 def random_stab_auto(rng, n, r, moves):
     """A random element of the stabilizer of [<a_1..a_r>] (as a product of
     block transvections/inversions that visibly preserve the factor)."""
-    endo = Endomorphism.identity(n)
+    tokens = []
     for _ in range(moves):
         kind = rng.random()
         if kind < 0.35 and r >= 2:
             i = rng.randint(1, r)
             j = rng.choice([x for x in range(1, r + 1) if x != i])
-            step = transvection(n, i, j, rng.choice(["L", "R"]))
+            tokens.append((rng.choice(["L", "R"]), i, j, 1))
         elif kind < 0.5:
-            step = inversion(n, rng.randint(1, r))
+            tokens.append(("inv", rng.randint(1, r)))
         else:
             j = rng.randint(r + 1, n)
             i = rng.choice([x for x in range(1, n + 1) if x != j])
-            step = transvection(n, j, i, rng.choice(["L", "R"]))
-        endo = step.endo.compose(endo)
-    auto = is_automorphism(endo)
-    if auto is None:
-        raise WordError("product of automorphisms is not invertible")
-    return auto
+            tokens.append((rng.choice(["L", "R"]), j, i, 1))
+    return nielsen_product(tokens, n)
 
 
 def random_blowup(rng, G):

@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .words import (CyclicWord, Endomorphism, Automorphism, ReducedWord,
-                    basis_word, cyclic_core, invert_letters, substitute,
+from .words import (CyclicWord, Endomorphism, ReducedWord, basis_word,
+                    cyclic_core, invert_letters, nielsen_product, substitute,
                     word)
 from .marked import MarkedGraph
 from .graphs import CoreGraph
@@ -35,48 +35,6 @@ from .counting import close, compose, path_summary
 
 class WitnessError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Nielsen generator bookkeeping.
-#
-# Fixed generating set for word-length accounting: signed basis permutations,
-# inversions, and both-sided transvections. theta() checks theta's token
-# expression by composition, phi_0 is defined by its tokens, and row k's
-# Nielsen bound is 2k |theta| + |phi_0| in tokens.
-# ---------------------------------------------------------------------------
-
-def token_endo(tok, n):
-    kind = tok[0]
-    if kind == "perm":
-        sigma = tok[1]
-        return Endomorphism(n, tuple(
-            basis_word(sigma[i], n) if sigma[i] > 0
-            else basis_word(-sigma[i], n).inverse()
-            for i in range(n)))
-    if kind == "inv":
-        i = tok[1]
-        images = [basis_word(j, n) for j in range(1, n + 1)]
-        images[i - 1] = images[i - 1].inverse()
-        return Endomorphism(n, tuple(images))
-    if kind in ("L", "R"):
-        _, i, j, s = tok
-        images = [basis_word(x, n) for x in range(1, n + 1)]
-        aj = basis_word(j, n) if s > 0 else basis_word(j, n).inverse()
-        if kind == "L":
-            images[i - 1] = aj * images[i - 1]
-        else:
-            images[i - 1] = images[i - 1] * aj
-        return Endomorphism(n, tuple(images))
-    raise WitnessError("unknown token %r" % (tok,))
-
-
-def tokens_to_endo(tokens, n):
-    """Compose tokens, first token applied first."""
-    out = Endomorphism.identity(n)
-    for tok in tokens:
-        out = token_endo(tok, n).compose(out)
-    return out
 
 
 def theta_tokens(n, m):
@@ -89,7 +47,8 @@ def theta_tokens(n, m):
 
 
 def theta(n, m):
-    """e_1 -> e_1 e_m, e_i -> e_{i-1} (2<=i<=m), identity above m."""
+    """e_1 -> e_1 e_m, e_i -> e_{i-1} (2<=i<=m), identity above m; the
+    automorphism of its tokens, checked against these images."""
     if not (2 <= m <= n - 1):
         raise WitnessError("need 2 <= m <= n-1")
     images = []
@@ -100,26 +59,11 @@ def theta(n, m):
             images.append(basis_word(i - 1, n))
         else:
             images.append(basis_word(i, n))
-    endo = Endomorphism(n, tuple(images))
-    inv = theta_inverse_endo(n, m)
-    auto = Automorphism(endo, inv)
     toks = theta_tokens(n, m)
-    if tokens_to_endo(toks, n) != endo:
+    auto = nielsen_product(toks, n)
+    if auto.endo != Endomorphism(n, tuple(images)):
         raise WitnessError("token expression for theta broke")
     return auto, toks
-
-
-def theta_inverse_endo(n, m):
-    """e_i -> e_{i+1} (i<m), e_m -> e_2^-1 e_1, identity above m."""
-    images = []
-    for i in range(1, n + 1):
-        if i < m:
-            images.append(basis_word(i + 1, n))
-        elif i == m:
-            images.append(word([-2, 1], n))
-        else:
-            images.append(basis_word(i, n))
-    return Endomorphism(n, tuple(images))
 
 
 def theta_powers(th):
@@ -248,7 +192,7 @@ def _certified(params):
                 raise WitnessError("theta does not keep the subrose "
                                    "<e_1..e_%d> at e_%d" % (m, i))
     p0_toks = phi_zero_tokens(params)
-    phi0 = tokens_to_endo(p0_toks, n)
+    phi0 = nielsen_product(p0_toks, n).endo
     for i, im in enumerate(phi0.images, 1):
         if (im.letters != (i,) if i <= m
                 else not {abs(a) for a in im.letters} <= {1, i}):
@@ -259,7 +203,7 @@ def _certified(params):
 def witness_rows(params):
     """Yield the rows (k, phi_k, Nielsen upper bound), k = 0, 1, 2, ...
 
-    phi_k = theta^k phi_0 theta^-k, with phi_0 = tokens_to_endo(
+    phi_k = theta^k phi_0 theta^-k, with phi_0 = nielsen_product(
     phi_zero_tokens(params)). With the checks of `_certified`, phi_k fixes
     e_1..e_m, and phi_k(e_j) is phi_0(e_j) with e_1 replaced by
     u_k = theta^k(e_1). The tests compose the product as an oracle.

@@ -297,6 +297,9 @@ class Endomorphism:
     def apply(self, w):
         return self.apply_counting_cancellation(w)[0]
 
+    def _table(self):
+        return {i: im.letters for i, im in enumerate(self.images, 1)}
+
     def apply_counting_cancellation(self, w):
         """Apply, also reporting how many letter pairs cancelled.
 
@@ -305,8 +308,7 @@ class Endomorphism:
         """
         if w.rank != self.rank:
             raise WordError("rank mismatch")
-        image = {i: im.letters for i, im in enumerate(self.images, 1)}
-        red, cancelled = substitute(w.letters, image)
+        red, cancelled = substitute(w.letters, self._table())
         return ReducedWord._derived(red, self.rank), cancelled
 
     def apply_cyclic(self, c):
@@ -320,7 +322,10 @@ class Endomorphism:
         """self o other: apply other first."""
         if self.rank != other.rank:
             raise WordError("rank mismatch")
-        return Endomorphism(self.rank, tuple(self.apply(im) for im in other.images))
+        image = self._table()
+        return Endomorphism(self.rank, tuple([
+            ReducedWord._derived(substitute(im.letters, image)[0], self.rank)
+            for im in other.images]))
 
     def is_identity(self):
         return all(im.letters == (i + 1,) for i, im in enumerate(self.images))
@@ -353,12 +358,57 @@ class Automorphism:
     def apply_cyclic(self, c):
         return self.endo.apply_cyclic(c)
 
-    def inverse(self):
-        return Automorphism(self.inverse_endo, self.endo)
 
-    def compose(self, other):
-        return Automorphism(self.endo.compose(other.endo),
-                            other.inverse_endo.compose(self.inverse_endo))
+def _nielsen_move(images, tok, inverse):
+    """Turn the images of phi, a list of letter tuples, into those of
+    phi t (of phi t^-1 when inverse) for the generator t named by tok:
+    (phi t)(a_i) is t(a_i) read through phi."""
+    kind = tok[0]
+    if kind == "perm":
+        old = list(images)
+        for i, x in enumerate(tok[1]):
+            src, dst = (i, abs(x) - 1) if inverse else (abs(x) - 1, i)
+            images[dst] = old[src] if x > 0 else invert_letters(old[src])
+    elif kind == "inv":
+        images[tok[1] - 1] = invert_letters(images[tok[1] - 1])
+    elif kind in ("L", "R"):
+        _, i, j, s = tok
+        aj = images[j - 1] if (s > 0) != inverse \
+            else invert_letters(images[j - 1])
+        ai = images[i - 1]
+        images[i - 1] = reduce_letters(aj + ai if kind == "L" else ai + aj)[0]
+    else:
+        raise WordError("unknown Nielsen generator %r" % (tok,))
+
+
+def nielsen_product(tokens, n):
+    """The product of Nielsen generators of Aut(F_n), first token applied
+    first, as an `Automorphism` checked by composing both ways.
+
+    The generators are the fixed generating set of word-length accounting:
+    ("perm", sigma) sends a_i to a_|sigma[i-1]|, inverted when
+    sigma[i-1] < 0; ("inv", i) inverts a_i; ("L", i, j, s) and
+    ("R", i, j, s) send a_i to a_j^s a_i and to a_i a_j^s (j != i,
+    s = +-1). `witness.theta` checks theta's images against its tokens,
+    phi_0 is defined by its tokens, and row k's Nielsen bound is
+    2k |theta| + |phi_0| in tokens.
+
+    Both maps are built by Nielsen moves (`_nielsen_move`) from the
+    identity: the product from the last token down, and its inverse, in
+    token order, from the closed-form inverses: the transvection with -s,
+    the inversion itself, the inverse permutation. No fold is needed.
+    """
+    fwd = [(i,) for i in range(1, n + 1)]
+    inv = list(fwd)
+    for tok in reversed(tokens):
+        _nielsen_move(fwd, tok, False)
+    for tok in tokens:
+        _nielsen_move(inv, tok, True)
+
+    def endo(images):
+        return Endomorphism(n, tuple([ReducedWord._derived(im, n)
+                                      for im in images]))
+    return Automorphism(endo(fwd), endo(inv))
 
 
 def is_automorphism(f):

@@ -6,13 +6,18 @@ find a cycle (a class conjugate into B); the second walks every entry
 state's run. `lipschitz_audit` is the bracket audit as it was before the
 collapsed side's context was derived from the uncollapsed one: it builds
 both contexts from scratch, the second over the natural representative
-of G/F. Only the differential tests in test_count_engine.py import this
-module.
+of G/F. `locate_first_embedding` is the locate step as it was before it
+refused an A-core with two images in K: it counts against the first
+embedding whose complement classifies. Only the differential tests in
+test_count_engine.py import this module.
 """
+
+import itertools
 
 from outerspine import counting
 from outerspine.counting import (ConjugateIntoB, CountError, CrossingCount,
-                                 build_context)
+                                 CountingContext, build_context)
+from outerspine.covers import embeddings
 from outerspine.words import invert_letters
 
 
@@ -84,3 +89,41 @@ def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
     G2 = G.collapse_marked(forest)[0].natural_marked()
     ctx2 = build_context(A_gens_list, B_gens, G2)
     return counting.count_i(ctx1, c).value, counting.count_i(ctx2, c).value
+
+
+def locate_first_embedding(G, K, A_cores):
+    if len(A_cores) == 1:
+        if A_cores[0].rank + 1 != K.rank:
+            raise CountError("rank(B) must exceed rank(A) by one")
+        embedded = False
+        for vmap, emap in embeddings(A_cores[0], K):
+            embedded = True
+            eset, vset = frozenset(emap.values()), frozenset(vmap.values())
+            res = counting._classify_complement(K, eset, vset, False)
+            if res is not None:
+                return CountingContext(G, K, (eset,), (vset,), *res)
+        if not embedded:
+            raise CountError("A-core 0 does not embed in the B-core "
+                             "(G not in CVK^[A])")
+        raise CountError("complement shape matches neither rank-increment "
+                         "case")
+    if A_cores[0].rank + A_cores[1].rank != K.rank:
+        raise CountError("rank(A_0) + rank(A_1) must equal rank(B)")
+    images = []
+    for i, KA in enumerate(A_cores):
+        images.append([(frozenset(emap.values()), frozenset(vmap.values()))
+                       for vmap, emap in embeddings(KA, K)])
+        if not images[-1]:
+            raise CountError("A-core %d does not embed in the B-core "
+                             "(G not in CVK^[A])" % i)
+    for (e0, v0), (e1, v1) in itertools.product(*images):
+        if e0 & e1 or v0 & v1:
+            continue
+        res = counting._classify_complement(K, e0 | e1, v0 | v1, True)
+        if res is None:
+            continue
+        block, shape = res
+        ends = {K.tail(block[0]), K.head(block[-1])}
+        if ends & v0 and ends & v1:
+            return CountingContext(G, K, (e0, e1), (v0, v1), block, shape)
+    raise CountError("complement shape matches neither rank-increment case")

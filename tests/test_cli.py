@@ -75,6 +75,17 @@ def test_count_i_precondition_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_count_i_refuses_a_count_that_depends_on_the_embedding(tmp_path):
+    """B = <a1, a2 a1 a2^-1> is not a free factor: the A-core of <a1>
+    embeds in its core twice, and the two images count this class 1 and 2
+    times, so the count is refused."""
+    rose = write_rose(tmp_path)
+    err = run_cli_error(["count-i", "--graph", rose, "--a", "a1",
+                         "--b", "a1, a2 a1 a2^-1",
+                         "--cls", "a3^-1 a1^-1 a2 a1 a2^-1 a1^-1"])
+    assert "more than once" in err
+
+
 # Two subdivided petals and a loop: a1 and a2 each run over two edges
 # through a valence-2 vertex.
 TWO_PETALS = ("graph { v: v0 v1 v2; e: e1 v0 v1; e2 v0 v2; e3 v0 v0; "

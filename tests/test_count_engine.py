@@ -13,7 +13,7 @@ import random
 
 import count_oracle
 import witness_oracle
-from outerspine import counting, covers, graphs, sampling, witness
+from outerspine import acceptance, counting, covers, graphs, sampling, witness
 from outerspine.counting import (CountError, build_context, close, compose,
                                  edge_summary, path_summary)
 from outerspine.covers import stallings_core
@@ -323,3 +323,84 @@ def test_count_depends_on_the_embedding_where_B_is_not_a_free_factor():
         ctx = counting.CountingContext(G, K, (eset,), (vset,), block, shape)
         counts.append(counting.count_i(ctx, c).value)
     assert counts == [1, 2]
+
+
+def bench_bracket_instance(rng, n, r):
+    """(A, B, G, forest, class) as the benchmark's audit brackets sample
+    them: A = <a1..ar>, B = <a1..a(r+1)>, G a stabilizer image of the rose
+    blown up once or twice, with G and G/F in CVK^[A], and an 8-letter
+    class that reads a letter outside B; or None."""
+    A = [basis_word(i, n) for i in range(1, r + 1)]
+    B = [basis_word(i, n) for i in range(1, r + 2)]
+    FA = covers.FreeFactorSystem.of([A], n)
+    G = MarkedGraph.rose_identity(n).act(
+        sampling.random_stab_auto(rng, n, r, rng.randint(0, 2)))
+    for _ in range(rng.randint(1, 2)):
+        G = sampling.random_blowup(rng, G) or G
+    forests = graphs.enumerate_natural_subforests(G.graph,
+                                                  include_empty=False)
+    if covers.realizes(G, FA) is None or not forests:
+        return None
+    f = rng.choice(forests)
+    if covers.realizes(G.collapse_marked(f)[0].natural_marked(), FA) is None:
+        return None
+    while True:
+        c = CyclicWord.of(sampling.random_reduced_word(rng, n, 8,
+                                                       nontrivial=True))
+        if any(abs(a) > r + 1 for a in c.letters):
+            return A, B, G, f, c
+
+
+def test_locate_refuses_nothing_new_where_B_is_a_free_factor(monkeypatch):
+    """Where B is a free factor of F_n each A-core has one image in K, so
+    refusing a second image changes no count and no refusal: the bracket
+    audit gives the same counts, or the same error, as with the locate step
+    that counts against the first embedding it meets. Instances: criterion
+    3's samples, the benchmark's audit brackets, and random spine vertices
+    and two-component instances with classes conjugate into B, where most
+    refusals come from."""
+    locate = counting._locate
+
+    def audit_with(locate_step, A_list, B, G, f, c):
+        monkeypatch.setattr(counting, "_locate", locate_step)
+        try:
+            return counting.lipschitz_audit(A_list, B, G, f, c)
+        except CountError as exc:
+            return type(exc), str(exc)
+
+    rng = random.Random(26)
+    instances = []
+    while len(instances) < 150:
+        sample = acceptance._sample_cvkA_instance(rng)
+        if sample is not None:
+            A, B, G, f, c = sample
+            instances.append(([A], B, G, f, c))
+    while len(instances) < 300:
+        sample = bench_bracket_instance(rng, *rng.choice(
+            [(3, 1), (3, 1), (4, 1), (4, 2)]))
+        if sample is not None:
+            A, B, G, f, c = sample
+            instances.append(([A], B, G, f, c))
+    while len(instances) < 600:
+        if len(instances) % 3:
+            n = rng.choice([3, 4])
+            r = rng.randint(1, n - 2)
+            B = [basis_word(i, n) for i in range(1, r + 2)]
+            A_list = [B[:r]]
+            G = sampling.random_marked_graph(rng, n, rng.randint(0, 3))
+        else:
+            A_list, B, G = case2_instance(rng)
+        forests = graphs.enumerate_natural_subforests(G.graph,
+                                                      include_empty=False)
+        w = (word_in_B_conjugate(rng, G.rank, B) if rng.random() < 0.3 else
+             sampling.random_reduced_word(rng, G.rank, 8, nontrivial=True))
+        if forests and not w.is_trivial():
+            instances.append((A_list, B, G, rng.choice(forests),
+                              CyclicWord.of(w)))
+    kinds = set()
+    for k, inst in enumerate(instances):
+        want = audit_with(count_oracle.locate_first_embedding, *inst)
+        assert audit_with(locate, *inst) == want, k
+        kinds.add(want[1].split(" (")[0] if isinstance(want[0], type)
+                  else "count")
+    assert len(kinds) == 4, kinds

@@ -89,7 +89,7 @@ def test_act_is_right_action():
         f = transvection(2, i, 3 - i, side=rng.choice(["L", "R"]))
         g = petal_swap(2, 1, 2)
         lhs = G.act(f).act(g)
-        rhs = G.act(f.compose(g))
+        rhs = G.act(f.endo.compose(g.endo))
         assert equivalent(lhs, rhs) is not None
 
 

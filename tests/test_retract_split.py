@@ -1,8 +1,10 @@
+import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from outerspine import graphs, words
+from outerspine import acceptance, graphs, retract_split, sampling, words
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.words import (Endomorphism, basis_word, word, identity_word,
                               is_automorphism)
@@ -172,3 +174,56 @@ def test_segment_retraction_fixes_barbell():
     R = retract_R(G, data)
     assert in_CVKT(R, bp) is not None
     assert equivalent(R, G) is not None
+
+
+def retract_R_inputs(monkeypatch):
+    """Every (G, data) that criterion 6 retracts, on its ball and in its
+    audits, then the benchmark's audit splits: loop blueprint
+    <a1, a2> * <a3>, 4-edge random spine vertices and a collapse of each,
+    and segment blueprints <a1> * <a2, a3> on random spine vertices."""
+    inputs = []
+    real = retract_split.retract_R
+
+    def recording(G, data):
+        inputs.append((G, data))
+        return real(G, data)
+
+    monkeypatch.setattr(retract_split, "retract_R", recording)
+    monkeypatch.setattr(acceptance, "retract_R", recording)
+    assert acceptance.criterion_6()[0]
+    monkeypatch.undo()
+    rng = random.Random(61)
+    loop = default_retraction_data(loop_bp(3))
+    segment = default_retraction_data(SplittingBlueprint(
+        "segment", ((basis_word(1, 3),), (basis_word(2, 3), basis_word(3, 3))),
+        0, 3))
+    for k in range(160):
+        G = sampling.random_marked_graph(rng, 3, rng.randint(0, 3))
+        forests = graphs.enumerate_natural_subforests(G.graph,
+                                                      include_empty=False)
+        if k % 2:
+            inputs.append((G, segment))
+        elif forests and len(G.graph.edges) == 4:
+            H = G.collapse_marked(rng.choice(forests))[0].natural_marked()
+            inputs += [(G, loop), (H, loop)]
+    return inputs
+
+
+def test_retract_R_derives_what_the_checking_constructors_accept(monkeypatch):
+    """retract_R builds its graph and marked graph unchecked (its docstring
+    says why they are valid). Rebuilt with the checking constructors, which
+    check the core graph and refold the marking, every output is accepted
+    and the same, and it lies in the subcomplex."""
+    inputs = retract_R_inputs(monkeypatch)
+    assert len(inputs) > 500
+    outs = [retract_R(G, data) for G, data in inputs]
+    monkeypatch.setattr(retract_split, "CoreGraph",
+                        SimpleNamespace(_derived=graphs.CoreGraph))
+    monkeypatch.setattr(retract_split, "MarkedGraph",
+                        SimpleNamespace(_derived=MarkedGraph))
+    for (G, data), out in zip(inputs, outs):
+        checked = retract_R(G, data)
+        assert (checked.graph.vertices, checked.graph.edges,
+                checked.basepoint, checked.marking) == \
+            (out.graph.vertices, out.graph.edges, out.basepoint, out.marking)
+        assert in_CVKT(out, data.blueprint) is not None

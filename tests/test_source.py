@@ -60,6 +60,18 @@ def test_spine_vertex_sets_use_vertexset():
     assert found == []
 
 
+def test_only_input_decisions_fold_for_an_inverse():
+    """`is_automorphism` folds the image loops to decide invertibility and
+    read off an inverse. It is called only on maps nothing else vouches
+    for: the user's images in cli.py, the blueprint's vertex groups in
+    retract_split.py, and the witness rows that criterion 8 checks one by
+    one in acceptance.py. Samplers and witnesses build products of Nielsen
+    generators, whose inverses `words.nielsen_product` writes down."""
+    found = {mod for mod, _, name in library_calls()
+             if name == "is_automorphism"}
+    assert found <= {"cli.py", "retract_split.py", "acceptance.py"}
+
+
 # Public functions whose only callers are tests; each is named in the README
 # or kept for a planned use (ROADMAP, "Keep the source small").
 TEST_ONLY_API = {

@@ -89,7 +89,7 @@ def test_bfs_isometry_of_action():
     # the right action: acting by phi and then psi is acting by phi psi
     assert G.act(phi).act(psi).marking == ((1, 2), (2, 1, 2))
     assert equivalent(G.act(phi).act(psi),
-                      G.act(phi.compose(psi))) is not None
+                      G.act(phi.endo.compose(psi.endo))) is not None
     # d(u psi, v psi) = d(u, v)
     d1 = bfs_distance(G, G.act(phi), 4)
     d2 = bfs_distance(G.act(psi), G.act(phi).act(psi), 4)
@@ -256,6 +256,39 @@ def test_bfs_distance_keys_fewer_than_oracle(monkeypatch):
     # equivalent only on the two arrivals already in a ball.
     assert two_ended == {"canonical_key": 0, "equivalent": 2}
     assert calls == {"canonical_key": 30, "equivalent": 0}
+
+
+def test_bfs_distance_measures_each_neighbour_once(monkeypatch):
+    """bfs_distance asks whether a neighbour is in the other ball and then
+    adds it to its own; both read its circuit lengths, which are kept on
+    the marked graph, so each end and each neighbour costs one cyclic_core
+    call per marking path. Below the distance no neighbour is skipped."""
+    rng = random.Random(97)
+    pairs = [(G1, walk_away(rng, G1, 4), 3) for G1 in
+             (sampling.random_marked_graph(rng, 2, 2),
+              sampling.random_marked_graph(rng, 2, 3))]
+    rng = random.Random(3)
+    G1 = sampling.random_marked_graph(rng, 3, 6)
+    pairs.append((G1, walk_away(rng, G1, 4), 2))
+    cores, met = [], []
+    real_core, real_neighbors = marked.cyclic_core, spine.neighbors
+
+    def counted_core(p):
+        cores.append(p)
+        return real_core(p)
+
+    def recorded_neighbors(G):
+        out = real_neighbors(G)
+        met.extend(out)
+        return out
+
+    monkeypatch.setattr(marked, "cyclic_core", counted_core)
+    monkeypatch.setattr(spine, "neighbors", recorded_neighbors)
+    for G1, G2, cap in pairs:
+        cores.clear()
+        met.clear()
+        assert bfs_distance(G1, G2, cap) is None
+        assert met and len(cores) == G1.rank * (2 + len(met))
 
 
 def test_fold_path_identity():

@@ -6,12 +6,12 @@ import pytest
 
 from outerspine import counting, witness
 from outerspine.words import (CyclicWord, Endomorphism, basis_word, word,
-                              is_automorphism, substitute)
+                              is_automorphism, nielsen_product, substitute)
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.covers import FreeFactorSystem, realizes
 from outerspine.counting import count_i
 from outerspine.witness import (theta, u_k, occurrence_count, theta_powers,
-                                ReportRow, WitnessParams, tokens_to_endo,
+                                ReportRow, WitnessParams,
                                 case2_build, distortion_report, report_csv,
                                 ratio_within_of_golden, WitnessError,
                                 witness_rows)
@@ -36,7 +36,10 @@ def test_theta_general_m():
     for n, m in [(4, 2), (4, 3), (5, 4), (5, 2)]:
         th, toks = theta(n, m)
         assert is_automorphism(th.endo) is not None
-        assert tokens_to_endo(toks, n) == th.endo
+        # the tokens' product is theta's explicit images
+        assert nielsen_product(toks, n).endo.images == (word([1, m], n),) \
+            + tuple(basis_word(i - 1, n) for i in range(2, m + 1)) \
+            + tuple(basis_word(i, n) for i in range(m + 1, n + 1))
         inv = theta_inverse(n, m)
         assert th.endo.compose(inv.endo).is_identity()
         for i in range(m + 1, n + 1):
@@ -404,8 +407,9 @@ def test_golden_ratio_test():
 
 
 def test_theta_token_check_raises(monkeypatch):
-    monkeypatch.setattr(witness, "tokens_to_endo",
-                        lambda tokens, n: Endomorphism.identity(n))
+    identity = nielsen_product([], 3)
+    monkeypatch.setattr(witness, "nielsen_product",
+                        lambda tokens, n: identity)
     with pytest.raises(WitnessError):
         theta(3, 2)
 

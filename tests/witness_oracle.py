@@ -6,12 +6,12 @@ letter. Only tests import this module."""
 from itertools import islice
 
 from outerspine import witness
-from outerspine.words import invert_letters, reduce_letters
+from outerspine.words import Automorphism, invert_letters, reduce_letters
 
 
 def theta_inverse(n, m):
     auto, _ = witness.theta(n, m)
-    return auto.inverse()
+    return Automorphism(auto.inverse_endo, auto.endo)
 
 
 def pair_counts(n, m, k):

@@ -14,7 +14,8 @@ from .marked import MarkingError, equivalent
 from .covers import CoverError, FreeFactorSystem, realizes, stallings_core
 from .retract_aut import (PointedError, lipschitz_audit as pointed_audit,
                           retract_r)
-from .retract_split import (SplitError, in_CVKT, retract_R, retraction_audit)
+from .retract_split import (InvalidRay, SplitError, in_CVKT, retract_R,
+                            retraction_audit)
 
 
 class PreconditionError(ValueError):
@@ -223,6 +224,8 @@ def cmd_retract_split_audit(args):
     data = _read_blueprint(args.blueprint)
     try:
         d = retraction_audit(G, _edges(args.collapse), data)
+    except InvalidRay:
+        raise  # the blueprint's ray, not the audit, is at fault: exit 2
     except SplitError as exc:
         print("AUDIT VIOLATION: %s" % exc, file=sys.stderr)
         sys.exit(3)

@@ -168,8 +168,8 @@ class FreeFactorSystem:
     def cores_over(self, G):
         return [stallings_core(gens, G) for gens in self.components]
 
-    def component_ranks(self, G=None):
-        G = G or MarkedGraph.rose_identity(self.rank)
+    def component_ranks(self):
+        G = MarkedGraph.rose_identity(self.rank)
         return [k.rank for k in self.cores_over(G)]
 
     def coindex(self):

@@ -100,10 +100,9 @@ class CoreGraph:
         return all(x != -y for x, y in zip(path, path[1:]))
 
 
-def rose(rank, vertex=0):
-    """The rank-n rose: loops 1..n at a single vertex."""
-    return CoreGraph._derived([vertex], {i: (vertex, vertex)
-                                         for i in range(1, rank + 1)})
+def rose(rank):
+    """The rank-n rose: loops 1..n at the single vertex 0."""
+    return CoreGraph._derived([0], {i: (0, 0) for i in range(1, rank + 1)})
 
 
 def theta_graph():
@@ -177,6 +176,13 @@ def natural_structure(graph, protected=()):
             refinement[next_eid] = tuple(chain)
             next_eid += 1
     return CoreGraph._derived(sorted(keep), edges), refinement
+
+
+def chain_hull(refinement, edge_set):
+    """The new edges of a refinement (`natural_structure`) whose chains of
+    old edges lie wholly in edge_set."""
+    return frozenset(ne for ne, chain in refinement.items()
+                     if all(abs(d) in edge_set for d in chain))
 
 
 def refine_path_map(refinement):

@@ -11,7 +11,7 @@ every edge, so reading them in lockstep from the two basepoints
 
 from .covers import stallings_core
 from .words import basis_word
-from .graphs import CoreGraph
+from .graphs import CoreGraph, chain_hull
 from .marked import MarkedGraph, MarkingError, pointed_equivalent
 
 
@@ -30,14 +30,9 @@ def embed_j(w):
     return MarkedGraph._derived(g2, w.basepoint, marking)
 
 
-def retract_r(x, return_chains=False):
-    """Based core of <a_1..a_{n-1}>: the basepoint moves to the nearest core
-    point and marking loops get conjugated through the trim tail
-    (`covers.stallings_core`; the expansion of a_i is marking path i).
-
-    With return_chains, also return each output natural edge's chain of
-    input-graph edge ids (the audit uses it to transport collapse forests).
-    """
+def _retract(x):
+    """The based core of <a_1..a_{n-1}> as a marked graph before
+    naturalization, and each of its edges' ambient x-edge label."""
     n = x.rank
     if n < 2:
         raise MarkingError("rank must be at least 2")
@@ -46,27 +41,31 @@ def retract_r(x, return_chains=False):
     core = sub.core
     graph = CoreGraph._derived(sorted(core.vertices), {
         eid: (o, t) for eid, (o, t, _) in core.edges.items()})
-    out, chains = MarkedGraph._derived(graph, sub.attach,
-                                       sub.loops).naturalize(keep_base=True)
-    if not return_chains:
-        return out
-    return out, {eid: tuple(core.edges[abs(d)][2] for d in chain)
-                 for eid, chain in chains.items()}
+    return (MarkedGraph._derived(graph, sub.attach, sub.loops),
+            {eid: lab for eid, (_, _, lab) in core.edges.items()})
+
+
+def retract_r(x):
+    """Based core of <a_1..a_{n-1}>: the basepoint moves to the nearest core
+    point and marking loops get conjugated through the trim tail
+    (`covers.stallings_core`; the expansion of a_i is marking path i)."""
+    return _retract(x)[0].naturalize(keep_base=True)[0]
 
 
 def lipschitz_audit(x, forest):
     """Collapse x along a relatively natural forest, retract both sides, and
     certify the retractions differ by at most one forest collapse.
 
+    r(x/F) is r(x) with its hull collapsed: the natural edges whose chains
+    lie wholly in the label preimage of F.
     Returns (distance, x_collapsed): distance 0 means equal retractions.
     Raises if the consistency equation fails.
     """
     x2 = x.collapse_marked(forest)[0].naturalize(keep_base=True)[0]
-    r1, chains = retract_r(x, return_chains=True)
+    r1, labels = _retract(x)
+    r1, chains = r1.naturalize(keep_base=True)
     r2 = retract_r(x2)
-    fset = set(forest)
-    hull = [eid for eid, chain in chains.items()
-            if all(lab in fset for lab in chain)]
+    hull = chain_hull(chains, {e for e in labels if labels[e] in forest})
     if not hull:
         if pointed_equivalent(r1, r2) is None:
             raise PointedError("empty hull but retractions differ")
@@ -75,4 +74,3 @@ def lipschitz_audit(x, forest):
     if pointed_equivalent(collapsed, r2) is None:
         raise PointedError("hull collapse does not reproduce the retraction")
     return 1, x2
-

@@ -12,7 +12,7 @@ from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     cyclic_core, cyclic_reduce, eventually_periodic_form,
                     invert_letters, is_automorphism, reduce_letters,
                     substitute)
-from .graphs import CoreGraph, enumerate_natural_subforests
+from .graphs import CoreGraph, chain_hull
 from .marked import MarkedGraph, equivalent
 from .covers import (CoreSubgraphWitness, FreeFactorSystem, core_images,
                      stallings_core)
@@ -215,9 +215,10 @@ def attach_point(sub, ray):
     return pos, tuple(alpha)
 
 
-def retract_R(G, data):
-    """The retraction: vertex cores pulled apart, one fresh edge attached at
-    the ray points, marking assembled from exact generator and stable paths.
+def _retract(G, data):
+    """The retraction before naturalization (vertex cores pulled apart, a
+    fresh edge eps at the ray points, marking from exact generator and
+    stable paths), and each edge's ambient G-edge label; eps has none.
 
     The output is derived, not checked. Each vertex core is the Stallings
     core of its vertex group, a connected core graph whose loops at the
@@ -242,6 +243,7 @@ def retract_R(G, data):
         core = sub.core
         eps = max(core.edges) + 1
         edges = {eid: (o, t) for eid, (o, t, _) in core.edges.items()}
+        labels = {eid: lab for eid, (_, _, lab) in core.edges.items()}
         edges[eps] = (Q1, Q2)
         graph = CoreGraph._derived(sorted(core.vertices), edges)
         sigma, _ = reduce_letters(tuple(alpha1) + (eps,) + invert_letters(alpha2))
@@ -256,8 +258,10 @@ def retract_R(G, data):
         vshift = max(sub0.core.vertices) + 1
         eshift = max(sub0.core.edges) + 1
         edges = {eid: (o, t) for eid, (o, t, _) in sub0.core.edges.items()}
-        for eid, (o, t, _) in sub1.core.edges.items():
+        labels = {eid: lab for eid, (_, _, lab) in sub0.core.edges.items()}
+        for eid, (o, t, lab) in sub1.core.edges.items():
             edges[eid + eshift] = (o + vshift, t + vshift)
+            labels[eid + eshift] = lab
         eps = max(edges) + 1
         edges[eps] = (Q0, Q1 + vshift)
         verts = sorted(sub0.core.vertices) + \
@@ -277,25 +281,43 @@ def retract_R(G, data):
 
     x_image = dict(enumerate(x_paths, 1))
     marking = [substitute(expr.letters, x_image)[0] for expr in bp.basis_exprs]
-    return MarkedGraph._derived(graph, basept, marking).natural_marked()
+    return MarkedGraph._derived(graph, basept, marking), labels
+
+
+def retract_R(G, data):
+    """The retraction R: `_retract`, naturalized.
+
+    R(G/F) is R(G) with the label preimage of F collapsed. The vertex cores
+    over G/F are the cores over G with that preimage collapsed (Stallings,
+    Invent. Math. 71, 1983; acceptance criterion 4 checks it), and a
+    collapse carries a ray's nearest point on a core to its nearest point
+    on the collapsed core: a collapsed subtree that joins the ray to the
+    core contains the segment from the old nearest point."""
+    return _retract(G, data)[0].natural_marked()
 
 
 def retraction_audit(G, forest, data):
     """Retract both ends of a collapse edge; certify distance 0 or 1.
 
-    Both outputs are re-checked for membership in the subcomplex.
+    As `retract_R` shows, R(G/F) is R(G) with its hull collapsed: the
+    natural edges whose chains lie wholly in the label preimage of F (never
+    eps). An empty hull must give an equivalent R(G/F), distance 0; else
+    the hull collapse must, distance 1. A failure, or an output outside the
+    subcomplex, raises SplitError.
     """
-    G2, _ = G.collapse_marked(forest)
-    G2 = G2.natural_marked()
-    r1 = retract_R(G, data)
+    G2 = G.collapse_marked(forest)[0].natural_marked()
+    r1, labels = _retract(G, data)
+    r1, chains = r1.naturalize(keep_base=False)
     r2 = retract_R(G2, data)
     for r in (r1, r2):
         if in_CVKT(r, data.blueprint) is None:
             raise SplitError("retraction output left the subcomplex")
-    if equivalent(r1, r2) is not None:
+    hull = chain_hull(chains, {e for e in labels if labels[e] in forest})
+    if not hull:
+        if equivalent(r1, r2) is None:
+            raise SplitError("empty hull but retractions differ")
         return 0
-    for f in enumerate_natural_subforests(r1.graph, include_empty=False):
-        cand, _ = r1.collapse_marked(f)
-        if equivalent(cand.natural_marked(), r2) is not None:
-            return 1
-    raise SplitError("retractions are further than one collapse apart")
+    collapsed = r1.collapse_marked(hull)[0].natural_marked()
+    if equivalent(collapsed, r2) is None:
+        raise SplitError("hull collapse does not reproduce the retraction")
+    return 1

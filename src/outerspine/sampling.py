@@ -73,8 +73,8 @@ def random_blowup(rng, G):
     return out
 
 
-def random_marked_graph(rng, n, steps, act_moves=2):
-    """Random spine vertex: start at the rose, blow up / collapse / act."""
+def _random_walk(rng, n, steps, act_moves, normal_form):
+    """Rose, then random blow-ups / collapses / actions, in `normal_form`."""
     G = MarkedGraph.rose_identity(n)
     if act_moves:
         G = G.act(random_token_auto(rng, n, rng.randint(0, act_moves)))
@@ -85,41 +85,27 @@ def random_marked_graph(rng, n, steps, act_moves=2):
             if out is not None:
                 G = out
         elif roll < 0.85:
-            forests = [f for f in
-                       graphs.enumerate_natural_subforests(G.graph) if f]
-            if forests:
-                H, _ = G.collapse_marked(rng.choice(forests))
-                G = H.natural_marked()
+            forest = random_relatively_natural_forest(rng, G)
+            if forest is not None:
+                G = normal_form(G.collapse_marked(forest)[0])
         else:
             G = G.act(random_token_auto(rng, n, 1))
-    return G.natural_marked()
+    return normal_form(G)
 
 
-def random_pointed_graph(rng, n, steps, act_moves=2):
+def random_marked_graph(rng, n, steps, act_moves=2):
+    """Random spine vertex: start at the rose, blow up / collapse / act."""
+    return _random_walk(rng, n, steps, act_moves, MarkedGraph.natural_marked)
+
+
+def random_pointed_graph(rng, n, steps):
     """Random pointed graph: like random_marked_graph, but the basepoint is
     kept through every collapse and in the result."""
-    x = MarkedGraph.rose_identity(n)
-    if act_moves:
-        x = x.act(random_token_auto(rng, n, rng.randint(0, act_moves)))
-    for _ in range(steps):
-        roll = rng.random()
-        if roll < 0.55:
-            out = random_blowup(rng, x)
-            if out is not None:
-                x = out
-        elif roll < 0.85:
-            forests = [f for f in
-                       graphs.enumerate_natural_subforests(x.graph) if f]
-            if forests:
-                H, _ = x.collapse_marked(rng.choice(forests))
-                x = H.naturalize(keep_base=True)[0]
-        else:
-            x = x.act(random_token_auto(rng, n, 1))
-    return x.naturalize(keep_base=True)[0]
+    return _random_walk(rng, n, steps, 2,
+                        lambda x: x.naturalize(keep_base=True)[0])
 
 
 def random_relatively_natural_forest(rng, x):
-    forests = [f for f in graphs.enumerate_natural_subforests(x.graph) if f]
-    if not forests:
-        return None
-    return rng.choice(forests)
+    """A uniformly random nonempty natural subforest of x, or None."""
+    forests = graphs.enumerate_natural_subforests(x.graph, include_empty=False)
+    return rng.choice(forests) if forests else None

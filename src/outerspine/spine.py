@@ -188,9 +188,7 @@ def _hulls(star, *forests):
     """star's normalization and, for each forest, the natural edges of the
     normalization lying entirely in that forest."""
     nat, chains = star.naturalize(keep_base=False)
-    return nat, [frozenset(ne for ne, ch in chains.items()
-                           if all(abs(x) in forest for x in ch))
-                 for forest in forests]
+    return nat, [graphs.chain_hull(chains, forest) for forest in forests]
 
 
 def fold_path(G1, G2, F=None):

@@ -477,11 +477,10 @@ def report_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def ratio_within_of_golden(num, den, eps=Fraction(1, 1000)):
-    """|num/den - (1+sqrt 5)/2| < eps, decided in exact rational arithmetic."""
-    r = Fraction(num, den)
-    x = 2 * r - 1
-    lo, hi = x - 2 * eps, x + 2 * eps
+def ratio_within_of_golden(num, den):
+    """|num/den - (1+sqrt 5)/2| < 1/1000, decided in exact arithmetic."""
+    x = 2 * Fraction(num, den) - 1
+    lo, hi = x - Fraction(2, 1000), x + Fraction(2, 1000)
     if hi <= 0:
         return False
     lo_ok = lo <= 0 or lo * lo < 5

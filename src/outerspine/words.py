@@ -166,14 +166,6 @@ class ReducedWord:
         """g^-1 * self * g."""
         return g.inverse() * self * g
 
-    def power(self, k):
-        if k < 0:
-            return self.inverse().power(-k)
-        w = ReducedWord((), self.rank)
-        for _ in range(k):
-            w = w * self
-        return w
-
 
 def word(letters, rank):
     return ReducedWord.make(tuple(letters), rank)
@@ -248,9 +240,6 @@ class CyclicWord:
     def of(w):
         cyc, _ = cyclic_reduce(w)
         return cyc
-
-    def __len__(self):
-        return len(self.letters)
 
     def representative(self):
         return ReducedWord._derived(self.letters, self.rank)

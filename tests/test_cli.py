@@ -265,6 +265,26 @@ def test_split_membership_and_retract(tmp_path):
     assert equivalent(got, MarkedGraph.rose_identity(3)) is not None
 
 
+def test_ray_in_the_vertex_group_boundary_exits_2(tmp_path, capsys):
+    """A ray whose period lies in the vertex group is bad input, for the
+    retraction and for its audit alike."""
+    graph = tmp_path / "G.txt"
+    graph.write_text("graph { v: v0 v1; e: e1 v0 v0; e2 v0 v1; e3 v1 v1; "
+                     "e4 v1 v1; }\nmarking { a1 = e1; a2 = e2 e3 e2^-1; "
+                     "a3 = e2 e4 e2^-1; }\n")
+    bp = tmp_path / "bp.txt"
+    bp.write_text('splitting { type: loop; vertex A = a1 a2; stable: a3; '
+                  'ray1: prefix "", period a1; ray2: prefix "", period a3^-1 }')
+    common = ["--graph", str(graph), "--blueprint", str(bp)]
+    for args in (["retract-split"] + common,
+                 ["retract-split-audit"] + common + ["--collapse", "e2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            "error: ray stays in the vertex cover forever\n"
+
+
 def test_equiv_and_act(tmp_path):
     rose = write_rose(tmp_path, n=2)
     other = tmp_path / "acted.txt"

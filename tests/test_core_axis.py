@@ -16,7 +16,7 @@ from outerspine.covers import (CoreSubgraphWitness, FreeFactorSystem,
                                labeled_isomorphism, realizes, stallings_core)
 from outerspine.folding import LabeledGraph, fold_words
 from outerspine.textio import parse_marked
-from outerspine.words import ReducedWord, basis_word, cyclic_core
+from outerspine.words import ReducedWord, basis_word, cyclic_core, word
 
 KINDS = ("conjugators", "trivial first", "proper power", "rank one",
          "tailed axis")
@@ -72,10 +72,12 @@ def generators(rng, G, kind):
         return [ReducedWord((), n)] + [w.conjugate_by(c) for w in rand]
     if kind == "proper power":
         root = sampling.random_reduced_word(rng, n, 3, nontrivial=True)
-        return [conjugated(rng, n, root.power(rng.randint(2, 3)))] + \
+        power = word(root.letters * rng.randint(2, 3), n)
+        return [conjugated(rng, n, power)] + \
             [conjugated(rng, n, w) for w in rand[1:]]
     if kind == "rank one":
-        return [conjugated(rng, n, rand[0].power(rng.randint(1, 2)))]
+        power = word(rand[0].letters * rng.randint(1, 2), n)
+        return [conjugated(rng, n, power)]
     first = tailed_axis_word(rng, G)
     if first is None:
         return None
@@ -165,7 +167,8 @@ def test_realizes_folds_up_to_the_first_failing_component(monkeypatch):
                       for i in rng.sample(range(1, n + 1), rng.randint(1, n))]
         if case % 2 == 0:
             root = sampling.random_reduced_word(rng, n, 3, nontrivial=True)
-            components.insert(0, [conjugated(rng, n, root.power(2))])
+            components.insert(0, [conjugated(rng, n,
+                                             word(root.letters * 2, n))])
         calls.clear()
         got = realizes(G, FreeFactorSystem.of(components, n))
         assert got == oracle_realizes(G, components)

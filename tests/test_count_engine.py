@@ -93,7 +93,7 @@ def random_classes(rng, n, B):
         out.append(word_in_B_conjugate(rng, n, B))
     for _ in range(2):
         w = sampling.random_reduced_word(rng, n, 40, nontrivial=True)
-        out.append(w.power(rng.randint(2, 25)))
+        out.append(word(w.letters * rng.randint(2, 25), n))
     return [CyclicWord.of(w) for w in out if not w.is_trivial()]
 
 

@@ -287,7 +287,8 @@ def test_subgroup_cores_match_oracle(monkeypatch):
         G = sampling.random_marked_graph(rng, n, rng.randint(0, 3))
         gens = [sampling.random_reduced_word(rng, n, 4, nontrivial=True)
                 for _ in range(rng.randint(1, 3))]
-        gens.append(rng.choice(gens).power(rng.randint(2, 3)))
+        root = rng.choice(gens)
+        gens.append(word(root.letters * rng.randint(2, 3), n))
         shared = rng.random() < 0.5
         c = sampling.random_reduced_word(rng, n, 4)
         gens = [w.conjugate_by(c if shared else

@@ -4,13 +4,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from outerspine import acceptance, graphs, retract_split, sampling, words
+import split_oracle
+from outerspine import (acceptance, cli, graphs, retract_split, sampling,
+                        textio, words)
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.words import (Endomorphism, basis_word, word, identity_word,
                               is_automorphism)
 from outerspine.covers import FreeFactorSystem, stallings_core
 from outerspine.retract_split import (SplittingBlueprint, RayDatum,
-                                      default_retraction_data,
+                                      RetractionData, default_retraction_data,
                                       coindex1_to_splitting, in_CVKT,
                                       retract_R, retraction_audit, SplitError,
                                       attach_point)
@@ -182,14 +184,13 @@ def retract_R_inputs(monkeypatch):
     <a1, a2> * <a3>, 4-edge random spine vertices and a collapse of each,
     and segment blueprints <a1> * <a2, a3> on random spine vertices."""
     inputs = []
-    real = retract_split.retract_R
+    real = retract_split._retract
 
     def recording(G, data):
         inputs.append((G, data))
         return real(G, data)
 
-    monkeypatch.setattr(retract_split, "retract_R", recording)
-    monkeypatch.setattr(acceptance, "retract_R", recording)
+    monkeypatch.setattr(retract_split, "_retract", recording)
     assert acceptance.criterion_6()[0]
     monkeypatch.undo()
     rng = random.Random(61)
@@ -227,3 +228,141 @@ def test_retract_R_derives_what_the_checking_constructors_accept(monkeypatch):
                 checked.basepoint, checked.marking) == \
             (out.graph.vertices, out.graph.edges, out.basepoint, out.marking)
         assert in_CVKT(out, data.blueprint) is not None
+
+
+def audit_blueprints(n):
+    """Loop and segment blueprints of rank n: the standard ones, and a loop
+    whose vertex group's first generator is a1 a2."""
+    b = [basis_word(i, n) for i in range(1, n + 1)]
+    yield SplittingBlueprint("loop", (tuple(b[:-1]),), n, n)
+    yield SplittingBlueprint("loop", ((b[0] * b[1],) + tuple(b[1:-1]),), n, n)
+    for k in range(1, n):
+        yield SplittingBlueprint("segment", (tuple(b[:k]), tuple(b[k:])), 0, n)
+
+
+def audit_outcome(audit, G, forest, data):
+    try:
+        return audit(G, forest, data)
+    except SplitError as exc:
+        return type(exc).__name__
+
+
+def test_retraction_audit_matches_forest_search():
+    """The hull certificate gives the search oracle's answer on seeded
+    audits: loop and segment blueprints at ranks 2-4, default rays and
+    random rays with prefixes, spine vertices blown up at random."""
+    rng = random.Random(2707)
+    seen = set()
+    for k in range(900):
+        n = 2 + k % 3
+        bps = list(audit_blueprints(n))
+        bp = bps[rng.randrange(len(bps))]
+        if k % 2:
+            data = default_retraction_data(bp)
+        else:
+            data = RetractionData(bp, tuple(RayDatum(
+                sampling.random_reduced_word(rng, n, 3),
+                sampling.random_reduced_word(rng, n, 3, nontrivial=True))
+                for _ in range(2)))
+        G = sampling.random_marked_graph(rng, n, rng.randint(0, 3))
+        for _ in range(rng.randint(0, 2)):
+            G = sampling.random_blowup(rng, G) or G
+        forest = sampling.random_relatively_natural_forest(rng, G)
+        if forest is None:
+            continue
+        want = audit_outcome(split_oracle.search_audit, G, forest, data)
+        assert audit_outcome(retraction_audit, G, forest, data) == want, k
+        seen.add((bp.kind, n, want))
+    for kind in ("loop", "segment"):
+        assert {(kind, n, d) for n in (3, 4) for d in (0, 1)} <= seen
+        assert (kind, 2, 0) in seen
+    assert {want for *_, want in seen} == {0, 1, "InvalidRay"}
+
+
+def blown_rose():
+    """The rank-3 rose with loop e1 pushed off along a new edge e4: a
+    member of the loop blueprint's subcomplex, one collapse from the rose."""
+    G = MarkedGraph.rose_identity(3)
+    blown, eid, _ = G.blowup_marked(0, (1, -1), (2, -2, 3, -3))
+    return blown, [eid]
+
+
+def test_distance_one_audit_collapses_once(monkeypatch):
+    """No forest search: R(G) is collapsed once, along its hull, and that
+    collapse is compared once with R(G/F)."""
+    assert not hasattr(retract_split, "enumerate_natural_subforests")
+    G, forest = blown_rose()
+    data = default_retraction_data(loop_bp(3))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("forest search in the audit")
+
+    collapsed = []
+    real_collapse = MarkedGraph.collapse_marked
+
+    def counted_collapse(self, f):
+        collapsed.append(self)
+        return real_collapse(self, f)
+
+    compared = []
+
+    def counted_equivalent(G1, G2):
+        compared.append((G1, G2))
+        return equivalent(G1, G2)
+
+    monkeypatch.setattr(graphs, "enumerate_natural_subforests", no_search)
+    monkeypatch.setattr(MarkedGraph, "collapse_marked", counted_collapse)
+    monkeypatch.setattr(retract_split, "equivalent", counted_equivalent)
+    assert retraction_audit(G, forest, data) == 1
+    assert len(collapsed) == 2 and collapsed[0] is G
+    assert len(compared) == 1
+
+
+# A distance-1 audit whose hull has two edges (collapse e5).
+HULL_TWO = """graph { v: v0 v1 v2; e: e1 v0 v2; e2 v1 v2; e3 v1 v0; e4 v2 v1;
+                e5 v0 v2; }
+marking { a1 = e1 e5^-1 e1 e4 e3; a2 = e5 e4 e2 e5^-1; a3 = e1 e4 e3; }
+"""
+LOOP_BLUEPRINT = ('splitting { type: loop; vertex A = a1 a2; stable: a3; '
+                  'ray1: prefix "", period a3; ray2: prefix "", period a3^-1 }')
+
+
+def corrupt_labels(monkeypatch):
+    """Move every label of R(G) to the next ambient edge id."""
+    real = retract_split._retract
+
+    def shifted(G, data):
+        R, labels = real(G, data)
+        m = max(G.graph.edges)
+        return R, {e: lab % m + 1 for e, lab in labels.items()}
+
+    monkeypatch.setattr(retract_split, "_retract", shifted)
+
+
+def short_hull(monkeypatch):
+    """Drop the least edge of every hull."""
+    real = retract_split.chain_hull
+    monkeypatch.setattr(retract_split, "chain_hull",
+                        lambda chains, edges: real(chains, edges) -
+                        {min(real(chains, edges))})
+
+
+@pytest.mark.parametrize("fault", [corrupt_labels, short_hull])
+def test_audit_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
+    data = default_retraction_data(loop_bp(3))
+    G = textio.parse_marked(HULL_TWO)
+    assert retraction_audit(G, [5], data) == 1
+    graph = tmp_path / "G.txt"
+    graph.write_text(HULL_TWO)
+    bp = tmp_path / "bp.txt"
+    bp.write_text(LOOP_BLUEPRINT)
+    fault(monkeypatch)
+    with pytest.raises(SplitError):
+        retraction_audit(G, [5], data)
+    with pytest.raises(SplitError):
+        retraction_audit(*blown_rose(), data)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["retract-split-audit", "--graph", str(graph),
+                  "--blueprint", str(bp), "--collapse", "e5"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.startswith("AUDIT VIOLATION:")

@@ -1,10 +1,11 @@
 """The crossing-count i_{A,B}(c, G) and its Lipschitz/equivariance audits.
 
 The count works at quotient level: K is the core of the B-cover of G, the
-A-core(s) embed in K, and the complement determines the distinguished
-crossing block E (a natural chain or loop, stored as simplicial directed
-edges). The axis of c is traced through K as a periodic line; each maximal
-stay is a path, and crossings are complete traversals of the block.
+A-core(s) embed in K, and the rank count fixes the shape of the
+complement, so one walk over it reads off the distinguished crossing
+block E (a natural chain or loop, stored as simplicial directed edges;
+`_block`). The axis of c is traced through K as a periodic line; each
+maximal stay is a path, and crossings are complete traversals of the block.
 
 `count_i` walks a class letter by letter. A class held as a straight-line
 program (the witness rows) is counted instead by composing segment
@@ -21,7 +22,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .covers import collapse_labeled, embeddings, stallings_core
-from .graphs import union_find
 from .words import cyclic_core, invert_letters
 
 
@@ -48,89 +48,51 @@ class CountingContext:
         return _Tables(self)
 
 
-def _classify_complement(K, a_edges, a_vertices, two_component):
-    """Identify the crossing block in the complement, or None if the shape
-    does not match the rank-difference-one dichotomy."""
-    comp = set(K.edges) - set(a_edges)
-    if not comp:
-        return None
-    cverts = set()
-    for eid in comp:
-        o, t, _ = K.edges[eid]
-        cverts.update((o, t))
-    free = cverts - set(a_vertices)
-    if len(comp) - len(free) != 1:
-        return None
-    if not _edges_connected(K, comp):
-        return None
-    cyc = _cycle_part(K, comp)
-    if two_component:
-        if cyc:
-            return None
-        return _chain_block(K, comp, a_vertices)
-    if not cyc:
-        return _chain_block(K, comp, a_vertices)
-    connector = comp - cyc
-    # attachment vertex: where the connector (or the A-core) meets the cycle
-    cyc_verts = set()
-    for eid in cyc:
-        o, t, _ = K.edges[eid]
-        cyc_verts.update((o, t))
-    if connector:
-        deg = _degrees(K, comp)
-        candidates = [v for v in cyc_verts if deg.get(v, 0) >= 3]
-        if len(candidates) != 1:
-            return None
-        w = candidates[0]
-        shape = "loop"
-    else:
-        candidates = [v for v in cyc_verts if v in a_vertices]
-        if len(candidates) != 1:
-            return None
-        w = candidates[0]
-        shape = "loop_at_core"
-    return _walk(K, cyc, w, closed=True), shape
+_SHAPE = "complement shape matches neither rank-increment case"
 
 
-def _degrees(K, edge_set):
+def _block(K, a_edges, a_vertices):
+    """The crossing block E and its shape, read off the complement C of the
+    embedded A-cores in one walk.
+
+    The embedded A-cores have Euler characteristic sum(1 - rank(A_i)) and
+    K has 1 - rank(B), so the rank checks of `_locate` give
+    |C| - |free vertices| = 1, free meaning off the A-cores. A component
+    D of C adds rank(D) - 1 + (its vertices on the A-cores) to the left
+    side. K is connected, so D meets an A-core and adds at least 0, and 0
+    only if it is a tree hanging at one vertex, whose other leaves would
+    have valence 1 in K; K is a core graph, so none hangs. Hence C is
+    connected, its leaves lie on the A-cores, and it is a chain joining
+    two A-vertices (in case 2 one on each core, as K is connected), a
+    cycle through one A-vertex, or a lollipop whose stick ends at one.
+
+    The walk starts at the least end (C-degree 1), or, with no end, at the
+    cycle's A-vertex, and steps along the least unused direction until
+    none is left. A chain walk stops at its other end and is the block
+    ("edge"); the cycle walk closes up and is the block ("loop_at_core");
+    a lollipop walk stops at the knot of C-degree 3, which it left before,
+    and its suffix from there is the block ("loop"). Where C breaks the
+    argument, the count above or `_walk` raises.
+    """
+    comp = K.edges.keys() - a_edges
     deg = {}
-    for eid in edge_set:
-        o, t, _ = K.edges[eid]
-        deg[o] = deg.get(o, 0) + 1
-        deg[t] = deg.get(t, 0) + 1
-    return deg
-
-
-def _edges_connected(K, edge_set):
-    root, _ = union_find((eid, *K.edges[eid][:2]) for eid in edge_set)
-    return len(set(root.values())) == 1
-
-
-def _cycle_part(K, edge_set):
-    """Edges on the unique cycle of the complement (empty if it is a tree)."""
-    edges = set(edge_set)
-    while True:
-        deg = _degrees(K, edges)
-        leaves = {v for v, d in deg.items() if d == 1}
-        if not leaves:
-            return edges
-        nxt = {eid for eid in edges if not set(K.edges[eid][:2]) & leaves}
-        if nxt == edges:
-            return edges
-        edges = nxt
-
-
-def _chain_block(K, comp, a_vertices):
-    deg = _degrees(K, comp)
-    ends = sorted(v for v, d in deg.items() if d == 1)
-    if len(ends) != 2 or any(v not in a_vertices for v in ends):
-        return None
-    return _walk(K, comp, ends[0], closed=False), "edge"
+    for eid in comp:
+        for v in K.edges[eid][:2]:
+            deg[v] = deg.get(v, 0) + 1
+    if len(comp) - len(deg.keys() - a_vertices) != 1:
+        raise CountError(_SHAPE)
+    start = min(deg, key=lambda v: (deg[v] != 1, v not in a_vertices, v))
+    walk = _walk(K, comp, start, closed=deg[start] != 1)
+    stop = K.head(walk[-1])
+    knot = next((i for i, d in enumerate(walk) if K.tail(d) == stop), None)
+    if knot is None:
+        return walk, "edge"
+    return walk[knot:], "loop" if knot else "loop_at_core"
 
 
 def _walk(K, edges, start, closed):
-    """The block: from start, step along the least unused direction in edges
-    until none is left; it must use them all, and if closed, end at start."""
+    """The walk from start along the least unused direction in edges until
+    none is left; it must use them all, and if closed, end at start."""
     block = []
     cur = start
     used = set()
@@ -174,28 +136,25 @@ def _image(KA, K, i):
 
 
 def _locate(G, K, A_cores):
-    """The locate step: embed the A-cores in K, each at its one image
-    (`_image`), and classify the complement of their union."""
-    if len(A_cores) == 1:
-        if A_cores[0].rank + 1 != K.rank:
+    """The locate step: check the ranks, embed the A-cores in K, each at
+    its one image (`_image`), and read the block off the complement of
+    their union (`_block`)."""
+    ranks = [KA.rank for KA in A_cores]
+    if len(ranks) == 1:
+        if ranks[0] + 1 != K.rank:
             raise CountError("rank(B) must exceed rank(A) by one")
-        eset, vset = _image(A_cores[0], K, 0)
-        res = _classify_complement(K, eset, vset, False)
-        if res is not None:
-            return CountingContext(G, K, (eset,), (vset,), *res)
-    else:
-        if A_cores[0].rank + A_cores[1].rank != K.rank:
+    elif len(ranks) == 2:
+        if sum(ranks) != K.rank:
             raise CountError("rank(A_0) + rank(A_1) must equal rank(B)")
-        (e0, v0), (e1, v1) = [_image(KA, K, i)
-                              for i, KA in enumerate(A_cores)]
-        res = (None if e0 & e1 or v0 & v1
-               else _classify_complement(K, e0 | e1, v0 | v1, True))
-        if res is not None:
-            block, shape = res
-            ends = {K.tail(block[0]), K.head(block[-1])}
-            if ends & v0 and ends & v1:
-                return CountingContext(G, K, (e0, e1), (v0, v1), block, shape)
-    raise CountError("complement shape matches neither rank-increment case")
+    else:
+        raise CountError("counting takes one or two A-components, got %d"
+                         % len(ranks))
+    esets, vsets = zip(*(_image(KA, K, i) for i, KA in enumerate(A_cores)))
+    a_vertices = frozenset().union(*vsets)
+    if len(a_vertices) != sum(map(len, vsets)):
+        raise CountError(_SHAPE)
+    return CountingContext(G, K, esets, vsets,
+                           *_block(K, frozenset().union(*esets), a_vertices))
 
 
 def build_context(A_gens_list, B_gens, G):

@@ -159,6 +159,8 @@ def natural_structure(graph, protected=()):
     next_eid = 1
     for v in sorted(keep):
         for d in graph.directions(v):
+            # the chains partition the edges, so one whose first edge is
+            # unused has no used edge: it was not walked from its other end
             if abs(d) in used:
                 continue
             # walk the chain starting with direction d until the next kept vertex
@@ -168,8 +170,6 @@ def natural_structure(graph, protected=()):
                 d = next(x for x in graph.directions(cur) if x != -chain[-1])
                 chain.append(d)
                 cur = graph.head(d)
-            if any(abs(x) in used for x in chain):
-                continue
             for x in chain:
                 used.add(abs(x))
             edges[next_eid] = (v, cur)

@@ -11,7 +11,7 @@ every edge, so reading them in lockstep from the two basepoints
 
 from .covers import stallings_core
 from .words import basis_word
-from .graphs import CoreGraph, chain_hull
+from .graphs import CoreGraph, chain_hull, is_forest
 from .marked import MarkedGraph, MarkingError, pointed_equivalent
 
 
@@ -57,7 +57,8 @@ def lipschitz_audit(x, forest):
     certify the retractions differ by at most one forest collapse.
 
     r(x/F) is r(x) with its hull collapsed: the natural edges whose chains
-    lie wholly in the label preimage of F.
+    lie wholly in the label preimage of F. That preimage is a forest, as
+    r(x) immerses in x, so a hull with a cycle is a violation too.
     Returns (distance, x_collapsed): distance 0 means equal retractions.
     Raises if the consistency equation fails.
     """
@@ -70,6 +71,8 @@ def lipschitz_audit(x, forest):
         if pointed_equivalent(r1, r2) is None:
             raise PointedError("empty hull but retractions differ")
         return 0, x2
+    if not is_forest(r1.graph, hull):
+        raise PointedError("hull is not a forest")
     collapsed = r1.collapse_marked(hull)[0].naturalize(keep_base=True)[0]
     if pointed_equivalent(collapsed, r2) is None:
         raise PointedError("hull collapse does not reproduce the retraction")

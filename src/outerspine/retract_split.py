@@ -12,7 +12,7 @@ from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     cyclic_core, cyclic_reduce, eventually_periodic_form,
                     invert_letters, is_automorphism, reduce_letters,
                     substitute)
-from .graphs import CoreGraph, chain_hull
+from .graphs import CoreGraph, chain_hull, is_forest
 from .marked import MarkedGraph, equivalent
 from .covers import (CoreSubgraphWitness, FreeFactorSystem, core_images,
                      stallings_core)
@@ -178,7 +178,6 @@ def attach_point(sub, ray):
     pos = based.base
     alpha = []
     entered = False
-    budget = len(head) + 2 * len(based.edges) * len(period) + len(period) + 4
 
     def stream():
         for a in head:
@@ -187,12 +186,12 @@ def attach_point(sub, ray):
             for a in period:
                 yield a
 
+    # The loop ends without a step budget: the head is finite, and past it
+    # a state (vertex, phase) of a ray that never leaves repeats within
+    # |V| |period| + 1 steps, which raises.
     states = set()
     consumed = 0
     for lab in stream():
-        if budget <= 0:
-            raise InvalidRay("ray stays in the vertex cover forever")
-        budget -= 1
         d = based.step(pos, lab)
         in_core = d is not None and abs(d) in core.edges
         if d is None or (entered and not in_core):
@@ -222,66 +221,52 @@ def _retract(G, data):
 
     The output is derived, not checked. Each vertex core is the Stallings
     core of its vertex group, a connected core graph whose loops at the
-    attach vertex read the group's generators, a basis of its pi_1.
-    - loop: one fresh edge eps joins two core vertices, so the graph is a
-      connected core graph of rank n, and the core loops plus the loop
-      sigma = alpha1 eps alpha2^-1, which crosses eps once, form a basis of
-      its pi_1;
-    - segment: eps joins the two cores, so their disjoint union plus eps is
-      a connected core graph, and the first core's loops plus the second's
-      conjugated by the bridge across eps form a basis of the free product.
+    attach vertex read the group's generators, a basis of its pi_1. The
+    cores sit side by side, each one's ids shifted past the previous
+    one's (vshift, eshift: 0 for the first), and eps joins ray 0's point
+    on the first core to ray 1's point on the last, so the path
+    bridge = alpha0 eps alpha1^-1 crosses eps once.
+    - loop (one core): the graph is a connected core graph of rank n, and
+      the core loops plus the loop bridge form a basis of its pi_1;
+    - segment (two cores): the graph is a connected core graph, and the
+      first core's loops plus the second's conjugated by the bridge form
+      a basis of the free product.
     These x-paths stand for the blueprint's x-alphabet (`x_tuple`), a basis
     of F_n by the blueprint's check, and `basis_exprs` writes each a_j in
     it, so the marking paths (reduced by `substitute`, closed at the base)
     are the images of a basis under an isomorphism F_n -> pi_1: they
     generate, which is what `MarkedGraph`'s check would refold to learn."""
     bp = data.blueprint
-    if bp.kind == "loop":
-        sub = stallings_core(bp.vertex_gens[0], G, based=True)
-        Q1, alpha1 = attach_point(sub, data.rays[0])
-        Q2, alpha2 = attach_point(sub, data.rays[1])
-        core = sub.core
-        eps = max(core.edges) + 1
-        edges = {eid: (o, t) for eid, (o, t, _) in core.edges.items()}
-        labels = {eid: lab for eid, (_, _, lab) in core.edges.items()}
-        edges[eps] = (Q1, Q2)
-        graph = CoreGraph._derived(sorted(core.vertices), edges)
-        sigma, _ = reduce_letters(tuple(alpha1) + (eps,) + invert_letters(alpha2))
-        x_paths = list(sub.loops) + [sigma]
-        basept = sub.attach
-    else:
-        sub0 = stallings_core(bp.vertex_gens[0], G, based=True)
-        sub1 = stallings_core(bp.vertex_gens[1], G, based=True)
-        Q0, alpha0 = attach_point(sub0, data.rays[0])
-        Q1, alpha1 = attach_point(sub1, data.rays[1])
-        # disjoint union: shift the second core's ids
-        vshift = max(sub0.core.vertices) + 1
-        eshift = max(sub0.core.edges) + 1
-        edges = {eid: (o, t) for eid, (o, t, _) in sub0.core.edges.items()}
-        labels = {eid: lab for eid, (_, _, lab) in sub0.core.edges.items()}
-        for eid, (o, t, lab) in sub1.core.edges.items():
+    subs = [stallings_core(gens, G, based=True) for gens in bp.vertex_gens]
+    (Q0, alpha0), (Q1, alpha1) = [attach_point(sub, ray) for sub, ray
+                                  in zip((subs[0], subs[-1]), data.rays)]
+    # the cores side by side; vshift and eshift end as the last core's
+    edges, labels, verts = {}, {}, []
+    for sub in subs:
+        vshift, eshift = max(verts, default=-1) + 1, max(edges, default=-1) + 1
+        for eid, (o, t, lab) in sub.core.edges.items():
             edges[eid + eshift] = (o + vshift, t + vshift)
             labels[eid + eshift] = lab
-        eps = max(edges) + 1
-        edges[eps] = (Q0, Q1 + vshift)
-        verts = sorted(sub0.core.vertices) + \
-            [v + vshift for v in sorted(sub1.core.vertices)]
-        graph = CoreGraph._derived(verts, edges)
+        verts += [v + vshift for v in sorted(sub.core.vertices)]
+    eps = max(edges) + 1
+    edges[eps] = (Q0, Q1 + vshift)
+    graph = CoreGraph._derived(verts, edges)
 
-        def shift_path(p):
-            return tuple(d + eshift if d > 0 else d - eshift for d in p)
+    def shifted(p):
+        return tuple(d + eshift if d > 0 else d - eshift for d in p)
 
-        bridge, _ = reduce_letters(tuple(alpha0) + (eps,) +
-                                   invert_letters(shift_path(alpha1)))
-        x_paths = list(sub0.loops)
-        for loop in sub1.loops:
-            conj, _ = reduce_letters(bridge + shift_path(loop) + invert_letters(bridge))
-            x_paths.append(conj)
-        basept = sub0.attach
-
+    bridge, _ = reduce_letters(tuple(alpha0) + (eps,) +
+                               invert_letters(shifted(alpha1)))
+    x_paths = list(subs[0].loops)
+    if len(subs) == 1:
+        x_paths.append(bridge)
+    else:
+        x_paths += [reduce_letters(bridge + shifted(loop) +
+                                   invert_letters(bridge))[0]
+                    for loop in subs[1].loops]
     x_image = dict(enumerate(x_paths, 1))
     marking = [substitute(expr.letters, x_image)[0] for expr in bp.basis_exprs]
-    return MarkedGraph._derived(graph, basept, marking), labels
+    return MarkedGraph._derived(graph, subs[0].attach, marking), labels
 
 
 def retract_R(G, data):
@@ -302,8 +287,9 @@ def retraction_audit(G, forest, data):
     As `retract_R` shows, R(G/F) is R(G) with its hull collapsed: the
     natural edges whose chains lie wholly in the label preimage of F (never
     eps). An empty hull must give an equivalent R(G/F), distance 0; else
-    the hull collapse must, distance 1. A failure, or an output outside the
-    subcomplex, raises SplitError.
+    the hull collapse must, distance 1. A failure, a hull with a cycle (the
+    preimage of a forest under the immersion R(G) -> G has none), or an
+    output outside the subcomplex, raises SplitError.
     """
     G2 = G.collapse_marked(forest)[0].natural_marked()
     r1, labels = _retract(G, data)
@@ -317,6 +303,8 @@ def retraction_audit(G, forest, data):
         if equivalent(r1, r2) is None:
             raise SplitError("empty hull but retractions differ")
         return 0
+    if not is_forest(r1.graph, hull):
+        raise SplitError("hull is not a forest")
     collapsed = r1.collapse_marked(hull)[0].natural_marked()
     if equivalent(collapsed, r2) is None:
         raise SplitError("hull collapse does not reproduce the retraction")

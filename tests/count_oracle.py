@@ -6,9 +6,14 @@ find a cycle (a class conjugate into B); the second walks every entry
 state's run. `lipschitz_audit` is the bracket audit as it was before the
 collapsed side's context was derived from the uncollapsed one: it builds
 both contexts from scratch, the second over the natural representative
-of G/F. `locate_first_embedding` is the locate step as it was before it
-refused an A-core with two images in K: it counts against the first
-embedding whose complement classifies. Only the differential tests in
+of G/F. `classify_complement` is the block search the locate step ran
+before it read the block off the complement in one walk (`counting._block`):
+it checks the complement's count and connectivity, prunes its leaves to
+find its cycle, and picks the attachment vertex among candidates,
+returning None where the shape matches neither rank-increment case.
+`locate_first_embedding` is the locate step as it was before it refused
+an A-core with two images in K: it counts against the first embedding
+whose complement classifies. Only the differential tests in
 test_count_engine.py import this module.
 """
 
@@ -18,6 +23,7 @@ from outerspine import counting
 from outerspine.counting import (ConjugateIntoB, CountError, CrossingCount,
                                  CountingContext, build_context)
 from outerspine.covers import embeddings
+from outerspine.graphs import union_find
 from outerspine.words import invert_letters
 
 
@@ -99,7 +105,7 @@ def locate_first_embedding(G, K, A_cores):
         for vmap, emap in embeddings(A_cores[0], K):
             embedded = True
             eset, vset = frozenset(emap.values()), frozenset(vmap.values())
-            res = counting._classify_complement(K, eset, vset, False)
+            res = classify_complement(K, eset, vset, False)
             if res is not None:
                 return CountingContext(G, K, (eset,), (vset,), *res)
         if not embedded:
@@ -119,7 +125,7 @@ def locate_first_embedding(G, K, A_cores):
     for (e0, v0), (e1, v1) in itertools.product(*images):
         if e0 & e1 or v0 & v1:
             continue
-        res = counting._classify_complement(K, e0 | e1, v0 | v1, True)
+        res = classify_complement(K, e0 | e1, v0 | v1, True)
         if res is None:
             continue
         block, shape = res
@@ -127,3 +133,83 @@ def locate_first_embedding(G, K, A_cores):
         if ends & v0 and ends & v1:
             return CountingContext(G, K, (e0, e1), (v0, v1), block, shape)
     raise CountError("complement shape matches neither rank-increment case")
+
+
+def classify_complement(K, a_edges, a_vertices, two_component):
+    """Identify the crossing block in the complement, or None if the shape
+    does not match the rank-difference-one dichotomy."""
+    comp = set(K.edges) - set(a_edges)
+    if not comp:
+        return None
+    cverts = set()
+    for eid in comp:
+        o, t, _ = K.edges[eid]
+        cverts.update((o, t))
+    free = cverts - set(a_vertices)
+    if len(comp) - len(free) != 1:
+        return None
+    if not _edges_connected(K, comp):
+        return None
+    cyc = _cycle_part(K, comp)
+    if two_component:
+        if cyc:
+            return None
+        return _chain_block(K, comp, a_vertices)
+    if not cyc:
+        return _chain_block(K, comp, a_vertices)
+    connector = comp - cyc
+    # attachment vertex: where the connector (or the A-core) meets the cycle
+    cyc_verts = set()
+    for eid in cyc:
+        o, t, _ = K.edges[eid]
+        cyc_verts.update((o, t))
+    if connector:
+        deg = _degrees(K, comp)
+        candidates = [v for v in cyc_verts if deg.get(v, 0) >= 3]
+        if len(candidates) != 1:
+            return None
+        w = candidates[0]
+        shape = "loop"
+    else:
+        candidates = [v for v in cyc_verts if v in a_vertices]
+        if len(candidates) != 1:
+            return None
+        w = candidates[0]
+        shape = "loop_at_core"
+    return counting._walk(K, cyc, w, closed=True), shape
+
+
+def _degrees(K, edge_set):
+    deg = {}
+    for eid in edge_set:
+        o, t, _ = K.edges[eid]
+        deg[o] = deg.get(o, 0) + 1
+        deg[t] = deg.get(t, 0) + 1
+    return deg
+
+
+def _edges_connected(K, edge_set):
+    root, _ = union_find((eid, *K.edges[eid][:2]) for eid in edge_set)
+    return len(set(root.values())) == 1
+
+
+def _cycle_part(K, edge_set):
+    """Edges on the unique cycle of the complement (empty if it is a tree)."""
+    edges = set(edge_set)
+    while True:
+        deg = _degrees(K, edges)
+        leaves = {v for v, d in deg.items() if d == 1}
+        if not leaves:
+            return edges
+        nxt = {eid for eid in edges if not set(K.edges[eid][:2]) & leaves}
+        if nxt == edges:
+            return edges
+        edges = nxt
+
+
+def _chain_block(K, comp, a_vertices):
+    deg = _degrees(K, comp)
+    ends = sorted(v for v, d in deg.items() if d == 1)
+    if len(ends) != 2 or any(v not in a_vertices for v in ends):
+        return None
+    return counting._walk(K, comp, ends[0], closed=False), "edge"

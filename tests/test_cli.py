@@ -114,6 +114,21 @@ def test_lipschitz_audit_precondition_errors(tmp_path):
     run_cli_error(lipschitz_audit_args(tmp_path, cls="a1"))
 
 
+def test_three_A_components_exit_2(tmp_path, capsys):
+    """Counting takes one or two A-components: a third is refused as bad
+    input, also where all three cores embed in K."""
+    rose = write_rose(tmp_path, n=4)
+    three = ["--a", "a1", "--a", "a2", "--a", "a1"]
+    for args in (["count-i", "--graph", rose] + three +
+                 ["--b", "a1,a2", "--cls", "a4 a1"],
+                 lipschitz_audit_args(tmp_path) + three[2:]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            "error: counting takes one or two A-components, got 3\n"
+
+
 def test_witness_csv():
     out = run_cli(["witness", "--case", "1", "--n", "3", "--r", "1",
                    "--kmax", "10"])

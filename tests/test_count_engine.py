@@ -9,11 +9,15 @@ count_i the cyclic core as it is read, so equal values also check that
 the count does not depend on the rotation."""
 
 import dataclasses
+import itertools
 import random
+
+import pytest
 
 import count_oracle
 import witness_oracle
-from outerspine import acceptance, counting, covers, graphs, sampling, witness
+from outerspine import (acceptance, cli, counting, covers, graphs, sampling,
+                        textio, witness)
 from outerspine.counting import (CountError, build_context, close, compose,
                                  edge_summary, path_summary)
 from outerspine.covers import stallings_core
@@ -29,24 +33,28 @@ def outcome(count, ctx, c):
     return got.value
 
 
-def fixed_contexts():
-    """Each complement shape, and the two-component witness complex."""
+def fixed_inputs():
+    """(A list, B, G) for each complement shape: a lollipop ("loop"), two
+    components on it ("edge"), a theta ("edge") and a subdivided loop at
+    the core ("loop_at_core")."""
     n = 3
-    out = []
     lollipop = graphs.CoreGraph([0, 1], {1: (0, 0), 2: (1, 1), 3: (0, 1),
                                          4: (0, 0)})
     G = MarkedGraph(lollipop, 0, [(1,), (3, 2, -3), (4,)])
     A0, A1 = [basis_word(1, n)], [basis_word(2, n)]
     B = [basis_word(1, n), basis_word(2, n)]
-    out.append((build_context([A0], B, G), B))
-    out.append((build_context([A0, A1], B, G), B))
+    out = [([A0], B, G), ([A0, A1], B, G)]
     theta = graphs.CoreGraph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1),
                                       4: (0, 0)})
-    G = MarkedGraph(theta, 0, [(1, -3), (2, -3), (4,)])
-    out.append((build_context([A0], B, G), B))
-    G = MarkedGraph.rose_identity(n)
-    B = [basis_word(1, n), word([2, 3], n)]
-    out.append((build_context([A0], B, G), B))
+    out.append(([A0], B, MarkedGraph(theta, 0, [(1, -3), (2, -3), (4,)])))
+    out.append(([A0], [basis_word(1, n), word([2, 3], n)],
+                MarkedGraph.rose_identity(n)))
+    return out
+
+
+def fixed_contexts():
+    """Each complement shape, and the two-component witness complex."""
+    out = [(build_context(A_list, B, G), B) for A_list, B, G in fixed_inputs()]
     cx = witness.case2_build(witness.WitnessParams(4, "two_component",
                                                    ranks=(1, 1)))
     out.append((cx.counting_context(), cx.B_gens()))
@@ -319,10 +327,96 @@ def test_count_depends_on_the_embedding_where_B_is_not_a_free_factor():
     c = CyclicWord.of(word([-3, -1, 2, 1, -2, -1], n))
     counts = []
     for eset, vset in sorted(images(KA, K), key=lambda im: sorted(im[1])):
-        block, shape = counting._classify_complement(K, eset, vset, False)
+        block, shape = counting._block(K, eset, vset)
         ctx = counting.CountingContext(G, K, (eset,), (vset,), block, shape)
         counts.append(counting.count_i(ctx, c).value)
     assert counts == [1, 2]
+
+
+def subgroup_instance(rng):
+    """Arbitrary subgroups at ranks 2-4 over a random spine vertex: A of
+    rank 1 or 2 from random words, and B = A plus a random word or a
+    conjugate of A's first generator (so that A may embed more than once);
+    or, for case 2, A0 = <w0>, A1 = <w1> and B = <w0, w1>."""
+    n = rng.choice([2, 3, 4])
+    G = sampling.random_marked_graph(rng, n, rng.randint(0, 3))
+    words = [sampling.random_reduced_word(rng, n, 4, nontrivial=True)
+             for _ in range(3)]
+    if rng.random() < 0.25:
+        return [words[:1], words[1:2]], words[:2], G
+    A = words[:rng.randint(1, 2)]
+    extra = (A[0].conjugate_by(sampling.random_reduced_word(rng, n, 3))
+             if rng.random() < 0.4 else words[2])
+    return [A], A + [extra], G
+
+
+def test_block_matches_classifier_search():
+    """The one-walk block equals the old classifier's search (the oracle)
+    at every image of the A-cores, or every vertex-disjoint pair of images
+    in case 2, over free-factor and arbitrary-subgroup contexts that pass
+    the rank checks; the oracle never refuses one, and in case 2 the chain
+    joins the two images."""
+    rng = random.Random(28)
+    seen = {"edge": 0, "loop": 0, "loop_at_core": 0, "case 2": 0,
+            "two images": 0}
+    for k in range(900):
+        maker = (case2_instance, case1_instance, subgroup_instance)[k % 3]
+        A_list, B, G = maker(rng)
+        K = stallings_core(B, G).core
+        A_cores = [stallings_core(gens, G).core for gens in A_list]
+        if sum(KA.rank for KA in A_cores) + (len(A_cores) == 1) != K.rank:
+            continue
+        image_sets = [sorted(images(KA, K), key=lambda im: sorted(im[1]))
+                      for KA in A_cores]
+        seen["two images"] += any(len(ims) > 1 for ims in image_sets)
+        for pair in itertools.product(*image_sets):
+            vsets = [v for _, v in pair]
+            if len(pair) == 2 and vsets[0] & vsets[1]:
+                continue
+            eset = frozenset().union(*(e for e, _ in pair))
+            vset = frozenset().union(*vsets)
+            got = counting._block(K, eset, vset)
+            assert got == count_oracle.classify_complement(
+                K, eset, vset, len(pair) == 2), (k, pair)
+            block, shape = got
+            seen[shape] += 1
+            if len(pair) == 2:
+                ends = {K.tail(block[0]), K.head(block[-1])}
+                assert ends & vsets[0] and ends & vsets[1], (k, pair)
+                seen["case 2"] += 1
+    assert all(v >= 20 for v in seen.values()), seen
+
+
+def test_image_missing_an_edge_raises_count_error(monkeypatch, tmp_path,
+                                                  capsys):
+    """An image of the first A-core that misses one of its edges leaves a
+    complement that breaks the rank count: every shape, and every dropped
+    edge, raises CountError, and count-i exits 2 with one error line."""
+    image = counting._image
+
+    def missing_edge(j):
+        def image_j(KA, K, i):
+            eset, vset = image(KA, K, i)
+            return eset - {sorted(eset)[j]} if i == 0 else eset, vset
+        return image_j
+
+    inputs = fixed_inputs()
+    contexts = [build_context(*inp) for inp in inputs]
+    assert {ctx.shape for ctx in contexts} == {"edge", "loop", "loop_at_core"}
+    for inp, ctx in zip(inputs, contexts):
+        for j in range(len(ctx.A_edge_sets[0])):
+            monkeypatch.setattr(counting, "_image", missing_edge(j))
+            with pytest.raises(CountError):
+                build_context(*inp)
+    monkeypatch.setattr(counting, "_image", missing_edge(0))
+    rose = tmp_path / "rose.txt"
+    rose.write_text(textio.print_marked(MarkedGraph.rose_identity(3)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count-i", "--graph", str(rose), "--a", "a1",
+                  "--b", "a1, a2", "--cls", "a3 a1 a2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def bench_bracket_instance(rng, n, r):

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from outerspine import graphs
+from outerspine import cli, graphs, retract_aut, textio
 from outerspine.marked import MarkedGraph, MarkingError
 from outerspine.words import Endomorphism, is_automorphism
-from outerspine.retract_aut import (pointed_equivalent, embed_j, retract_r,
-                                    lipschitz_audit)
+from outerspine.retract_aut import (PointedError, pointed_equivalent, embed_j,
+                                    retract_r, lipschitz_audit)
 
 
 def pointed_transvection(n, i, j, side="R"):
@@ -107,3 +107,22 @@ def test_lipschitz_audit_simple():
 def test_rank_guard():
     with pytest.raises(MarkingError):
         retract_r(MarkedGraph.rose_identity(1))
+
+
+def test_hull_with_a_cycle_is_a_violation(monkeypatch, tmp_path, capsys):
+    """A hull that keeps every edge of r(x) has a cycle; the audit reports
+    it as a violation (exit 3), not as a failed collapse of bad input."""
+    monkeypatch.setattr(retract_aut, "chain_hull",
+                        lambda chains, edges: frozenset(chains))
+    x, new_eid, _ = MarkedGraph.rose_identity(3).blowup_marked(
+        0, (1, -1), (2, -2, 3, -3))
+    with pytest.raises(PointedError, match="hull is not a forest"):
+        lipschitz_audit(x, [new_eid])
+    graph = tmp_path / "x.txt"
+    graph.write_text(textio.print_marked(x, pointed=True))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["retract-aut-audit", str(graph), "--collapse",
+                  "e%d" % new_eid])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err == \
+        "AUDIT VIOLATION: hull is not a forest\n"

@@ -366,3 +366,22 @@ def test_audit_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
                   "--blueprint", str(bp), "--collapse", "e5"])
     assert exc.value.code == 3
     assert capsys.readouterr().err.startswith("AUDIT VIOLATION:")
+
+
+def test_hull_with_a_cycle_is_a_violation(monkeypatch, tmp_path, capsys):
+    """A hull that keeps every edge of R(G) has a cycle; the audit reports
+    it as a violation (exit 3), not as a failed collapse of bad input."""
+    monkeypatch.setattr(retract_split, "chain_hull",
+                        lambda chains, edges: frozenset(chains))
+    with pytest.raises(SplitError, match="hull is not a forest"):
+        retraction_audit(*blown_rose(), default_retraction_data(loop_bp(3)))
+    graph = tmp_path / "G.txt"
+    graph.write_text(HULL_TWO)
+    bp = tmp_path / "bp.txt"
+    bp.write_text(LOOP_BLUEPRINT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["retract-split-audit", "--graph", str(graph),
+                  "--blueprint", str(bp), "--collapse", "e5"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err == \
+        "AUDIT VIOLATION: hull is not a forest\n"

@@ -8,17 +8,19 @@ block E (a natural chain or loop, stored as simplicial directed edges;
 maximal stay is a path, and crossings are complete traversals of the block.
 
 `count_i` walks a class letter by letter. A class held as a straight-line
-program (the witness rows) is counted instead by composing segment
-summaries: `edge_summary` for one edge (`path_summary` for an explicit
-path), `compose` for a concatenation and `close` for the cyclic word. A summary records, for each K vertex, where
-the run entering there leaves the segment (or that it dies inside) and
-its crossings; the runs that start inside the segment and are still alive
+program (the witness rows) is counted instead from segment summaries:
+`path_summary` for an explicit path, read off one walk of its runs,
+`compose` for a concatenation of summarized segments and `close` for the
+cyclic word. A summary records, for each K vertex, where the run
+entering there leaves the segment (or that it dies inside) and its
+crossings; the runs that start inside the segment and are still alive
 at its end; and the most crossings of a run that starts and dies inside.
 Window states of the block matcher carry a crossing across a junction.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .covers import collapse_labeled, embeddings, stallings_core
@@ -252,7 +254,7 @@ class _Tables:
         self.block = ctx.block
         self.rev = invert_letters(ctx.block)
         self.q = len(ctx.block)
-        self.paths = {}          # summaries by path, one-letter paths too
+        self.paths = {}          # summaries by path
         self._entries = {}
         self._moves = {}
 
@@ -322,36 +324,45 @@ def _through(S, v, s):
     return u, c, t
 
 
-def edge_summary(ctx, a):
-    """Summary of the one-letter segment a (a signed G-edge), kept per
-    context with the path summaries under the key (a,)."""
-    tb = ctx.tables
-    got = tb.paths.get((a,))
-    if got is None:
-        through = {}
-        for v in tb.vertices:
-            d = tb.out[v].get(a)
-            if d is None:
-                through[v] = (None, 0, (), ())
-            else:
-                t, hit = tb.move((), d)
-                through[v] = (tb.heads[d], hit, t, (d,))
-        got = tb.paths[(a,)] = Summary(tb, a, through, {}, 0)
-    return got
+def _trace(tb, v, path, p):
+    """(exit vertex or None, crossings, window state, first q K-edges) of
+    the run entering path at position p and K vertex v with an empty
+    window."""
+    out, heads, q = tb.out, tb.heads, tb.q
+    s, hits, head = (), 0, []
+    for a in islice(path, p, None):
+        d = out[v].get(a)
+        if d is None:
+            return None, hits, s, tuple(head)
+        if len(head) < q:
+            head.append(d)
+        s, hit = tb.move(s, d)
+        hits += hit
+        v = heads[d]
+    return v, hits, s, tuple(head)
 
 
 def path_summary(ctx, path):
-    """Summary of a nonempty explicit path, composed from its edges'
-    summaries; kept per context, since a program's explicit pieces
-    repeat. A summary is never changed once built, so the cache hands
-    out shared ones."""
-    paths = ctx.tables.paths
-    got = paths.get(path)
+    """Summary of a nonempty explicit path, read off one walk from every
+    K vertex at its start and one from every entry state inside it. The
+    step is injective, so the runs are disjoint: at most |V(K)| |path|
+    steps in all. Kept per context, since a program's explicit pieces
+    repeat; a summary is never changed once built, so the cache hands out
+    shared ones."""
+    tb = ctx.tables
+    got = tb.paths.get(path)
     if got is None:
-        got = edge_summary(ctx, path[0])
-        for a in path[1:]:
-            got = compose(got, edge_summary(ctx, a))
-        paths[path] = got
+        through = {v: _trace(tb, v, path, 0) for v in tb.vertices}
+        arrivals = {}
+        best = 0
+        for p in range(1, len(path)):
+            for v in tb.entries_after(path[p - 1]):
+                u, c, t, _ = _trace(tb, v, path, p)
+                if u is None:
+                    best = max(best, c)
+                else:
+                    arrivals[u] = (c, t)
+        got = tb.paths[path] = Summary(tb, path[-1], through, arrivals, best)
     return got
 
 

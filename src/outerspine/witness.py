@@ -9,9 +9,10 @@ phi_0's images.
 `distortion_report` never expands a row: each class phi_k(c_0) is a
 straight-line program over theta (symbols for theta^k(e_i), and for
 their inverses when the class reads one, each built from row k-1's
-symbols), and its crossing count composes the counting layer's segment
-summaries, so a row costs the same at every k. `count_i` on the expanded rows of `witness_rows` is the
-oracle the tests hold it to.
+symbols), and its crossing count comes from the counting layer's segment
+summaries, composed only where two summarized middles meet and once to
+close the class, so a row costs the same at every k. `count_i` on the
+expanded rows of `witness_rows` is the oracle the tests hold it to.
 
 Everything is exact: integers of arbitrary precision, no fitted growth.
 The case-1 counts are cross-checked on every row against the occurrence
@@ -22,6 +23,7 @@ stepped once per row, independently of the trace.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import NamedTuple
 
 from .words import (CyclicWord, Endomorphism, ReducedWord, basis_word,
@@ -140,13 +142,17 @@ class WitnessParams:
             if not (1 <= self.r <= self.n - 2):
                 raise WitnessError("connected case needs 1 <= r <= n-2")
         elif self.case == "two_component":
-            if len(self.ranks) != 2 or min(self.ranks) < 1:
+            if len(self.ranks) != 2:
                 raise WitnessError("two_component case needs two ranks")
+            if min(self.ranks) < 1:
+                raise WitnessError("component ranks must be >= 1")
             if self.coindex() < 2:
                 raise WitnessError("two_component case needs coindex >= 2")
         elif self.case == "multi_component":
-            if len(self.ranks) < 3 or min(self.ranks) < 1:
+            if len(self.ranks) < 3:
                 raise WitnessError("multi_component case needs >= 3 ranks")
+            if min(self.ranks) < 1:
+                raise WitnessError("component ranks must be >= 1")
             if self.coindex() < 2:
                 raise WitnessError("coindex >= 2 required")
             if sum(self.ranks[2:]) > self.coindex() - 1:
@@ -299,12 +305,16 @@ def case2_build(params):
 # inverse; E_{k+1,i} is the concatenation of E_{k,y} over the letters y of
 # theta(e_i), and I_{k+1,i} that of the I_{k,y} in reverse order. The I
 # symbols exist only when the class reads one: not in case 1, where
-# phi_0(e_n) = e_n e_1, but in cases 2 and 3, where e_1^-1 occurs. A symbol
-# keeps `_END_EDGES` explicit edges at each end and a counting summary of
-# its middle (`counting.compose`), so a row costs the same at every k.
+# phi_0(e_n) = e_n e_1, but in cases 2 and 3, where e_1^-1 occurs. A path
+# is an explicit head, a counting summary of its middle and an explicit
+# tail. Explicit edges after a middle stay explicit until the next middle
+# arrives; the stretch between two middles is then summarized by one walk
+# (`counting.path_summary`) and the three pieces composed
+# (`counting.compose`). A stepped symbol is cut back to `_END_EDGES`
+# explicit edges at each end, so a row costs the same at every k.
 
-# Explicit G-edges kept at each end of a compressed path. Cancellation at a
-# junction is read off the explicit ends; one that would reach the
+# Explicit G-edges kept at each end of a stepped symbol. Cancellation at a
+# junction is read off the explicit ends; one that would reach a
 # summarized middle raises WitnessError, so a count is exact or refused.
 _END_EDGES = 4
 
@@ -315,22 +325,24 @@ class _Path(NamedTuple):
     tail: tuple
 
 
-def _explicit(ctx, edges):
-    c = _END_EDGES
-    if len(edges) <= 2 * c:
-        return _Path(edges, None, ())
-    return _Path(edges[:c], path_summary(ctx, edges[c:-c]), edges[-c:])
+def _explicit(edges):
+    return _Path(edges, None, ())
 
 
-def _with_mid(ctx, head, mid, tail):
+def _cut(ctx, P):
+    """P with at most `_END_EDGES` explicit edges at each end; the edges
+    in between join the middle."""
     c = _END_EDGES
+    head, mid, tail = P
+    if mid is None:
+        if len(head) <= 2 * c:
+            return P
+        return _Path(head[:c], path_summary(ctx, head[c:-c]), head[-c:])
     if len(head) > c:
         mid = compose(path_summary(ctx, head[c:]), mid)
-        head = head[:c]
     if len(tail) > c:
         mid = compose(mid, path_summary(ctx, tail[:-c]))
-        tail = tail[-c:]
-    return _Path(head, mid, tail)
+    return _Path(head[:c], mid, tail[-c:])
 
 
 def _cancelled(left, right):
@@ -352,19 +364,19 @@ def _join(ctx, pieces):
             raise WitnessError("cancellation reaches a compressed middle")
         joint = left[:len(left) - j] + Q.head[j:]
         if P.mid is None:
-            P = (_explicit(ctx, joint) if Q.mid is None
-                 else _with_mid(ctx, joint, Q.mid, Q.tail))
+            P = _Path(joint, Q.mid, Q.tail)
         elif Q.mid is None:
-            P = _with_mid(ctx, P.head, P.mid, joint)
+            P = _Path(P.head, P.mid, joint)
         else:
-            mid = (compose(P.mid, path_summary(ctx, joint)) if joint
-                   else P.mid)
-            P = _Path(P.head, compose(mid, Q.mid), Q.tail)
+            P = _Path(P.head, compose(compose(P.mid, path_summary(ctx, joint)),
+                                      Q.mid), Q.tail)
     return P
 
 
 def _count_cyclic(ctx, P):
-    """counting.count_i's value for the class of the closed path P."""
+    """counting.count_i's value for the class of the closed path P: its
+    middle followed by one closing stretch, tail then head, a rotation of
+    the same cyclic word."""
     if P.mid is None:
         core = cyclic_core(P.head)[1]
         if not core:
@@ -373,12 +385,8 @@ def _count_cyclic(ctx, P):
     j = _cancelled(P.tail, P.head)
     if j == len(P.head) or j == len(P.tail):
         raise WitnessError("cancellation reaches a compressed middle")
-    W = P.mid
-    if j < len(P.head):
-        W = compose(path_summary(ctx, P.head[j:]), W)
-    if j < len(P.tail):
-        W = compose(W, path_summary(ctx, P.tail[:len(P.tail) - j]))
-    return close(W)
+    return close(compose(P.mid, path_summary(
+        ctx, P.tail[:len(P.tail) - j] + P.head[j:])))
 
 
 def _row_counts(ctx, c0, th, phi0, m):
@@ -390,6 +398,12 @@ def _row_counts(ctx, c0, th, phi0, m):
     letter, the e_1..e_m that phi_k fixes included, is its marking path.
     The I symbols are built and stepped only when the class reads I_{k,1}
     (cases 2 and 3), so a case-1 row steps the m symbols E_{k,i} alone.
+
+    Summaries are composed only where two middles meet and once to close:
+    once the symbols are compressed, a case-1 row composes three times
+    (two to step E_{k,1} = E_{k-1,1} E_{k-1,m}, one to close), and a row
+    of cases 2 and 3 seven times (two more to step I_{k,1}, and two where
+    the row's I_{k,1} and E_{k,1} meet).
 
     Cancellation where pieces meet (the cyclic closing junction included):
     - case 1: G is the rose and u_k = theta^k(e_1) is a positive word, so
@@ -404,22 +418,23 @@ def _row_counts(ctx, c0, th, phi0, m):
     template = []            # 1 and -1 stand for E_{k,1} and I_{k,1}
     for x in c0.letters:
         if abs(x) <= m:
-            template.append(_explicit(ctx, G.expand((x,))))
+            template.append(_explicit(G.expand((x,))))
             continue
         im = phi0.images[abs(x) - 1].letters
         for y in (im if x > 0 else invert_letters(im)):
             template.append(y if abs(y) == 1
-                            else _explicit(ctx, G.expand((y,))))
+                            else _explicit(G.expand((y,))))
     images = {i: th.endo.images[i - 1].letters for i in range(1, m + 1)}
-    E = {i: _explicit(ctx, G.expand((i,))) for i in images}
-    I = ({i: _explicit(ctx, invert_letters(G.expand((i,)))) for i in images}
+    E = {i: _explicit(G.expand((i,))) for i in images}
+    I = ({i: _explicit(invert_letters(G.expand((i,)))) for i in images}
          if -1 in template else None)
     while True:
         yield _count_cyclic(ctx, _join(ctx, [
             E[1] if p == 1 else I[1] if p == -1 else p for p in template]))
-        E = {i: _join(ctx, [E[y] for y in im]) for i, im in images.items()}
+        E = {i: _cut(ctx, _join(ctx, [E[y] for y in im]))
+             for i, im in images.items()}
         if I is not None:
-            I = {i: _join(ctx, [I[y] for y in reversed(im)])
+            I = {i: _cut(ctx, _join(ctx, [I[y] for y in reversed(im)]))
                  for i, im in images.items()}
 
 
@@ -465,8 +480,7 @@ def distortion_report(params, k_max):
                                "oracle %d at k=%d" % (ik, column[m - 1], k))
         rows.append(ReportRow(k, 2 * k * len(th_toks) + len(p0_toks), ik,
                               ik // 2))
-        column = [sum(M[j][t] * column[t] for t in range(m))
-                  for j in range(m)]
+        column = [sum(map(mul, row, column)) for row in M]
     return rows
 
 

@@ -13,15 +13,18 @@ find its cycle, and picks the attachment vertex among candidates,
 returning None where the shape matches neither rank-increment case.
 `locate_first_embedding` is the locate step as it was before it refused
 an A-core with two images in K: it counts against the first embedding
-whose complement classifies. Only the differential tests in
-test_count_engine.py import this module.
+whose complement classifies. `edge_summary` and `composed_summary` are
+the segment summaries as `counting.path_summary` built them before it
+walked the path: one summary per edge, composed edge by edge. Only the
+differential tests in test_count_engine.py import this module.
 """
 
 import itertools
 
 from outerspine import counting
 from outerspine.counting import (ConjugateIntoB, CountError, CrossingCount,
-                                 CountingContext, build_context)
+                                 CountingContext, Summary, build_context,
+                                 compose)
 from outerspine.covers import embeddings
 from outerspine.graphs import union_find
 from outerspine.words import invert_letters
@@ -88,6 +91,29 @@ def count_i(ctx, c):
             raise CountError("entry-state run exceeded budget")
         best = max(best, _count_block(tuple(mu), ctx.block))
     return CrossingCount(best)
+
+
+def edge_summary(ctx, a):
+    """Summary of the one-letter segment a (a signed G-edge)."""
+    tb = ctx.tables
+    through = {}
+    for v in tb.vertices:
+        d = tb.out[v].get(a)
+        if d is None:
+            through[v] = (None, 0, (), ())
+        else:
+            t, hit = tb.move((), d)
+            through[v] = (tb.heads[d], hit, t, (d,))
+    return Summary(tb, a, through, {}, 0)
+
+
+def composed_summary(ctx, path):
+    """Summary of a nonempty explicit path, composed from its edges'
+    summaries left to right."""
+    got = edge_summary(ctx, path[0])
+    for a in path[1:]:
+        got = compose(got, edge_summary(ctx, a))
+    return got
 
 
 def lipschitz_audit(A_gens_list, B_gens, G, forest, c):

@@ -152,6 +152,25 @@ def test_witness_negative_kmax_exits_2():
     assert "--kmax" in err
 
 
+def test_witness_component_rank_below_one_exits_2():
+    """Two or three ranks are given, one of them 0: the refusal names the
+    rank, not the number of ranks."""
+    for args in (["--case", "2", "--n", "4", "--ranks", "0", "1"],
+                 ["--case", "3", "--n", "5", "--ranks", "1", "0", "1"]):
+        err = run_cli_error(["witness"] + args + ["--kmax", "2"])
+        assert err == "error: component ranks must be >= 1\n"
+
+
+def test_witness_wrong_number_of_ranks_exits_2():
+    for args, message in (
+            (["--case", "2", "--n", "4", "--ranks", "1", "1", "1"],
+             "two_component case needs two ranks"),
+            (["--case", "3", "--n", "5", "--ranks", "1", "1"],
+             "multi_component case needs >= 3 ranks")):
+        err = run_cli_error(["witness"] + args + ["--kmax", "2"])
+        assert err == "error: %s\n" % message
+
+
 def test_malformed_marking_exits_2(tmp_path):
     graph = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
     for i, marking in enumerate(["marking { a1 e1; a2 = e2; }",

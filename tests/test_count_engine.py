@@ -1,5 +1,6 @@
 """Seeded differential tests of the one-pass crossing count against the
-two-pass trace it replaced (tests/count_oracle.py), of the composed
+two-pass trace it replaced (tests/count_oracle.py), of the walked path
+summaries against ones composed edge by edge (the oracle), of the composed
 segment summaries against the one-pass count, of the summaries a context keeps
 against ones composed on a fresh context, and of the bracket audit
 against one that builds both contexts from scratch.
@@ -19,7 +20,7 @@ import witness_oracle
 from outerspine import (acceptance, cli, counting, covers, graphs, sampling,
                         textio, witness)
 from outerspine.counting import (CountError, build_context, close, compose,
-                                 edge_summary, path_summary)
+                                 path_summary)
 from outerspine.covers import stallings_core
 from outerspine.marked import MarkedGraph
 from outerspine.words import CyclicWord, ReducedWord, basis_word, word
@@ -133,7 +134,7 @@ def test_count_i_matches_two_pass_on_witness_classes():
 def bracketed_summary(ctx, circuit, rng):
     """The circuit's summary, composed from its edge summaries in a random
     bracketing."""
-    parts = [edge_summary(ctx, a) for a in circuit]
+    parts = [count_oracle.edge_summary(ctx, a) for a in circuit]
     while len(parts) > 1:
         i = rng.randrange(len(parts) - 1)
         parts[i:i + 2] = [compose(parts[i], parts[i + 1])]
@@ -165,31 +166,56 @@ def fields(S):
     return S.last, S.through, S.arrivals, S.best
 
 
+def circuit_pieces(rng, ctx, B):
+    """Circuits of random classes, a random piece of each, its prefix and
+    suffix to that piece, and one one-letter piece."""
+    pieces = []
+    for c in random_classes(rng, ctx.G.rank, B):
+        circuit = tuple(ctx.G.circuit_of(c))
+        i = rng.randrange(len(circuit))
+        j = rng.randrange(i, len(circuit)) + 1
+        pieces += [circuit, circuit[:j], circuit[i:j], circuit[i:],
+                   circuit[i:i + 1]]
+    return pieces
+
+
+def test_walked_path_summary_matches_composed_edges():
+    """The summary `path_summary` reads off one walk equals the one the
+    oracle composes edge by edge, in every field, on one-letter paths,
+    circuits and pieces of circuits, with blocks longer than one edge."""
+    rng = random.Random(29)
+    seen = {"paths": 0, "arrivals": 0, "best": 0, "dead runs": 0,
+            "long block": 0}
+    for ctx, B in fixed_contexts() + random_contexts(rng, 12):
+        seen["long block"] += len(ctx.block) > 1
+        for p in circuit_pieces(rng, ctx, B):
+            want = count_oracle.composed_summary(dataclasses.replace(ctx), p)
+            got = path_summary(dataclasses.replace(ctx), p)
+            assert fields(got) == fields(want), p
+            seen["paths"] += 1
+            seen["arrivals"] += bool(got.arrivals)
+            seen["best"] += got.best > 0
+            seen["dead runs"] += any(u is None and c
+                                     for u, c, _, _ in got.through.values())
+    assert seen["paths"] >= 1500 and all(seen.values()), seen
+
+
 def test_kept_summaries_equal_fresh_ones():
-    """The one-letter and path summaries a context keeps equal the ones a
-    fresh context composes edge by edge, after every circuit and its
-    overlapping pieces went through the kept ones; each one-letter
-    summary is built once and shared."""
+    """The path summaries a context keeps, one-letter ones included, equal
+    the ones the oracle composes edge by edge on a fresh context, after
+    every circuit and its overlapping pieces went through the kept ones;
+    each is built once and shared."""
     rng = random.Random(79)
     shared = 0
     for ctx, B in fixed_contexts() + random_contexts(rng, 12):
-        pieces = []
-        for c in random_classes(rng, ctx.G.rank, B):
-            circuit = tuple(ctx.G.circuit_of(c))
-            i = rng.randrange(len(circuit))
-            j = rng.randrange(i, len(circuit)) + 1
-            pieces += [circuit, circuit[:j], circuit[i:j], circuit[i:]]
+        pieces = circuit_pieces(rng, ctx, B)
+        pieces += [(a,) for a in {a for p in pieces for a in p}]
         kept = [path_summary(ctx, p) for p in pieces]
-        for a in {a for p in pieces for a in p}:
-            assert path_summary(ctx, (a,)) is edge_summary(ctx, a)
-            shared += 1
         for p, S in zip(pieces, kept):
             assert path_summary(ctx, p) is S
-            fresh = dataclasses.replace(ctx)
-            want = edge_summary(fresh, p[0])
-            for a in p[1:]:
-                want = compose(want, edge_summary(fresh, a))
+            want = count_oracle.composed_summary(dataclasses.replace(ctx), p)
             assert fields(S) == fields(want), p
+            shared += len(p) == 1
     assert shared > 100
 
 

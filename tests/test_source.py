@@ -72,6 +72,27 @@ def test_only_input_decisions_fold_for_an_inverse():
     assert found <= {"cli.py", "retract_split.py", "acceptance.py"}
 
 
+def test_path_summary_walks_without_composing():
+    """`counting.path_summary` reads an explicit path off one walk: neither
+    it nor any counting function it reaches calls `compose`."""
+    path = pathlib.Path(outerspine.__file__).parent / "counting.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = {}
+    for f in ast.walk(tree):
+        if isinstance(f, ast.FunctionDef):
+            calls.setdefault(f.name, set()).update(
+                getattr(c.func, "id", getattr(c.func, "attr", None))
+                for c in ast.walk(f) if isinstance(c, ast.Call))
+    reached, todo = set(), ["path_summary"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(calls[name] & calls.keys())
+    assert "compose" in calls and "compose" not in reached
+    assert {"_trace", "move"} <= reached
+
+
 # Public functions whose only callers are tests; each is named in the README
 # or kept for a planned use (ROADMAP, "Keep the source small").
 TEST_ONLY_API = {

@@ -4,9 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from outerspine import counting, witness
+from outerspine import cli, counting, witness
 from outerspine.words import (CyclicWord, Endomorphism, basis_word, word,
-                              is_automorphism, nielsen_product, substitute)
+                              invert_letters, is_automorphism,
+                              nielsen_product, substitute)
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.covers import FreeFactorSystem, realizes
 from outerspine.counting import count_i
@@ -310,17 +311,19 @@ def counted_report_work(monkeypatch):
     return report
 
 
-# Compositions per case-1 row once its symbols have compressed middles:
-# two to step E_{k,1} = E_{k-1,1} E_{k-1,m}, one to join e_n to E_{k,1},
-# two to close the class.
-CASE1_COMPOSES_PER_ROW = 5
+# Compositions per row once the symbols have compressed middles. Case 1:
+# two to step E_{k,1} = E_{k-1,1} E_{k-1,m} (the junction stretch, then the
+# second middle) and one to close the class. Cases 2 and 3 read I_{k,1} as
+# well: two more to step it, and two where the row's I and E middles meet.
+CASE1_COMPOSES_PER_ROW = 3
+CASE23_COMPOSES_PER_ROW = 7
 
 
 def test_case1_row_work_is_constant(monkeypatch):
-    """Ten more case-1 rows cost exactly ten times a fixed number of
-    compositions at every m, and m + 1 joins each: the row and the m
-    symbols E_{k,i}. Case 1 never reads an inverse symbol, so none is
-    stepped; cases 2 and 3 read I_{k,1} and step m more joins per row."""
+    """Ten more rows cost exactly ten times a fixed number of compositions
+    at every m, and m + 1 joins each in case 1: the row and the m symbols
+    E_{k,i}. Case 1 never reads an inverse symbol, so none is stepped;
+    cases 2 and 3 read I_{k,1} and step m more joins per row."""
     report = counted_report_work(monkeypatch)
     K = 20
     for n, r in ((3, 1), (5, 2), (6, 3), (7, 4)):
@@ -332,6 +335,8 @@ def test_case1_row_work_is_constant(monkeypatch):
     for params in (WitnessParams(4, "two_component", ranks=(1, 2)),
                    WitnessParams(5, "multi_component", ranks=(1, 1, 1))):
         before, after = report(params, K), report(params, K + 10)
+        assert after["compose"] - before["compose"] == \
+            10 * CASE23_COMPOSES_PER_ROW, params
         assert after["join"] - before["join"] == 10 * (2 * params.m + 1)
 
 
@@ -340,8 +345,74 @@ def test_short_end_edges_raise(monkeypatch):
     consecutive H_0 letters reach a compressed middle: the report refuses
     instead of miscounting."""
     monkeypatch.setattr(witness, "_END_EDGES", 1)
-    with pytest.raises(WitnessError, match="compressed middle"):
+    with pytest.raises(WitnessError, match="compressed middle") as exc:
         distortion_report(WitnessParams(4, "two_component", ranks=(1, 2)), 8)
+    assert exc.traceback[-1].name == "_join"
+
+
+def assert_cli_refuses(capsys, args, message):
+    """`outerspine witness args` exits 2 with the one line 'error: message'
+    on stderr and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["witness"] + args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_closing_cancellation_into_the_middle_raises(monkeypatch, capsys):
+    """A closed path whose tail ends in the inverse of its head cancels
+    through the whole head at the closing junction: `_count_cyclic`
+    refuses, on rows that `_join` built without a raise."""
+    count_cyclic = witness._count_cyclic
+
+    def closing_cancels(ctx, P):
+        if P.mid is not None:
+            P = P._replace(tail=P.tail + invert_letters(P.head))
+        return count_cyclic(ctx, P)
+
+    monkeypatch.setattr(witness, "_count_cyclic", closing_cancels)
+    with pytest.raises(WitnessError, match="compressed middle") as exc:
+        distortion_report(WitnessParams(4, "two_component", ranks=(1, 2)), 8)
+    assert exc.traceback[-1].name == "_count_cyclic"
+    assert_cli_refuses(capsys, ["--case", "1", "--n", "3", "--r", "1",
+                                "--kmax", "12"],
+                       "cancellation reaches a compressed middle")
+
+
+def test_entry_runs_that_meet_raise(monkeypatch, capsys):
+    """A closing summary with a second open run at an entry vertex makes
+    two entry runs meet: `counting.close` refuses with CountError, not the
+    conjugate-into-B verdict."""
+    close = counting.close
+
+    def meeting(W):
+        v = W.tables.entries_after(W.last)[0]
+        return close(W._replace(arrivals={**W.arrivals, v: (0, ())}))
+
+    monkeypatch.setattr(witness, "close", meeting)
+    with pytest.raises(counting.CountError, match="two entry runs meet") \
+            as exc:
+        distortion_report(WitnessParams(3, "two_component", ranks=(1, 1)), 3)
+    assert type(exc.value) is counting.CountError
+    assert_cli_refuses(capsys, ["--case", "2", "--n", "3", "--ranks", "1",
+                                "1", "--kmax", "3"],
+                       "two entry runs meet: the step is not injective")
+
+
+def test_negative_theta_image_raises(monkeypatch, capsys):
+    """theta with e_1 -> e_1 e_2^-1 keeps the subrose and is invertible,
+    but its image of e_1 is not positive: the report refuses before any
+    row, since powers of theta may then cancel."""
+    bad = is_automorphism(Endomorphism(3, (word([1, -2], 3), basis_word(1, 3),
+                                           basis_word(3, 3))))
+    monkeypatch.setattr(witness, "theta",
+                        lambda n, m: (bad, witness.theta_tokens(n, m)))
+    with pytest.raises(WitnessError, match="positivity") as exc:
+        distortion_report(WitnessParams(3, "connected", r=1), 4)
+    assert exc.traceback[-1].name == "distortion_report"
+    assert_cli_refuses(capsys, ["--case", "1", "--n", "3", "--r", "1",
+                                "--kmax", "4"],
+                       "train-track positivity violated")
 
 
 def test_case1_count_against_wrong_matrix_raises(monkeypatch):

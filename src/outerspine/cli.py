@@ -192,14 +192,14 @@ def cmd_retract_aut_audit(args):
     print(d)
 
 
-def _read_blueprint(path):
+def _read_blueprint(path, rank):
     with open(path) as fh:
-        return textio.parse_blueprint(fh.read())
+        return textio.parse_blueprint(fh.read(), rank)
 
 
 def cmd_retract_split(args):
     G = _read_marked(args.graph)
-    data = _read_blueprint(args.blueprint)
+    data = _read_blueprint(args.blueprint, G.rank)
     out = retract_R(G, data)
     if in_CVKT(out, data.blueprint) is None:
         print("OUTPUT LEFT THE SUBCOMPLEX", file=sys.stderr)
@@ -209,7 +209,7 @@ def cmd_retract_split(args):
 
 def cmd_split_membership(args):
     G = _read_marked(args.graph)
-    data = _read_blueprint(args.blueprint)
+    data = _read_blueprint(args.blueprint, G.rank)
     got = in_CVKT(G, data.blueprint)
     if got is None:
         print("false")
@@ -221,7 +221,7 @@ def cmd_split_membership(args):
 
 def cmd_retract_split_audit(args):
     G = _read_marked(args.graph)
-    data = _read_blueprint(args.blueprint)
+    data = _read_blueprint(args.blueprint, G.rank)
     try:
         d = retraction_audit(G, _edges(args.collapse), data)
     except InvalidRay:

@@ -5,9 +5,10 @@ path is a tuple of directed edges with matching endpoints; paths are
 reduced, inverted and substituted with the word helpers in `words`.
 
 A forest collapse keeps the surviving edges' ids, so it is the collapsed
-graph plus a vertex map; a reduced path pushes forward to a reduced path
-by erasing the forest edges. A blow-up is the inverse move: collapsing its new edge gives
-back the graph it came from.
+graph plus a vertex map. A blow-up is the inverse move: collapsing its new
+edge gives back the graph it came from, and the blown-up vertex keeps its
+id. This module moves no paths: `marked` lifts markings through each move
+by `words.substitute`, and through a collapse by erasing the forest edges.
 
 Checks: `CoreGraph` and the `textio` parsers check every graph; a graph
 derived from valid ones (`collapse`, `blow_up`, `natural_structure`, `rose`)
@@ -183,29 +184,6 @@ def chain_hull(refinement, edge_set):
     old edges lie wholly in edge_set."""
     return frozenset(ne for ne, chain in refinement.items()
                      if all(abs(d) in edge_set for d in chain))
-
-
-def refine_path_map(refinement):
-    """First old direction of each chain, read either way -> (new signed
-    edge, chain length): the lookup for path rewriting."""
-    lookup = {}
-    for new_eid, chain in refinement.items():
-        lookup[chain[0]] = (new_eid, len(chain))
-        lookup[-chain[-1]] = (-new_eid, len(chain))
-    return lookup
-
-
-def rewrite_path_through_refinement(path, lookup):
-    """Rewrite a reduced old-graph path with endpoints at kept vertices in
-    new edges; `lookup` is refine_path_map of the refinement. Past a chain's
-    first edge such a path cannot turn back, so it runs the whole chain."""
-    out = []
-    i = 0
-    while i < len(path):
-        new_d, ln = lookup[path[i]]
-        out.append(new_d)
-        i += ln
-    return tuple(out)
 
 
 def collapse(graph, forest_edges):

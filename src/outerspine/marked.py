@@ -190,6 +190,12 @@ class MarkedGraph:
         least vertex of valence >= 3, so the result is natural; a rank-1
         graph keeps its one-loop form. A basepoint of valence < 2 (on a
         tail) raises MarkingError: no merging makes such a graph natural.
+
+        `substitute` lifts the marking: each chain's first edge reads as its
+        new edge, signed as the chain runs it, and every other chain edge as
+        (). A reduced path between kept vertices cannot turn back at a
+        valence-2 vertex, so it runs each chain it enters whole, either way,
+        and reads its new edge once; nothing cancels.
         """
         g = self.graph
         if g.valence(self.basepoint) < 2:
@@ -204,9 +210,10 @@ class MarkedGraph:
         if all(g.valence(v) >= 3 or v == me.basepoint for v in g.vertices):
             return me, {eid: (eid,) for eid in g.edges}
         new_g, chains = graphs.natural_structure(g, protected=(me.basepoint,))
-        lookup = graphs.refine_path_map(chains)
-        marking = [graphs.rewrite_path_through_refinement(p, lookup)
-                   for p in me.marking]
+        image = dict.fromkeys(g.edges, ())
+        for ne, (d, *_) in chains.items():
+            image[abs(d)] = (ne,) if d > 0 else (-ne,)
+        marking = [substitute(p, image)[0] for p in me.marking]
         return MarkedGraph._derived(new_g, me.basepoint, marking), chains
 
     def natural_marked(self):
@@ -219,34 +226,22 @@ class MarkedGraph:
     def blowup_marked(self, v, part1, part2):
         """Blow up a vertex along a direction bipartition, lifting the
         marking; returns (marked graph, new edge id, (v1, v2)) as
-        `graphs.blow_up` does."""
-        g2, new_eid, (v1, v2) = graphs.blow_up(self.graph, v, part1, part2)
-        side = {d: 2 for d in part2}
-        for d in part1:
-            side[d] = 1
+        `graphs.blow_up` does.
 
-        def rewrite(path, closed_at):
-            out = []
-            if closed_at == v and path and side[path[0]] == 2:
-                out.append(new_eid)
-            for i, d in enumerate(path):
-                out.append(d)
-                nxt = path[i + 1] if i + 1 < len(path) else None
-                if self.graph.head(d) == v and nxt is not None:
-                    s_in = side[-d]
-                    s_out = side[nxt]
-                    if s_in == 1 and s_out == 2:
-                        out.append(new_eid)
-                    elif s_in == 2 and s_out == 1:
-                        out.append(-new_eid)
-            if closed_at == v and path and side[-path[-1]] == 2:
-                out.append(-new_eid)
-            red, _ = reduce_letters(out)
-            return red
-
-        base = self.basepoint if self.basepoint != v else v1
-        marking = [rewrite(p, self.basepoint) for p in self.marking]
-        return MarkedGraph._derived(g2, base, marking), new_eid, (v1, v2)
+        There v1 = v, so the basepoint stays. With e the new edge,
+        `substitute` reads each old edge x as (e if +x is in part2) x (e^-1
+        if -x is in part2), which starts and ends at v1 wherever x met v. A
+        pass through v from part1 to part2 reads e, from part2 to part1
+        e^-1, and one inside part2 e^-1 e, which the free reduction removes.
+        """
+        g2, new_eid, ends = graphs.blow_up(self.graph, v, part1, part2)
+        image = {x: (x,) for x in self.graph.edges}
+        for d in part2:
+            image[abs(d)] = ((new_eid,) + image[d] if d > 0
+                             else image[-d] + (-new_eid,))
+        marking = [substitute(p, image)[0] for p in self.marking]
+        return (MarkedGraph._derived(g2, self.basepoint, marking), new_eid,
+                ends)
 
 
 def match_paths(g1, v1, paths1, g2, v2, paths2):

@@ -103,27 +103,19 @@ def transition_matrix(m):
     return M
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def mat_pow(M, k):
-    n = len(M)
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    P = [row[:] for row in M]
-    while k:
-        if k & 1:
-            R = mat_mul(R, P)
-        P = mat_mul(P, P)
-        k >>= 1
-    return R
+def transition_columns(m):
+    """Yield M^k e_1 for k = 0, 1, 2, ... endlessly: the occurrences of
+    e_1..e_m in Theta^k(e_1), each column one step of M from the last."""
+    M = transition_matrix(m)
+    column = [1] + [0] * (m - 1)
+    while True:
+        yield column
+        column = [sum(map(mul, row, column)) for row in M]
 
 
 def occurrence_count(m, j, k):
-    """Occurrences of e_j in Theta^k(e_1), by matrix powers (big integers)."""
-    return mat_pow(transition_matrix(m), k)[j - 1][0]
+    """Occurrences of e_j in Theta^k(e_1): entry j of M^k e_1."""
+    return next(islice(transition_columns(m), k, None))[j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +226,8 @@ class Case2Complex:
     G: MarkedGraph            # G = G'/eta0
     eta0: int
     eta1: int
-    h0_edges: tuple
-    h1_edges: tuple
     h2_edges: tuple
     sigma_path: tuple         # sigma' in G'
-    gamma_path: tuple         # gamma' in G', based at v2
     c0: CyclicWord
 
     def A0_gens(self):
@@ -258,8 +247,9 @@ class Case2Complex:
 
 
 def case2_build(params):
-    """The marked graph pair (G', G) with sigma', gamma', c_0 per the
-    two-component construction (also used for >= 3 components)."""
+    """The marked graph pair (G', G) with sigma' and c_0, the class of
+    gamma', per the two-component construction (also used for >= 3
+    components)."""
     if params.case == "connected":
         raise WitnessError("case2_build needs a multi-component parameter set")
     n = params.n
@@ -295,7 +285,7 @@ def case2_build(params):
     sigma = (l1, -eta0, l0, eta0, -l1)
     gamma = (h2[0], eta1) + sigma + (-eta1,)
     c0 = CyclicWord.of(Gp.path_to_word(gamma, at_vertex=2))
-    return Case2Complex(params, Gp, G, eta0, eta1, h0, h1, h2, sigma, gamma, c0)
+    return Case2Complex(params, Gp, G, eta0, eta1, h2, sigma, c0)
 
 
 # -- witness rows as straight-line programs ------------------------------------
@@ -471,16 +461,15 @@ def distortion_report(params, k_max):
         cx = case2_build(params)
         ctx = cx.counting_context()
         c0 = cx.c0
-    M = transition_matrix(m)
-    column = [1] + [0] * (m - 1)          # M^k e_1
     rows = []
-    for k, ik in zip(range(k_max + 1), _row_counts(ctx, c0, th, phi0, m)):
+    for k, ik, column in zip(range(k_max + 1),
+                             _row_counts(ctx, c0, th, phi0, m),
+                             transition_columns(m)):
         if params.case == "connected" and ik != column[m - 1]:
             raise WitnessError("trace count %d disagrees with matrix "
                                "oracle %d at k=%d" % (ik, column[m - 1], k))
         rows.append(ReportRow(k, 2 * k * len(th_toks) + len(p0_toks), ik,
                               ik // 2))
-        column = [sum(map(mul, row, column)) for row in M]
     return rows
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import subprocess
 import sys
 
@@ -9,21 +11,36 @@ from outerspine.retract_aut import embed_j
 from outerspine import graphs
 
 
+def call_cli(args):
+    """Run the CLI in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_cli(args, expect=0):
-    proc = subprocess.run([sys.executable, "-m", "outerspine.cli"] + args,
-                          capture_output=True, text=True)
-    assert proc.returncode == expect, proc.stderr
-    return proc.stdout
+    code, out, err = call_cli(args)
+    assert code == expect, err
+    return out
 
 
 def run_cli_error(args):
     """Run a command that must exit 2 with a single `error:` line."""
-    proc = subprocess.run([sys.executable, "-m", "outerspine.cli"] + args,
-                          capture_output=True, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error:")
-    return proc.stderr
+    code, _, err = call_cli(args)
+    assert code == 2, err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    return err
+
+
+def run_process(args, flags=()):
+    """Run the CLI as `python [flags] -m outerspine.cli args`."""
+    return subprocess.run([sys.executable, *flags, "-m", "outerspine.cli"]
+                          + args, capture_output=True, text=True)
 
 
 def write_rose(tmp_path, name="rose.txt", n=3, pointed=False):
@@ -69,10 +86,9 @@ def test_count_i_known_values(tmp_path):
 
 def test_count_i_precondition_error(tmp_path):
     rose = write_rose(tmp_path)
-    proc = subprocess.run([sys.executable, "-m", "outerspine.cli", "count-i",
-                           "--graph", rose, "--a", "a1", "--b", "a1, a2",
-                           "--cls", "a1 a2"], capture_output=True, text=True)
-    assert proc.returncode == 2
+    code, _, _ = call_cli(["count-i", "--graph", rose, "--a", "a1",
+                          "--b", "a1, a2", "--cls", "a1 a2"])
+    assert code == 2
 
 
 def test_count_i_refuses_a_count_that_depends_on_the_embedding(tmp_path):
@@ -299,6 +315,24 @@ def test_split_membership_and_retract(tmp_path):
     assert equivalent(got, MarkedGraph.rose_identity(3)) is not None
 
 
+def test_blueprint_of_another_rank_exits_2(tmp_path):
+    """A blueprint is read at the graph's rank: a rank-2 blueprint on the
+    rank-3 rose, and a rank-3 one on the rank-2 rose, are refused by every
+    blueprint command (the rank is not inferred from the letters)."""
+    bp2 = tmp_path / "bp2.txt"
+    bp2.write_text("splitting { type: loop; vertex A = a1; stable: a2 }\n")
+    bp3 = tmp_path / "bp3.txt"
+    bp3.write_text("splitting { type: loop; vertex A = a1 a2; stable: a3 }\n")
+    for rose, bp in ((write_rose(tmp_path, "r3.txt", n=3), bp2),
+                     (write_rose(tmp_path, "r2.txt", n=2), bp3)):
+        common = ["--graph", rose, "--blueprint", str(bp)]
+        for args in (["retract-split"] + common,
+                     ["split-membership"] + common,
+                     ["retract-split-audit"] + common + ["--collapse", ""]):
+            assert run_cli_error(args) == \
+                "error: loop blueprint needs one rank n-1 vertex group\n"
+
+
 def test_ray_in_the_vertex_group_boundary_exits_2(tmp_path, capsys):
     """A ray whose period lies in the vertex group is bad input, for the
     retraction and for its audit alike."""
@@ -462,3 +496,51 @@ def test_core_cli_unbased_numbering(tmp_path):
                    "k4: v3 -> v1 over e4\n"
                    "k5: v4 -> v2 over e2\n"
                    "k6: v3 -> v4 over e1\n")
+
+
+# The tests above run the CLI in process; these three run it as a program.
+
+def test_module_entry_point():
+    proc = run_process(["reduce", "a1 a1^-1 a2", "--rank", "2"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "a2\n", "")
+
+
+def test_exits_2_and_3_print_no_traceback(tmp_path):
+    """A precondition error exits 2 and an audit violation 3, each with one
+    stderr line. The violation is a fault put in before `main` runs: every
+    hull keeps all of r(x)'s edges (as in test_retract_aut)."""
+    rose = write_rose(tmp_path)
+    proc = run_process(["count-i", "--graph", rose, "--a", "a1",
+                        "--b", "a1, a2", "--cls", "a1 a2"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    x, new_eid, _ = MarkedGraph.rose_identity(3).blowup_marked(
+        0, (1, -1), (2, -2, 3, -3))
+    graph = tmp_path / "x.txt"
+    graph.write_text(textio.print_marked(x, pointed=True))
+    script = ("import sys\n"
+              "from outerspine import cli, retract_aut\n"
+              "retract_aut.chain_hull = lambda c, e: frozenset(c)\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "retract-aut-audit",
+                           str(graph), "--collapse", "e%d" % new_eid],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == \
+        (3, "AUDIT VIOLATION: hull is not a forest\n")
+
+
+def test_checks_hold_under_python_O(tmp_path):
+    """`python -O` strips asserts: a marking that does not generate is
+    still refused, and the witness report is the one run in process."""
+    p = tmp_path / "rel.txt"
+    p.write_text("graph { v: v0 v1; e: e1 v0 v1; e2 v0 v1; e3 v1 v0; "
+                 "e4 v1 v0; }\n"
+                 "marking { a1 = e1 e3; a2 = e2 e4; a3 = e1 e3 e1 e3; }\n")
+    proc = run_process(["realizes", "--graph", str(p), "--component", "a1"],
+                       flags=["-O"])
+    assert proc.returncode == 2
+    assert "do not generate" in proc.stderr
+    args = ["witness", "--case", "1", "--n", "3", "--r", "1", "--kmax", "10"]
+    proc = run_process(args, flags=["-O"])
+    assert (proc.returncode, proc.stdout) == (0, run_cli(args))

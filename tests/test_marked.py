@@ -9,6 +9,7 @@ from outerspine.marked import (MarkedGraph, MarkingError, canonical_key,
 from outerspine.words import (Endomorphism, CyclicWord, basis_word, word,
                               is_automorphism, reduce_letters, substitute)
 from iso_oracle import graphs_isomorphic
+from marked_oracle import oracle_blowup_marking, oracle_chain_rewrite
 
 
 def transvection(n, i, j, side="R"):
@@ -231,6 +232,59 @@ def test_naturalize_random():
                 [reduce_letters(p)[0] for p in old]
             if not keep_base:
                 assert N.natural_marked() is N
+
+
+def test_blowup_lift_matches_junction_walk():
+    # every bipartition of seeded marked and pointed graphs, some rebased:
+    # the substitution lift gives the junction walk's marking exactly, and
+    # the checking constructor accepts it
+    rng = random.Random(41)
+    blowups = 0
+    for i in range(60):
+        n = 2 + i % 3
+        if i % 2:
+            G = sampling.random_pointed_graph(rng, n, rng.randint(1, 6))
+        else:
+            G = sampling.random_marked_graph(rng, n, rng.randint(1, 6))
+        if i % 3:
+            G = G.rebase(rng.choice(sorted(G.graph.vertices)))
+        for v in sorted(G.graph.vertices):
+            for p1, p2 in graphs.vertex_direction_bipartitions(G.graph, v):
+                B, new_eid, (v1, v2) = G.blowup_marked(v, p1, p2)
+                assert (B.basepoint, B.marking) == \
+                    oracle_blowup_marking(G, v, p1, p2)
+                assert v1 == v and new_eid in B.graph.edges
+                MarkedGraph(graphs.CoreGraph(B.graph.vertices, B.graph.edges),
+                            B.basepoint, B.marking)
+                blowups += 1
+    assert blowups > 1000
+
+
+def test_naturalize_lift_matches_chain_lookup():
+    # graphs with valence-2 vertices, naturalized with and without the
+    # basepoint kept: the substitution lift gives the chain lookup's
+    # marking exactly, and the checking constructor accepts it
+    rng = random.Random(43)
+    merged = 0
+    for i in range(80):
+        n = 2 + i % 3
+        if i % 2:
+            G = sampling.random_pointed_graph(rng, n, rng.randint(0, 4))
+        else:
+            G = sampling.random_marked_graph(rng, n, rng.randint(0, 4))
+        for _ in range(rng.randint(1, 3)):
+            G = subdivide(G, rng.choice(sorted(G.graph.edges)))
+        if rng.random() < 0.5:
+            G = G.rebase(rng.choice(sorted(G.graph.vertices)))
+        for keep_base in (True, False):
+            N, chains = G.naturalize(keep_base)
+            old = G.rebase(N.basepoint).marking
+            assert N.marking == tuple(oracle_chain_rewrite(p, chains)
+                                      for p in old)
+            MarkedGraph(graphs.CoreGraph(N.graph.vertices, N.graph.edges),
+                        N.basepoint, N.marking)
+            merged += len(N.graph.edges) < len(G.graph.edges)
+    assert merged >= 150
 
 
 def test_natural_marked_matches_naturalize():

@@ -254,9 +254,29 @@ def test_distortion_report_matches_rows_built_one_k_at_a_time():
                 _rows_one_k_at_a_time(params, k_max), params
 
 
-def test_compressed_rows_match_expanded_rows():
+# The longest explicit path a row program summarizes, measured for every
+# k <= 60 (k <= 100 in case 1): a cut symbol keeps `_END_EDGES` explicit
+# edges at each end, so the stretches between middles stay this short.
+CASE1_LONGEST_SUMMARY = 9
+CASE23_LONGEST_SUMMARY = 24
+
+
+def bound_summarized_paths(monkeypatch, edges):
+    """Make `witness.path_summary` raise on a path longer than `edges`, so
+    a row program that stops cutting its symbols fails at once instead of
+    growing like theta^k(e_1)."""
+    def summary(ctx, path):
+        if len(path) > edges:
+            raise AssertionError("summarized a path of %d edges" % len(path))
+        return counting.path_summary(ctx, path)
+
+    monkeypatch.setattr(witness, "path_summary", summary)
+
+
+def test_compressed_rows_match_expanded_rows(monkeypatch):
     """The row programs against the expanded classes for k <= 16, in all
-    three cases, ranks (2, 2) and r = 4 included."""
+    three cases, ranks (2, 2) and r = 4 included; no row summarizes a
+    path longer than its case's bound."""
     for params in (WitnessParams(3, "connected", r=1),
                    WitnessParams(5, "connected", r=2),
                    WitnessParams(6, "connected", r=4),
@@ -265,13 +285,18 @@ def test_compressed_rows_match_expanded_rows():
                    WitnessParams(5, "two_component", ranks=(2, 2)),
                    WitnessParams(5, "multi_component", ranks=(1, 1, 1)),
                    WitnessParams(6, "multi_component", ranks=(1, 1, 1, 1))):
+        bound_summarized_paths(monkeypatch, CASE1_LONGEST_SUMMARY
+                               if params.case == "connected"
+                               else CASE23_LONGEST_SUMMARY)
         assert distortion_report(params, 16) == \
             _rows_one_k_at_a_time(params, 16), params
 
 
-def test_case1_rows_at_k100_equal_letter_counts():
+def test_case1_rows_at_k100_equal_letter_counts(monkeypatch):
     """i_k is the number of e_m in theta^k(e_1), from the letter-count
-    recursion, through k = 100."""
+    recursion, through k = 100; no row summarizes a path longer than
+    `CASE1_LONGEST_SUMMARY`."""
+    bound_summarized_paths(monkeypatch, CASE1_LONGEST_SUMMARY)
     for n, r in ((4, 2), (5, 1), (6, 4)):
         m = r + 1
         rows = distortion_report(WitnessParams(n, "connected", r=r), 100)

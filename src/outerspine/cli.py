@@ -1,7 +1,9 @@
 """Command-line front door: exact kernel operations, file I/O, audits.
 
 Exit codes: 0 success, 2 precondition violation (bad input or undefined
-quantity), 3 an audit detected a violated invariant.
+quantity), 3 an audit detected a violated invariant. `main` alone decides
+2 and 3 by the error's type: every `marked.CertificateError` exits 3 with
+one `AUDIT VIOLATION:` line, and the input errors exit 2.
 """
 
 import argparse
@@ -10,12 +12,10 @@ import sys
 
 from . import acceptance, counting, folding, graphs, spine, textio, witness
 from .words import CyclicWord, Endomorphism, WordError, is_automorphism
-from .marked import MarkingError, equivalent
+from .marked import CertificateError, MarkingError, equivalent
 from .covers import CoverError, FreeFactorSystem, realizes, stallings_core
-from .retract_aut import (PointedError, lipschitz_audit as pointed_audit,
-                          retract_r)
-from .retract_split import (InvalidRay, SplitError, in_CVKT, retract_R,
-                            retraction_audit)
+from .retract_aut import lipschitz_audit as pointed_audit, retract_r
+from .retract_split import SplitError, in_CVKT, retract_R, retraction_audit
 
 
 class PreconditionError(ValueError):
@@ -184,12 +184,7 @@ def cmd_retract_aut(args):
 
 def cmd_retract_aut_audit(args):
     x = _read_marked(args.graph, pointed=True)
-    try:
-        d, _ = pointed_audit(x, _edges(args.collapse))
-    except PointedError as exc:
-        print("AUDIT VIOLATION: %s" % exc, file=sys.stderr)
-        sys.exit(3)
-    print(d)
+    print(pointed_audit(x, _edges(args.collapse))[0])
 
 
 def _read_blueprint(path, rank):
@@ -222,14 +217,7 @@ def cmd_split_membership(args):
 def cmd_retract_split_audit(args):
     G = _read_marked(args.graph)
     data = _read_blueprint(args.blueprint, G.rank)
-    try:
-        d = retraction_audit(G, _edges(args.collapse), data)
-    except InvalidRay:
-        raise  # the blueprint's ray, not the audit, is at fault: exit 2
-    except SplitError as exc:
-        print("AUDIT VIOLATION: %s" % exc, file=sys.stderr)
-        sys.exit(3)
-    print(d)
+    print(retraction_audit(G, _edges(args.collapse), data))
 
 
 def cmd_spine_bfs(args):
@@ -422,9 +410,8 @@ def build_parser():
 
 
 PRECONDITION_ERRORS = (PreconditionError, WordError, MarkingError, CoverError,
-                       counting.CountError, SplitError, PointedError,
-                       witness.WitnessError, textio.FormatError,
-                       graphs.GraphError, spine.SpineError,
+                       counting.CountError, SplitError, witness.WitnessError,
+                       textio.FormatError, graphs.GraphError, spine.SpineError,
                        folding.FoldError, OSError, UnicodeDecodeError)
 
 
@@ -433,6 +420,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.fn(args)
+    except CertificateError as exc:
+        print("AUDIT VIOLATION: %s" % exc, file=sys.stderr)
+        sys.exit(3)
     except PRECONDITION_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         sys.exit(2)

@@ -41,6 +41,11 @@ class MarkingError(ValueError):
     pass
 
 
+class CertificateError(ValueError):
+    """A certificate of the paper's mathematics failed on valid input: the
+    program, not the input, is at fault (the CLI's exit 3)."""
+
+
 class MarkedGraph:
     def __init__(self, graph, basepoint, marking):
         self._fill(graph, basepoint, marking)
@@ -321,6 +326,31 @@ def equivalent(G1, G2):
             g = G2.path_to_word(loop) if loop else ReducedWord((), G1.rank)
             return vmap, emap, g
     return None
+
+
+def collapse_certificate(r1, hull, r2, keep_base, error):
+    """Certify that a retraction maps the collapse edge x -> x/F to a vertex
+    or an edge: 0 if r1 = r(x) equals r2 = r(x/F), 1 if r1 with its hull
+    collapsed does; a failure raises `error`. keep_base tells how r1 was
+    naturalized, and picks `pointed_equivalent` or `equivalent`.
+
+    r(x) is built from cores that immerse in x, each edge labelled by the
+    x-edge below it, and r(x/F) is r(x) with the label preimage of F
+    collapsed; after naturalization, r1 with its hull collapsed: the
+    natural edges whose chains lie wholly in that preimage
+    (`graphs.chain_hull`). The preimage of a forest under an immersion is
+    a forest, so a hull with a cycle fails too."""
+    same = pointed_equivalent if keep_base else equivalent
+    if not hull:
+        if same(r1, r2) is None:
+            raise error("empty hull but retractions differ")
+        return 0
+    if not graphs.is_forest(r1.graph, hull):
+        raise error("hull is not a forest")
+    collapsed = r1.collapse_marked(hull)[0].naturalize(keep_base)[0]
+    if same(collapsed, r2) is None:
+        raise error("hull collapse does not reproduce the retraction")
+    return 1
 
 
 def _conjugate(p, d):

@@ -6,17 +6,19 @@ at valence 2 (`naturalize(keep_base=True)`), and pointed markings carry no
 conjugator slack: pointed equivalence is a basepoint-preserving graph
 isomorphism plus exact equality of marking paths. The marking paths cross
 every edge, so reading them in lockstep from the two basepoints
-(`marked.pointed_equivalent`) fixes the only candidate isomorphism.
+(`marked.pointed_equivalent`, imported here) fixes the only candidate
+isomorphism.
 """
 
 from .covers import stallings_core
 from .words import basis_word
-from .graphs import CoreGraph, chain_hull, is_forest
-from .marked import MarkedGraph, MarkingError, pointed_equivalent
+from .graphs import CoreGraph, chain_hull
+from .marked import (CertificateError, MarkedGraph, MarkingError,
+                     collapse_certificate, pointed_equivalent)
 
 
-class PointedError(ValueError):
-    pass
+class PointedError(CertificateError):
+    """The pointed audit's certificate failed."""
 
 
 def embed_j(w):
@@ -53,27 +55,12 @@ def retract_r(x):
 
 
 def lipschitz_audit(x, forest):
-    """Collapse x along a relatively natural forest, retract both sides, and
-    certify the retractions differ by at most one forest collapse.
-
-    r(x/F) is r(x) with its hull collapsed: the natural edges whose chains
-    lie wholly in the label preimage of F. That preimage is a forest, as
-    r(x) immerses in x, so a hull with a cycle is a violation too.
-    Returns (distance, x_collapsed): distance 0 means equal retractions.
-    Raises if the consistency equation fails.
-    """
+    """Collapse x along a relatively natural forest and certify that the
+    retractions of both ends differ by at most one forest collapse
+    (`marked.collapse_certificate`). Returns (distance, x_collapsed)."""
     x2 = x.collapse_marked(forest)[0].naturalize(keep_base=True)[0]
     r1, labels = _retract(x)
     r1, chains = r1.naturalize(keep_base=True)
-    r2 = retract_r(x2)
     hull = chain_hull(chains, {e for e in labels if labels[e] in forest})
-    if not hull:
-        if pointed_equivalent(r1, r2) is None:
-            raise PointedError("empty hull but retractions differ")
-        return 0, x2
-    if not is_forest(r1.graph, hull):
-        raise PointedError("hull is not a forest")
-    collapsed = r1.collapse_marked(hull)[0].naturalize(keep_base=True)[0]
-    if pointed_equivalent(collapsed, r2) is None:
-        raise PointedError("hull collapse does not reproduce the retraction")
-    return 1, x2
+    return collapse_certificate(r1, hull, retract_r(x2), True,
+                                PointedError), x2

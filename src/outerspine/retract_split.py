@@ -12,8 +12,8 @@ from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     cyclic_core, cyclic_reduce, eventually_periodic_form,
                     invert_letters, is_automorphism, reduce_letters,
                     substitute)
-from .graphs import CoreGraph, chain_hull, is_forest
-from .marked import MarkedGraph, equivalent
+from .graphs import CoreGraph, chain_hull
+from .marked import CertificateError, MarkedGraph, collapse_certificate
 from .covers import (CoreSubgraphWitness, FreeFactorSystem, core_images,
                      stallings_core)
 
@@ -24,6 +24,10 @@ class SplitError(ValueError):
 
 class InvalidRay(SplitError):
     """The ray's ideal endpoint lies in the boundary of the vertex group."""
+
+
+class RetractionError(SplitError, CertificateError):
+    """A certificate on the retraction's path failed."""
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def _ray_label_stream(ray, G):
     W, Z = ray.reduced_form()
     z_path = G.expand(Z)
     if not z_path:
-        raise SplitError("ray period dies in the marking")
+        raise RetractionError("ray period dies in the marking")
     pre, z_path = cyclic_core(z_path)
     head, _ = reduce_letters(G.expand(W) + pre)
     return eventually_periodic_form(head, z_path)
@@ -199,7 +203,7 @@ def attach_point(sub, ray):
         if in_core:
             if not entered:
                 if based.tail(d) != sub.attach:
-                    raise SplitError("ray entered the core away from q")
+                    raise RetractionError("ray entered the core away from q")
                 entered = True
             alpha.append(d)
         pos = based.head(d)
@@ -282,30 +286,16 @@ def retract_R(G, data):
 
 
 def retraction_audit(G, forest, data):
-    """Retract both ends of a collapse edge; certify distance 0 or 1.
-
-    As `retract_R` shows, R(G/F) is R(G) with its hull collapsed: the
-    natural edges whose chains lie wholly in the label preimage of F (never
-    eps). An empty hull must give an equivalent R(G/F), distance 0; else
-    the hull collapse must, distance 1. A failure, a hull with a cycle (the
-    preimage of a forest under the immersion R(G) -> G has none), or an
-    output outside the subcomplex, raises SplitError.
-    """
+    """Retract both ends of a collapse edge; certify both outputs lie in the
+    subcomplex and differ by at most one forest collapse
+    (`marked.collapse_certificate`; eps has no label, so no hull holds it).
+    Returns the distance; a failure raises RetractionError."""
     G2 = G.collapse_marked(forest)[0].natural_marked()
     r1, labels = _retract(G, data)
     r1, chains = r1.naturalize(keep_base=False)
     r2 = retract_R(G2, data)
     for r in (r1, r2):
         if in_CVKT(r, data.blueprint) is None:
-            raise SplitError("retraction output left the subcomplex")
+            raise RetractionError("retraction output left the subcomplex")
     hull = chain_hull(chains, {e for e in labels if labels[e] in forest})
-    if not hull:
-        if equivalent(r1, r2) is None:
-            raise SplitError("empty hull but retractions differ")
-        return 0
-    if not is_forest(r1.graph, hull):
-        raise SplitError("hull is not a forest")
-    collapsed = r1.collapse_marked(hull)[0].natural_marked()
-    if equivalent(collapsed, r2) is None:
-        raise SplitError("hull collapse does not reproduce the retraction")
-    return 1
+    return collapse_certificate(r1, hull, r2, False, RetractionError)

@@ -8,7 +8,7 @@ collapse is equivalent to R(G/F).
 
 from outerspine.graphs import enumerate_natural_subforests
 from outerspine.marked import equivalent
-from outerspine.retract_split import SplitError, in_CVKT, retract_R
+from outerspine.retract_split import RetractionError, in_CVKT, retract_R
 
 
 def search_audit(G, forest, data):
@@ -17,11 +17,11 @@ def search_audit(G, forest, data):
     r2 = retract_R(G2, data)
     for r in (r1, r2):
         if in_CVKT(r, data.blueprint) is None:
-            raise SplitError("retraction output left the subcomplex")
+            raise RetractionError("retraction output left the subcomplex")
     if equivalent(r1, r2) is not None:
         return 0
     for f in enumerate_natural_subforests(r1.graph, include_empty=False):
         cand, _ = r1.collapse_marked(f)
         if equivalent(cand.natural_marked(), r2) is not None:
             return 1
-    raise SplitError("retractions are further than one collapse apart")
+    raise RetractionError("retractions are further than one collapse apart")

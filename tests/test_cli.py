@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from outerspine import cli, textio, witness
-from outerspine.marked import MarkedGraph
+from outerspine.marked import MarkedGraph, equivalent
 from outerspine.retract_aut import embed_j
 from outerspine import graphs
 
@@ -311,7 +311,6 @@ def test_split_membership_and_retract(tmp_path):
     assert out.splitlines()[0] == "true"
     out = run_cli(["retract-split", "--graph", rose, "--blueprint", str(bp)])
     got = textio.parse_marked(out)
-    from outerspine.marked import equivalent
     assert equivalent(got, MarkedGraph.rose_identity(3)) is not None
 
 
@@ -411,13 +410,25 @@ marking { a1 = e1 e2; a2 = e2; }
 
 
 def test_collapse_and_blowups(tmp_path):
+    """`blowups` prints the sum over vertices of 2^(d-1) - 1 - d blow-ups,
+    one for each split of a vertex's d directions into two sides of size
+    >= 2, and collapsing each one's new edge gives back the input."""
     T = MarkedGraph(graphs.theta_graph(), 0, [(1, -3), (2, -3)])
     p = tmp_path / "theta.txt"
     p.write_text(textio.print_marked(T))
     out = run_cli(["collapse", str(p), "--edges", "e3"])
     G = textio.parse_marked(out)
     assert G.rank == 2
-    out = run_cli(["blowups", str(tmp_path / "rose2.txt")], expect=2)
+    for G, count in ((MarkedGraph.rose_identity(2), 3),
+                     (MarkedGraph.rose_identity(3), 25), (T, 0)):
+        p.write_text(textio.print_marked(G))
+        head, *graphs_out = run_cli(["blowups", str(p)]).split("graph {")
+        assert head == "%d blow-ups\n" % count
+        assert len(graphs_out) == count
+        for text in graphs_out:
+            H = textio.parse_marked("graph {" + text)
+            (new_eid,) = set(H.graph.edges) - set(G.graph.edges)
+            assert equivalent(H.collapse_marked([new_eid])[0], G) is not None
 
 
 def test_coindex_cli():

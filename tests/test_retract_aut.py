@@ -3,7 +3,7 @@ import random
 import pytest
 
 from outerspine import cli, graphs, retract_aut, textio
-from outerspine.marked import MarkedGraph, MarkingError
+from outerspine.marked import CertificateError, MarkedGraph, MarkingError
 from outerspine.words import Endomorphism, is_automorphism
 from outerspine.retract_aut import (PointedError, pointed_equivalent, embed_j,
                                     retract_r, lipschitz_audit)
@@ -109,20 +109,51 @@ def test_rank_guard():
         retract_r(MarkedGraph.rose_identity(1))
 
 
-def test_hull_with_a_cycle_is_a_violation(monkeypatch, tmp_path, capsys):
-    """A hull that keeps every edge of r(x) has a cycle; the audit reports
-    it as a violation (exit 3), not as a failed collapse of bad input."""
+def cyclic_hull(monkeypatch):
+    """Keep every edge of r(x) in the hull, which then has a cycle."""
     monkeypatch.setattr(retract_aut, "chain_hull",
                         lambda chains, edges: frozenset(chains))
+
+
+def empty_hull(monkeypatch):
+    """Leave every hull empty."""
+    monkeypatch.setattr(retract_aut, "chain_hull",
+                        lambda chains, edges: frozenset())
+
+
+def other_retraction(monkeypatch):
+    """Make retract_r answer r(x) acted on by a1 -> a1 a2."""
+    real = retract_aut.retract_r
+    monkeypatch.setattr(retract_aut, "retract_r", lambda x: real(x).act(
+        pointed_transvection(x.rank - 1, 1, 2)))
+
+
+AUDIT_FAULTS = [
+    (cyclic_hull, "hull is not a forest"),
+    (empty_hull, "empty hull but retractions differ"),
+    (other_retraction, "hull collapse does not reproduce the retraction"),
+]
+
+
+@pytest.mark.parametrize("fault, message", AUDIT_FAULTS,
+                         ids=[f.__name__ for f, _ in AUDIT_FAULTS])
+def test_hull_with_a_cycle_is_a_violation(fault, message, monkeypatch,
+                                          tmp_path, capsys):
+    """A hull that keeps every edge of r(x) has a cycle; the audit reports
+    it as a violation (exit 3), not as a failed collapse of bad input. So
+    does each other failure of the collapse certificate: the raise is a
+    PointedError and a CertificateError."""
     x, new_eid, _ = MarkedGraph.rose_identity(3).blowup_marked(
         0, (1, -1), (2, -2, 3, -3))
-    with pytest.raises(PointedError, match="hull is not a forest"):
+    assert lipschitz_audit(x, [new_eid])[0] == 1
+    fault(monkeypatch)
+    with pytest.raises(PointedError, match="^%s$" % message) as exc:
         lipschitz_audit(x, [new_eid])
+    assert isinstance(exc.value, CertificateError)
     graph = tmp_path / "x.txt"
     graph.write_text(textio.print_marked(x, pointed=True))
     with pytest.raises(SystemExit) as exc:
         cli.main(["retract-aut-audit", str(graph), "--collapse",
                   "e%d" % new_eid])
     assert exc.value.code == 3
-    assert capsys.readouterr().err == \
-        "AUDIT VIOLATION: hull is not a forest\n"
+    assert capsys.readouterr().err == "AUDIT VIOLATION: %s\n" % message

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 import split_oracle
-from outerspine import (acceptance, cli, graphs, retract_split, sampling,
-                        textio, words)
-from outerspine.marked import MarkedGraph, equivalent
+from outerspine import (acceptance, cli, graphs, marked, retract_split,
+                        sampling, textio, words)
+from outerspine.marked import CertificateError, MarkedGraph, equivalent
 from outerspine.words import (Endomorphism, basis_word, word, identity_word,
                               is_automorphism)
 from outerspine.covers import FreeFactorSystem, stallings_core
@@ -312,7 +312,7 @@ def test_distance_one_audit_collapses_once(monkeypatch):
 
     monkeypatch.setattr(graphs, "enumerate_natural_subforests", no_search)
     monkeypatch.setattr(MarkedGraph, "collapse_marked", counted_collapse)
-    monkeypatch.setattr(retract_split, "equivalent", counted_equivalent)
+    monkeypatch.setattr(marked, "equivalent", counted_equivalent)
     assert retraction_audit(G, forest, data) == 1
     assert len(collapsed) == 2 and collapsed[0] is G
     assert len(compared) == 1
@@ -347,8 +347,45 @@ def short_hull(monkeypatch):
                         {min(real(chains, edges))})
 
 
-@pytest.mark.parametrize("fault", [corrupt_labels, short_hull])
-def test_audit_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
+def dead_period(monkeypatch):
+    """Read every ray as the empty word, whose period dies in any marking."""
+    monkeypatch.setattr(RayDatum, "reduced_form", lambda ray: ((), ()))
+
+
+def stray_attach(monkeypatch):
+    """Move the attach vertex q of every vertex core to another core vertex,
+    so a ray enters the core away from it."""
+    real = retract_split.stallings_core
+
+    def moved(gens, G, based=False):
+        sub = real(gens, G, based=based)
+        sub.attach = min(v for v in sub.core.vertices if v != sub.attach)
+        return sub
+
+    monkeypatch.setattr(retract_split, "stallings_core", moved)
+
+
+def outside(monkeypatch):
+    """Refuse every retraction output as a member of the subcomplex."""
+    monkeypatch.setattr(retract_split, "in_CVKT", lambda G, bp: None)
+
+
+AUDIT_FAULTS = [
+    (corrupt_labels, "empty hull but retractions differ"),
+    (short_hull, "hull collapse does not reproduce the retraction"),
+    (dead_period, "ray period dies in the marking"),
+    (stray_attach, "ray entered the core away from q"),
+    (outside, "retraction output left the subcomplex"),
+]
+
+
+@pytest.mark.parametrize("fault, message", AUDIT_FAULTS,
+                         ids=[f.__name__ for f, _ in AUDIT_FAULTS])
+def test_audit_faults_are_violations(fault, message, monkeypatch, tmp_path,
+                                     capsys):
+    """Each certificate on the audit's path, made to fail, raises a
+    SplitError that is a CertificateError, and the CLI exits 3 with one
+    `AUDIT VIOLATION:` line."""
     data = default_retraction_data(loop_bp(3))
     G = textio.parse_marked(HULL_TWO)
     assert retraction_audit(G, [5], data) == 1
@@ -357,15 +394,16 @@ def test_audit_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     bp = tmp_path / "bp.txt"
     bp.write_text(LOOP_BLUEPRINT)
     fault(monkeypatch)
-    with pytest.raises(SplitError):
+    with pytest.raises(SplitError, match="^%s$" % message) as exc:
         retraction_audit(G, [5], data)
+    assert isinstance(exc.value, CertificateError)
     with pytest.raises(SplitError):
         retraction_audit(*blown_rose(), data)
     with pytest.raises(SystemExit) as exc:
         cli.main(["retract-split-audit", "--graph", str(graph),
                   "--blueprint", str(bp), "--collapse", "e5"])
     assert exc.value.code == 3
-    assert capsys.readouterr().err.startswith("AUDIT VIOLATION:")
+    assert capsys.readouterr().err == "AUDIT VIOLATION: %s\n" % message
 
 
 def test_hull_with_a_cycle_is_a_violation(monkeypatch, tmp_path, capsys):
@@ -373,8 +411,9 @@ def test_hull_with_a_cycle_is_a_violation(monkeypatch, tmp_path, capsys):
     it as a violation (exit 3), not as a failed collapse of bad input."""
     monkeypatch.setattr(retract_split, "chain_hull",
                         lambda chains, edges: frozenset(chains))
-    with pytest.raises(SplitError, match="hull is not a forest"):
+    with pytest.raises(SplitError, match="hull is not a forest") as exc:
         retraction_audit(*blown_rose(), default_retraction_data(loop_bp(3)))
+    assert isinstance(exc.value, CertificateError)
     graph = tmp_path / "G.txt"
     graph.write_text(HULL_TWO)
     bp = tmp_path / "bp.txt"

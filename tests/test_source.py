@@ -129,3 +129,27 @@ def test_public_functions_have_callers():
     assert unread == {}
     assert TEST_ONLY_API - set(defined) == set()
     assert TEST_ONLY_API & used == set()
+
+
+def test_one_collapse_certificate():
+    """Both retraction audits certify a collapse edge by the one routine,
+    `marked.collapse_certificate`: each of its messages occurs once in the
+    library."""
+    src = pathlib.Path(outerspine.__file__).parent
+    text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+    for message in ("empty hull but retractions differ",
+                    "hull is not a forest",
+                    "hull collapse does not reproduce the retraction"):
+        assert text.count(message) == 1, message
+
+
+def test_exit_codes_are_decided_in_main():
+    """The CLI turns errors into exit codes in one place: no `try` statement
+    in cli.py outside `main`."""
+    path = pathlib.Path(outerspine.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = [f.name for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name != "main"
+             and any(isinstance(node, ast.Try) for node in ast.walk(f))]
+    found += [node.lineno for node in tree.body if isinstance(node, ast.Try)]
+    assert found == []

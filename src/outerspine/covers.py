@@ -4,18 +4,27 @@ A subgroup graph is the Stallings core of the cover associated to a finitely
 generated subgroup: a finite graph immersed over the ambient marked graph by
 edge labels. It equals the quotient of the minimal subtree of the universal
 cover; tree-level statements about minimal subtrees are computed on it.
+
+Unbased cores are folded on the first generator's axis (`_axis_fold`).
+Membership reads each core's edges straight off the folding engine;
+`stallings_core` numbers them as the `SubgroupGraph` the other callers read.
 """
 
 from dataclasses import dataclass
 
 from . import folding, graphs
 from .folding import LabeledGraph, FoldError
-from .marked import MarkedGraph
+from .marked import CertificateError, MarkedGraph
 from .words import conjugate_letters, cyclic_core
 
 
 class CoverError(ValueError):
     pass
+
+
+class CoreLoopError(CoverError, CertificateError):
+    """A generator's path did not close into a loop in the based core its
+    generators were folded into: the fold, not the input, is at fault."""
 
 
 class SubgroupGraph:
@@ -39,19 +48,33 @@ class SubgroupGraph:
         self.rank = core.rank
 
 
-def stallings_core(gens, G, based=False):
-    """Fold the marking images of the generators over G's edge alphabet.
+def _axis_fold(gens, G):
+    """The folded engine of the generators' paths over G, conjugated onto
+    the axis of the first nontrivial generator.
 
     The unbased core depends only on the subgroup's conjugacy class
     (Stallings, "Topology of finite graphs", Invent. Math. 71, 1983), so
-    the whole generating set is first conjugated onto the axis of the first
-    nontrivial generator, by the conjugator of its cyclic core in F_n and
-    again by that of its expanded path (a cyclically reduced word can
-    expand to a path with a tail). That conjugator is then never folded:
-    the base of the fold lies on the core, where the numbering of
-    vertices and edges starts, and pruning drops only the other
-    generators' tails. The folding engine prunes and numbers the core in
-    one walk (`Folder.core`).
+    the whole generating set is first conjugated by the conjugator of the
+    first generator's cyclic core in F_n and again by that of its expanded
+    path (a cyclically reduced word can expand to a path with a tail).
+    That conjugator is then never folded: the base of the fold lies on the
+    core, and pruning drops only the other generators' tails.
+    """
+    words = [w.letters for w in gens if w.letters]
+    if not words:
+        raise CoverError("trivial subgroup has no core")
+    u = cyclic_core(words[0])[0]
+    paths = [G.expand(conjugate_letters(w, u)) for w in words]
+    k = cyclic_core(paths[0])[0]
+    return folding.fold_words([conjugate_letters(p, k) for p in paths])
+
+
+def stallings_core(gens, G, based=False):
+    """Fold the marking images of the generators over G's edge alphabet.
+
+    The unbased core is folded on the first generator's axis
+    (`_axis_fold`); the engine prunes it and numbers it in one walk from
+    the base of the fold, which lies on the core (`Folder.core`).
 
     The based form traces each generator's path from the base of the fold
     and conjugates it through the tail: the reduced path tail^-1 p tail is
@@ -59,14 +82,7 @@ def stallings_core(gens, G, based=False):
     empty loop).
     """
     if not based:
-        words = [w.letters for w in gens if w.letters]
-        if not words:
-            raise CoverError("trivial subgroup has no core")
-        u = cyclic_core(words[0])[0]
-        paths = [G.expand(conjugate_letters(w, u)) for w in words]
-        k = cyclic_core(paths[0])[0]
-        return SubgroupGraph(folding.fold_words(
-            [conjugate_letters(p, k) for p in paths]).core(), G)
+        return SubgroupGraph(_axis_fold(gens, G).core(), G)
     paths = [G.expand(w.letters) for w in gens]
     if not any(paths):
         raise CoverError("trivial subgroup has no core")
@@ -76,10 +92,10 @@ def stallings_core(gens, G, based=False):
     for p in paths:
         loop, end, consumed = based_graph.trace(based_graph.base, p)
         if consumed != len(p) or end != based_graph.base:
-            raise CoverError("generator loop strayed off the based core")
+            raise CoreLoopError("generator loop strayed off the based core")
         red = conjugate_letters(tuple(loop), tail)
         if any(abs(d) not in core.edges for d in red):
-            raise CoverError("generator loop left the core")
+            raise CoreLoopError("generator loop left the core")
         loops.append(red)
     return SubgroupGraph(core, G, attach=q,
                          tail_labels=based_graph.path_labels(tail),
@@ -144,12 +160,6 @@ def labeled_isomorphism(K1, K2):
     return next(embeddings(K1, K2), None)
 
 
-def conjugate_into(K1, K2):
-    """Subgroup-of-K1 conjugate into subgroup-of-K2: a label-preserving
-    morphism of cores (automatically an immersion, lands in the core)."""
-    return next(labeled_morphisms(K1, K2), None)
-
-
 @dataclass(frozen=True)
 class FreeFactorSystem:
     """Conjugacy classes of free factors, stored by generating words."""
@@ -179,19 +189,6 @@ class FreeFactorSystem:
         return (self.rank - 1) - sum(r - 1 for r in ranks)
 
 
-def ffs_partial_order(F1, F2):
-    """F1 sqsubset F2: every component conjugate into a component of F2."""
-    if F1.rank != F2.rank:
-        raise CoverError("ambient rank mismatch")
-    G = MarkedGraph.rose_identity(F1.rank)
-    cores1 = F1.cores_over(G)
-    cores2 = F2.cores_over(G)
-    for K1 in cores1:
-        if not any(conjugate_into(K1.core, K2.core) for K2 in cores2):
-            return False
-    return True
-
-
 @dataclass
 class CoreSubgraphWitness:
     edges: frozenset          # ambient edge ids forming the core subgraph
@@ -212,21 +209,23 @@ def core_images(G, F):
     label would start at one vertex, which a folded graph forbids. The
     components are folded one at a time, and none after the first that
     fails; a trivial component is an input error, found before any fold.
+    Only the labels and ends of the core's edges matter here, so each is
+    read off the folded engine (`Folder.core_edges`), unnumbered.
     """
     if not all(any(w.letters for w in gens) for gens in F.components):
         raise CoverError("trivial subgroup has no core")
     images = []
     used = set()
     for gens in F.components:
-        core = stallings_core(gens, G).core
+        edges = _axis_fold(gens, G).core_edges()
         image = {}
-        for o, t, lab in core.edges.values():
+        for o, t, lab in edges:
             image[o], image[t] = G.graph.edges[lab]
         verts = set(image.values())
         if len(verts) != len(image) or verts & used:
             return None
         used |= verts
-        images.append((frozenset(lab for _, _, lab in core.edges.values()),
+        images.append((frozenset(lab for _, _, lab in edges),
                        frozenset(verts)))
     return images
 

@@ -22,7 +22,10 @@ so it does not depend on the order the folds were made in.
 maps for the Stallings core (`Folder.core`, `Folder.based_core`) and then
 numbers and emits the graph in one walk, as `Folder.snapshot` does, leaving
 out the pruned edges: each core is built once, and keeps the numbers the
-whole folded graph would give its edges and vertices.
+whole folded graph would give its edges and vertices. A caller that needs
+only where the core's edges run, as membership does, takes
+`Folder.core_edges`: the same pruning, the edges read off the engine's own
+vertices, with no walk, no numbering and no `LabeledGraph`.
 
 History mode attaches to every edge a transfer word over a second alphabet
 x_1..x_k (one letter per input word) such that the transfer product along any
@@ -332,6 +335,19 @@ class Folder:
             raise FoldError("trivial core")
         return core
 
+    def core_edges(self):
+        """The Stallings core's edges as (origin id, terminus id, positive
+        label), each oriented along its label: what `core` numbers, read
+        off the engine's own vertices with no walk and no numbering."""
+        dropped, tail = self._prune()
+        dropped.update(map(abs, tail))
+        edges = [(t.id, o.id, -lab) if lab < 0 else (o.id, t.id, lab)
+                 for eid, (o, t, lab, _) in self.edges.items()
+                 if eid not in dropped]
+        if not edges:
+            raise FoldError("trivial core")
+        return edges
+
     def based_core(self):
         """(core, tail, attach, based graph): the based graph is the
         snapshot pruned down to the core and the hanging arc from the base
@@ -446,8 +462,8 @@ class LabeledGraph:
 
 def fold_words(word_list, track_history=False):
     """Fold the wedge of loops spelling the given signed-label words and
-    return the folded `Folder`; take its `snapshot`, `core` or
-    `based_core`.
+    return the folded `Folder`; take its `snapshot`, `core`, `core_edges`
+    or `based_core`.
 
     With history every loop is attached whole and folded in the fixed fold
     order; without, each word in turn is read through the graph folded so

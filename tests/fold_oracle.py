@@ -442,7 +442,8 @@ def based_core_and_tail(gr):
 
 class Folded:
     """A folded graph as `folding.fold_words` returns it, its cores cut by
-    the oracle: `core` drops the base, as `covers.stallings_core` did."""
+    the oracle: `core` drops the base, as `covers.stallings_core` did, and
+    `core_edges` reads the edge triples off that core."""
 
     def __init__(self, gr):
         self.gr = gr
@@ -458,3 +459,6 @@ class Folded:
 
     def based_core(self):
         return based_core_and_tail(self.gr)
+
+    def core_edges(self):
+        return list(self.core().edges.values())

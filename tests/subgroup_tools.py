@@ -1,8 +1,11 @@
 """Subgroup-graph helpers that only the tests use: conjugacy of two
-subgroups by isomorphism of their cores, and free generators read off a
-core's spanning tree."""
+subgroups by isomorphism of their cores, conjugate-into by a morphism of
+cores, the partial order on free factor systems, and free generators read
+off a core's spanning tree."""
 
-from outerspine.covers import CoverError, labeled_isomorphism
+from outerspine.covers import (CoverError, labeled_isomorphism,
+                               labeled_morphisms)
+from outerspine.marked import MarkedGraph
 from outerspine.words import invert_letters
 
 
@@ -10,6 +13,25 @@ def subgroups_conjugate(A, B):
     if A.ambient is not B.ambient:
         raise CoverError("subgroup graphs over different marked graphs")
     return labeled_isomorphism(A.core, B.core) is not None
+
+
+def conjugate_into(K1, K2):
+    """Subgroup-of-K1 conjugate into subgroup-of-K2: a label-preserving
+    morphism of cores (automatically an immersion, lands in the core)."""
+    return next(labeled_morphisms(K1, K2), None)
+
+
+def ffs_partial_order(F1, F2):
+    """F1 sqsubset F2: every component conjugate into a component of F2."""
+    if F1.rank != F2.rank:
+        raise CoverError("ambient rank mismatch")
+    G = MarkedGraph.rose_identity(F1.rank)
+    cores1 = F1.cores_over(G)
+    cores2 = F2.cores_over(G)
+    for K1 in cores1:
+        if not any(conjugate_into(K1.core, K2.core) for K2 in cores2):
+            return False
+    return True
 
 
 def subgroup_generators(sub, G):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from outerspine import cli, textio, witness
+from outerspine import cli, covers, folding, textio, witness
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.retract_aut import embed_j
 from outerspine import graphs
@@ -509,7 +509,31 @@ def test_core_cli_unbased_numbering(tmp_path):
                    "k6: v3 -> v4 over e1\n")
 
 
-# The tests above run the CLI in process; these three run it as a program.
+def assert_audit_violation(args, message):
+    code, out, err = call_cli(args)
+    assert (code, out, err) == (3, "", "AUDIT VIOLATION: %s\n" % message)
+
+
+def test_core_loop_faults_exit_3(tmp_path, monkeypatch):
+    """A generator loop that does not close in the based core is the
+    fold's fault, not the input's: `core --based` exits 3 with one line.
+    The faults are put in by hand: the trace of each generator's path
+    stops one letter short, or its loop is not conjugated through the
+    tail (a2 a1 a2^-1 over the rose hangs its core off a tail)."""
+    rose = write_rose(tmp_path, pointed=True)
+    args = ["core", "--graph", rose, "--based", "--gens", "a2 a1 a2^-1"]
+    assert run_cli(args).endswith("tail: e2\n")
+    trace = folding.LabeledGraph.trace
+    with monkeypatch.context() as m:
+        m.setattr(folding.LabeledGraph, "trace",
+                  lambda self, v, letters: trace(self, v, letters[:-1]))
+        assert_audit_violation(args, "generator loop strayed off the "
+                                     "based core")
+    monkeypatch.setattr(covers, "conjugate_letters", lambda w, u: w)
+    assert_audit_violation(args, "generator loop left the core")
+
+
+# The tests above run the CLI in process; these four run it as a program.
 
 def test_module_entry_point():
     proc = run_process(["reduce", "a1 a1^-1 a2", "--rank", "2"])
@@ -555,3 +579,11 @@ def test_checks_hold_under_python_O(tmp_path):
     args = ["witness", "--case", "1", "--n", "3", "--r", "1", "--kmax", "10"]
     proc = run_process(args, flags=["-O"])
     assert (proc.returncode, proc.stdout) == (0, run_cli(args))
+
+
+def test_selftest_is_the_same_under_python_O():
+    """The whole selftest, every criterion's line, prints the same under
+    `python -O` as in process: no check of it rests on an assert."""
+    proc = run_process(["selftest"], flags=["-O"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, run_cli(["selftest"]), "")

@@ -6,15 +6,19 @@ first nontrivial one, in F_n and again at edge level, before it folds, so
 the shared conjugator is never laid down. The oracle is the fold it
 replaces: expand each generator through the marking, fold the loops at one
 base and prune. Both must give label-isomorphic cores, and `realizes` must
-give the same verdict and the same edge sets on either.
+give the same verdict and the same edge sets on either. `core_images`,
+which reads each core's edges off the folding engine, must give what the
+numbered core gives.
 """
 
 import random
 
 from outerspine import covers, sampling
 from outerspine.covers import (CoreSubgraphWitness, FreeFactorSystem,
-                               labeled_isomorphism, realizes, stallings_core)
+                               core_images, labeled_isomorphism, realizes,
+                               stallings_core)
 from outerspine.folding import LabeledGraph, fold_words
+from outerspine.marked import MarkedGraph
 from outerspine.textio import parse_marked
 from outerspine.words import ReducedWord, basis_word, cyclic_core, word
 
@@ -44,6 +48,25 @@ def oracle_realizes(G, components):
         images.append((frozenset(lab for _, _, lab in K.edges.values()),
                        frozenset(verts)))
     return CoreSubgraphWitness.of(images)
+
+
+def numbered_core_images(G, F):
+    """`covers.core_images` as it was: each component's image read off its
+    numbered core, `stallings_core(gens, G).core`."""
+    images = []
+    used = set()
+    for gens in F.components:
+        core = stallings_core(gens, G).core
+        image = {}
+        for o, t, lab in core.edges.values():
+            image[o], image[t] = G.graph.edges[lab]
+        verts = set(image.values())
+        if len(verts) != len(image) or verts & used:
+            return None
+        used |= verts
+        images.append((frozenset(lab for _, _, lab in core.edges.values()),
+                       frozenset(verts)))
+    return images
 
 
 def conjugated(rng, n, w):
@@ -148,16 +171,16 @@ def test_realizes_folds_up_to_the_first_failing_component(monkeypatch):
     whose core fails to embed or meets an earlier image: a system whose
     first component is a conjugated proper power folds only that one. On
     every seeded system the verdict matches `oracle_realizes`, and the
-    number of cores folded is the length of the shortest failing prefix
-    (the whole system when it is realized)."""
+    cores folded are the components of the shortest failing prefix, in
+    order (the whole system when it is realized)."""
     calls = []
-    real = covers.stallings_core
+    real = covers._axis_fold
 
-    def counting(gens, G, based=False):
-        calls.append(based)
-        return real(gens, G, based)
+    def counting(gens, G):
+        calls.append(gens)
+        return real(gens, G)
 
-    monkeypatch.setattr(covers, "stallings_core", counting)
+    monkeypatch.setattr(covers, "_axis_fold", counting)
     rng = random.Random(19)
     early = 0
     for case in range(120):
@@ -175,8 +198,47 @@ def test_realizes_folds_up_to_the_first_failing_component(monkeypatch):
         prefix = next((k for k in range(1, len(components) + 1)
                        if oracle_realizes(G, components[:k]) is None),
                       len(components))
-        assert calls == [False] * prefix
+        assert calls == [tuple(c) for c in components[:prefix]]
         if case % 2 == 0:
             assert got is None and prefix == 1
         early += prefix < len(components)
     assert early > 60
+
+
+def test_core_images_match_numbered_cores():
+    """`core_images` reads each core's edges off the folding engine; on
+    250 seeded systems over marked graphs of rank 2-6 it returns exactly
+    the (edge set, vertex set) pairs read off the numbered cores, or None
+    where they give None. The system is <a_1..a_r>, on a rose moved by
+    its stabilizer, or with a basis letter outside it as a second
+    component, on a rose blown up between the two factors' petals; then
+    the graph is blown up at random, each generator conjugated, and
+    sometimes one generator made a proper power."""
+    rng = random.Random(32)
+    verdicts = {}
+    for case in range(250):
+        n = 2 + case % 5
+        r = rng.randint(1, n - 1)
+        G = MarkedGraph.rose_identity(n)
+        components = [[basis_word(i, n) for i in range(1, r + 1)]]
+        if rng.random() < 0.4:
+            G = G.blowup_marked(
+                0, tuple(d for i in range(1, r + 1) for d in (i, -i)),
+                tuple(d for i in range(r + 1, n + 1) for d in (i, -i)))[0]
+            components.append([basis_word(rng.randint(r + 1, n), n)])
+        else:
+            G = G.act(sampling.random_stab_auto(rng, n, r, 4))
+        for _ in range(rng.randint(0, n)):
+            G = sampling.random_blowup(rng, G) or G
+        if rng.random() < 0.3:
+            gens = rng.choice(components)
+            k = rng.randrange(len(gens))
+            gens[k] = gens[k] * gens[k]
+        components = [[conjugated(rng, n, w) for w in gens]
+                      for gens in components]
+        F = FreeFactorSystem.of(components, n)
+        got = core_images(G, F)
+        assert got == numbered_core_images(G, F)
+        kind = len(components), got is not None
+        verdicts[kind] = verdicts.get(kind, 0) + 1
+    assert len(verdicts) == 4 and min(verdicts.values()) > 25, verdicts

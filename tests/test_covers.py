@@ -5,10 +5,10 @@ from outerspine.marked import MarkedGraph
 from outerspine.words import (Endomorphism, basis_word, invert_letters,
                               is_automorphism, reduce_letters, word)
 from outerspine.covers import (stallings_core, labeled_isomorphism,
-                               conjugate_into, FreeFactorSystem,
-                               ffs_partial_order, realizes,
+                               FreeFactorSystem, realizes,
                                minimal_subtree_collapse_check)
-from subgroup_tools import subgroup_generators, subgroups_conjugate
+from subgroup_tools import (conjugate_into, ffs_partial_order,
+                            subgroup_generators, subgroups_conjugate)
 
 
 def test_stallings_core_subrose():

@@ -3,7 +3,8 @@ it replaced (tests/fold_oracle.py). The oracle's graphs are compared after
 `fold_oracle.canonical`, the first-visit numbering `Folder.snapshot` uses,
 so the untracked read-then-attach fold meets the oracle's whole-loop fold
 edge for edge. The engine's one-walk cores are compared with the oracle's
-two prunings of the same snapshot."""
+two prunings of the same snapshot, and its unnumbered `core_edges` with
+those cores."""
 
 import random
 
@@ -11,7 +12,8 @@ import pytest
 
 import fold_oracle
 from outerspine import covers, folding, sampling, spine, textio
-from outerspine.folding import FoldError, fold_words, rose_petal_values
+from outerspine.folding import (FoldError, LabeledGraph, fold_words,
+                                rose_petal_values)
 from outerspine.marked import MarkedGraph
 from outerspine.retract_split import SplittingBlueprint, in_CVKT
 from outerspine.words import basis_word, reduce_letters, substitute, word
@@ -54,11 +56,12 @@ def assert_same_graph(a, b):
 def assert_cores_match_oracle(folded):
     """The engine's cores of a folded graph equal the oracle's prunings of
     its snapshot: identical edges, vertices, base and transfer words, and
-    the same tail and attach vertex; a trivial core raises either way.
+    the same tail and attach vertex; `core_edges`, unnumbered, spells a
+    graph label-isomorphic to the core; a trivial core raises either way.
     Returns whether the based graph has a tail."""
     gr = folded.snapshot()
     if not fold_oracle.pruned(gr).edges:
-        for entry in (folded.core, folded.based_core):
+        for entry in (folded.core, folded.core_edges, folded.based_core):
             with pytest.raises(FoldError):
                 entry()
         return False
@@ -70,6 +73,8 @@ def assert_cores_match_oracle(folded):
     for a, b in pairs:
         assert (b.edges, b.vertices, b.base, b.vals) == \
             (a.edges, a.vertices, a.base, a.vals)
+    edges = LabeledGraph(dict(enumerate(folded.core_edges(), 1)), None)
+    assert covers.labeled_isomorphism(edges, pairs[-1][1]) is not None
     return bool(new[1])
 
 

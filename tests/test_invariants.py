@@ -9,13 +9,12 @@ from outerspine.marked import MarkedGraph, equivalent
 from outerspine.witness import WitnessParams, theta, theta_powers, witness_rows
 from outerspine.words import (Endomorphism, CyclicWord, basis_word,
                               cyclic_reduce, word, is_automorphism)
-from outerspine.covers import (FreeFactorSystem, ffs_partial_order,
-                               stallings_core, realizes)
+from outerspine.covers import FreeFactorSystem, stallings_core, realizes
 from outerspine.counting import build_context, count_i
 from outerspine.folding import LabeledGraph, fold_words
 from outerspine.retract_split import coindex1_to_splitting, in_CVKT
 from outerspine import sampling
-from subgroup_tools import subgroups_conjugate
+from subgroup_tools import ffs_partial_order, subgroups_conjugate
 
 
 def small_systems_f3():

@@ -72,10 +72,11 @@ def test_only_input_decisions_fold_for_an_inverse():
     assert found <= {"cli.py", "retract_split.py", "acceptance.py"}
 
 
-def test_path_summary_walks_without_composing():
-    """`counting.path_summary` reads an explicit path off one walk: neither
-    it nor any counting function it reaches calls `compose`."""
-    path = pathlib.Path(outerspine.__file__).parent / "counting.py"
+def reached_calls(module, root):
+    """(calls, reached): `calls` maps each function of the library module
+    to the names it calls, and `reached` holds the functions of that
+    module that `root` reaches by calls, itself included."""
+    path = pathlib.Path(outerspine.__file__).parent / module
     tree = ast.parse(path.read_text(), str(path))
     calls = {}
     for f in ast.walk(tree):
@@ -83,21 +84,38 @@ def test_path_summary_walks_without_composing():
             calls.setdefault(f.name, set()).update(
                 getattr(c.func, "id", getattr(c.func, "attr", None))
                 for c in ast.walk(f) if isinstance(c, ast.Call))
-    reached, todo = set(), ["path_summary"]
+    reached, todo = set(), [root]
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo.extend(calls[name] & calls.keys())
+    return calls, reached
+
+
+def test_path_summary_walks_without_composing():
+    """`counting.path_summary` reads an explicit path off one walk: neither
+    it nor any counting function it reaches calls `compose`."""
+    calls, reached = reached_calls("counting.py", "path_summary")
     assert "compose" in calls and "compose" not in reached
     assert {"_trace", "move"} <= reached
+
+
+def test_membership_builds_no_numbered_core():
+    """`covers.core_images` reads each core's edges off the folding engine:
+    neither it nor any covers function it reaches calls `stallings_core`
+    or a `.core()`."""
+    calls, reached = reached_calls("covers.py", "core_images")
+    names = set().union(*(calls[f] for f in reached))
+    assert {"_axis_fold", "core_edges"} <= names
+    assert not names & {"stallings_core", "core"}
 
 
 # Public functions whose only callers are tests; each is named in the README
 # or kept for a planned use (ROADMAP, "Keep the source small").
 TEST_ONLY_API = {
     "theta_graph", "enumerate_blowups", "conjugate_by",
-    "ffs_partial_order", "coindex1_to_splitting",
+    "coindex1_to_splitting",
 }
 
 

@@ -9,7 +9,7 @@ from outerspine.words import Endomorphism, basis_word, is_automorphism
 from outerspine.covers import FreeFactorSystem
 from outerspine.spine import SpineError, neighbors, bfs_distance, fold_path
 import spine_oracle
-from spine_oracle import oracle_bfs_distance
+from spine_oracle import farey_distance, oracle_bfs_distance
 
 
 def transv(n, i, j, side="R"):
@@ -203,6 +203,23 @@ def test_bfs_distance_matches_one_sided_oracle():
     for H in (G, MarkedGraph._derived(G.graph, G.basepoint, G.marking)):
         assert bfs_distance(G, H, 0) == oracle_bfs_distance(G, H, 0) == 0
         assert bfs_distance(G, H, -1) is oracle_bfs_distance(G, H, -1) is None
+
+
+def test_rank2_rose_distances_match_farey():
+    """Between seeded marked roses of rank 2, `bfs_distance` capped at 6
+    is the Farey distance when that is at most 6 and None beyond; every
+    distance up to the cap occurs."""
+    rng = random.Random(29)
+    rose = MarkedGraph.rose_identity(2)
+    seen = set()
+    for _ in range(80):
+        G, H = (rose.act(sampling.random_token_auto(rng, 2, rng.randint(0, 4)))
+                for _ in range(2))
+        d = farey_distance(G, H)
+        want = d if d <= 6 else None
+        assert bfs_distance(G, H, 6) == want
+        seen.add(want)
+    assert seen == {0, 2, 4, 6, None}
 
 
 def test_neighbors_not_symmetric_from_rank_3():

@@ -13,7 +13,8 @@ import sys
 from . import acceptance, counting, folding, graphs, spine, textio, witness
 from .words import CyclicWord, Endomorphism, WordError, is_automorphism
 from .marked import CertificateError, MarkingError, equivalent
-from .covers import CoverError, FreeFactorSystem, realizes, stallings_core
+from .covers import (CoverError, FreeFactorSystem, based_core, realizes,
+                     stallings_core)
 from .retract_aut import lipschitz_audit as pointed_audit, retract_r
 from .retract_split import SplitError, in_CVKT, retract_R, retraction_audit
 
@@ -110,13 +111,14 @@ def cmd_circuit(args):
 def cmd_core(args):
     G = _read_marked(args.graph)
     gens = _words(args.gens, G.rank)
-    K = stallings_core(gens, G, based=args.based)
+    B = based_core(gens, G) if args.based else None
+    K = stallings_core(gens, G) if B is None else B.core
     print("rank: %d" % K.rank)
-    for eid, (o, t, lab) in sorted(K.core.edges.items()):
+    for eid, (o, t, lab) in sorted(K.edges.items()):
         print("k%d: v%d -> v%d over e%d" % (eid, o, t, lab))
-    if args.based:
-        print("attach: v%d" % K.attach)
-        print("tail: %s" % textio.print_path(K.tail_labels))
+    if B is not None:
+        print("attach: v%d" % B.attach)
+        print("tail: %s" % textio.print_path(B.tail_labels))
 
 
 def cmd_realizes(args):

@@ -113,8 +113,8 @@ def _walk(K, edges, start, closed):
 
 def _fold(A_gens_list, B_gens, G):
     """The fold step: the B-core and the A-cores over G."""
-    K = stallings_core(B_gens, G).core
-    return K, [stallings_core(gens, G).core for gens in A_gens_list]
+    return (stallings_core(B_gens, G),
+            [stallings_core(gens, G) for gens in A_gens_list])
 
 
 def _image(KA, K, i):

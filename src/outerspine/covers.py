@@ -7,10 +7,13 @@ cover; tree-level statements about minimal subtrees are computed on it.
 
 Unbased cores are folded on the first generator's axis (`_axis_fold`).
 Membership reads each core's edges straight off the folding engine;
-`stallings_core` numbers them as the `SubgroupGraph` the other callers read.
+`stallings_core` numbers them as the `LabeledGraph` the other callers read.
+`based_core` keeps the basepoint: the core with the arc to it from the
+basepoint's lift and each generator's loop in it (`BasedCore`).
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import folding, graphs
 from .folding import LabeledGraph, FoldError
@@ -27,25 +30,19 @@ class CoreLoopError(CoverError, CertificateError):
     generators were folded into: the fold, not the input, is at fault."""
 
 
-class SubgroupGraph:
-    """Core form, optionally with basepoint data.
+class BasedCore(NamedTuple):
+    """A subgroup's core with basepoint data. `core` is a LabeledGraph
+    whose labels are ambient edge ids; `based` is the fold pruned down to
+    the core and the hanging arc from its base (the ambient basepoint
+    lift) to the core, the nearest-point arc; `tail_labels` spells that
+    arc, `attach` is its core end, and `loops[i]` is generator i's loop in
+    the core at `attach`."""
 
-    `core` is a LabeledGraph whose labels are ambient edge ids. In based
-    form, `based` is the fold pruned down to the core and the hanging arc
-    from its base (the ambient basepoint lift) to the core, the
-    nearest-point arc; `tail_labels` spells that arc, `attach` is its core
-    end, and `loops[i]` is generator i's loop in the core at `attach`.
-    """
-
-    def __init__(self, core, ambient, attach=None, tail_labels=None,
-                 based=None, loops=None):
-        self.core = core
-        self.ambient = ambient
-        self.attach = attach
-        self.tail_labels = tuple(tail_labels) if tail_labels is not None else None
-        self.based = based
-        self.loops = loops
-        self.rank = core.rank
+    core: LabeledGraph
+    attach: int
+    tail_labels: tuple
+    based: LabeledGraph
+    loops: list
 
 
 def _axis_fold(gens, G):
@@ -59,6 +56,14 @@ def _axis_fold(gens, G):
     path (a cyclically reduced word can expand to a path with a tail).
     That conjugator is then never folded: the base of the fold lies on the
     core, and pruning drops only the other generators' tails.
+
+    One pass would do: with E the expansion through the marking, u the F_n
+    conjugator and k the path conjugator, k^-1 E(u^-1 w u) k reduces to
+    c^-1 E(w) c for c = E(u) k reduced, so conjugating the expanded
+    generators by c gives the same fold input word for word. But that pass
+    expands each generator whole, its conjugator u included, which the F_n
+    pass strips before any expansion; membership conjugates every system
+    by a long word.
     """
     words = [w.letters for w in gens if w.letters]
     if not words:
@@ -69,37 +74,39 @@ def _axis_fold(gens, G):
     return folding.fold_words([conjugate_letters(p, k) for p in paths])
 
 
-def stallings_core(gens, G, based=False):
-    """Fold the marking images of the generators over G's edge alphabet.
+def stallings_core(gens, G):
+    """The unbased Stallings core of the generators' marking images over G's
+    edge alphabet, a LabeledGraph labelled by G's edge ids. It is folded on
+    the first generator's axis (`_axis_fold`); the engine prunes it and
+    numbers it in one walk from the base of the fold, which lies on the
+    core (`Folder.core`)."""
+    return _axis_fold(gens, G).core()
 
-    The unbased core is folded on the first generator's axis
-    (`_axis_fold`); the engine prunes it and numbers it in one walk from
-    the base of the fold, which lies on the core (`Folder.core`).
 
-    The based form traces each generator's path from the base of the fold
-    and conjugates it through the tail: the reduced path tail^-1 p tail is
-    its loop in the core at the attach vertex (a trivial generator gets the
+def based_core(gens, G):
+    """The based form (`BasedCore`) of the generators' core over G, folded
+    from G's basepoint.
+
+    Each generator's path is traced from the base of the fold and
+    conjugated through the tail: the reduced path tail^-1 p tail is its
+    loop in the core at the attach vertex (a trivial generator gets the
     empty loop).
     """
-    if not based:
-        return SubgroupGraph(_axis_fold(gens, G).core(), G)
     paths = [G.expand(w.letters) for w in gens]
     if not any(paths):
         raise CoverError("trivial subgroup has no core")
-    core, tail, q, based_graph = folding.fold_words(
+    core, tail, q, based = folding.fold_words(
         [p for p in paths if p]).based_core()
     loops = []
     for p in paths:
-        loop, end, consumed = based_graph.trace(based_graph.base, p)
-        if consumed != len(p) or end != based_graph.base:
+        loop, end, consumed = based.trace(based.base, p)
+        if consumed != len(p) or end != based.base:
             raise CoreLoopError("generator loop strayed off the based core")
         red = conjugate_letters(tuple(loop), tail)
         if any(abs(d) not in core.edges for d in red):
             raise CoreLoopError("generator loop left the core")
         loops.append(red)
-    return SubgroupGraph(core, G, attach=q,
-                         tail_labels=based_graph.path_labels(tail),
-                         based=based_graph, loops=loops)
+    return BasedCore(core, q, based.path_labels(tail), based, loops)
 
 
 def _labeled_extension(K1, K2, v1, v2):
@@ -264,9 +271,8 @@ def minimal_subtree_collapse_check(G, forest, gens):
     """Core-of-collapse equals collapse-of-core (minimal subtrees commute
     with forest collapses, at quotient level)."""
     direct = stallings_core(gens, G.collapse_marked(forest)[0])
-    K = stallings_core(gens, G)
     try:
-        pushed = collapse_labeled(K.core, set(forest))
+        pushed = collapse_labeled(stallings_core(gens, G), set(forest))
     except (CoverError, FoldError):
         return False
-    return labeled_isomorphism(pushed, direct.core) is not None
+    return labeled_isomorphism(pushed, direct) is not None

@@ -20,12 +20,15 @@ so it does not depend on the order the folds were made in.
 
 `fold_words` returns the folded engine. The engine prunes its own incidence
 maps for the Stallings core (`Folder.core`, `Folder.based_core`) and then
-numbers and emits the graph in one walk, as `Folder.snapshot` does, leaving
-out the pruned edges: each core is built once, and keeps the numbers the
-whole folded graph would give its edges and vertices. A caller that needs
-only where the core's edges run, as membership does, takes
-`Folder.core_edges`: the same pruning, the edges read off the engine's own
-vertices, with no walk, no numbering and no `LabeledGraph`.
+numbers and emits the graph in one first-visit walk from the base
+(`Folder._emit`), leaving out the pruned edges: each core is built once,
+and keeps the numbers the whole folded graph would give its edges and
+vertices. A caller that needs only where the core's edges run, as
+membership does, takes `Folder.core_edges`: the same pruning, the edges
+read off the engine's own vertices, with no walk, no numbering and no
+`LabeledGraph`. Markings and automorphisms are certified by `fold_onto`,
+which asks whether the fold is a copy of a given graph and reads the
+transfer words off the engine's own edges, again with no walk.
 
 History mode attaches to every edge a transfer word over a second alphabet
 x_1..x_k (one letter per input word) such that the transfer product along any
@@ -249,25 +252,20 @@ class Folder:
         while (fold := self.next_fold()) is not None:
             self.fold(fold[1], fold[2])
 
-    def snapshot(self):
-        """The folded graph as a LabeledGraph, every edge oriented along its
-        positive label. Vertices are numbered 0.. and edges 1.. in the order
-        a breadth-first walk from the base first meets them, taking each
-        vertex's directions in (|label|, sign) order (`_order`), so the
-        numbering does not depend on the order the folds were made in:
-        label-isomorphic based graphs give identical snapshots."""
-        return self._emit(())[0]
-
     def _emit(self, dropped, base=0):
-        """(graph, enum): the snapshot walk over the whole folded graph,
-        emitting only the edges whose ids are not in `dropped`, so the
-        survivors keep their snapshot numbers; enum maps each engine edge id
-        to its signed snapshot id (negative when the engine edge runs
-        against its label)."""
+        """(graph, enum): the folded graph as a LabeledGraph, every edge
+        oriented along its positive label, leaving out the edges whose ids
+        are in `dropped`. Vertices are numbered 0.. and edges 1.. in the
+        order a breadth-first walk of the whole folded graph from the base
+        first meets them, taking each vertex's directions in (|label|, sign)
+        order (`_order`), so the numbering does not depend on the order the
+        folds were made in, and label-isomorphic based graphs emit
+        identically; the survivors of `dropped` keep their numbers. enum
+        maps each engine edge id to its signed number (negative when the
+        engine edge runs against its label)."""
         vnum = {self.base: 0}
         enum = {}
         edges = {}
-        vals = {} if self.track else None
         queue = [self.base]
         for v in queue:
             out = v.out
@@ -278,7 +276,7 @@ class Folder:
                 eid = abs(d)
                 if eid in enum:
                     continue
-                o, t, lab, val = self.edges[eid]
+                o, t, lab, _ = self.edges[eid]
                 h = t if d > 0 else o
                 if h not in vnum:
                     vnum[h] = len(vnum)
@@ -287,19 +285,17 @@ class Folder:
                 enum[eid] = k if lab > 0 else -k
                 if eid in dropped:
                     continue
-                if lab < 0:
-                    o, t, lab, val = t, o, -lab, invert_letters(val)
-                edges[k] = (vnum[o], vnum[t], lab)
-                if vals is not None:
-                    vals[k] = val
-        return LabeledGraph._derived(edges, base, vals), enum
+                edges[k] = ((vnum[t], vnum[o], -lab) if lab < 0
+                            else (vnum[o], vnum[t], lab))
+        return LabeledGraph._derived(edges, base), enum
 
     def _prune(self):
         """(dropped, tail) for the Stallings core: `dropped` holds the ids of
         the edges deleted by repeatedly deleting every leaf but the base,
         and `tail` the directions of the arc that then runs from the base to
         the first vertex where it would stop being a leaf (empty when the
-        base lies on the core). The folded graph itself is left as it is."""
+        base lies on the core). The folded graph itself is left as it is.
+        Raises FoldError when nothing is left: the core is trivial."""
         base = self.base
         live = {}  # vertex -> valence left, for the vertices pruning touched
         dropped = set()
@@ -317,6 +313,10 @@ class Folder:
             k = live[h] = live.get(h, h.valence) - 1
             if k == 1 and h is not base:
                 leaves.append(h)
+        # a nonempty remainder has a vertex of valence 1 besides the base
+        # unless it holds a cycle, so pruning a tree leaves nothing
+        if len(dropped) == len(self.edges):
+            raise FoldError("trivial core")
         tail = []
         v, back = base, None
         while len(outs := [d for ds in v.out.values() for d in ds
@@ -327,13 +327,10 @@ class Folder:
         return dropped, tail
 
     def core(self):
-        """The Stallings core, unbased: the snapshot with every hanging tree
-        pruned away, the survivors keeping their snapshot numbers."""
+        """The Stallings core, unbased: the emitted graph with every hanging
+        tree pruned away, the survivors keeping their numbers."""
         dropped, tail = self._prune()
-        core = self._emit(dropped.union(map(abs, tail)), None)[0]
-        if not core.edges:
-            raise FoldError("trivial core")
-        return core
+        return self._emit(dropped.union(map(abs, tail)), None)[0]
 
     def core_edges(self):
         """The Stallings core's edges as (origin id, terminus id, positive
@@ -341,31 +338,25 @@ class Folder:
         off the engine's own vertices with no walk and no numbering."""
         dropped, tail = self._prune()
         dropped.update(map(abs, tail))
-        edges = [(t.id, o.id, -lab) if lab < 0 else (o.id, t.id, lab)
-                 for eid, (o, t, lab, _) in self.edges.items()
-                 if eid not in dropped]
-        if not edges:
-            raise FoldError("trivial core")
-        return edges
+        return [(t.id, o.id, -lab) if lab < 0 else (o.id, t.id, lab)
+                for eid, (o, t, lab, _) in self.edges.items()
+                if eid not in dropped]
 
     def based_core(self):
         """(core, tail, attach, based graph): the based graph is the
-        snapshot pruned down to the core and the hanging arc from the base
-        to it, the nearest-point arc; `tail` is that arc as directions of
-        the based graph, `attach` its core end, and the core is the based
+        emitted graph pruned down to the core and the hanging arc from the
+        base to it, the nearest-point arc; `tail` is that arc as directions
+        of the based graph, `attach` its core end, and the core is the based
         graph without it, keeping the base only if the base lies on it.
-        Numbers are the snapshot's."""
+        Numbers are those of the whole folded graph's walk."""
         dropped, tail = self._prune()
         based, enum = self._emit(dropped)
         tail = tuple(enum[d] if d > 0 else -enum[-d] for d in tail)
         arc = set(map(abs, tail))
         edges = {k: e for k, e in based.edges.items() if k not in arc}
-        if not edges:
-            raise FoldError("trivial core")
-        vals = based.vals and {k: based.vals[k] for k in edges}
         attach = based.head(tail[-1]) if tail else based.base
-        return (LabeledGraph._derived(edges, None if tail else based.base,
-                                      vals), tail, attach, based)
+        return (LabeledGraph._derived(edges, None if tail else based.base),
+                tail, attach, based)
 
 
 class LabeledGraph:
@@ -373,27 +364,26 @@ class LabeledGraph:
 
     Edges: eid -> (origin, terminus, positive label). Directed edges are
     +eid/-eid. `base` may be None for unbased (core) forms. The folding
-    engine emits snapshots and cores already pruned and numbered.
+    engine emits cores already pruned and numbered.
     """
 
-    def __init__(self, edges, base, vals=None):
-        self._fill(dict(edges), base, dict(vals) if vals else None)
+    def __init__(self, edges, base):
+        self._fill(dict(edges), base)
         # two directions with one label at a vertex share one map entry
         if sum(map(len, self._out.values())) != 2 * len(self.edges):
             raise FoldError("not an immersion")
 
     @classmethod
-    def _derived(cls, edges, base, vals=None):
+    def _derived(cls, edges, base):
         """The graph with no check, for one derived from a folded graph
-        (snapshots, cores); it keeps the given dicts."""
+        (cores); it keeps the given dict."""
         G = object.__new__(cls)
-        G._fill(edges, base, vals or None)
+        G._fill(edges, base)
         return G
 
-    def _fill(self, edges, base, vals):
+    def _fill(self, edges, base):
         self.edges = edges
         self.base = base
-        self.vals = vals
         self.vertices = set()
         for o, t, _ in edges.values():
             self.vertices.add(o)
@@ -455,19 +445,16 @@ class LabeledGraph:
     def path_labels(self, path):
         return tuple([self.label_of(d) for d in path])
 
-    def dval(self, d):
-        val = self.vals[abs(d)]
-        return val if d > 0 else invert_letters(val)
-
 
 def fold_words(word_list, track_history=False):
     """Fold the wedge of loops spelling the given signed-label words and
-    return the folded `Folder`; take its `snapshot`, `core`, `core_edges`
-    or `based_core`.
+    return the folded `Folder`; take its `core`, `core_edges` or
+    `based_core`.
 
     With history every loop is attached whole and folded in the fixed fold
     order; without, each word in turn is read through the graph folded so
-    far (`Folder.add_word`). The snapshot is the same graph either way."""
+    far (`Folder.add_word`). The folded graph is the same either way, and
+    so are the cores its walk numbers."""
     fo = Folder(track_history)
     for i, w in enumerate(word_list):
         if track_history:
@@ -479,24 +466,23 @@ def fold_words(word_list, track_history=False):
     return fo
 
 
-def is_full_rose(gr, n):
-    """True iff the folded graph is the rank-n rose with one petal per label."""
-    if len(gr.edges) != n:
-        return False
-    labels = set()
-    for o, t, lab in gr.edges.values():
-        if o != gr.base or t != gr.base:
-            return False
-        labels.add(lab)
-    return labels == set(range(1, n + 1))
+def fold_onto(word_list, graph, base, track_history=False):
+    """Fold the loops spelled by `word_list` over the edge alphabet of
+    `graph` and return each edge id's transfer word, oriented along its
+    label, when the fold is a copy of `graph` based at `base`; else None.
 
-
-def rose_petal_values(gr, n):
-    """Transfer words of the rose petals, indexed by label."""
-    out = []
-    for i in range(1, n + 1):
-        d = gr.step(gr.base, i)
-        if d is None:
-            raise FoldError("no rose petal labelled %d" % i)
-        out.append(gr.dval(d))
-    return out
+    The copy test reads the engine's own edges: as many edges and
+    vertices as `graph`, each edge id on exactly one edge, and the base's
+    directions those of `base`. (For closed paths at `base` the fold
+    immerses into `graph` base to base, so these make it an isomorphism.)
+    Without history every transfer word is empty. With it, the words are
+    then a free basis of pi_1, and the transfer words along a closed path
+    at the base spell its element in that basis, x_i for word i."""
+    fo = fold_words(word_list, track_history)
+    if (len(fo.edges) != len(graph.edges)
+            or len(fo.vertices) != len(graph.vertices)
+            or set(fo.base.out) != set(graph.directions(base))):
+        return None
+    vals = {abs(lab): val if lab > 0 else invert_letters(val)
+            for _, _, lab, val in fo.edges.values()}
+    return vals if vals.keys() == graph.edges.keys() else None

@@ -10,7 +10,7 @@ every edge, so reading them in lockstep from the two basepoints
 isomorphism.
 """
 
-from .covers import stallings_core
+from .covers import based_core
 from .words import basis_word
 from .graphs import CoreGraph, chain_hull
 from .marked import (CertificateError, MarkedGraph, MarkingError,
@@ -38,8 +38,7 @@ def _retract(x):
     n = x.rank
     if n < 2:
         raise MarkingError("rank must be at least 2")
-    sub = stallings_core([basis_word(i, n) for i in range(1, n)], x,
-                         based=True)
+    sub = based_core([basis_word(i, n) for i in range(1, n)], x)
     core = sub.core
     graph = CoreGraph._derived(sorted(core.vertices), {
         eid: (o, t) for eid, (o, t, _) in core.edges.items()})
@@ -50,7 +49,7 @@ def _retract(x):
 def retract_r(x):
     """Based core of <a_1..a_{n-1}>: the basepoint moves to the nearest core
     point and marking loops get conjugated through the trim tail
-    (`covers.stallings_core`; the expansion of a_i is marking path i)."""
+    (`covers.based_core`; the expansion of a_i is marking path i)."""
     return _retract(x)[0].naturalize(keep_base=True)[0]
 
 

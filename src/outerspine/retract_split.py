@@ -14,8 +14,8 @@ from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     substitute)
 from .graphs import CoreGraph, chain_hull
 from .marked import CertificateError, MarkedGraph, collapse_certificate
-from .covers import (CoreSubgraphWitness, FreeFactorSystem, core_images,
-                     stallings_core)
+from .covers import (CoreSubgraphWitness, FreeFactorSystem, based_core,
+                     core_images)
 
 
 class SplitError(ValueError):
@@ -168,15 +168,15 @@ def _ray_label_stream(ray, G):
     return eventually_periodic_form(head, z_path)
 
 
-def attach_point(sub, ray):
-    """Trace the ray's reduced infinite word through a vertex group's based
-    core (`covers.stallings_core(..., based=True)`).
+def attach_point(G, sub, ray):
+    """Trace the ray's reduced infinite word, read in G's marking, through
+    a vertex group's based core over G (`covers.based_core`).
 
     Returns (Q, alpha): the nearest core point to the ideal endpoint and the
     in-core path from the attach vertex q to Q. Errors out when the trace
     cycles (ideal point in the vertex group's boundary).
     """
-    head, period = _ray_label_stream(ray, sub.ambient)
+    head, period = _ray_label_stream(ray, G)
     based, core = sub.based, sub.core
 
     pos = based.base
@@ -241,8 +241,8 @@ def _retract(G, data):
     are the images of a basis under an isomorphism F_n -> pi_1: they
     generate, which is what `MarkedGraph`'s check would refold to learn."""
     bp = data.blueprint
-    subs = [stallings_core(gens, G, based=True) for gens in bp.vertex_gens]
-    (Q0, alpha0), (Q1, alpha1) = [attach_point(sub, ray) for sub, ray
+    subs = [based_core(gens, G) for gens in bp.vertex_gens]
+    (Q0, alpha0), (Q1, alpha1) = [attach_point(G, sub, ray) for sub, ray
                                   in zip((subs[0], subs[-1]), data.rays)]
     # the cores side by side; vshift and eshift end as the last core's
     edges, labels, verts = {}, {}, []

@@ -405,18 +405,16 @@ def is_automorphism(f):
 
     The decision folds the wedge of image loops: the images generate F_n
     freely iff the folded graph is the rank-n rose with each basis letter on
-    exactly one petal. The fold tracks history, so the petals' transfer
-    words are then the images of the inverse.
+    exactly one petal (`folding.fold_onto`). The fold tracks history, so the
+    petals' transfer words, reduced and spelled in x_1..x_rank, one letter
+    per image, are then the images of the inverse.
     """
-    from . import folding
+    from . import folding, graphs
 
-    gr = folding.fold_words([im.letters for im in f.images],
-                            track_history=True).snapshot()
-    if not folding.is_full_rose(gr, f.rank):
+    vals = folding.fold_onto([im.letters for im in f.images],
+                             graphs.rose(f.rank), 0, track_history=True)
+    if vals is None:
         return None
-    # the petals' transfer words are reduced by the fold and spelled in
-    # x_1..x_rank, one letter per image
-    inv_images = folding.rose_petal_values(gr, f.rank)
-    inv = Endomorphism(f.rank, tuple(ReducedWord._derived(v, f.rank)
-                                     for v in inv_images))
+    inv = Endomorphism(f.rank, tuple(ReducedWord._derived(vals[i], f.rank)
+                                     for i in range(1, f.rank + 1)))
     return Automorphism(f, inv)

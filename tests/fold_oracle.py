@@ -1,18 +1,22 @@
 """Test oracle: the two folding machines the library used before it had one
 engine. `_Fold` scanned every live edge for each fold (quadratic) and took
 folds from an unordered queue; `_FoldState` was the spine's own fold loop
-(least vertex, first label collision in |eid| order). `canonical` renumbers
-a folded graph by first visit from the base, as `Folder.snapshot` does, so
+(least vertex, first label collision in |eid| order). `snapshot` is a
+folded engine's whole graph, numbered by first visit from the base as its
+cores are, and `canonical` renumbers any folded graph the same way, so
 graphs folded in different orders compare exactly. `pruned` and
 `based_core_and_tail` are the cores as they were cut from a snapshot, in
 two prunings, before the engine pruned and numbered each core in one walk;
-`Folded` serves them in place of a folded engine. Only the differential
-tests in test_fold_engine.py import this module.
+`Folded` serves them in place of a folded engine. `check_folded_is_graph`,
+`inverse_marking_values`, `is_full_rose` and `rose_petal_values` are the
+checks that a fold is a copy of a graph, and its transfer words, as they
+were read off a snapshot before `folding.fold_onto`. The folding tests
+import this module.
 """
 
-from outerspine import graphs
+from outerspine import folding, graphs
 from outerspine.folding import FoldError, LabeledGraph, _mul
-from outerspine.marked import MarkedGraph, equivalent
+from outerspine.marked import MarkedGraph, MarkingError, equivalent
 from outerspine.spine import (SpineError, SpinePath, SpineStep, _hulls,
                               _tree_collapse_to_rose)
 from outerspine.words import invert_letters, substitute
@@ -170,7 +174,7 @@ class _Fold:
             edges[eid] = (vmap[self.find(o)], vmap[self.find(t)], lab)
             if self.track:
                 vals[eid] = val
-        return LabeledGraph(edges, vmap[self.find(self.base)], vals)
+        return tracked(edges, vmap[self.find(self.base)], vals)
 
 
 
@@ -180,6 +184,89 @@ def fold_words(word_list, track_history=False):
         st.add_loop(tuple(w), i + 1)
     st.fold_all()
     return st.snapshot()
+
+
+def tracked(edges, base, vals):
+    """The LabeledGraph of `edges` carrying `vals`, its edges' transfer
+    words along their labels (None for a fold without history); the
+    library's graphs carry none."""
+    gr = LabeledGraph(edges, base)
+    gr.vals = vals
+    return gr
+
+
+def snapshot(folder):
+    """The folded graph of a `folding.Folder` as a LabeledGraph, every edge
+    along its positive label, numbered as its cores are: by first visit
+    in a breadth-first walk from the base; with the engine's transfer
+    words when it tracks history."""
+    gr, enum = folder._emit(())
+    vals = None
+    if folder.track:
+        vals = {}
+        for eid, k in enum.items():
+            val = folder.edges[eid][3]
+            vals[abs(k)] = val if k > 0 else invert_letters(val)
+    return tracked(gr.edges, gr.base, vals)
+
+
+def dval(gr, d):
+    """Transfer word of the direction d of a tracked LabeledGraph."""
+    val = gr.vals[abs(d)]
+    return val if d > 0 else invert_letters(val)
+
+
+def check_folded_is_graph(folded, graph, base):
+    """MarkedGraph._check_folded_is_graph as it was, for the graph and
+    basepoint of a marking: raises MarkingError unless the snapshot
+    `folded` is a copy of `graph` with its base at `base`."""
+    # a rank-dropping (relation) fold leaves every edge once but fewer
+    # loops, and its transfer words are then no inverse marking
+    if (len(folded.edges) != len(graph.edges)
+            or folded.rank != graph.rank):
+        raise MarkingError("marking images do not generate pi_1")
+    labels = {}
+    for eid, (o, t, lab) in folded.edges.items():
+        if lab in labels:
+            raise MarkingError("marking fold duplicated an edge")
+        labels[lab] = (o, t)
+    if set(labels) != set(graph.edges):
+        raise MarkingError("marking fold missed edges")
+    base_labels = {folded.label_of(d) for d in folded.directions(folded.base)}
+    if base_labels != set(graph.directions(base)):
+        raise MarkingError("marking fold base mismatch")
+
+
+def inverse_marking_values(marking, graph, base):
+    """MarkedGraph.inverse_marking_values as it was: the history fold's
+    snapshot checked, then each edge's transfer word by label."""
+    folded = snapshot(folding.fold_words(marking, track_history=True))
+    check_folded_is_graph(folded, graph, base)
+    return {lab: dval(folded, eid)
+            for eid, (o, t, lab) in folded.edges.items()}
+
+
+def is_full_rose(gr, n):
+    """True iff the folded graph is the rank-n rose with one petal per label."""
+    if len(gr.edges) != n:
+        return False
+    labels = set()
+    for o, t, lab in gr.edges.values():
+        if o != gr.base or t != gr.base:
+            return False
+        labels.add(lab)
+    return labels == set(range(1, n + 1))
+
+
+def rose_petal_values(gr, n):
+    """Transfer words of the rose petals, indexed by label."""
+    out = []
+    for i in range(1, n + 1):
+        d = gr.step(gr.base, i)
+        if d is None:
+            raise FoldError("no rose petal labelled %d" % i)
+        out.append(dval(gr, d))
+    return out
 
 
 def canonical(gr):
@@ -202,7 +289,7 @@ def canonical(gr):
     edges = {enum[eid]: (vnum[o], vnum[t], lab)
              for eid, (o, t, lab) in gr.edges.items()}
     vals = {enum[eid]: val for eid, val in gr.vals.items()} if gr.vals else None
-    return LabeledGraph(edges, 0, vals)
+    return tracked(edges, 0, vals)
 
 
 class _FoldState:
@@ -416,7 +503,7 @@ def pruned(gr, keep=()):
     edges = {eid: gr.edges[eid] for eid in alive}
     vals = {eid: gr.vals[eid] for eid in alive} if gr.vals else None
     base = gr.base if (gr.base is not None and gr.base not in gone) else None
-    return LabeledGraph(edges, base, vals)
+    return tracked(edges, base, vals)
 
 
 def based_core_and_tail(gr):
@@ -448,14 +535,11 @@ class Folded:
     def __init__(self, gr):
         self.gr = gr
 
-    def snapshot(self):
-        return self.gr
-
     def core(self):
         core = pruned(self.gr)
         if not core.edges:
             raise FoldError("trivial core")
-        return LabeledGraph(core.edges, None, core.vals)
+        return tracked(core.edges, None, core.vals)
 
     def based_core(self):
         return based_core_and_tail(self.gr)

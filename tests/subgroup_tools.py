@@ -1,7 +1,7 @@
 """Subgroup-graph helpers that only the tests use: conjugacy of two
 subgroups by isomorphism of their cores, conjugate-into by a morphism of
 cores, the partial order on free factor systems, and free generators read
-off a core's spanning tree."""
+off a based core's spanning tree."""
 
 from outerspine.covers import (CoverError, labeled_isomorphism,
                                labeled_morphisms)
@@ -10,9 +10,8 @@ from outerspine.words import invert_letters
 
 
 def subgroups_conjugate(A, B):
-    if A.ambient is not B.ambient:
-        raise CoverError("subgroup graphs over different marked graphs")
-    return labeled_isomorphism(A.core, B.core) is not None
+    """Two subgroups' unbased cores over one marked graph are isomorphic."""
+    return labeled_isomorphism(A, B) is not None
 
 
 def conjugate_into(K1, K2):
@@ -29,19 +28,17 @@ def ffs_partial_order(F1, F2):
     cores1 = F1.cores_over(G)
     cores2 = F2.cores_over(G)
     for K1 in cores1:
-        if not any(conjugate_into(K1.core, K2.core) for K2 in cores2):
+        if not any(conjugate_into(K1, K2) for K2 in cores2):
             return False
     return True
 
 
 def subgroup_generators(sub, G):
-    """Free generators of the subgroup, read off a spanning tree of the core.
-
-    Based form gives exact elements; unbased gives a conjugacy representative,
-    read at the ambient vertex under the tree's root.
-    """
+    """Free generators of the subgroup of a based core
+    (`covers.based_core`), read off a spanning tree of the core rooted at
+    the attach vertex and closed up through the tail: exact elements."""
     core = sub.core
-    root = sub.attach if sub.attach is not None else min(core.vertices)
+    root = sub.attach
     tree_path = {root: ()}
     frontier = [root]
     while frontier:
@@ -57,11 +54,7 @@ def subgroup_generators(sub, G):
     for p in tree_path.values():
         for d in p:
             tree_edges.add(abs(d))
-    pre = tuple(sub.tail_labels) if sub.tail_labels else ()
-    if sub.tail_labels is not None:
-        at = G.basepoint
-    else:
-        at = G.graph.tail(core.label_of(core.directions(root)[0]))
+    pre = sub.tail_labels
     gens = []
     for eid in sorted(core.edges):
         if eid in tree_edges:
@@ -69,5 +62,5 @@ def subgroup_generators(sub, G):
         o, t, _ = core.edges[eid]
         loop = tree_path[o] + (eid,) + invert_letters(tree_path[t])
         labels = pre + core.path_labels(loop) + invert_letters(pre)
-        gens.append(G.path_to_word(labels, at_vertex=at))
+        gens.append(G.path_to_word(labels))
     return gens

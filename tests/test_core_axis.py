@@ -52,11 +52,11 @@ def oracle_realizes(G, components):
 
 def numbered_core_images(G, F):
     """`covers.core_images` as it was: each component's image read off its
-    numbered core, `stallings_core(gens, G).core`."""
+    numbered core, `stallings_core(gens, G)`."""
     images = []
     used = set()
     for gens in F.components:
-        core = stallings_core(gens, G).core
+        core = stallings_core(gens, G)
         image = {}
         for o, t, lab in core.edges.values():
             image[o], image[t] = G.graph.edges[lab]
@@ -108,7 +108,7 @@ def generators(rng, G, kind):
 
 
 def check_case(rng, G, gens):
-    new = stallings_core(gens, G).core
+    new = stallings_core(gens, G)
     old = whole_words_core(gens, G)
     assert labeled_isomorphism(new, old) is not None
     assert 0 in new.vertices   # the fold's base lies on the core
@@ -161,7 +161,7 @@ def test_axis_core_of_tailed_cyclic_word():
                      "basepoint: v0\n")
     for gens in ([basis_word(2, 3)],
                  [basis_word(2, 3).conjugate_by(ReducedWord((1, 3), 3))]):
-        core = stallings_core(gens, G).core
+        core = stallings_core(gens, G)
         assert list(core.edges.values()) == [(0, 0, 2)]
         assert labeled_isomorphism(core, whole_words_core(gens, G))
 

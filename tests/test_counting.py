@@ -140,9 +140,9 @@ def test_lipschitz_audit_folds_each_core_once(monkeypatch):
     folded = []
     fold = counting.stallings_core
 
-    def counting_fold(gens, G, based=False):
+    def counting_fold(gens, G):
         folded.append(gens)
-        return fold(gens, G, based)
+        return fold(gens, G)
 
     monkeypatch.setattr(counting, "stallings_core", counting_fold)
     n = 3

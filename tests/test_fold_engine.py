@@ -1,22 +1,23 @@
 """Seeded differential tests of the folding engine against the two machines
 it replaced (tests/fold_oracle.py). The oracle's graphs are compared after
-`fold_oracle.canonical`, the first-visit numbering `Folder.snapshot` uses,
-so the untracked read-then-attach fold meets the oracle's whole-loop fold
-edge for edge. The engine's one-walk cores are compared with the oracle's
-two prunings of the same snapshot, and its unnumbered `core_edges` with
-those cores."""
+`fold_oracle.canonical`, the first-visit numbering of
+`fold_oracle.snapshot` and of the engine's cores, so the untracked
+read-then-attach fold meets the oracle's whole-loop fold edge for edge.
+The engine's one-walk cores are compared with the oracle's two prunings of
+the same snapshot, its unnumbered `core_edges` with those cores, and
+`folding.fold_onto` with the snapshot checks it replaced."""
 
 import random
 
 import pytest
 
 import fold_oracle
-from outerspine import covers, folding, sampling, spine, textio
-from outerspine.folding import (FoldError, LabeledGraph, fold_words,
-                                rose_petal_values)
-from outerspine.marked import MarkedGraph
+from outerspine import covers, folding, graphs, sampling, spine, textio
+from outerspine.folding import FoldError, LabeledGraph, fold_onto, fold_words
+from outerspine.marked import MarkedGraph, MarkingError
 from outerspine.retract_split import SplittingBlueprint, in_CVKT
-from outerspine.words import basis_word, reduce_letters, substitute, word
+from outerspine.words import (Endomorphism, basis_word, is_automorphism,
+                              reduce_letters, substitute, word)
 
 
 def random_wedge(rng, n):
@@ -55,11 +56,11 @@ def assert_same_graph(a, b):
 
 def assert_cores_match_oracle(folded):
     """The engine's cores of a folded graph equal the oracle's prunings of
-    its snapshot: identical edges, vertices, base and transfer words, and
-    the same tail and attach vertex; `core_edges`, unnumbered, spells a
+    its snapshot: identical edges, vertices and base, and the same tail
+    and attach vertex; `core_edges`, unnumbered, spells a
     graph label-isomorphic to the core; a trivial core raises either way.
     Returns whether the based graph has a tail."""
-    gr = folded.snapshot()
+    gr = fold_oracle.snapshot(folded)
     if not fold_oracle.pruned(gr).edges:
         for entry in (folded.core, folded.core_edges, folded.based_core):
             with pytest.raises(FoldError):
@@ -71,8 +72,7 @@ def assert_cores_match_oracle(folded):
     pairs = list(zip((old[0], old[3]), (new[0], new[3])))
     pairs.append((fold_oracle.Folded(gr).core(), folded.core()))
     for a, b in pairs:
-        assert (b.edges, b.vertices, b.base, b.vals) == \
-            (a.edges, a.vertices, a.base, a.vals)
+        assert (b.edges, b.vertices, b.base) == (a.edges, a.vertices, a.base)
     edges = LabeledGraph(dict(enumerate(folded.core_edges(), 1)), None)
     assert covers.labeled_isomorphism(edges, pairs[-1][1]) is not None
     return bool(new[1])
@@ -101,7 +101,8 @@ def evaluate(xword, words):
 def transfer(gr, path):
     """Transfer word of a path in the tracked graph gr, freely reduced
     (closed paths at the base give exact values)."""
-    return reduce_letters([x for d in path for x in gr.dval(d)])[0]
+    return reduce_letters([x for d in path
+                           for x in fold_oracle.dval(gr, d)])[0]
 
 
 def assert_transfers_spell(gr, words):
@@ -121,11 +122,10 @@ def test_wedges_match_oracle(n):
         words = random_wedge(rng, n)
         old = fold_oracle.canonical(fold_oracle.fold_words(words))
         folded = fold_words(words)
-        new = folded.snapshot()
-        assert_same_graph(old, new)
+        assert_same_graph(old, fold_oracle.snapshot(folded))
         tracked = fold_words(words, track_history=True)
-        assert_same_graph(old, tracked.snapshot())
-        assert_transfers_spell(tracked.snapshot(), words)
+        assert_same_graph(old, fold_oracle.snapshot(tracked))
+        assert_transfers_spell(fold_oracle.snapshot(tracked), words)
         if old.rank < sum(1 for w in words if reduce_letters(w)[0]):
             relation_folds += 1
         assert_cores_match_oracle(folded)
@@ -145,7 +145,7 @@ def test_cores_match_oracle(n):
         for track in (False, True):
             folded = fold_words(words, track_history=track)
             tails += assert_cores_match_oracle(folded)
-            trivial += not folded.snapshot().rank
+            trivial += not fold_oracle.snapshot(folded).rank
     assert tails > 40 and trivial > 5
 
 
@@ -156,10 +156,12 @@ def test_bases_match_oracle(n):
         words = random_basis(rng, n)
         old = fold_oracle.canonical(
             fold_oracle.fold_words(words, track_history=True))
-        new = fold_words(words, track_history=True).snapshot()
+        new = fold_oracle.snapshot(fold_words(words, track_history=True))
         assert_same_graph(old, new)
         assert new.vals == old.vals
-        assert rose_petal_values(new, n) == rose_petal_values(old, n)
+        petals = fold_onto(words, graphs.rose(n), 0, track_history=True)
+        assert fold_oracle.rose_petal_values(old, n) == \
+            [petals[i] for i in range(1, n + 1)]
         for i, w in enumerate(words, 1):
             path, end, _ = new.trace(new.base, w)
             assert end == new.base and transfer(new, path) == (i,)
@@ -234,8 +236,7 @@ def conjugated_system(rng, n):
 
 def based_cores(system, G):
     return [(K.core.edges, K.attach, K.tail_labels, K.loops)
-            for K in (covers.stallings_core(gens, G, based=True)
-                      for gens in system)]
+            for K in (covers.based_core(gens, G) for gens in system)]
 
 
 def test_membership_matches_whole_loop_fold(monkeypatch):
@@ -268,13 +269,13 @@ def test_membership_matches_whole_loop_fold(monkeypatch):
 
 def subgroup_cores(gens, G):
     K = covers.stallings_core(gens, G)
-    B = covers.stallings_core(gens, G, based=True)
-    return ([(g.edges, g.vertices, g.base) for g in (K.core, B.core, B.based)]
+    B = covers.based_core(gens, G)
+    return ([(g.edges, g.vertices, g.base) for g in (K, B.core, B.based)]
             + [B.tail_labels, B.attach, B.loops])
 
 
 def test_subgroup_cores_match_oracle(monkeypatch):
-    """`covers.stallings_core`, unbased and based, over random marked
+    """`covers.stallings_core` and `covers.based_core` over random marked
     graphs, from the engine's cores and from the oracle's prunings of the
     same snapshots: identical core and based graphs, tails, attach
     vertices and generator loops. Each generator is conjugated by a shared
@@ -283,7 +284,8 @@ def test_subgroup_cores_match_oracle(monkeypatch):
     real = folding.fold_words
 
     def oracle(word_list, track_history=False):
-        return fold_oracle.Folded(real(word_list, track_history).snapshot())
+        return fold_oracle.Folded(
+            fold_oracle.snapshot(real(word_list, track_history)))
 
     rng = random.Random(1901)
     tails = 0
@@ -307,3 +309,109 @@ def test_subgroup_cores_match_oracle(monkeypatch):
             assert subgroup_cores(gens, G) == new
         tails += bool(new[3])
     assert tails > 40
+
+
+def relabeled(words, old, new):
+    """The words with edge id `old` read as `new`."""
+    return [tuple(new if d == old else -new if d == -old else d for d in w)
+            for w in words]
+
+
+def marking_cases(rng, n):
+    """(words, graph, base) over one random marked graph G of rank n: G's
+    marking; the marking with one path replaced by a product of two others,
+    a relation that drops the rank; the marking rebased to another vertex
+    but checked at G's basepoint; and the marking with one edge id read as
+    a fresh id, so the fold misses an edge of G, or as another edge's id,
+    so the fold may hold that id twice."""
+    G = sampling.random_marked_graph(rng, n, rng.randint(0, 3))
+    graph, base, marking = G.graph, G.basepoint, list(G.marking)
+    i = rng.randrange(n)
+    j, k = (rng.choice([x for x in range(n) if x != i]) for _ in range(2))
+    relation = list(marking)
+    relation[i] = reduce_letters(marking[j] + marking[k])[0]
+    e = rng.choice(sorted(graph.edges))
+    f = rng.choice([x for x in graph.edges if x != e])
+    cases = [marking, relation, relabeled(marking, e, max(graph.edges) + 1),
+             relabeled(marking, e, f)]
+    others = sorted(graph.vertices - {base})
+    if others:
+        cases.append(list(G.rebase(rng.choice(others)).marking))
+    return [(words, graph, base) for words in cases]
+
+
+def oracle_verdict(words, graph, base, track):
+    """The snapshot check's message, or None when the fold is a copy."""
+    folded = fold_oracle.snapshot(fold_words(words, track))
+    try:
+        fold_oracle.check_folded_is_graph(folded, graph, base)
+    except MarkingError as e:
+        return str(e)
+    return None
+
+
+def test_fold_onto_matches_snapshot_checks():
+    """`fold_onto` against the snapshot checks it replaced, plain and with
+    history, on valid markings, rank-dropping relations, markings moved
+    off the base and markings that miss or double an edge: the same
+    verdict, and on a copy the same transfer word for every edge. Each of
+    the old check's four messages occurs."""
+    theta = graphs.theta_graph()
+    # e1, e2 join the base 0 and the vertex 1, which carries the loop e3
+    lasso = graphs.CoreGraph([0, 1], {1: (0, 1), 2: (1, 0), 3: (1, 1)})
+    # the fold of (1, 1), (2, 1) is a theta whose edges read 1, 1, 2; that
+    # of (1, -2), (1, -4) a theta whose edges read 1, 2, 4; and the loop
+    # (1, 3, 2) with its square folds to the circle e1 e3 e2: each edge
+    # once and the base's directions right, but on three vertices
+    cases = [([(1, 1), (2, 1)], theta, 0), ([(1, -2), (1, -4)], theta, 0),
+             ([(1, 3, 2), (1, 3, 2) * 2], lasso, 0)]
+    rng = random.Random(3300)
+    for _ in range(60):
+        cases += marking_cases(rng, rng.randint(2, 4))
+    messages = {}
+    for words, graph, base in cases:
+        verdict = oracle_verdict(words, graph, base, False)
+        assert oracle_verdict(words, graph, base, True) == verdict
+        messages[verdict] = messages.get(verdict, 0) + 1
+        plain = fold_onto(words, graph, base)
+        tracked = fold_onto(words, graph, base, track_history=True)
+        if verdict is not None:
+            assert plain is None and tracked is None
+            continue
+        assert plain == {e: () for e in graph.edges}
+        assert tracked == fold_oracle.inverse_marking_values(words, graph,
+                                                             base)
+    assert set(messages) == {None, "marking images do not generate pi_1",
+                             "marking fold duplicated an edge",
+                             "marking fold missed edges",
+                             "marking fold base mismatch"}
+    assert min(messages.values()) >= 2
+
+
+def test_fold_onto_rose_matches_petal_checks():
+    """`fold_onto` over the rose against `is_full_rose` and
+    `rose_petal_values`, on automorphisms and on random, mostly
+    non-invertible endomorphisms; `is_automorphism` returns the petals'
+    words as the inverse."""
+    rng = random.Random(3301)
+    verdicts = []
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            f = sampling.random_token_auto(rng, n, rng.randint(1, 8)).endo
+        else:
+            f = Endomorphism(n, tuple(
+                sampling.random_reduced_word(rng, n, 4) for _ in range(n)))
+        words = [im.letters for im in f.images]
+        gr = fold_oracle.snapshot(fold_words(words, track_history=True))
+        full = fold_oracle.is_full_rose(gr, n)
+        assert (fold_onto(words, graphs.rose(n), 0) is not None) == full
+        vals = fold_onto(words, graphs.rose(n), 0, track_history=True)
+        auto = is_automorphism(f)
+        assert (vals is not None) == (auto is not None) == full
+        verdicts.append(full)
+        if full:
+            petals = fold_oracle.rose_petal_values(gr, n)
+            assert [vals[i] for i in range(1, n + 1)] == petals
+            assert [im.letters for im in auto.inverse_endo.images] == petals
+    assert 50 < sum(verdicts) < 150

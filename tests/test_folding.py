@@ -2,34 +2,32 @@ import random
 
 import pytest
 
-from outerspine import folding
-from outerspine.folding import fold_words, is_full_rose, rose_petal_values
+from fold_oracle import snapshot
+from outerspine import folding, graphs
+from outerspine.folding import LabeledGraph, fold_onto, fold_words
 from outerspine.words import word, reduce_letters
 
 
 def test_fold_basis_gives_rose():
-    gr = fold_words([(1,), (2,), (3,)]).snapshot()
-    assert is_full_rose(gr, 3)
+    assert fold_onto([(1,), (2,), (3,)], graphs.rose(3), 0) is not None
 
 
 def test_fold_theta_images():
     # theta (m=2, n=3): images e1 e2, e1, e3 generate freely
-    gr = fold_words([(1, 2), (1,), (3,)]).snapshot()
-    assert is_full_rose(gr, 3)
+    assert fold_onto([(1, 2), (1,), (3,)], graphs.rose(3), 0) is not None
 
 
 def test_fold_proper_subgroup():
-    gr = fold_words([(1, 1), (2,)]).snapshot()
-    assert not is_full_rose(gr, 2)
+    assert fold_onto([(1, 1), (2,)], graphs.rose(2), 0) is None
     # <a1 a2> core is a 2-cycle after pruning
     core = fold_words([(1, 2)]).core()
     assert len(core.edges) == 2 and core.rank == 1
 
 
 def test_history_recovers_inverse():
-    gr = fold_words([(1, 2), (1,), (3,)], track_history=True).snapshot()
-    vals = rose_petal_values(gr, 3)
-    # vals[j-1] expresses a_j in terms of x_i -> image_i
+    vals = fold_onto([(1, 2), (1,), (3,)], graphs.rose(3), 0,
+                     track_history=True)
+    # vals[j] expresses a_j in terms of x_i -> image_i
     images = [word([1, 2], 3), word([1], 3), word([3], 3)]
 
     def ev(xword):
@@ -40,7 +38,7 @@ def test_history_recovers_inverse():
         return reduce_letters(out)[0]
 
     for j in range(1, 4):
-        assert ev(vals[j - 1]) == (j,)
+        assert ev(vals[j]) == (j,)
 
 
 def test_history_random_bases():
@@ -65,10 +63,9 @@ def test_history_random_bases():
             if red:
                 imgs[i] = list(red)
         words = [tuple(w) for w in imgs]
-        gr = fold_words(words, track_history=False).snapshot()
-        assert is_full_rose(gr, n)
-        gr = fold_words(words, track_history=True).snapshot()
-        vals = rose_petal_values(gr, n)
+        rose = graphs.rose(n)
+        assert fold_onto(words, rose, 0) == {j: () for j in range(1, n + 1)}
+        vals = fold_onto(words, rose, 0, track_history=True)
 
         def ev(xword):
             out = []
@@ -78,7 +75,7 @@ def test_history_random_bases():
             return reduce_letters(out)[0]
 
         for j in range(1, n + 1):
-            assert ev(vals[j - 1]) == (j,)
+            assert ev(vals[j]) == (j,)
 
 
 def test_based_core_and_tail():
@@ -93,12 +90,11 @@ def test_based_core_and_tail():
 def test_trivial_core_raises():
     for words in ([], [()], [(), ()]):
         folded = fold_words(words)
-        gr = folded.snapshot()
+        gr = snapshot(folded)
         assert gr.edges == {} and gr.vertices == {0} and gr.base == 0
-        with pytest.raises(folding.FoldError):
-            folded.based_core()
-        with pytest.raises(folding.FoldError):
-            folded.core()
+        for core in (folded.based_core, folded.core, folded.core_edges):
+            with pytest.raises(folding.FoldError, match="trivial core"):
+                core()
 
 
 def random_word_list(rng, n):
@@ -116,43 +112,43 @@ def test_plain_fold_ignores_word_order_and_redundant_words():
     for _ in range(300):
         n = rng.randint(1, 4)
         words = random_word_list(rng, n)
-        gr = fold_words(words).snapshot()
+        gr = snapshot(fold_words(words))
         assert gr.edges == \
-            fold_words(words, track_history=True).snapshot().edges
+            snapshot(fold_words(words, track_history=True)).edges
         assert gr.base == 0
         shuffled = list(words)
         rng.shuffle(shuffled)
-        assert fold_words(shuffled).snapshot().edges == gr.edges
+        assert snapshot(fold_words(shuffled)).edges == gr.edges
         more = list(words)
         for _ in range(3):
             u, v = rng.choice(more), rng.choice(more)
             inv = tuple(-a for a in reversed(v))
             more.insert(rng.randint(0, len(more)), rng.choice(
                 [u + v, inv + u + v, reduce_letters(v + u + inv)[0]]))
-        assert fold_words(more).snapshot().edges == gr.edges
+        assert snapshot(fold_words(more)).edges == gr.edges
 
 
 def test_plain_fold_keeps_hairs_of_unreduced_words():
     # the backtrack a1 a1^-1 folds to a hanging edge
-    assert fold_words([(1, -1, 2)]).snapshot().edges == {1: (0, 1, 1),
-                                                         2: (0, 0, 2)}
+    assert snapshot(fold_words([(1, -1, 2)])).edges == {
+        1: (0, 1, 1), 2: (0, 0, 2)}
     # a pure conjugator c c^-1 is all hair
-    assert fold_words([(1, 2, -2, -1)]).snapshot().edges == {1: (0, 1, 1),
-                                                             2: (1, 2, 2)}
+    assert snapshot(fold_words([(1, 2, -2, -1)])).edges == {
+        1: (0, 1, 1), 2: (1, 2, 2)}
     # both reads stop at the base: the conjugator a2 is laid down as an arc
     # and only a3 closes into a loop at its end
-    assert fold_words([(1,), (2, 3, -2)]).snapshot().edges == {
+    assert snapshot(fold_words([(1,), (2, 3, -2)])).edges == {
         1: (0, 0, 1), 2: (0, 1, 2), 3: (1, 1, 3)}
 
 
 def test_plain_fold_merges_a_word_read_through():
     # a1 is read completely to the middle of the a1 a1 cycle, whose two
     # vertices then merge: a relation fold, so the rank drops to 1
-    gr = fold_words([(1, 1), (1,)]).snapshot()
+    gr = snapshot(fold_words([(1, 1), (1,)]))
     assert gr.edges == {1: (0, 0, 1)} and gr.rank == 1
     # a1 a4 is read forward to a1's end and backward to a3's end: the two
     # reads meet mid-word and their ends merge
-    gr = fold_words([(1, 2), (3, 4), (1, 4)]).snapshot()
+    gr = snapshot(fold_words([(1, 2), (3, 4), (1, 4)]))
     assert gr.edges == {1: (0, 1, 1), 2: (1, 0, 2), 3: (0, 1, 3),
                         4: (1, 0, 4)}
 
@@ -172,7 +168,24 @@ def test_plain_fold_attaches_only_the_unread_middle(monkeypatch):
     c = (2, -3, 2, 2, 1)
     inv = tuple(-a for a in reversed(c))
     words = [inv + (a,) + c for a in (1, 3, 4)]
-    gr = fold_words(words).snapshot()
+    gr = snapshot(fold_words(words))
     assert folds == [] and gr.rank == 3 and len(gr.edges) == 8
-    assert fold_words(words, track_history=True).snapshot().edges == gr.edges
+    assert snapshot(fold_words(words, track_history=True)).edges == gr.edges
     assert len(folds) == 33 - 8 and all(folds)
+
+
+def test_history_fold_raises_when_the_gauge_fails(monkeypatch):
+    """Folding two a1 edges with transfer words x1 and x2 needs a gauge
+    move at the head of the second; with the move a no-op the fold finds
+    the two words still differ."""
+    monkeypatch.setattr(folding.Folder, "_gauge", lambda self, w, g: None)
+    with pytest.raises(folding.FoldError, match="gauge failed"):
+        fold_words([(1, 2), (1, 3)], track_history=True)
+
+
+def test_labeled_graph_refuses_two_directions_of_one_label():
+    with pytest.raises(folding.FoldError, match="not an immersion"):
+        LabeledGraph({1: (0, 1, 1), 2: (0, 2, 1)}, 0)
+    with pytest.raises(folding.FoldError, match="not an immersion"):
+        LabeledGraph({1: (0, 1, 1), 2: (2, 1, 1)}, 0)
+    assert LabeledGraph({1: (0, 1, 1), 2: (1, 0, 1)}, 0).rank == 1

@@ -9,11 +9,13 @@ from outerspine.marked import MarkedGraph, equivalent
 from outerspine.witness import WitnessParams, theta, theta_powers, witness_rows
 from outerspine.words import (Endomorphism, CyclicWord, basis_word,
                               cyclic_reduce, word, is_automorphism)
-from outerspine.covers import FreeFactorSystem, stallings_core, realizes
+from outerspine.covers import (FreeFactorSystem, based_core, realizes,
+                               stallings_core)
 from outerspine.counting import build_context, count_i
 from outerspine.folding import LabeledGraph, fold_words
 from outerspine.retract_split import coindex1_to_splitting, in_CVKT
 from outerspine import sampling
+from fold_oracle import snapshot
 from subgroup_tools import ffs_partial_order, subgroups_conjugate
 
 
@@ -140,7 +142,7 @@ def test_full_basis_core_reproduces_marked_graph():
         n = rng.choice([2, 3])
         G = sampling.random_marked_graph(rng, n, rng.randint(0, 3))
         K = stallings_core([basis_word(i, n) for i in range(1, n + 1)], G)
-        assert sorted(l for _, _, l in K.core.edges.values()) == \
+        assert sorted(l for _, _, l in K.edges.values()) == \
             sorted(G.graph.edges)
 
 
@@ -167,9 +169,9 @@ def rebuilt(x):
     object. A marked graph's graph is rebuilt too, and the public
     MarkedGraph constructor runs check_generates."""
     if isinstance(x, LabeledGraph):
-        y = LabeledGraph(x.edges, x.base, x.vals)
-        assert (y.vertices, y.edges, y.base, y.vals, y.rank) == \
-            (x.vertices, x.edges, x.base, x.vals, x.rank)
+        y = LabeledGraph(x.edges, x.base)
+        assert (y.vertices, y.edges, y.base, y.rank) == \
+            (x.vertices, x.edges, x.base, x.rank)
     elif isinstance(x, graphs.CoreGraph):
         y = graphs.CoreGraph(x.vertices, x.edges)
         assert (y.vertices, y.edges, y.rank) == (x.vertices, x.edges, x.rank)
@@ -259,8 +261,8 @@ def test_pointed_derivations_rebuild_random():
 def test_folded_graph_derivations_rebuild_random():
     """Seeded subgroup generators over random spine vertices: the folded
     snapshots (with and without history), their prunings, based cores and
-    tails, and the unbased and based cores of covers.stallings_core rebuild
-    through the checking LabeledGraph constructor."""
+    tails, and the cores of covers.stallings_core and covers.based_core
+    rebuild through the checking LabeledGraph constructor."""
     rng = random.Random(37)
     for _ in range(40):
         n = rng.randint(2, 4)
@@ -270,13 +272,13 @@ def test_folded_graph_derivations_rebuild_random():
         paths = [G.expand(w.letters) for w in gens]
         for track in (False, True):
             folded = fold_words(paths, track_history=track)
-            rebuilt(folded.snapshot())
+            rebuilt(snapshot(folded))
             rebuilt(folded.core())
             core, _, _, based = folded.based_core()
             rebuilt(core)
             rebuilt(based)
-        rebuilt(stallings_core(gens, G).core)
-        rebuilt(stallings_core(gens, G, based=True).core)
+        rebuilt(stallings_core(gens, G))
+        rebuilt(based_core(gens, G).core)
 
 
 def test_word_derivations_rebuild_random():

@@ -10,8 +10,7 @@ import itertools
 import random
 
 from outerspine import sampling
-from outerspine.covers import (FreeFactorSystem, SubgroupGraph,
-                               labeled_isomorphism, realizes)
+from outerspine.covers import FreeFactorSystem, labeled_isomorphism, realizes
 from outerspine.folding import LabeledGraph
 from outerspine.graphs import CoreGraph
 from outerspine.marked import MarkedGraph
@@ -56,10 +55,10 @@ def core_prune_edges(G, edge_set):
 
 
 def component_as_labeled(G, comp_edges):
-    """A core subgraph component as a subgroup graph (identity labels)."""
+    """A core subgraph component as a core graph (identity labels)."""
     edges = {eid: (G.graph.edges[eid][0], G.graph.edges[eid][1], eid)
              for eid in comp_edges}
-    return SubgroupGraph(LabeledGraph(edges, None), G)
+    return LabeledGraph(edges, None)
 
 
 def search_realizes(G, F):
@@ -82,7 +81,7 @@ def search_realizes(G, F):
             if sorted(k.rank for k in labeled) != target_ranks:
                 continue
             for perm in itertools.permutations(range(len(cores))):
-                if all(labeled_isomorphism(labeled[i].core, cores[perm[i]].core)
+                if all(labeled_isomorphism(labeled[i], cores[perm[i]])
                        for i in range(len(cores))):
                     by_system = [None] * len(cores)
                     for i, j in enumerate(perm):

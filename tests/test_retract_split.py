@@ -10,7 +10,7 @@ from outerspine import (acceptance, cli, graphs, marked, retract_split,
 from outerspine.marked import CertificateError, MarkedGraph, equivalent
 from outerspine.words import (Endomorphism, basis_word, word, identity_word,
                               is_automorphism)
-from outerspine.covers import FreeFactorSystem, stallings_core
+from outerspine.covers import FreeFactorSystem, based_core
 from outerspine.retract_split import (SplittingBlueprint, RayDatum,
                                       RetractionData, default_retraction_data,
                                       coindex1_to_splitting, in_CVKT,
@@ -77,19 +77,19 @@ def test_attach_point_examples():
     n = 3
     bp = loop_bp(n)
     G = MarkedGraph.rose_identity(n)
-    sub = stallings_core(bp.vertex_gens[0], G, based=True)
+    sub = based_core(bp.vertex_gens[0], G)
     t = basis_word(n, n)
-    Q1, a1 = attach_point(sub, RayDatum(identity_word(n), t))
-    Q2, a2 = attach_point(sub, RayDatum(identity_word(n), t.inverse()))
+    Q1, a1 = attach_point(G, sub, RayDatum(identity_word(n), t))
+    Q2, a2 = attach_point(G, sub, RayDatum(identity_word(n), t.inverse()))
     assert Q1 == sub.attach and a1 == ()
     assert Q2 == sub.attach and a2 == ()
     # marking a3 -> e1 e3: the stable ray runs along e1 before exiting
     H = G.act(transv(n, 3, 1, side="L"))
     assert H.marking[2] == (1, 3)
-    sub = stallings_core(bp.vertex_gens[0], H, based=True)
-    Q1, a1 = attach_point(sub, RayDatum(identity_word(n), t))
+    sub = based_core(bp.vertex_gens[0], H)
+    Q1, a1 = attach_point(H, sub, RayDatum(identity_word(n), t))
     assert len(a1) == 1
-    Q2, a2 = attach_point(sub, RayDatum(identity_word(n), t.inverse()))
+    Q2, a2 = attach_point(H, sub, RayDatum(identity_word(n), t.inverse()))
     assert a2 == ()
 
 
@@ -97,10 +97,10 @@ def test_attach_point_invalid_ray():
     n = 3
     bp = loop_bp(n)
     G = MarkedGraph.rose_identity(n)
-    sub = stallings_core(bp.vertex_gens[0], G, based=True)
+    sub = based_core(bp.vertex_gens[0], G)
     from outerspine.retract_split import InvalidRay
     with pytest.raises(InvalidRay):
-        attach_point(sub, RayDatum(identity_word(n), basis_word(1, n)))
+        attach_point(G, sub, RayDatum(identity_word(n), basis_word(1, n)))
 
 
 def test_retraction_fixes_rose():
@@ -355,14 +355,14 @@ def dead_period(monkeypatch):
 def stray_attach(monkeypatch):
     """Move the attach vertex q of every vertex core to another core vertex,
     so a ray enters the core away from it."""
-    real = retract_split.stallings_core
+    real = retract_split.based_core
 
-    def moved(gens, G, based=False):
-        sub = real(gens, G, based=based)
-        sub.attach = min(v for v in sub.core.vertices if v != sub.attach)
-        return sub
+    def moved(gens, G):
+        sub = real(gens, G)
+        return sub._replace(attach=min(v for v in sub.core.vertices
+                                       if v != sub.attach))
 
-    monkeypatch.setattr(retract_split, "stallings_core", moved)
+    monkeypatch.setattr(retract_split, "based_core", moved)
 
 
 def outside(monkeypatch):

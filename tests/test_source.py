@@ -31,12 +31,16 @@ def library_calls():
 
 
 def test_core_decisions_stay_in_covers():
-    """Based cores and seeded core morphisms are computed only in covers,
-    and every core is pruned by the folding engine: no library call is
-    named `pruned`."""
-    names = {"based_core", "_labeled_extension"}
+    """Based cores and seeded core morphisms are computed only in covers:
+    the engine's `Folder.based_core` is called there alone, and other
+    modules take `covers.based_core`. Every core is pruned by the folding
+    engine: no library call is named `pruned`."""
     found = ["%s:%d" % (mod, node.lineno) for mod, node, name in library_calls()
-             if (name in names and mod != "covers.py") or name == "pruned"]
+             if (mod != "covers.py" and (
+                 name == "_labeled_extension" or (
+                     name == "based_core"
+                     and isinstance(node.func, ast.Attribute))))
+             or name == "pruned"]
     assert found == []
 
 
@@ -159,6 +163,36 @@ def test_one_collapse_certificate():
                     "hull is not a forest",
                     "hull collapse does not reproduce the retraction"):
         assert text.count(message) == 1, message
+
+
+def test_one_fold_onto_check_and_one_trivial_core_raise():
+    """Markings and automorphisms are certified by the one fold-onto
+    check, `folding.fold_onto`, and every core by the one pruning step,
+    `Folder._prune`: each message occurs once in the library."""
+    src = pathlib.Path(outerspine.__file__).parent
+    text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+    for message in ("marking images do not generate pi_1", "trivial core"):
+        assert text.count(message) == 1, message
+
+
+def test_cores_have_one_function_per_form():
+    """`covers.stallings_core` returns the unbased core and
+    `covers.based_core` the based form: no `SubgroupGraph` wrapper, and no
+    function takes or is passed a `based=` switch."""
+    found = []
+    for path in sorted(pathlib.Path(outerspine.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if "SubgroupGraph" in text:
+            found.append(path.name)
+        for node in ast.walk(ast.parse(text, str(path))):
+            names = []
+            if isinstance(node, ast.Call):
+                names = [k.arg for k in node.keywords]
+            elif isinstance(node, ast.FunctionDef):
+                names = [a.arg for a in node.args.args + node.args.kwonlyargs]
+            if "based" in names:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
 
 
 def test_exit_codes_are_decided_in_main():

@@ -26,8 +26,8 @@ class CoreGraph:
     """Connected finite graph, no valence-1 vertices. Immutable by convention."""
 
     def __init__(self, vertices, edges):
-        vertices = frozenset(vertices)
-        for eid, (o, t) in dict(edges).items():
+        vertices, edges = frozenset(vertices), dict(edges)
+        for eid, (o, t) in edges.items():
             if o not in vertices or t not in vertices:
                 raise GraphError("edge %r has unknown endpoint" % eid)
         self._fill(vertices, edges)
@@ -39,27 +39,25 @@ class CoreGraph:
 
     @classmethod
     def _derived(cls, vertices, edges):
-        """The graph with no check, for a graph derived from valid ones."""
+        """The graph with no check, derived from valid ones; keeps `edges`."""
         g = object.__new__(cls)
         g._fill(vertices, edges)
         return g
 
     def _fill(self, vertices, edges):
         self.vertices = frozenset(vertices)
-        self.edges = dict(edges)  # eid -> (origin, terminus)
-        self._out = {v: [] for v in self.vertices}
-        for eid, (o, t) in self.edges.items():
-            self._out[o].append(eid)
-            self._out[t].append(-eid)
-        self.rank = len(self.edges) - len(self.vertices) + 1
+        self.edges = edges  # eid -> (origin, terminus)
+        self._out = out = {v: [] for v in self.vertices}
+        for eid, (o, t) in edges.items():
+            out[o].append(eid)
+            out[t].append(-eid)
+        self.rank = len(edges) - len(self.vertices) + 1
 
     def head(self, d):
-        o, t = self.edges[abs(d)]
-        return t if d > 0 else o
+        return self.edges[abs(d)][d > 0]
 
     def tail(self, d):
-        o, t = self.edges[abs(d)]
-        return o if d > 0 else t
+        return self.edges[abs(d)][d < 0]
 
     def valence(self, v):
         return len(self._out[v])
@@ -85,7 +83,7 @@ class CoreGraph:
 
     def is_natural(self):
         """No valence-2 vertices (the rank-1 circle convention is separate)."""
-        return all(self.valence(v) >= 3 for v in self.vertices)
+        return min(map(len, self._out.values())) >= 3
 
     def check_path(self, path, start=None):
         cur = start
@@ -151,46 +149,42 @@ def natural_structure(graph, protected=()):
     replaces. Vertices in `protected` are kept even at valence 2 (used for
     basepoints). Rejects the circle (no natural structure).
     """
-    keep = {v for v in graph.vertices if graph.valence(v) != 2 or v in protected}
+    out, ends = graph._out, graph.edges
+    keep = {v for v, ds in out.items() if len(ds) != 2 or v in protected}
     if not keep:
         raise GraphError("circle has no natural structure")
-    refinement = {}
-    edges = {}
-    used = set()
-    next_eid = 1
+    refinement, edges, last = {}, {}, set()
     for v in sorted(keep):
-        for d in graph.directions(v):
-            # the chains partition the edges, so one whose first edge is
-            # unused has no used edge: it was not walked from its other end
-            if abs(d) in used:
+        for d in out[v]:
+            # each chain starts at both its ends; from the second it starts
+            # with the inverse of the edge it ended with from the first
+            if abs(d) in last:
                 continue
             # walk the chain starting with direction d until the next kept vertex
             chain = [d]
-            cur = graph.head(d)
+            cur = ends[abs(d)][d > 0]
             while cur not in keep:  # valence 2: one way on
-                d = next(x for x in graph.directions(cur) if x != -chain[-1])
+                x, y = out[cur]
+                d = y if x == -d else x
                 chain.append(d)
-                cur = graph.head(d)
-            for x in chain:
-                used.add(abs(x))
-            edges[next_eid] = (v, cur)
-            refinement[next_eid] = tuple(chain)
-            next_eid += 1
+                cur = ends[abs(d)][d > 0]
+            last.add(abs(d))
+            ne = len(edges) + 1
+            edges[ne], refinement[ne] = (v, cur), tuple(chain)
     return CoreGraph._derived(sorted(keep), edges), refinement
 
 
 def chain_hull(refinement, edge_set):
     """The new edges of a refinement (`natural_structure`) whose chains of
-    old edges lie wholly in edge_set."""
-    return frozenset(ne for ne, chain in refinement.items()
-                     if all(abs(d) in edge_set for d in chain))
+    old edges lie wholly in edge_set, a set of edge ids."""
+    return frozenset([ne for ne, chain in refinement.items()
+                      if edge_set.issuperset(map(abs, chain))])
 
 
-def collapse(graph, forest_edges):
-    """Collapse each component of a subforest to a point; returns
-    (graph, vertex_map). Surviving edges keep their ids, and vertex_map
-    sends each vertex to its image."""
-    forest = frozenset(forest_edges)
+def collapse_map(graph, forest):
+    """The collapse of a subforest (a set of edge ids) as (vertex_map,
+    edges): each vertex's image, and each surviving edge's ends there.
+    GraphError for an unknown edge or a cycle."""
     for eid in forest:
         if eid not in graph.edges:
             raise GraphError("unknown edge %r" % eid)
@@ -198,8 +192,15 @@ def collapse(graph, forest_edges):
     if len(joined) != len(forest):
         raise GraphError("edge set contains a cycle")
     vertex_map = {v: root.get(v, v) for v in graph.vertices}
-    edges = {eid: (vertex_map[o], vertex_map[t])
-             for eid, (o, t) in graph.edges.items() if eid not in forest}
+    return vertex_map, {eid: (vertex_map[o], vertex_map[t])
+                        for eid, (o, t) in graph.edges.items()
+                        if eid not in forest}
+
+
+def collapse(graph, forest_edges):
+    """Collapse each component of a subforest to a point; returns
+    (graph, vertex_map). Surviving edges keep their ids (`collapse_map`)."""
+    vertex_map, edges = collapse_map(graph, frozenset(forest_edges))
     return (CoreGraph._derived(sorted(set(vertex_map.values())), edges),
             vertex_map)
 
@@ -224,12 +225,9 @@ def vertex_direction_bipartitions(graph, v):
         return
     first = dirs[0]
     rest = dirs[1:]
-    for r in range(1, n - 2 + 1):
+    for r in range(1, n - 2):  # parts of sizes r + 1 and n - 1 - r
         for combo in itertools.combinations(rest, r):
-            part1 = (first,) + combo
-            part2 = tuple(d for d in rest if d not in combo)
-            if len(part1) >= 2 and len(part2) >= 2:
-                yield part1, part2
+            yield (first,) + combo, tuple(d for d in rest if d not in combo)
 
 
 def blow_up(graph, v, part1, part2):

@@ -10,16 +10,12 @@ and `naturalize(keep_base=True)` keep it.
 Neither equality searches graph isomorphisms. Marking paths cross every
 edge, so two markings read in lockstep from a pair of base vertices fix
 the only isomorphism that could carry one onto the other (`match_paths`).
-Pointed equality is that walk from the two basepoints. Spine-vertex
-equality takes the same based walk first: a match is already a marked
-equivalence, with conjugator 1. Only when it fails does it rebase each
-marking onto its centre (`_centre`, computed once per marked graph and
-kept on it), the rebasings of least total length, which any isomorphism
-of marked graphs maps centre to centre. `canonical_key` is the same
-equality as one hashable value: at each centre point the paths name the
-edges by first traversal, and the least of these named markings is the key
-(the words alone rebuild the marked graph). `equivalent` also returns the
-witness certificates need.
+Pointed equality is that walk from the two basepoints; spine-vertex
+equality takes it first, and only if it fails walks from the centres
+(`_centre`), which any isomorphism of marked graphs maps onto each other.
+`canonical_key` is spine-vertex equality as one hashable value.
+`collapse_matches` compares a forest collapse with a marked graph by the
+based walk read through the collapse's vertex map, building no collapse.
 
 Sets of spine vertices (`VertexSet`) bucket them by `circuit_lengths`, an
 exact invariant that costs one pass over the marking, and compare within a
@@ -71,12 +67,10 @@ class MarkedGraph:
     def _fill(self, graph, basepoint, marking):
         self.graph = graph
         self.basepoint = basepoint
-        self.marking = tuple([tuple(p) for p in marking])
+        self.marking = tuple(map(tuple, marking))
         self._images = ((),) + self.marking  # basis letter i -> marking[i - 1]
         self.rank = graph.rank
-        self._values = None
-        self._centre_points = None
-        self._lengths = None
+        self._values = self._centre_points = self._lengths = None
 
     # -- construction ------------------------------------------------------
 
@@ -162,7 +156,7 @@ class MarkedGraph:
         the forest, and a forest has none."""
         target, vertex_map = graphs.collapse(self.graph, forest)
         forest = frozenset(forest)
-        marking = [tuple(d for d in p if abs(d) not in forest)
+        marking = [tuple([d for d in p if abs(d) not in forest])
                    for p in self.marking]
         return (MarkedGraph._derived(target, vertex_map[self.basepoint],
                                      marking), vertex_map)
@@ -184,29 +178,29 @@ class MarkedGraph:
         graph keeps its one-loop form. A basepoint of valence < 2 (on a
         tail) raises MarkingError: no merging makes such a graph natural.
 
-        `substitute` lifts the marking: each chain's first edge reads as its
-        new edge, signed as the chain runs it, and every other chain edge as
-        (). A reduced path between kept vertices cannot turn back at a
-        valence-2 vertex, so it runs each chain it enters whole, either way,
-        and reads its new edge once; nothing cancels.
+        The marking lifts letter by letter: each chain's first edge reads as
+        its new edge (never 0), signed as the chain runs it, and every other
+        chain edge as nothing. A reduced path between kept vertices cannot
+        turn back at a valence-2 vertex, so it runs each chain it enters
+        whole, either way, and reads its new edge once; nothing cancels.
         """
         g = self.graph
-        if g.valence(self.basepoint) < 2:
+        valence = g.valence(self.basepoint)
+        if valence < 2:
             raise MarkingError("basepoint %r has valence %d"
-                               % (self.basepoint, g.valence(self.basepoint)))
+                               % (self.basepoint, valence))
         me = self
         if not keep_base:
             if self.rank == 1:
                 return self, {eid: (eid,) for eid in g.edges}
-            if g.valence(self.basepoint) == 2:
+            if valence == 2:
                 me = self.rebase(min(v for v in g.vertices if g.valence(v) >= 3))
-        if all(g.valence(v) >= 3 or v == me.basepoint for v in g.vertices):
+        if all(len(ds) >= 3 or v == me.basepoint for v, ds in g._out.items()):
             return me, {eid: (eid,) for eid in g.edges}
         new_g, chains = graphs.natural_structure(g, protected=(me.basepoint,))
-        image = dict.fromkeys(g.edges, ())
-        for ne, (d, *_) in chains.items():
-            image[abs(d)] = (ne,) if d > 0 else (-ne,)
-        marking = [substitute(p, image)[0] for p in me.marking]
+        lift = {s * chain[0]: s * ne for ne, chain in chains.items()
+                for s in (1, -1)}
+        marking = [tuple(filter(None, map(lift.get, p))) for p in me.marking]
         return MarkedGraph._derived(new_g, me.basepoint, marking), chains
 
     def natural_marked(self):
@@ -237,9 +231,10 @@ class MarkedGraph:
                 ends)
 
 
-def match_paths(g1, v1, paths1, g2, v2, paths2):
-    """The isomorphism g1 -> g2 that takes v1 to v2 and each path of paths1
-    onto the matching path of paths2, as (vertex_map, edge_map), or None.
+def match_paths(ends1, v1, paths1, ends2, v2, paths2):
+    """The isomorphism g1 -> g2 (given by their `CoreGraph.edges`) taking v1
+    to v2 and each path of paths1 onto the matching path of paths2, as
+    (vertex_map, edge_map), or None.
 
     The paths, closed at v1 and v2, are read in lockstep: each pair of
     directed edges fixes one signed edge image and one head image, and the
@@ -257,22 +252,23 @@ def match_paths(g1, v1, paths1, g2, v2, paths2):
         if len(p) != len(q):
             return None
         for d1, d2 in zip(p, q):
-            e1, s, h2 = abs(d1), (d2 if d1 > 0 else -d2), g2.head(d2)
+            e1, e2, s = abs(d1), abs(d2), (d2 if d1 > 0 else -d2)
+            h1, h2 = ends1[e1][d1 > 0], ends2[e2][d2 > 0]
             if (emap.setdefault(e1, s) != s
-                    or einv.setdefault(abs(d2), e1) != e1
-                    or vmap.setdefault(g1.head(d1), h2) != h2):
+                    or einv.setdefault(e2, e1) != e1
+                    or vmap.setdefault(h1, h2) != h2):
                 return None
-    if len(emap) != len(g1.edges):
+    if len(emap) != len(ends1):
         raise MarkingError("marking paths miss an edge")
-    return (vmap, emap) if len(einv) == len(g2.edges) else None
+    return (vmap, emap) if len(einv) == len(ends2) else None
 
 
 def pointed_equivalent(x1, x2):
     """Exact pointed equality: the base-preserving isomorphism matching every
     marking path on the nose, as (vertex_map, edge_map), or None. The walk
     of `match_paths` from the two basepoints finds it or rules it out."""
-    return match_paths(x1.graph, x1.basepoint, x1.marking,
-                       x2.graph, x2.basepoint, x2.marking)
+    return match_paths(x1.graph.edges, x1.basepoint, x1.marking,
+                       x2.graph.edges, x2.basepoint, x2.marking)
 
 
 def equivalent(G1, G2):
@@ -304,7 +300,8 @@ def equivalent(G1, G2):
     (v1, paths1), j1 = (next(iter(G1._centre_points.items()))
                         if G1._centre_points is not None else _descend(G1))
     for (v2, paths2), j2 in _centre(G2).items():
-        got = match_paths(G1.graph, v1, paths1, G2.graph, v2, paths2)
+        got = match_paths(G1.graph.edges, v1, paths1,
+                          G2.graph.edges, v2, paths2)
         if got is not None:
             vmap, emap = got
             tree = G2.spanning_paths()[vmap[G1.basepoint]]
@@ -316,11 +313,36 @@ def equivalent(G1, G2):
     return None
 
 
+def collapse_matches(X, forest, H, keep_base=False):
+    """Whether X with the forest collapsed, in normal form, equals H: as a
+    spine vertex (`natural_marked`, `equivalent`), or with keep_base as a
+    pointed graph (`naturalize(keep_base=True)`, `pointed_equivalent`).
+
+    If X is in that normal form, so is X/forest: a tree on k >= 2 vertices
+    of valence >= 3, one maybe a basepoint of valence 2, collapses to a
+    vertex of valence >= k + 1. X's marking, forest letters erased, is then
+    read in lockstep with H's through `graphs.collapse_map`, and a collapse
+    is built only if X is not in normal form or this based walk fails.
+    """
+    g, forest = X.graph, frozenset(forest)
+    vertex_map, ends = graphs.collapse_map(g, forest)
+    if all(len(ds) >= 3 or (keep_base and v == X.basepoint)
+           for v, ds in g._out.items()):
+        paths = [tuple([d for d in p if abs(d) not in forest])
+                 for p in X.marking]
+        if match_paths(ends, vertex_map[X.basepoint], paths,
+                       H.graph.edges, H.basepoint, H.marking) is not None:
+            return True
+    same = pointed_equivalent if keep_base else equivalent
+    return same(X.collapse_marked(forest)[0].naturalize(keep_base)[0],
+                H) is not None
+
+
 def collapse_certificate(r1, hull, r2, keep_base, error):
     """Certify that a retraction maps the collapse edge x -> x/F to a vertex
     or an edge: 0 if r1 = r(x) equals r2 = r(x/F), 1 if r1 with its hull
-    collapsed does; a failure raises `error`. keep_base tells how r1 was
-    naturalized, and picks `pointed_equivalent` or `equivalent`.
+    collapsed does (`collapse_matches`); a failure raises `error`.
+    keep_base tells how r1 was naturalized.
 
     r(x) is built from cores that immerse in x, each edge labelled by the
     x-edge below it, and r(x/F) is r(x) with the label preimage of F
@@ -328,17 +350,12 @@ def collapse_certificate(r1, hull, r2, keep_base, error):
     natural edges whose chains lie wholly in that preimage
     (`graphs.chain_hull`). The preimage of a forest under an immersion is
     a forest, so a hull with a cycle fails too."""
-    same = pointed_equivalent if keep_base else equivalent
-    if not hull:
-        if same(r1, r2) is None:
-            raise error("empty hull but retractions differ")
-        return 0
-    if not graphs.is_forest(r1.graph, hull):
+    if hull and not graphs.is_forest(r1.graph, hull):
         raise error("hull is not a forest")
-    collapsed = r1.collapse_marked(hull)[0].naturalize(keep_base)[0]
-    if same(collapsed, r2) is None:
-        raise error("hull collapse does not reproduce the retraction")
-    return 1
+    if not collapse_matches(r1, hull, r2, keep_base):
+        raise error("hull collapse does not reproduce the retraction" if hull
+                    else "empty hull but retractions differ")
+    return 1 if hull else 0
 
 
 def _conjugate(p, d):

@@ -1,27 +1,17 @@
 """Local spine exploration: neighbors, exact BFS distances, fold paths.
 
-The neighbours of a natural marked graph G are its collapses G/F, one per
-nonempty forest F, and its one-edge blow-ups, one per ideal edge; they are
-pairwise distinct spine vertices, so they are listed with no equivalence
-work. `bfs_distance` grows balls of spine vertices in `marked.VertexSet`s,
-which compare a vertex only with those of equal circuit lengths: one ball
-around each end in rank 2, where `neighbors` is symmetric, and one around
-the first end alone from rank 3 on.
+The neighbours of a natural marked graph are listed with no equivalence
+work (`neighbors`), and `bfs_distance` grows balls of spine vertices in
+`marked.VertexSet`s.
 
 A spine path stores self-contained adjacency certificates: each step keeps
 its own representative graph X and natural forest f with X equivalent to the
-upper endpoint and X/f equivalent to the lower one. verify() checks that
-every vertex is natural and recomputes every certificate from scratch with
-`marked.equivalent`, which reads the two markings in lockstep from their
-basepoints and, only if that walk fails, from their centres, with no search
-over graph isomorphisms.
-
-fold_path drives the folding engine (`folding.Folder`) one fold at a time;
-the engine chooses each fold, and this module only builds the partially
+upper endpoint and X/f equivalent to the lower one. verify() recomputes
+every certificate from scratch, X/f by `marked.collapse_matches`, which
+builds no collapsed graph; a failure raises `PathCertificateError` (exit
+3). fold_path drives the folding engine (`folding.Folder`) one fold at a
+time; the engine chooses each fold, and this module builds the partially
 folded star graph with its two hull certificates and rewrites the marking.
-It records each step unchecked, checks that the last fold vertex is the
-target rose, and calls verify() once before it returns, so each certificate
-is computed once and no unchecked path leaves this module.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +19,8 @@ from dataclasses import dataclass, field
 from . import graphs
 from .folding import Folder
 from .words import substitute
-from .marked import MarkedGraph, VertexSet, equivalent
+from .marked import (CertificateError, MarkedGraph, VertexSet,
+                     collapse_matches, equivalent)
 from .covers import realizes
 
 
@@ -37,21 +28,19 @@ class SpineError(ValueError):
     pass
 
 
+class PathCertificateError(SpineError, CertificateError):
+    """A spine path's certificate failed: its construction is at fault."""
+
+
 def collapse_neighbors(G):
-    out = []
-    for forest in graphs.enumerate_natural_subforests(G.graph, include_empty=False):
-        H, _ = G.collapse_marked(forest)
-        out.append(H)
-    return out
+    forests = graphs.enumerate_natural_subforests(G.graph, include_empty=False)
+    return [G.collapse_marked(forest)[0] for forest in forests]
 
 
 def blowup_neighbors(G):
-    out = []
-    for v in sorted(G.graph.vertices):
-        for part1, part2 in graphs.vertex_direction_bipartitions(G.graph, v):
-            H, _, _ = G.blowup_marked(v, part1, part2)
-            out.append(H)
-    return out
+    g = G.graph
+    return [G.blowup_marked(v, part1, part2)[0] for v in sorted(g.vertices)
+            for part1, part2 in graphs.vertex_direction_bipartitions(g, v)]
 
 
 def neighbors(G):
@@ -139,49 +128,40 @@ class SpinePath:
         the one-loop circle), and every step's certificate from scratch:
         its representative X is equivalent to the upper vertex (nothing to
         check where X is that vertex) and X/forest, naturalized, to the
-        lower one. The ends are not checked here; `fold_path` checks that
-        its path ends at G2.
+        lower one (`marked.collapse_matches`). The ends are not checked
+        here; `fold_path` checks that its path ends at G2.
         """
         if len(self.vertices) != len(self.steps) + 1:
-            raise SpineError("malformed path")
+            raise PathCertificateError("malformed path")
         for i, vtx in enumerate(self.vertices):
             if vtx.rank > 1 and not vtx.graph.is_natural():
-                raise SpineError("vertex %d is not natural" % i)
+                raise PathCertificateError("vertex %d is not natural" % i)
         for i, st in enumerate(self.steps):
             a, b = self.vertices[i], self.vertices[i + 1]
             upper, lower = (a, b) if st.kind == "down" else (b, a)
             if st.X is not upper and equivalent(st.X, upper) is None:
-                raise SpineError("certificate %d: representative mismatch" % i)
-            got, _ = st.X.collapse_marked(st.forest)
-            if equivalent(got.natural_marked(), lower) is None:
-                raise SpineError("certificate %d: collapse mismatch" % i)
+                raise PathCertificateError(
+                    "certificate %d: representative mismatch" % i)
+            if not collapse_matches(st.X, st.forest, lower):
+                raise PathCertificateError(
+                    "certificate %d: collapse mismatch" % i)
         return True
-
-
-def _marked(ends, base, marking):
-    """The marked graph with edges eid -> (origin, terminus)."""
-    verts = {base}
-    for o, t in ends.values():
-        verts.update((o, t))
-    return MarkedGraph._derived(graphs.CoreGraph._derived(sorted(verts), ends),
-                                base, marking)
 
 
 def _rewrite(marking, ends, repl):
     """Replace the edges in repl by their paths along every marking path."""
-    image = {e: (e,) for e in ends}
-    image.update(repl)
+    image = {e: (e,) for e in ends} | repl
     return [substitute(p, image)[0] for p in marking]
 
 
 def _tree_collapse_to_rose(G):
-    """Collapse a spanning tree; returns (rose-form marked graph, forest)."""
+    """Collapse a spanning tree; returns (rose, forest), or (G, None) when G
+    has one vertex. A rose is its own natural representative."""
+    if len(G.graph.vertices) == 1:
+        return G, None
     _, tree = graphs.union_find((eid, o, t) for eid, (o, t)
                                 in sorted(G.graph.edges.items()))
-    if not tree:
-        return G, None
-    H, _ = G.collapse_marked(tree)
-    return H.natural_marked(), frozenset(tree)
+    return G.collapse_marked(tree)[0], frozenset(tree)
 
 
 def _hulls(star, *forests):
@@ -198,10 +178,10 @@ def fold_path(G1, G2, F=None):
     folded intermediate. The steps are recorded unchecked; the path's last
     fold vertex must be equivalent to G2's rose, and verify() then checks
     every step's certificate once, so a path that is returned is certified
-    and a failed check raises SpineError. The subdivided rose and the
-    folded graphs between steps are not path vertices and need no check of
-    their own: each step's certificate ties its star to the vertex before
-    it, and the terminus check ties the last one to G2's rose.
+    and a failed check raises PathCertificateError. The subdivided rose and
+    the folded graphs between steps are not path vertices and need no check
+    of their own: each step's certificate ties its star to the vertex
+    before it, and the terminus check ties the last one to G2's rose.
     With F, every path vertex is checked against realizes(., F); if the
     endpoints are not in petal-compatible rose position the guarantee is
     dropped and reported.
@@ -255,40 +235,45 @@ def fold_path(G1, G2, F=None):
     base = fo.base.id
     m, eta = fo.next_vertex, fo.next_edge  # ids of each fold's extra cells
 
+    ends = fo.edge_ends()
     while (fold := fo.next_fold()) is not None:
         v, d1, d2 = fold
         e1, e2 = abs(d1), abs(d2)
-        ends = fo.edge_ends()
-        h1 = ends[e1][1] if d1 > 0 else ends[e1][0]
-        h2 = ends[e2][1] if d2 > 0 else ends[e2][0]
+        h1, h2 = ends[e1][d1 > 0], ends[e2][d2 > 0]
         if h1 == h2:
             raise SpineError("rank-dropping fold; map is not a marking"
                              " preserving homotopy equivalence")
         # the partially folded graph: d1 and d2 become eta = (v, m)
         # followed by r1 = (m, h1) and r2 = (m, h2)
         r1, r2 = eta + 1, eta + 2
-        star_ends = {e: ot for e, ot in ends.items() if e not in (e1, e2)}
+        star_ends = dict(ends)
+        del star_ends[e1], star_ends[e2]
         star_ends.update({eta: (v, m), r1: (m, h1), r2: (m, h2)})
-        star = _marked(star_ends, base, _rewrite(marking, ends, {
-            e1: (eta, r1) if d1 > 0 else (-r1, -eta),
-            e2: (eta, r2) if d2 > 0 else (-r2, -eta)}))
+        star = MarkedGraph._derived(
+            graphs.CoreGraph._derived([*fo.vertices, m], star_ends), base,
+            _rewrite(marking, ends, {
+                e1: (eta, r1) if d1 > 0 else (-r1, -eta),
+                e2: (eta, r2) if d2 > 0 else (-r2, -eta)}))
         nat_star, (hull_eta, hull_rs0) = _hulls(star, {eta}, {r1, r2})
         m, eta = m + 1, eta + 3
 
         fo.fold(d1, d2)
         marking = _rewrite(marking, ends,
                            {e2: (e1,) if (d1 > 0) == (d2 > 0) else (-e1,)})
+        ends = fo.edge_ends()
         if hull_eta:
             vertices.append(nat_star)
             steps.append(SpineStep("up", nat_star, hull_eta))
         if hull_rs0:
-            nat_after = _marked(fo.edge_ends(), base, marking).natural_marked()
+            nat_after = MarkedGraph._derived(graphs.CoreGraph._derived(
+                list(fo.vertices), ends), base, marking).natural_marked()
             if equivalent(nat_after, vertices[-1]) is None:
                 vertices.append(nat_after)
                 steps.append(SpineStep("down", nat_star, hull_rs0))
 
     if equivalent(vertices[-1], rose2) is None:
-        raise SpineError("fold terminus does not match the target rose")
+        raise PathCertificateError("fold terminus does not match the"
+                                   " target rose")
     if tree2 is not None:
         vertices.append(G2)
         steps.append(SpineStep("up", G2, tree2))

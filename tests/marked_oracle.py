@@ -1,10 +1,21 @@
 """Reference marking lifts: the junction walk that `MarkedGraph.blowup_marked`
 and the chain lookup that `MarkedGraph.naturalize` used before both moves
-lifted markings through `words.substitute`. Kept only as the oracle for
-the differential test."""
+lifted markings through `words.substitute`; and the built collapse that
+`SpinePath.verify` and `collapse_certificate` compared before
+`marked.collapse_matches` read it off the uncollapsed marking. Kept only
+as the oracles for the differential tests."""
 
 from outerspine import graphs
+from outerspine.marked import equivalent, pointed_equivalent
 from outerspine.words import reduce_letters
+
+
+def oracle_collapse_matches(X, forest, H, keep_base=False):
+    """Build X/forest, put it in normal form and compare it with H."""
+    collapsed = X.collapse_marked(forest)[0]
+    if keep_base:
+        return pointed_equivalent(collapsed.naturalize(True)[0], H) is not None
+    return equivalent(collapsed.natural_marked(), H) is not None
 
 
 def oracle_blowup_marking(G, v, part1, part2):

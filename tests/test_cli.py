@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from outerspine import cli, covers, folding, textio, witness
+from outerspine import cli, covers, folding, sampling, spine, textio, witness
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.retract_aut import embed_j
 from outerspine import graphs
@@ -409,6 +409,153 @@ marking { a1 = e1 e2; a2 = e2; }
 """
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_fold_path_cli_at_ranks_3_and_4(tmp_path, n):
+    """The printed path of one seeded pair per rank, as the folding
+    construction numbers its vertices and edges (the pairs of
+    `sampling.random_marked_graph` with seeds 7 and 6)."""
+    *ends, stdout = FOLD_PATH_PINS[n]
+    args = ["fold-path"]
+    for i, text in enumerate(ends):
+        p = tmp_path / ("end%d.txt" % i)
+        p.write_text(text)
+        args.append(str(p))
+    assert run_cli(args) == stdout
+
+
+FOLD_PATH_RANK3_LEFT = """\
+graph { v: v0 v1 v2; e: e1 v0 v2; e2 v1 v0; e3 v2 v1; e4 v0 v1; e5 v0 v2; }
+marking { a1 = e1 e5^-1; a2 = e1 e5^-1 e4 e2; a3 = e5 e3 e4^-1; }
+"""
+
+
+FOLD_PATH_RANK3_RIGHT = """\
+graph { v: v0 v1 v2 v3; e: e1 v0 v1; e2 v3 v2; e3 v1 v0; e4 v2 v3; e5 v0 v2; e6 v1 v3; }
+marking { a1 = e1 e6 e4^-1 e5^-1; a2 = e5 e4 e2 e5^-1; a3 = e5 e4 e6^-1 e3; }
+"""
+
+
+FOLD_PATH_RANK3_STDOUT = """\
+length: 10
+vertex 0:
+graph { v: v0 v1 v2; e: e1 v0 v2; e2 v1 v0; e3 v2 v1; e4 v0 v1; e5 v0 v2; }
+marking { a1 = e1 e5^-1; a2 = e1 e5^-1 e4 e2; a3 = e5 e3 e4^-1; }
+certificate 0: down collapse of {e1, e2}
+vertex 1:
+graph { v: v1; e: e3 v1 v1; e4 v1 v1; e5 v1 v1; }
+marking { a1 = e5^-1; a2 = e5^-1 e4; a3 = e5 e3 e4^-1; }
+certificate 1: up collapse of {e4}
+vertex 2:
+graph { v: v0 v7; e: e1 v0 v7; e2 v0 v7; e3 v0 v0; e4 v0 v7; }
+marking { a1 = e3^-1; a2 = e3^-1 e2 e4^-1; a3 = e3 e1 e2^-1; }
+certificate 2: up collapse of {e4}
+vertex 3:
+graph { v: v0 v3 v8; e: e1 v0 v3; e2 v0 v3; e3 v0 v8; e4 v0 v8; e5 v3 v8; }
+marking { a1 = e3 e4^-1; a2 = e3 e5^-1 e2^-1; a3 = e4 e3^-1 e1 e5 e4^-1; }
+certificate 3: down collapse of {e5}
+vertex 4:
+graph { v: v0 v2; e: e1 v0 v2; e2 v0 v2; e3 v0 v2; e4 v0 v2; }
+marking { a1 = e4 e3^-1; a2 = e4 e2^-1; a3 = e3 e4^-1 e1 e3^-1; }
+certificate 4: up collapse of {e5}
+vertex 5:
+graph { v: v0 v2 v10; e: e1 v0 v10; e2 v0 v2; e3 v0 v2; e4 v0 v10; e5 v2 v10; }
+marking { a1 = e3 e5 e4^-1; a2 = e3 e2^-1; a3 = e4 e5^-1 e3^-1 e1 e4^-1; }
+certificate 5: down collapse of {e4}
+vertex 6:
+graph { v: v0 v2; e: e1 v0 v0; e2 v0 v2; e3 v0 v2; e4 v0 v2; }
+marking { a1 = e4 e2^-1; a2 = e4 e3^-1; a3 = e2 e4^-1 e1; }
+certificate 6: down collapse of {e4}
+vertex 7:
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; }
+marking { a1 = e2^-1; a2 = e3; a3 = e2 e1; }
+certificate 7: up collapse of {e3}
+vertex 8:
+graph { v: v0 v12; e: e1 v0 v0; e2 v0 v12; e3 v0 v12; e4 v0 v12; }
+marking { a1 = e2 e3^-1; a2 = e3 e4^-1; a3 = e3 e2^-1 e1; }
+certificate 8: down collapse of {e4}
+vertex 9:
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; }
+marking { a1 = e3^-1 e2^-1; a2 = e2; a3 = e2 e3 e1; }
+certificate 9: up collapse of {e1, e2, e5}
+vertex 10:
+graph { v: v0 v1 v2 v3; e: e1 v0 v1; e2 v3 v2; e3 v1 v0; e4 v2 v3; e5 v0 v2; e6 v1 v3; }
+marking { a1 = e1 e6 e4^-1 e5^-1; a2 = e5 e4 e2 e5^-1; a3 = e5 e4 e6^-1 e3; }
+"""
+
+
+FOLD_PATH_RANK4_LEFT = """\
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; e4 v0 v0; }
+marking { a1 = e1; a2 = e2; a3 = e3 e1; a4 = e2 e4^-1; }
+"""
+
+
+FOLD_PATH_RANK4_RIGHT = """\
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; e4 v0 v0; }
+marking { a1 = e1 e3 e2; a2 = e2; a3 = e3; a4 = e4 e2; }
+"""
+
+
+FOLD_PATH_RANK4_STDOUT = """\
+length: 12
+vertex 0:
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; e4 v0 v0; }
+marking { a1 = e1; a2 = e2; a3 = e3 e1; a4 = e2 e4^-1; }
+certificate 0: up collapse of {e4}
+vertex 1:
+graph { v: v0 v8; e: e1 v0 v8; e2 v0 v0; e3 v0 v0; e4 v0 v8; e5 v0 v8; }
+marking { a1 = e1 e4^-1; a2 = e5 e4^-1; a3 = e2 e1 e4^-1; a4 = e5 e4^-1 e3^-1; }
+certificate 1: down collapse of {e5}
+vertex 2:
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; e4 v0 v0; }
+marking { a1 = e1 e2; a2 = e2; a3 = e3 e1 e2; a4 = e2 e4^-1; }
+certificate 2: up collapse of {e5}
+vertex 3:
+graph { v: v0 v9; e: e1 v0 v9; e2 v0 v0; e3 v0 v9; e4 v0 v0; e5 v0 v9; }
+marking { a1 = e5 e1^-1 e2; a2 = e2; a3 = e3 e1^-1 e2; a4 = e2 e4^-1; }
+certificate 3: up collapse of {e5}
+vertex 4:
+graph { v: v0 v1 v10; e: e1 v0 v1; e2 v0 v1; e3 v0 v1; e4 v0 v10; e5 v0 v10; e6 v0 v10; }
+marking { a1 = e1 e2^-1 e6 e5^-1; a2 = e6 e5^-1; a3 = e3 e2^-1 e6 e5^-1; a4 = e6 e5^-1 e4 e5^-1; }
+certificate 4: down collapse of {e6}
+vertex 5:
+graph { v: v0 v1; e: e1 v0 v1; e2 v0 v1; e3 v0 v0; e4 v0 v1; e5 v0 v0; }
+marking { a1 = e1 e2^-1 e3; a2 = e3; a3 = e4 e2^-1 e3; a4 = e3 e5^-1 e3; }
+certificate 5: up collapse of {e5}
+vertex 6:
+graph { v: v0 v1 v11; e: e1 v0 v1; e2 v0 v1; e3 v0 v1; e4 v0 v11; e5 v0 v11; e6 v0 v11; }
+marking { a1 = e1 e2^-1 e6 e5^-1; a2 = e6 e5^-1; a3 = e3 e2^-1 e6 e5^-1; a4 = e6 e4^-1 e6 e5^-1; }
+certificate 6: down collapse of {e6}
+vertex 7:
+graph { v: v0 v1; e: e1 v0 v1; e2 v0 v1; e3 v0 v0; e4 v0 v1; e5 v0 v0; }
+marking { a1 = e1 e2^-1 e3; a2 = e3; a3 = e4 e2^-1 e3; a4 = e5^-1 e3; }
+certificate 7: down collapse of {e5}
+vertex 8:
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; e4 v0 v0; }
+marking { a1 = e1 e2; a2 = e2; a3 = e3 e2; a4 = e4^-1 e2; }
+certificate 8: up collapse of {e4}
+vertex 9:
+graph { v: v0 v13; e: e1 v0 v0; e2 v0 v13; e3 v0 v0; e4 v0 v13; e5 v0 v13; }
+marking { a1 = e1 e4 e5^-1; a2 = e4 e5^-1; a3 = e2 e5^-1; a4 = e3^-1 e4 e5^-1; }
+certificate 9: down collapse of {e5}
+vertex 10:
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; e4 v0 v0; }
+marking { a1 = e1 e2; a2 = e2; a3 = e3; a4 = e4^-1 e2; }
+certificate 10: up collapse of {e4}
+vertex 11:
+graph { v: v0 v14; e: e1 v0 v14; e2 v0 v0; e3 v0 v0; e4 v0 v14; e5 v0 v14; }
+marking { a1 = e1 e4^-1 e2; a2 = e2; a3 = e5 e4^-1; a4 = e3^-1 e2; }
+certificate 11: down collapse of {e5}
+vertex 12:
+graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; e10 v0 v0; }
+marking { a1 = e1 e2 e3; a2 = e3; a3 = e2; a4 = e10^-1 e3; }
+"""
+
+FOLD_PATH_PINS = {
+    3: (FOLD_PATH_RANK3_LEFT, FOLD_PATH_RANK3_RIGHT, FOLD_PATH_RANK3_STDOUT),
+    4: (FOLD_PATH_RANK4_LEFT, FOLD_PATH_RANK4_RIGHT, FOLD_PATH_RANK4_STDOUT),
+}
+
+
 def test_collapse_and_blowups(tmp_path):
     """`blowups` prints the sum over vertices of 2^(d-1) - 1 - d blow-ups,
     one for each split of a vertex's d directions into two sides of size
@@ -531,6 +678,38 @@ def test_core_loop_faults_exit_3(tmp_path, monkeypatch):
                                      "based core")
     monkeypatch.setattr(covers, "conjugate_letters", lambda w, u: w)
     assert_audit_violation(args, "generator loop left the core")
+
+
+def test_fold_path_certificate_faults_exit_3(tmp_path, monkeypatch):
+    """A fold path whose certificate fails is the construction's fault, not
+    the input's: `fold-path` exits 3 with one line for each of verify's
+    four checks and the terminus check, each failure put in by hand. Two
+    ends of different ranks are the input's fault and exit 2."""
+    rose = write_rose(tmp_path, n=2)
+    other = tmp_path / "acted.txt"
+    other.write_text(run_cli(["act", rose, "--images", "a1 a2, a2"]))
+    args = ["fold-path", rose, str(other)]
+    assert issubclass(spine.PathCertificateError, spine.SpineError)
+    phi = sampling.transvection(2, 1, 2)
+    path, step = spine.SpinePath, spine.SpineStep
+    faults = [
+        ("SpinePath", lambda vertices, steps, **kw:
+            path(vertices + vertices[-1:], steps, **kw), "malformed path"),
+        ("SpineStep", lambda kind, X, forest: step(kind, X.act(phi), forest),
+         "certificate 0: representative mismatch"),
+        ("collapse_matches", lambda *args: False,
+         "certificate 0: collapse mismatch"),
+        ("equivalent", lambda *args: None,
+         "fold terminus does not match the target rose")]
+    for name, fault, message in faults:
+        with monkeypatch.context() as m:
+            m.setattr(spine, name, fault)
+            assert_audit_violation(args, message)
+    with monkeypatch.context() as m:
+        m.setattr(graphs.CoreGraph, "is_natural", lambda self: False)
+        assert_audit_violation(args, "vertex 0 is not natural")
+    err = run_cli_error(["fold-path", rose, write_rose(tmp_path, "r3.txt")])
+    assert err == "error: rank mismatch: 2 vs 3\n"
 
 
 # The tests above run the CLI in process; these four run it as a program.

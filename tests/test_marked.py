@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from outerspine import graphs, sampling
+from outerspine import graphs, marked, sampling
 from outerspine.folding import FoldError
 from outerspine.marked import (MarkedGraph, MarkingError, canonical_key,
-                               equivalent)
+                               collapse_matches, equivalent)
+from outerspine.spine import fold_path
 from outerspine.words import (Endomorphism, CyclicWord, basis_word, word,
                               is_automorphism, reduce_letters, substitute)
 from iso_oracle import graphs_isomorphic
-from marked_oracle import oracle_blowup_marking, oracle_chain_rewrite
+from marked_oracle import (oracle_blowup_marking, oracle_chain_rewrite,
+                           oracle_collapse_matches)
 
 
 def transvection(n, i, j, side="R"):
@@ -318,3 +320,86 @@ def test_canonical_key_matches_equivalent_on_theta_blowups():
             B, _, _ = H.blowup_marked(v, p1, p2)
             assert (canonical_key(B) == canonical_key(G)) == \
                 (equivalent(B, G) is not None)
+
+
+def check_collapse(X, forest, H, keep_base=False):
+    """`collapse_matches` against the collapse it replaces, built and put
+    in normal form: the same verdict, or the same GraphError."""
+    def run(decide):
+        try:
+            return decide(X, forest, H, keep_base)
+        except graphs.GraphError as exc:
+            return "GraphError: %s" % exc
+    got = run(collapse_matches)
+    assert got == run(oracle_collapse_matches)
+    return got
+
+
+def test_collapse_matches_agrees_with_the_built_collapse(monkeypatch):
+    """Seeded differential test of `collapse_matches`: fold-path steps
+    against their lower vertex and a wrong one, every forest of rank-3
+    graphs against its collapse and a rebased copy of it (the based walk
+    fails, and `equivalent` searches the centres), pointed forests in both
+    normal forms, also on graphs with a valence-2 vertex (X in no normal
+    form, and the collapse is built), and forests that are not forests."""
+    searched = []
+
+    def counted_equivalent(G1, G2):
+        searched.append(G1)
+        return equivalent(G1, G2)
+    monkeypatch.setattr(marked, "equivalent", counted_equivalent)
+    rng = random.Random(35)
+    verdicts = []
+    for n in (2, 3, 4):
+        phi = sampling.transvection(n, 1, 2)
+        for _ in range(6):
+            path = fold_path(sampling.random_marked_graph(rng, n, 3),
+                             sampling.random_marked_graph(rng, n, 3))
+            for i, st in enumerate(path.steps):
+                lower = path.vertices[i + 1 if st.kind == "down" else i]
+                assert check_collapse(st.X, st.forest, lower)
+                verdicts.append(check_collapse(st.X, st.forest,
+                                               lower.act(phi)))
+    assert len(verdicts) > 100 and not any(verdicts)
+    walks_failed = len(searched)
+    for _ in range(8):
+        X = sampling.random_marked_graph(rng, 3, 3)
+        for f in graphs.enumerate_natural_subforests(X.graph,
+                                                     include_empty=False):
+            H = X.collapse_marked(f)[0].natural_marked()
+            assert check_collapse(X, f, H)
+            for v in sorted(H.graph.vertices - {H.basepoint})[:1]:
+                assert check_collapse(X, f, H.rebase(v))
+    assert len(searched) - walks_failed > 20
+    not_normal = 0
+    for i in range(60):
+        x = sampling.random_pointed_graph(rng, rng.choice((2, 3)), 3)
+        f = sampling.random_relatively_natural_forest(rng, x)
+        if f is None:
+            continue
+        if i % 3:
+            # a valence-2 vertex, made the basepoint every other time
+            x = subdivide(x, rng.choice(sorted(x.graph.edges)))
+            if i % 3 == 2:
+                x = x.rebase(max(x.graph.vertices))
+        phi = sampling.transvection(x.rank, 1, 2)
+        collapsed = x.collapse_marked(f)[0]
+        # x/f as it is equals its normal form only if it is natural
+        not_normal += check_collapse(x, f, collapsed) is False
+        for keep_base in (True, False):
+            H = collapsed.naturalize(keep_base)[0]
+            assert check_collapse(x, f, H, keep_base)
+            assert not check_collapse(x, f, H.act(phi), keep_base)
+            for v in sorted(H.graph.vertices - {H.basepoint})[:1]:
+                assert check_collapse(x, f, H.rebase(v), keep_base) \
+                    == (not keep_base)
+    assert not_normal > 10
+    X = sampling.random_marked_graph(rng, 3, 3)
+    unknown = max(X.graph.edges) + 1
+    for keep_base in (False, True):
+        assert check_collapse(X, set(X.graph.edges), X, keep_base) \
+            == "GraphError: edge set contains a cycle"
+        assert check_collapse(X, {unknown}, X, keep_base) \
+            == "GraphError: unknown edge %d" % unknown
+    assert check_collapse(MarkedGraph.rose_identity(2), {1}, X) \
+        == "GraphError: edge set contains a cycle"

@@ -288,8 +288,9 @@ def blown_rose():
 
 
 def test_distance_one_audit_collapses_once(monkeypatch):
-    """No forest search: R(G) is collapsed once, along its hull, and that
-    collapse is compared once with R(G/F)."""
+    """No forest search: R(G) with its hull collapsed is compared once with
+    R(G/F), by `marked.collapse_matches`, which builds no collapsed graph
+    when its based walk matches: G alone is collapsed, into G/F."""
     assert not hasattr(retract_split, "enumerate_natural_subforests")
     G, forest = blown_rose()
     data = default_retraction_data(loop_bp(3))
@@ -304,6 +305,13 @@ def test_distance_one_audit_collapses_once(monkeypatch):
         collapsed.append(self)
         return real_collapse(self, f)
 
+    matched = []
+    real_matches = marked.collapse_matches
+
+    def counted_matches(*args):
+        matched.append(args)
+        return real_matches(*args)
+
     compared = []
 
     def counted_equivalent(G1, G2):
@@ -312,10 +320,11 @@ def test_distance_one_audit_collapses_once(monkeypatch):
 
     monkeypatch.setattr(graphs, "enumerate_natural_subforests", no_search)
     monkeypatch.setattr(MarkedGraph, "collapse_marked", counted_collapse)
+    monkeypatch.setattr(marked, "collapse_matches", counted_matches)
     monkeypatch.setattr(marked, "equivalent", counted_equivalent)
     assert retraction_audit(G, forest, data) == 1
-    assert len(collapsed) == 2 and collapsed[0] is G
-    assert len(compared) == 1
+    assert collapsed == [G]
+    assert len(matched) == 1 and compared == []
 
 
 # A distance-1 audit whose hull has two edges (collapse e5).

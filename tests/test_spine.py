@@ -452,7 +452,8 @@ def test_fold_path_computes_each_certificate_once(monkeypatch):
     rng = random.Random(7)
     G1 = sampling.random_marked_graph(rng, 3, 3)
     G2 = sampling.random_marked_graph(rng, 3, 3)
-    calls = {"equivalent": 0, "collapse_marked": 0, "naturalize": 0}
+    calls = {"equivalent": 0, "collapse_matches": 0, "collapse_marked": 0,
+             "naturalize": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -462,6 +463,7 @@ def test_fold_path_computes_each_certificate_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, call)
     counted(spine, "equivalent")
+    counted(spine, "collapse_matches")
     counted(MarkedGraph, "collapse_marked")
     counted(MarkedGraph, "naturalize")
 
@@ -474,13 +476,14 @@ def test_fold_path_computes_each_certificate_once(monkeypatch):
     path = fold_path(G1, G2)
     kinds = "".join(st.kind[0] for st in path.steps)
     assert kinds == "duududdudu"
-    # collapse_marked: the two spanning trees and one certificate per step.
-    # equivalent: one collapse certificate per step, the two representatives
-    # that are not their upper vertex, one new-vertex test per fold-down
-    # and the terminus. naturalize: one star per fold, the graph after each
-    # fold-down and the certificate collapses that are not natural.
-    assert calls == {"equivalent": 10 + 2 + 4 + 1, "collapse_marked": 2 + 10,
-                     "naturalize": 9}
+    # collapse_matches: one routine call per step, and collapse_marked only
+    # for the two spanning trees: no certificate builds its collapse.
+    # equivalent: the two representatives that are not their upper vertex,
+    # one new-vertex test per fold-down and the terminus. naturalize: one
+    # star per fold (six) and the three graphs after a fold-down that are
+    # not natural.
+    assert calls == {"equivalent": 2 + 4 + 1, "collapse_matches": 10,
+                     "collapse_marked": 2, "naturalize": 6 + 3}
 
 
 def recipe_pair(s):

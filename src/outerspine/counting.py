@@ -9,21 +9,24 @@ maximal stay is a path, and crossings are complete traversals of the block.
 
 `count_i` walks a class letter by letter. A class held as a straight-line
 program (the witness rows) is counted instead from segment summaries:
-`path_summary` for an explicit path, read off one walk of its runs,
-`compose` for a concatenation of summarized segments and `close` for the
-cyclic word. A summary records, for each K vertex, where the run
-entering there leaves the segment (or that it dies inside) and its
-crossings; the runs that start inside the segment and are still alive
-at its end; and the most crossings of a run that starts and dies inside.
-Window states of the block matcher carry a crossing across a junction.
+`path_summary` for an explicit path, `compose` for a concatenation of
+summarized segments and `close` for the cyclic word. A summary records,
+for each K vertex, where the run entering there leaves the segment (or
+that it dies inside) and its crossings; the runs that start inside the
+segment and are still alive at its end; and the most crossings of a run
+that starts and dies inside. Window states of the block matcher carry a
+crossing across a junction. Each of the three is one loop: over the
+path's runs, O(|V(K)| |path|) steps, or over the O(|V(K)|) runs alive at
+a junction, each reading its exit straight off the next through map.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .covers import collapse_labeled, embeddings, stallings_core
+from .marked import CertificateError
 from .words import cyclic_core, invert_letters
 
 
@@ -33,6 +36,12 @@ class CountError(ValueError):
 
 class ConjugateIntoB(CountError):
     """The traced class lives in B: the count is undefined."""
+
+
+class CountCertificateError(CountError, CertificateError):
+    """A certificate of the count failed on valid input: K is not an
+    immersion, or its complement broke `_block`'s argument after the
+    count check (the CLI's exit 3)."""
 
 
 @dataclass
@@ -73,8 +82,11 @@ def _block(K, a_edges, a_vertices):
     none is left. A chain walk stops at its other end and is the block
     ("edge"); the cycle walk closes up and is the block ("loop_at_core");
     a lollipop walk stops at the knot of C-degree 3, which it left before,
-    and its suffix from there is the block ("loop"). Where C breaks the
-    argument, the count above or `_walk` raises.
+    and its suffix from there is the block ("loop"). Input outside the
+    hypotheses can break the count, which then refuses (CountError, exit
+    2). Past it the argument uses only that K is a connected core graph,
+    which the fold guarantees, so `_walk`'s two raises are certificates
+    (CountCertificateError, exit 3).
     """
     comp = K.edges.keys() - a_edges
     deg = {}
@@ -94,7 +106,8 @@ def _block(K, a_edges, a_vertices):
 
 def _walk(K, edges, start, closed):
     """The walk from start along the least unused direction in edges until
-    none is left; it must use them all, and if closed, end at start."""
+    none is left; it must use them all, and if closed, end at start
+    (`_block`'s argument)."""
     block = []
     cur = start
     used = set()
@@ -105,9 +118,11 @@ def _walk(K, edges, start, closed):
         used.add(abs(d))
         cur = K.head(d)
     if closed and (len(used) != len(edges) or cur != start):
-        raise CountError("cycle walk did not close up over its cycle")
+        raise CountCertificateError("cycle walk did not close up over its "
+                                    "cycle")
     if len(used) != len(edges):
-        raise CountError("chain walk missed edges of its component")
+        raise CountCertificateError("chain walk missed edges of its "
+                                    "component")
     return tuple(block)
 
 
@@ -199,6 +214,8 @@ def count_i(ctx, c):
     on a path exactly once. The run from each entry state is walked once,
     and the states it covers are counted; fewer than |V(K)| L covered
     states means some state lies on a cycle, i.e. c is conjugate into B.
+    A run from an entry state longer than |V(K)| L steps would break the
+    injectivity, so its budget is a certificate of K's folding.
     """
     circuit = cyclic_core(ctx.G.expand(c.letters))[1]
     if not circuit:
@@ -228,7 +245,7 @@ def count_i(ctx, c):
                 q = q + 1 if q + 1 < L else 0
                 budget -= 1
             if not budget:
-                raise CountError("entry-state run exceeded budget")
+                raise CountCertificateError("entry-state run exceeded budget")
             covered += len(mu) + 1
             best = max(best, _count_block(tuple(mu), block, rev))
     if covered < n_states:
@@ -246,6 +263,11 @@ class _Tables:
     two patterns). A window completes where a state of length q - 1 is
     extended to the block or its reverse, which is exactly where the last
     q edges are one of them: the windows count_i's scan counts.
+
+    entries[a] lists the vertices v where (v, next position) has no
+    predecessor after the letter a (count_i's entry test), for every
+    signed G-edge a; `moves` memoizes `move`, and the walkers read it
+    inline.
     """
 
     def __init__(self, ctx):
@@ -255,36 +277,28 @@ class _Tables:
         self.rev = invert_letters(ctx.block)
         self.q = len(ctx.block)
         self.paths = {}          # summaries by path
-        self._entries = {}
-        self._moves = {}
-
-    def entries_after(self, a):
-        """Vertices v where (v, next position) has no predecessor after the
-        letter a: the entry test of count_i."""
-        got = self._entries.get(a)
-        if got is None:
-            got = self._entries[a] = tuple(
-                v for v in self.vertices if -a not in self.out[v])
-        return got
+        self.moves = {}
+        self.entries = {a: tuple(v for v in self.vertices
+                                 if -a not in self.out[v])
+                        for e in ctx.G.graph.edges for a in (e, -e)}
 
     def move(self, s, d):
-        """Window state after the K-edge d, and 1 if a window completed."""
-        got = self._moves.get((s, d))
-        if got is None:
-            new = s + (d,)
-            hit = int(new == self.block or new == self.rev)
-            for j in range(min(len(new), self.q - 1), -1, -1):
-                suffix = new[len(new) - j:]
-                if suffix == self.block[:j] or suffix == self.rev[:j]:
-                    break
-            got = self._moves[(s, d)] = (suffix, hit)
+        """Window state after the K-edge d, and 1 if a window completed,
+        put into `moves`."""
+        new = s + (d,)
+        hit = int(new == self.block or new == self.rev)
+        for j in range(min(len(new), self.q - 1), -1, -1):
+            suffix = new[len(new) - j:]
+            if suffix == self.block[:j] or suffix == self.rev[:j]:
+                break
+        got = self.moves[(s, d)] = (suffix, hit)
         return got
 
     def run(self, s, path):
         """(windows completed, final window state) along path from s."""
         hits = 0
         for d in path:
-            s, hit = self.move(s, d)
+            s, hit = self.moves.get((s, d)) or self.move(s, d)
             hits += hit
         return hits, s
 
@@ -309,115 +323,139 @@ class Summary(NamedTuple):
     best: int
 
 
-def _through(S, v, s):
-    """(exit vertex or None, crossings, window state) of the run entering
-    S at v with window state s. The window state changes only windows that
+# The open run that starts at an entry state: no crossings, empty window.
+_FRESH = (0, ())
+
+
+def _through(tb, entry, s):
+    """(exit vertex or None, crossings, window state) of the run that the
+    through entry `entry` records, entered with the nonempty window state s
+    instead of an empty one. The window state changes only windows that
     end within the run's first q - 1 edges, and the exit state only if the
-    run is shorter than q."""
-    u, c, t, head = S.through[v]
-    if s:
-        tb = S.tables
-        if len(head) < tb.q:
-            c, t = tb.run(s, head)
-        else:
-            c += tb.run(s, head[:-1])[0] - tb.run((), head[:-1])[0]
+    run is shorter than q. With an empty s the walkers read the entry
+    itself."""
+    u, c, t, head = entry
+    if len(head) < tb.q:
+        c, t = tb.run(s, head)
+    else:
+        c += tb.run(s, head[:-1])[0] - tb.run((), head[:-1])[0]
     return u, c, t
 
 
-def _trace(tb, v, path, p):
-    """(exit vertex or None, crossings, window state, first q K-edges) of
-    the run entering path at position p and K vertex v with an empty
-    window."""
-    out, heads, q = tb.out, tb.heads, tb.q
-    s, hits, head = (), 0, []
-    for a in islice(path, p, None):
-        d = out[v].get(a)
-        if d is None:
-            return None, hits, s, tuple(head)
-        if len(head) < q:
-            head.append(d)
-        s, hit = tb.move(s, d)
-        hits += hit
-        v = heads[d]
-    return v, hits, s, tuple(head)
-
-
 def path_summary(ctx, path):
-    """Summary of a nonempty explicit path, read off one walk from every
-    K vertex at its start and one from every entry state inside it. The
-    step is injective, so the runs are disjoint: at most |V(K)| |path|
-    steps in all. Kept per context, since a program's explicit pieces
-    repeat; a summary is never changed once built, so the cache hands out
-    shared ones."""
+    """Summary of a nonempty explicit path, read off one loop over its
+    runs: one from every K vertex at its start, which keeps its first q
+    K-edges, and one from every entry state inside it that takes a step (a
+    run that dies at once crosses nothing). The step is injective, so the
+    runs are disjoint: at most |V(K)| |path| steps in all, each one lookup
+    in the step table and one in the window-move memo.
+    Kept per context, since a program's explicit pieces repeat; a summary
+    is never changed once built, so the cache hands out shared ones."""
     tb = ctx.tables
     got = tb.paths.get(path)
-    if got is None:
-        through = {v: _trace(tb, v, path, 0) for v in tb.vertices}
-        arrivals = {}
-        best = 0
-        for p in range(1, len(path)):
-            for v in tb.entries_after(path[p - 1]):
-                u, c, t, _ = _trace(tb, v, path, p)
-                if u is None:
-                    best = max(best, c)
-                else:
-                    arrivals[u] = (c, t)
-        got = tb.paths[path] = Summary(tb, path[-1], through, arrivals, best)
+    if got is not None:
+        return got
+    out, heads, q, moves, entries = tb.out, tb.heads, tb.q, tb.moves, \
+        tb.entries
+    through, arrivals, best = {}, {}, 0
+    runs = [(v, 0) for v in tb.vertices]
+    runs += [(v, p) for p in range(1, len(path)) for v in entries[path[p - 1]]
+             if path[p] in out[v]]
+    for v, p in runs:
+        u, c, s, head = v, 0, (), []
+        keep = 0 if p else q
+        for a in path[p:]:
+            d = out[u].get(a)
+            if d is None:
+                u = None
+                break
+            if keep:
+                head.append(d)
+                keep -= 1
+            s, hit = moves.get((s, d)) or tb.move(s, d)
+            c += hit
+            u = heads[d]
+        if not p:
+            through[v] = (u, c, s, tuple(head))
+        elif u is None:
+            best = max(best, c)
+        else:
+            arrivals[u] = (c, s)
+    got = tb.paths[path] = Summary(tb, path[-1], through, arrivals, best)
     return got
 
 
-def _open_runs(S):
-    """(vertex, crossings, window state) of each run from an entry state
-    that is alive right after S: those that started inside S, and those
-    that start there."""
-    return ([(u, c, t) for u, (c, t) in S.arrivals.items()]
-            + [(v, 0, ()) for v in S.tables.entries_after(S.last)])
-
-
 def compose(S, T):
-    """Summary of the segment S followed by T. The states at T's start
-    that are entries are those v with -S.last not in out[v]."""
+    """Summary of the segment S followed by T, in one pass over S's runs:
+    each run alive at S's end reads its exit off T's through map, and only
+    a run that carries a window into T goes through `_through`. The open
+    runs are S's arrivals and the entry states at T's start, those v with
+    -S.last not in out[v], which start with an empty window. O(|V(K)|)
+    lookups, whatever the lengths."""
     tb = S.tables
     q = tb.q
+    Tt = T.through
     through = {}
     for v, (u, c, t, head) in S.through.items():
         if u is not None:
+            entry = Tt[u]
             if len(head) < q:
-                head = (head + T.through[u][3])[:q]
-            u, c2, t = _through(T, u, t)
+                head = (head + entry[3])[:q]
+            if t:
+                u, c2, t = _through(tb, entry, t)
+            else:
+                u, c2, t, _ = entry
             c += c2
         through[v] = (u, c, t, head)
     best = max(S.best, T.best)
     arrivals = dict(T.arrivals)
-    for u, c, t in _open_runs(S):
-        u, c2, t = _through(T, u, t)
+    for u, (c, t) in S.arrivals.items():
+        if t:
+            u, c2, t = _through(tb, Tt[u], t)
+        else:
+            u, c2, t, _ = Tt[u]
         if u is None:
             best = max(best, c + c2)
         else:
             arrivals[u] = (c + c2, t)
+    for v in tb.entries[S.last]:
+        u, c, t, _ = Tt[v]
+        if u is None:
+            best = max(best, c)
+        else:
+            arrivals[u] = (c, t)
     return Summary(tb, T.last, through, arrivals, best)
 
 
 def close(W):
     """count_i's value for the cyclic word whose one period W summarizes.
 
-    Every run from an entry state is followed lap by lap through W until
-    it dies. The states at W's start that no such run meets lie on cycles
-    of the step, i.e. are alive periodic points of W's through-map: the
-    class is then conjugate into B, as in count_i's coverage test.
+    Every run from an entry state (W's arrivals, and the entry states at
+    its start) is followed lap by lap through W's through map until it
+    dies; the step is injective, so the laps meet each K vertex at most
+    once, O(|V(K)|) lookups in all. The states at W's start that no such
+    run meets lie on cycles of the step, i.e. are alive periodic points of
+    W's through-map: the class is then conjugate into B, as in count_i's
+    coverage test.
     """
+    tb = W.tables
+    Wt = W.through
     best = W.best
     met = set()
-    for u, c, t in _open_runs(W):
+    for u, (c, t) in chain(W.arrivals.items(),
+                           zip(tb.entries[W.last], repeat(_FRESH))):
         while u is not None:
             if u in met:
-                raise CountError("two entry runs meet: the step is not "
-                                 "injective")
+                raise CountCertificateError("two entry runs meet: the step "
+                                            "is not injective")
             met.add(u)
-            u, c2, t = _through(W, u, t)
+            if t:
+                u, c2, t = _through(tb, Wt[u], t)
+            else:
+                u, c2, t, _ = Wt[u]
             c += c2
         best = max(best, c)
-    if len(met) < len(W.tables.vertices):
+    if len(met) < len(tb.vertices):
         raise ConjugateIntoB("class is conjugate into B; count undefined")
     return best
 

@@ -185,6 +185,13 @@ def fold_path(G1, G2, F=None):
     With F, every path vertex is checked against realizes(., F); if the
     endpoints are not in petal-compatible rose position the guarantee is
     dropped and reported.
+
+    Valid ends reach neither "petal image collapsed" nor "rank-dropping
+    fold": the map rose1 -> rose2 that the petal images spell is a
+    pi_1-isomorphism (the change of marking), so no petal image is
+    trivial, and its subdivided rose folds onto rose2 without a fold that
+    drops rank, which is one identifying two edges with the same ends
+    (Stallings 1983). Both are PathCertificateError (exit 3).
     """
     if G1.rank != G2.rank:
         raise SpineError("rank mismatch: %d vs %d" % (G1.rank, G2.rank))
@@ -210,7 +217,8 @@ def fold_path(G1, G2, F=None):
     for eid in sorted(rose1.graph.edges):
         path = rose2.expand(vals[eid])
         if not path:
-            raise SpineError("petal image collapsed; markings incompatible")
+            raise PathCertificateError("petal image collapsed; markings "
+                                       "incompatible")
         images[eid] = path
     # Conjugating every image by one letter changes the map rose1 -> rose2
     # by a free homotopy only, so the folds still end at [rose2]. Strip the
@@ -241,8 +249,9 @@ def fold_path(G1, G2, F=None):
         e1, e2 = abs(d1), abs(d2)
         h1, h2 = ends[e1][d1 > 0], ends[e2][d2 > 0]
         if h1 == h2:
-            raise SpineError("rank-dropping fold; map is not a marking"
-                             " preserving homotopy equivalence")
+            raise PathCertificateError("rank-dropping fold; map is not a"
+                                       " marking preserving homotopy"
+                                       " equivalence")
         # the partially folded graph: d1 and d2 become eta = (v, m)
         # followed by r1 = (m, h1) and r2 = (m, h2)
         r1, r2 = eta + 1, eta + 2

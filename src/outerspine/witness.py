@@ -22,13 +22,12 @@ stepped once per row, independently of the trace.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import mul
+from functools import cached_property
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from .words import (CyclicWord, Endomorphism, ReducedWord, basis_word,
-                    cyclic_core, invert_letters, nielsen_product, substitute,
-                    word)
+                    cyclic_core, invert_letters, nielsen_product, substitute)
 from .marked import MarkedGraph
 from .graphs import CoreGraph
 from . import counting
@@ -53,17 +52,11 @@ def theta(n, m):
     automorphism of its tokens, checked against these images."""
     if not (2 <= m <= n - 1):
         raise WitnessError("need 2 <= m <= n-1")
-    images = []
-    for i in range(1, n + 1):
-        if i == 1:
-            images.append(word([1, m], n))
-        elif i <= m:
-            images.append(basis_word(i - 1, n))
-        else:
-            images.append(basis_word(i, n))
+    images = [(1, m)] + [(i - 1,) for i in range(2, m + 1)] \
+        + [(i,) for i in range(m + 1, n + 1)]
     toks = theta_tokens(n, m)
     auto = nielsen_product(toks, n)
-    if auto.endo != Endomorphism(n, tuple(images)):
+    if [im.letters for im in auto.endo.images] != images:
         raise WitnessError("token expression for theta broke")
     return auto, toks
 
@@ -105,12 +98,17 @@ def transition_matrix(m):
 
 def transition_columns(m):
     """Yield M^k e_1 for k = 0, 1, 2, ... endlessly: the occurrences of
-    e_1..e_m in Theta^k(e_1), each column one step of M from the last."""
-    M = transition_matrix(m)
+    e_1..e_m in Theta^k(e_1), each column one step of M from the last,
+    read through M's m + 1 nonzero entries."""
+    entries = [(j, i, x) for j, row in enumerate(transition_matrix(m))
+               for i, x in enumerate(row) if x]
     column = [1] + [0] * (m - 1)
     while True:
         yield column
-        column = [sum(map(mul, row, column)) for row in M]
+        step = [0] * m
+        for j, i, x in entries:
+            step[j] += x * column[i]
+        column = step
 
 
 def occurrence_count(m, j, k):
@@ -223,12 +221,16 @@ def witness_rows(params):
 class Case2Complex:
     params: object
     Gp: MarkedGraph           # the blown-up graph G' (basepoint on H'_1)
-    G: MarkedGraph            # G = G'/eta0
     eta0: int
     eta1: int
     h2_edges: tuple
     sigma_path: tuple         # sigma' in G'
     c0: CyclicWord
+
+    @cached_property
+    def G(self):
+        """G = G'/eta0."""
+        return self.Gp.collapse_marked([self.eta0])[0]
 
     def A0_gens(self):
         return [basis_word(i, self.params.n) for i in range(1, self.params.ranks[0] + 1)]
@@ -279,13 +281,15 @@ def case2_build(params):
             marking.append((i,))
         else:
             marking.append((-eta1, i, eta1))
-    Gp = MarkedGraph(graph, 1, marking)
-    G, _ = Gp.collapse_marked([eta0])
+    # The marking paths are closed and reduced by construction, and the
+    # one fold of `inverse_marking_values` in path_to_word certifies that
+    # they generate pi_1, as `MarkedGraph.check_generates` would.
+    Gp = MarkedGraph._derived(graph, 1, marking)
     l0, l1 = h0[0], h1[0]
     sigma = (l1, -eta0, l0, eta0, -l1)
     gamma = (h2[0], eta1) + sigma + (-eta1,)
     c0 = CyclicWord.of(Gp.path_to_word(gamma, at_vertex=2))
-    return Case2Complex(params, Gp, G, eta0, eta1, h2, sigma, c0)
+    return Case2Complex(params, Gp, eta0, eta1, h2, sigma, c0)
 
 
 # -- witness rows as straight-line programs ------------------------------------
@@ -321,13 +325,15 @@ def _explicit(edges):
 
 def _cut(ctx, P):
     """P with at most `_END_EDGES` explicit edges at each end; the edges
-    in between join the middle."""
+    in between join the middle. An already cut P comes back unchanged."""
     c = _END_EDGES
     head, mid, tail = P
     if mid is None:
         if len(head) <= 2 * c:
             return P
         return _Path(head[:c], path_summary(ctx, head[c:-c]), head[-c:])
+    if len(head) <= c and len(tail) <= c:
+        return P
     if len(head) > c:
         mid = compose(path_summary(ctx, head[c:]), mid)
     if len(tail) > c:
@@ -337,30 +343,30 @@ def _cut(ctx, P):
 
 def _cancelled(left, right):
     """How many edges cancel where the path left meets the path right."""
-    j = 0
-    while j < len(left) and j < len(right) and left[-1 - j] == -right[j]:
+    j, most = 0, min(len(left), len(right))
+    while j < most and left[-1 - j] == -right[j]:
         j += 1
     return j
 
 
 def _join(ctx, pieces):
     """The reduced concatenation of reduced paths."""
-    P = pieces[0]
-    for Q in pieces[1:]:
-        left = P.head if P.mid is None else P.tail
-        j = _cancelled(left, Q.head)
-        if ((P.mid is not None and j == len(left))
-                or (Q.mid is not None and j == len(Q.head))):
+    head, mid, tail = pieces[0]
+    for q_head, q_mid, q_tail in pieces[1:]:
+        left = head if mid is None else tail
+        j = _cancelled(left, q_head)
+        if ((mid is not None and j == len(left))
+                or (q_mid is not None and j == len(q_head))):
             raise WitnessError("cancellation reaches a compressed middle")
-        joint = left[:len(left) - j] + Q.head[j:]
-        if P.mid is None:
-            P = _Path(joint, Q.mid, Q.tail)
-        elif Q.mid is None:
-            P = _Path(P.head, P.mid, joint)
+        joint = left[:len(left) - j] + q_head[j:]
+        if mid is None:
+            head, mid, tail = joint, q_mid, q_tail
+        elif q_mid is None:
+            tail = joint
         else:
-            P = _Path(P.head, compose(compose(P.mid, path_summary(ctx, joint)),
-                                      Q.mid), Q.tail)
-    return P
+            mid = compose(compose(mid, path_summary(ctx, joint)), q_mid)
+            tail = q_tail
+    return _Path(head, mid, tail)
 
 
 def _count_cyclic(ctx, P):
@@ -387,7 +393,11 @@ def _row_counts(ctx, c0, th, phi0, m):
     in which each e_1^{+-1} is the symbol E_{k,1} or I_{k,1}; every other
     letter, the e_1..e_m that phi_k fixes included, is its marking path.
     The I symbols are built and stepped only when the class reads I_{k,1}
-    (cases 2 and 3), so a case-1 row steps the m symbols E_{k,i} alone.
+    (cases 2 and 3). A symbol whose theta image is one letter is that
+    letter's symbol of the row before (E_{k+1,i} = E_{k,i-1} for i >= 2,
+    theta's images, which `theta` checks), passed on with no join and no
+    cut, so each row steps one new symbol per family: E_{k+1,1}, and
+    I_{k+1,1} in cases 2 and 3.
 
     Summaries are composed only where two middles meet and once to close:
     once the symbols are compressed, a case-1 row composes three times
@@ -421,10 +431,12 @@ def _row_counts(ctx, c0, th, phi0, m):
     while True:
         yield _count_cyclic(ctx, _join(ctx, [
             E[1] if p == 1 else I[1] if p == -1 else p for p in template]))
-        E = {i: _cut(ctx, _join(ctx, [E[y] for y in im]))
+        E = {i: E[im[0]] if len(im) == 1
+             else _cut(ctx, _join(ctx, [E[y] for y in im]))
              for i, im in images.items()}
         if I is not None:
-            I = {i: _cut(ctx, _join(ctx, [I[y] for y in reversed(im)]))
+            I = {i: I[im[0]] if len(im) == 1
+                 else _cut(ctx, _join(ctx, [I[y] for y in reversed(im)]))
                  for i, im in images.items()}
 
 
@@ -461,11 +473,12 @@ def distortion_report(params, k_max):
         cx = case2_build(params)
         ctx = cx.counting_context()
         c0 = cx.c0
+    columns = (transition_columns(m) if params.case == "connected"
+               else repeat(None))
     rows = []
     for k, ik, column in zip(range(k_max + 1),
-                             _row_counts(ctx, c0, th, phi0, m),
-                             transition_columns(m)):
-        if params.case == "connected" and ik != column[m - 1]:
+                             _row_counts(ctx, c0, th, phi0, m), columns):
+        if column is not None and ik != column[m - 1]:
             raise WitnessError("trace count %d disagrees with matrix "
                                "oracle %d at k=%d" % (ik, column[m - 1], k))
         rows.append(ReportRow(k, 2 * k * len(th_toks) + len(p0_toks), ik,

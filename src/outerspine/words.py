@@ -316,9 +316,6 @@ class Endomorphism:
             ReducedWord._derived(substitute(im.letters, image)[0], self.rank)
             for im in other.images]))
 
-    def is_identity(self):
-        return all(im.letters == (i + 1,) for i, im in enumerate(self.images))
-
 
 @dataclass(frozen=True)
 class Automorphism:
@@ -328,10 +325,15 @@ class Automorphism:
     inverse_endo: Endomorphism = field(compare=False)
 
     def __post_init__(self):
-        if not self.endo.compose(self.inverse_endo).is_identity():
-            raise WordError("stored inverse fails to invert")
-        if not self.inverse_endo.compose(self.endo).is_identity():
-            raise WordError("stored inverse fails to invert")
+        """Each map undoes the other on every basis letter, read on the
+        letters: a_i's image under the other map, substituted through this
+        one, reduces to a_i."""
+        for f, g in ((self.endo, self.inverse_endo),
+                     (self.inverse_endo, self.endo)):
+            image = f._table()
+            for i, im in enumerate(g.images, 1):
+                if substitute(im.letters, image)[0] != (i,):
+                    raise WordError("stored inverse fails to invert")
 
     @property
     def rank(self):

@@ -15,11 +15,18 @@ returning None where the shape matches neither rank-increment case.
 an A-core with two images in K: it counts against the first embedding
 whose complement classifies. `edge_summary` and `composed_summary` are
 the segment summaries as `counting.path_summary` built them before it
-walked the path: one summary per edge, composed edge by edge. Only the
-differential tests in test_count_engine.py import this module.
+walked the path: one summary per edge, composed edge by edge.
+`per_run_summary`, `per_run_compose` and `per_run_close` are the summary
+kernel as it was before each path was walked in one loop: one `_trace`
+call per run, every open run listed by `_open_runs` and carried through
+`_through`. They are copied as they were, except that the summary keeps
+no cache, the entry test is read off the step table directly, and two
+entry runs that meet raise plain CountError. Only the differential tests
+in test_count_engine.py import this module.
 """
 
 import itertools
+from itertools import islice
 
 from outerspine import counting
 from outerspine.counting import (ConjugateIntoB, CountError, CrossingCount,
@@ -114,6 +121,118 @@ def composed_summary(ctx, path):
     for a in path[1:]:
         got = compose(got, edge_summary(ctx, a))
     return got
+
+
+def _entries_after(tb, a):
+    """Vertices v where (v, next position) has no predecessor after the
+    letter a: the entry test of count_i."""
+    return tuple(v for v in tb.vertices if -a not in tb.out[v])
+
+
+def _through(S, v, s):
+    """(exit vertex or None, crossings, window state) of the run entering
+    S at v with window state s. The window state changes only windows that
+    end within the run's first q - 1 edges, and the exit state only if the
+    run is shorter than q."""
+    u, c, t, head = S.through[v]
+    if s:
+        tb = S.tables
+        if len(head) < tb.q:
+            c, t = tb.run(s, head)
+        else:
+            c += tb.run(s, head[:-1])[0] - tb.run((), head[:-1])[0]
+    return u, c, t
+
+
+def _trace(tb, v, path, p):
+    """(exit vertex or None, crossings, window state, first q K-edges) of
+    the run entering path at position p and K vertex v with an empty
+    window."""
+    out, heads, q = tb.out, tb.heads, tb.q
+    s, hits, head = (), 0, []
+    for a in islice(path, p, None):
+        d = out[v].get(a)
+        if d is None:
+            return None, hits, s, tuple(head)
+        if len(head) < q:
+            head.append(d)
+        s, hit = tb.move(s, d)
+        hits += hit
+        v = heads[d]
+    return v, hits, s, tuple(head)
+
+
+def per_run_summary(ctx, path):
+    """Summary of a nonempty explicit path, read off one walk from every
+    K vertex at its start and one from every entry state inside it."""
+    tb = ctx.tables
+    through = {v: _trace(tb, v, path, 0) for v in tb.vertices}
+    arrivals = {}
+    best = 0
+    for p in range(1, len(path)):
+        for v in _entries_after(tb, path[p - 1]):
+            u, c, t, _ = _trace(tb, v, path, p)
+            if u is None:
+                best = max(best, c)
+            else:
+                arrivals[u] = (c, t)
+    return Summary(tb, path[-1], through, arrivals, best)
+
+
+def _open_runs(S):
+    """(vertex, crossings, window state) of each run from an entry state
+    that is alive right after S: those that started inside S, and those
+    that start there."""
+    return ([(u, c, t) for u, (c, t) in S.arrivals.items()]
+            + [(v, 0, ()) for v in _entries_after(S.tables, S.last)])
+
+
+def per_run_compose(S, T):
+    """Summary of the segment S followed by T. The states at T's start
+    that are entries are those v with -S.last not in out[v]."""
+    tb = S.tables
+    q = tb.q
+    through = {}
+    for v, (u, c, t, head) in S.through.items():
+        if u is not None:
+            if len(head) < q:
+                head = (head + T.through[u][3])[:q]
+            u, c2, t = _through(T, u, t)
+            c += c2
+        through[v] = (u, c, t, head)
+    best = max(S.best, T.best)
+    arrivals = dict(T.arrivals)
+    for u, c, t in _open_runs(S):
+        u, c2, t = _through(T, u, t)
+        if u is None:
+            best = max(best, c + c2)
+        else:
+            arrivals[u] = (c + c2, t)
+    return Summary(tb, T.last, through, arrivals, best)
+
+
+def per_run_close(W):
+    """count_i's value for the cyclic word whose one period W summarizes.
+
+    Every run from an entry state is followed lap by lap through W until
+    it dies. The states at W's start that no such run meets lie on cycles
+    of the step, i.e. are alive periodic points of W's through-map: the
+    class is then conjugate into B, as in count_i's coverage test.
+    """
+    best = W.best
+    met = set()
+    for u, c, t in _open_runs(W):
+        while u is not None:
+            if u in met:
+                raise CountError("two entry runs meet: the step is not "
+                                 "injective")
+            met.add(u)
+            u, c2, t = _through(W, u, t)
+            c += c2
+        best = max(best, c)
+    if len(met) < len(W.tables.vertices):
+        raise ConjugateIntoB("class is conjugate into B; count undefined")
+    return best
 
 
 def lipschitz_audit(A_gens_list, B_gens, G, forest, c):

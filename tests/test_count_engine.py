@@ -219,6 +219,84 @@ def test_kept_summaries_equal_fresh_ones():
     assert shared > 100
 
 
+def bracket_contexts(rng, count):
+    """Contexts of the audit's bracket instances, whose blocks run over two
+    and three edges where G is blown up."""
+    out = []
+    while len(out) < count:
+        n = rng.choice([3, 4])
+        inst = bench_bracket_instance(rng, n, rng.randint(1, n - 2))
+        if inst is not None:
+            A, B, G, _, _ = inst
+            try:
+                out.append((build_context([A], B, G), B))
+            except CountError:
+                continue
+    return out
+
+
+def outcome_of_close(close_fn, W):
+    try:
+        return close_fn(W)
+    except CountError as exc:
+        return type(exc) if type(exc) is not counting.CountError \
+            else CountError
+
+
+def test_one_loop_kernel_matches_per_run_kernel():
+    """The summaries `path_summary` walks in one loop, and the ones
+    `compose` and `close` build from them, equal those of the per-run
+    kernel they replaced (`count_oracle.per_run_summary`, `per_run_compose`,
+    `per_run_close`) in every field and in the closed value, on the
+    contexts of `test_kept_summaries_equal_fresh_ones` and the audit's
+    bracket contexts (blocks of two and three edges). Each circuit is cut
+    into random pieces and composed in a random bracketing, so windows are
+    carried across junctions, mid-window and past the block's length."""
+    rng = random.Random(83)
+    seen = {"block 2": 0, "block 3": 0, "carried window": 0,
+            "carried past q": 0, "closed": 0, "conjugate into B": 0}
+    contexts = (fixed_contexts() + random_contexts(rng, 12)
+                + bracket_contexts(rng, 16))
+    for ctx, B in contexts:
+        seen["block 2"] += len(ctx.block) == 2
+        seen["block 3"] += len(ctx.block) == 3
+        fresh, old = dataclasses.replace(ctx), dataclasses.replace(ctx)
+        for p in circuit_pieces(rng, ctx, B):
+            assert fields(path_summary(fresh, p)) == \
+                fields(count_oracle.per_run_summary(old, p)), p
+        for c in random_classes(rng, ctx.G.rank, B):
+            circuit = tuple(ctx.G.circuit_of(c))
+            cuts = sorted(rng.sample(range(1, len(circuit)),
+                                     min(len(circuit) - 1,
+                                         rng.randint(0, 6))))
+            spans = list(zip([0] + cuts, cuts + [len(circuit)]))
+            new = [path_summary(fresh, circuit[i:j]) for i, j in spans]
+            ref = [count_oracle.per_run_summary(old, circuit[i:j])
+                   for i, j in spans]
+            while len(new) > 1:
+                k = rng.randrange(len(new) - 1)
+                S = new[k]
+                runs = [t for u, _, t, _ in S.through.values()
+                        if u is not None] + [t for _, t in
+                                             S.arrivals.values()]
+                if any(runs):
+                    seen["carried window"] += 1
+                    T = new[k + 1]
+                    seen["carried past q"] += any(
+                        len(head) >= len(ctx.block)
+                        for _, _, _, head in T.through.values())
+                new[k:k + 2] = [compose(new[k], new[k + 1])]
+                ref[k:k + 2] = [count_oracle.per_run_compose(ref[k],
+                                                             ref[k + 1])]
+                assert fields(new[k]) == fields(ref[k]), c.letters
+            got = outcome_of_close(close, new[0])
+            assert got == outcome_of_close(count_oracle.per_run_close,
+                                           ref[0]), c.letters
+            seen["closed"] += 1
+            seen["conjugate into B"] += got is counting.ConjugateIntoB
+    assert all(seen.values()), seen
+
+
 def subdivided(rng, G):
     """G with a valence-2 vertex inserted next to a random vertex: the
     blow-up that moves one direction alone to the new vertex's side."""
@@ -443,6 +521,49 @@ def test_image_missing_an_edge_raises_count_error(monkeypatch, tmp_path,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_count_certificate_faults_exit_3(monkeypatch, tmp_path, capsys):
+    """The count's certificates fail only where the program is at fault,
+    so each fault is put in by hand: `_walk` handed a complement with an
+    edge it cannot reach (the chain walk of a theta graph's block, the
+    cycle walk of the rose's), and a step table that keeps only the
+    positive labels, so the step is not injective and a run from an entry
+    state never dies. Each raises CountCertificateError, also a
+    CountError, and count-i exits 3 with one `AUDIT VIOLATION:` line."""
+    assert issubclass(counting.CountCertificateError, CountError)
+    rose = tmp_path / "rose.txt"
+    rose.write_text(textio.print_marked(MarkedGraph.rose_identity(3)))
+    theta = tmp_path / "theta.txt"
+    theta.write_text(textio.print_marked(fixed_inputs()[2][2]))
+    walk, step_tables = counting._walk, covers.LabeledGraph.step_tables
+
+    def unreachable_edge(K, edges, start, closed):
+        return walk(K, edges | {0}, start, closed)
+
+    def positive_steps(K):
+        out, heads = step_tables(K)
+        return {v: {a: d for a, d in o.items() if a > 0}
+                for v, o in out.items()}, heads
+
+    faults = [
+        (theta, "_walk", unreachable_edge, "a3 a1 a2",
+         "chain walk missed edges of its component"),
+        (rose, "_walk", unreachable_edge, "a3 a1 a2",
+         "cycle walk did not close up over its cycle"),
+        (rose, "step_tables", positive_steps, "a1 a2",
+         "entry-state run exceeded budget")]
+    for graph, name, fault, cls, message in faults:
+        with monkeypatch.context() as m:
+            if name == "_walk":
+                m.setattr(counting, name, fault)
+            else:
+                m.setattr(covers.LabeledGraph, name, fault)
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["count-i", "--graph", str(graph), "--a", "a1",
+                          "--b", "a1, a2", "--cls", cls])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == "AUDIT VIOLATION: %s\n" % message
 
 
 def bench_bracket_instance(rng, n, r):

@@ -231,8 +231,8 @@ def test_apply_theta():
 def test_compose():
     th = theta_endo(3, 2)
     psi = Endomorphism.from_lists([[2], [-2, 1], [3]], 3)
-    assert th.compose(psi).is_identity()
-    assert psi.compose(th).is_identity()
+    assert th.compose(psi) == Endomorphism.identity(th.rank)
+    assert psi.compose(th) == Endomorphism.identity(psi.rank)
     ident = Endomorphism.identity(3)
     assert ident.compose(th) == th
 
@@ -254,7 +254,8 @@ def test_is_automorphism():
     th = theta_endo(3, 2)
     auto = is_automorphism(th)
     assert auto is not None
-    assert auto.endo.compose(auto.inverse_endo).is_identity()
+    ident = Endomorphism.identity(auto.rank)
+    assert auto.endo.compose(auto.inverse_endo) == ident
     bad = Endomorphism.from_lists([[1, 2], [1, 2], [3]], 3)
     assert is_automorphism(bad) is None
     phi1 = Endomorphism.from_lists([[1], [2], [3, 1, 2]], 3)
@@ -297,8 +298,9 @@ def test_random_token_autos_invert(seed):
         endo = Endomorphism.from_lists(imgs, n).compose(endo)
     auto = is_automorphism(endo)
     assert auto is not None
-    assert auto.endo.compose(auto.inverse_endo).is_identity()
-    assert auto.inverse_endo.compose(auto.endo).is_identity()
+    ident = Endomorphism.identity(auto.rank)
+    assert auto.endo.compose(auto.inverse_endo) == ident
+    assert auto.inverse_endo.compose(auto.endo) == ident
 
 
 def brute_force_conjugator(us, vs, max_len):

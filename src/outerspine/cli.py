@@ -145,7 +145,7 @@ def cmd_count_i(args):
     B = _words(args.b, G.rank)
     ctx = counting.build_context(A_lists, B, G)
     c = CyclicWord.of(textio.parse_word(args.cls, G.rank))
-    print(counting.count_i(ctx, c).value)
+    print(counting.count_i(ctx, c))
 
 
 def cmd_lipschitz_audit(args):
@@ -250,10 +250,15 @@ def cmd_fold_path(args):
         print("vertex %d:" % i)
         sys.stdout.write(textio.print_marked(v))
         if i < len(path.steps):
+            # the forest is in the edge ids of the step's representative X;
+            # carry it to the printed upper vertex through the equivalence
+            # that `SpinePath.verify` checked
             st = path.steps[i]
+            upper = path.vertices[i + (st.kind == "up")]
+            forest = st.forest if st.X is upper else {
+                abs(equivalent(st.X, upper)[1][e]) for e in st.forest}
             print("certificate %d: %s collapse of {%s}" % (
-                i, st.kind,
-                ", ".join("e%d" % e for e in sorted(st.forest))))
+                i, st.kind, ", ".join("e%d" % e for e in sorted(forest))))
 
 
 def cmd_selftest(args):

@@ -7,10 +7,11 @@ block E (a natural chain or loop, stored as simplicial directed edges;
 `_block`). The axis of c is traced through K as a periodic line; each
 maximal stay is a path, and crossings are complete traversals of the block.
 
-`count_i` walks a class letter by letter. A class held as a straight-line
-program (the witness rows) is counted instead from segment summaries:
-`path_summary` for an explicit path, `compose` for a concatenation of
-summarized segments and `close` for the cyclic word. A summary records,
+The count has one engine, segment summaries of the trace: `path_summary`
+for an explicit path, `compose` for a concatenation of summarized segments
+and `close` for the cyclic word. `count_i` summarizes a class's circuit in
+one walk and closes it; a class held as a straight-line program (the
+witness rows) composes the summaries of its pieces first. A summary records,
 for each K vertex, where the run entering there leaves the segment (or
 that it dies inside) and its crossings; the runs that start inside the
 segment and are still alive at its end; and the most crossings of a run
@@ -21,8 +22,6 @@ a junction, each reading its exit straight off the next through map.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, repeat
 from typing import NamedTuple
 
 from .covers import collapse_labeled, embeddings, stallings_core
@@ -53,10 +52,10 @@ class CountingContext:
     block: tuple             # directed K-edges: the crossing block E
     shape: str               # "edge" | "loop" | "loop_at_core"
 
-    @cached_property
-    def tables(self):
-        """The step tables and block matcher that summaries share."""
-        return _Tables(self)
+    def __post_init__(self):
+        # built at once: the step tables and block matcher that summaries
+        # share cost a one-shot count less than a cached_property would
+        self.tables = _Tables(self)
 
 
 _SHAPE = "complement shape matches neither rank-increment case"
@@ -180,107 +179,52 @@ def build_context(A_gens_list, B_gens, G):
     return _locate(G, *_fold(A_gens_list, B_gens, G))
 
 
-@dataclass
-class CrossingCount:
-    value: int
-
-
-def _count_block(mu, block, rev):
-    q = len(block)
-    n = 0
-    for i in range(len(mu) - q + 1):
-        win = mu[i:i + q]
-        if win == block or win == rev:
-            n += 1
-    return n
-
-
-def count_i(ctx, c):
-    """Maximum number of complete crossings of the block by the periodic
-    trace of c through K, over all start positions and phases. Every
-    rotation of the circuit has the same states, up to a shift of the
-    phase, so the trace starts from c's cyclic core as it is read, not
-    from a least rotation.
-
-    A trace that cycles proves c conjugate into B, which is an error (the
-    quantity is undefined there).
-
-    One pass, O(|V(K)| L) for a circuit of L letters (times the block
-    length for the window test). The states are the pairs (v, p); a state
-    steps along the edge leaving v labelled circuit[p]. K is an immersion,
-    so a state has at most one successor and at most one predecessor: the
-    step is injective. Its orbits are therefore disjoint paths and cycles,
-    and the runs from the entry states (no predecessor) cover every state
-    on a path exactly once. The run from each entry state is walked once,
-    and the states it covers are counted; fewer than |V(K)| L covered
-    states means some state lies on a cycle, i.e. c is conjugate into B.
-    A run from an entry state longer than |V(K)| L steps would break the
-    injectivity, so its budget is a certificate of K's folding.
-    """
-    circuit = cyclic_core(ctx.G.expand(c.letters))[1]
-    if not circuit:
-        raise CountError("trivial class")
-    K = ctx.K
-    out, heads = K.step_tables()
-    L = len(circuit)
-    n_states = len(K.vertices) * L
-    block = ctx.block
-    rev = invert_letters(block)
-    covered = 0
-    best = 0
-    for v in K.vertices:
-        out_v = out[v]
-        for p in range(L):
-            if -circuit[p - 1] in out_v:
-                continue  # not an entry state
-            mu = []
-            u, q = v, p
-            budget = n_states + 1
-            while budget:
-                d = out[u].get(circuit[q])
-                if d is None:
-                    break
-                mu.append(d)
-                u = heads[d]
-                q = q + 1 if q + 1 < L else 0
-                budget -= 1
-            if not budget:
-                raise CountCertificateError("entry-state run exceeded budget")
-            covered += len(mu) + 1
-            best = max(best, _count_block(tuple(mu), block, rev))
-    if covered < n_states:
-        raise ConjugateIntoB("class is conjugate into B; count undefined")
-    return CrossingCount(best)
-
-
 # -- segment summaries -------------------------------------------------------
 
+class _Entries(dict):
+    """entries[a]: the K vertices v where (v, next position) has no
+    predecessor after the letter a, i.e. -a does not leave v; filled per
+    letter on first use, for the letters that end a segment where
+    `compose` and `close` start runs."""
+
+    __slots__ = ("out",)
+
+    def __init__(self, out):
+        self.out = out
+
+    def __missing__(self, a):
+        out = self.out
+        got = self[a] = [v for v in out if -a not in out[v]]
+        return got
+
+
 class _Tables:
-    """K's step tables, the entry test and the block/reverse-block matcher.
+    """K's step tables, the entry table and the block/reverse-block matcher.
 
     A window state is the longest suffix of the K-edges walked so far that
     is a proper prefix of the block or of its reverse (a KMP state for the
     two patterns). A window completes where a state of length q - 1 is
     extended to the block or its reverse, which is exactly where the last
-    q edges are one of them: the windows count_i's scan counts.
+    q edges are one of them. From the empty state only the first edge of
+    the block or of its reverse (`starts`) leads anywhere: any other K-edge
+    leaves the state empty and completes no window, so `path_summary`
+    skips the memo for it.
 
-    entries[a] lists the vertices v where (v, next position) has no
-    predecessor after the letter a (count_i's entry test), for every
-    signed G-edge a; `moves` memoizes `move`, and the walkers read it
-    inline.
+    `entries` is the entry table (`_Entries`); `moves` memoizes `move`,
+    and the walkers read it inline.
     """
+
+    __slots__ = ("out", "heads", "block", "rev", "q", "starts", "moves",
+                 "entries")
 
     def __init__(self, ctx):
         self.out, self.heads = ctx.K.step_tables()
-        self.vertices = sorted(ctx.K.vertices)
         self.block = ctx.block
         self.rev = invert_letters(ctx.block)
         self.q = len(ctx.block)
-        self.paths = {}          # summaries by path
+        self.starts = (self.block[0], self.rev[0])
         self.moves = {}
-        self.entries = {a: tuple(v for v in self.vertices
-                                 if -a not in self.out[v])
-                        for e in ctx.G.graph.edges for a in (e, -e)}
+        self.entries = _Entries(self.out)
 
     def move(self, s, d):
         """Window state after the K-edge d, and 1 if a window completed,
@@ -323,10 +267,6 @@ class Summary(NamedTuple):
     best: int
 
 
-# The open run that starts at an entry state: no crossings, empty window.
-_FRESH = (0, ())
-
-
 def _through(tb, entry, s):
     """(exit vertex or None, crossings, window state) of the run that the
     through entry `entry` records, entered with the nonempty window state s
@@ -346,21 +286,24 @@ def path_summary(ctx, path):
     """Summary of a nonempty explicit path, read off one loop over its
     runs: one from every K vertex at its start, which keeps its first q
     K-edges, and one from every entry state inside it that takes a step (a
-    run that dies at once crosses nothing). The step is injective, so the
-    runs are disjoint: at most |V(K)| |path| steps in all, each one lookup
-    in the step table and one in the window-move memo.
-    Kept per context, since a program's explicit pieces repeat; a summary
-    is never changed once built, so the cache hands out shared ones."""
+    run that dies at once crosses nothing).
+
+    The trace states are the pairs (v, p) of a K vertex and a position of
+    the path; a state steps along the edge leaving v labelled path[p]. K
+    is an immersion, so a state has at most one successor and at most one
+    predecessor: the step is injective. An entry state inside the path has
+    no predecessor (-path[p - 1] does not leave v), so no run steps onto
+    it, and two runs that reach one state would give it two predecessors:
+    the runs are disjoint, at most |V(K)| |path| steps in all, each one
+    lookup in the step table and, unless the window state stays empty
+    (`_Tables.starts`), one in the window-move memo."""
     tb = ctx.tables
-    got = tb.paths.get(path)
-    if got is not None:
-        return got
-    out, heads, q, moves, entries = tb.out, tb.heads, tb.q, tb.moves, \
-        tb.entries
+    out, heads, q, moves, starts = tb.out, tb.heads, tb.q, tb.moves, \
+        tb.starts
     through, arrivals, best = {}, {}, 0
-    runs = [(v, 0) for v in tb.vertices]
-    runs += [(v, p) for p in range(1, len(path)) for v in entries[path[p - 1]]
-             if path[p] in out[v]]
+    runs = [(v, 0) for v in out]
+    runs += [(v, p) for p in range(1, len(path)) for v in out
+             if -path[p - 1] not in out[v] and path[p] in out[v]]
     for v, p in runs:
         u, c, s, head = v, 0, (), []
         keep = 0 if p else q
@@ -372,17 +315,18 @@ def path_summary(ctx, path):
             if keep:
                 head.append(d)
                 keep -= 1
-            s, hit = moves.get((s, d)) or tb.move(s, d)
-            c += hit
+            if s or d in starts:
+                s, hit = moves.get((s, d)) or tb.move(s, d)
+                c += hit
             u = heads[d]
         if not p:
             through[v] = (u, c, s, tuple(head))
         elif u is None:
-            best = max(best, c)
+            if c > best:
+                best = c
         else:
             arrivals[u] = (c, s)
-    got = tb.paths[path] = Summary(tb, path[-1], through, arrivals, best)
-    return got
+    return Summary(tb, path[-1], through, arrivals, best)
 
 
 def compose(S, T):
@@ -428,22 +372,33 @@ def compose(S, T):
 
 
 def close(W):
-    """count_i's value for the cyclic word whose one period W summarizes.
+    """count_i's value for the cyclic word whose one period W summarizes:
+    the most complete crossings of the block by the periodic trace of the
+    word through K, over all start positions and phases.
 
+    The trace states are the pairs (v, p) of a K vertex and a position of
+    the word, stepping as in `path_summary`; the step is injective, so its
+    orbits are disjoint paths and cycles, and the runs from the entry
+    states (no predecessor) cover every state on a path exactly once.
     Every run from an entry state (W's arrivals, and the entry states at
     its start) is followed lap by lap through W's through map until it
-    dies; the step is injective, so the laps meet each K vertex at most
-    once, O(|V(K)|) lookups in all. The states at W's start that no such
-    run meets lie on cycles of the step, i.e. are alive periodic points of
-    W's through-map: the class is then conjugate into B, as in count_i's
-    coverage test.
+    dies. A K vertex at W's start that a second entry run reaches would be
+    a state with two predecessors, so "two entry runs meet" is the
+    certificate that the step is injective (CountCertificateError, exit
+    3), and the laps meet each K vertex at most once, O(|V(K)|) lookups in
+    all. Every orbit that does not die passes W's start, so the states
+    there that no entry run meets lie on cycles of the step: the trace of
+    the word is periodic, the class is conjugate into B and the count is
+    undefined (ConjugateIntoB). This coverage test is the count's one
+    finiteness test.
     """
     tb = W.tables
     Wt = W.through
     best = W.best
     met = set()
-    for u, (c, t) in chain(W.arrivals.items(),
-                           zip(tb.entries[W.last], repeat(_FRESH))):
+    runs = [(u, c, t) for u, (c, t) in W.arrivals.items()]
+    runs += [(v, 0, ()) for v in tb.entries[W.last]]
+    for u, c, t in runs:
         while u is not None:
             if u in met:
                 raise CountCertificateError("two entry runs meet: the step "
@@ -454,10 +409,30 @@ def close(W):
             else:
                 u, c2, t, _ = Wt[u]
             c += c2
-        best = max(best, c)
-    if len(met) < len(tb.vertices):
+        if c > best:
+            best = c
+    if len(met) < len(Wt):
         raise ConjugateIntoB("class is conjugate into B; count undefined")
     return best
+
+
+def count_loop(ctx, loop):
+    """count_i's value for the class of the closed G-edge path loop: the
+    summary of its cyclic core, closed. Every rotation of the circuit has
+    the same trace states, up to a shift of the phase, so the core is
+    summarized as it is read, not from a least rotation."""
+    circuit = cyclic_core(loop)[1]
+    if not circuit:
+        raise CountError("trivial class")
+    return close(path_summary(ctx, circuit))
+
+
+def count_i(ctx, c):
+    """i_{A,B}(c, G): the most complete crossings of the block by the
+    periodic trace of c through K (`count_loop`, `close`). A trace that
+    cycles proves c conjugate into B, where the quantity is undefined
+    (ConjugateIntoB)."""
+    return count_loop(ctx, ctx.G.expand(c.letters))
 
 
 def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
@@ -490,4 +465,4 @@ def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
     labels = set(forest)
     ctx2 = _locate(G.collapse_marked(forest)[0], collapse_labeled(K, labels),
                    [collapse_labeled(KA, labels) for KA in A_cores])
-    return count_i(ctx1, c).value, count_i(ctx2, c).value
+    return count_i(ctx1, c), count_i(ctx2, c)

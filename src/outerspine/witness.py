@@ -11,8 +11,9 @@ straight-line program over theta (symbols for theta^k(e_i), and for
 their inverses when the class reads one, each built from row k-1's
 symbols), and its crossing count comes from the counting layer's segment
 summaries, composed only where two summarized middles meet and once to
-close the class, so a row costs the same at every k. `count_i` on the
-expanded rows of `witness_rows` is the oracle the tests hold it to.
+close the class, so a row costs the same at every k. The tests hold it to
+the two-pass letter walk of `count_oracle.count_i` on the expanded rows of
+`witness_rows`.
 
 Everything is exact: integers of arbitrary precision, no fitted growth.
 The case-1 counts are cross-checked on every row against the occurrence
@@ -27,7 +28,7 @@ from itertools import islice, repeat
 from typing import NamedTuple
 
 from .words import (CyclicWord, Endomorphism, ReducedWord, basis_word,
-                    cyclic_core, invert_letters, nielsen_product, substitute)
+                    invert_letters, nielsen_product, substitute)
 from .marked import MarkedGraph
 from .graphs import CoreGraph
 from . import counting
@@ -313,6 +314,19 @@ def case2_build(params):
 _END_EDGES = 4
 
 
+class _Summaries(dict):
+    """summaries[path]: `counting.path_summary` of an explicit piece of the
+    row programs, kept for one report, since the pieces repeat from row to
+    row (a summary is never changed once built, so they are shared)."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def __missing__(self, path):
+        got = self[path] = path_summary(self.ctx, path)
+        return got
+
+
 class _Path(NamedTuple):
     head: tuple      # the whole path when mid is None
     mid: object      # counting.Summary of the middle, or None
@@ -323,7 +337,7 @@ def _explicit(edges):
     return _Path(edges, None, ())
 
 
-def _cut(ctx, P):
+def _cut(memo, P):
     """P with at most `_END_EDGES` explicit edges at each end; the edges
     in between join the middle. An already cut P comes back unchanged."""
     c = _END_EDGES
@@ -331,13 +345,13 @@ def _cut(ctx, P):
     if mid is None:
         if len(head) <= 2 * c:
             return P
-        return _Path(head[:c], path_summary(ctx, head[c:-c]), head[-c:])
+        return _Path(head[:c], memo[head[c:-c]], head[-c:])
     if len(head) <= c and len(tail) <= c:
         return P
     if len(head) > c:
-        mid = compose(path_summary(ctx, head[c:]), mid)
+        mid = compose(memo[head[c:]], mid)
     if len(tail) > c:
-        mid = compose(mid, path_summary(ctx, tail[:-c]))
+        mid = compose(mid, memo[tail[:-c]])
     return _Path(head[:c], mid, tail[-c:])
 
 
@@ -349,7 +363,7 @@ def _cancelled(left, right):
     return j
 
 
-def _join(ctx, pieces):
+def _join(memo, pieces):
     """The reduced concatenation of reduced paths."""
     head, mid, tail = pieces[0]
     for q_head, q_mid, q_tail in pieces[1:]:
@@ -364,25 +378,23 @@ def _join(ctx, pieces):
         elif q_mid is None:
             tail = joint
         else:
-            mid = compose(compose(mid, path_summary(ctx, joint)), q_mid)
+            mid = compose(compose(mid, memo[joint]), q_mid)
             tail = q_tail
     return _Path(head, mid, tail)
 
 
-def _count_cyclic(ctx, P):
-    """counting.count_i's value for the class of the closed path P: its
-    middle followed by one closing stretch, tail then head, a rotation of
-    the same cyclic word."""
+def _count_cyclic(memo, P):
+    """counting.count_i's value for the class of the closed path P: an
+    explicit P is counted as count_i counts (`counting.count_loop`), and a
+    compressed one as its middle followed by one closing stretch, tail
+    then head, a rotation of the same cyclic word."""
     if P.mid is None:
-        core = cyclic_core(P.head)[1]
-        if not core:
-            raise counting.CountError("trivial class")
-        return close(path_summary(ctx, core))
+        return counting.count_loop(memo.ctx, P.head)
     j = _cancelled(P.tail, P.head)
     if j == len(P.head) or j == len(P.tail):
         raise WitnessError("cancellation reaches a compressed middle")
-    return close(compose(P.mid, path_summary(
-        ctx, P.tail[:len(P.tail) - j] + P.head[j:])))
+    return close(compose(
+        P.mid, memo[P.tail[:len(P.tail) - j] + P.head[j:]]))
 
 
 def _row_counts(ctx, c0, th, phi0, m):
@@ -428,15 +440,16 @@ def _row_counts(ctx, c0, th, phi0, m):
     E = {i: _explicit(G.expand((i,))) for i in images}
     I = ({i: _explicit(invert_letters(G.expand((i,)))) for i in images}
          if -1 in template else None)
+    memo = _Summaries(ctx)
     while True:
-        yield _count_cyclic(ctx, _join(ctx, [
+        yield _count_cyclic(memo, _join(memo, [
             E[1] if p == 1 else I[1] if p == -1 else p for p in template]))
         E = {i: E[im[0]] if len(im) == 1
-             else _cut(ctx, _join(ctx, [E[y] for y in im]))
+             else _cut(memo, _join(memo, [E[y] for y in im]))
              for i, im in images.items()}
         if I is not None:
             I = {i: I[im[0]] if len(im) == 1
-                 else _cut(ctx, _join(ctx, [I[y] for y in reversed(im)]))
+                 else _cut(memo, _join(memo, [I[y] for y in reversed(im)]))
                  for i, im in images.items()}
 
 

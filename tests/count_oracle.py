@@ -1,11 +1,14 @@
 """Test oracles for the crossing count.
 
-`count_i` is the two-pass count the library used before `counting.count_i`
-walked each entry state once. The first pass colours the trace states to
-find a cycle (a class conjugate into B); the second walks every entry
-state's run. `lipschitz_audit` is the bracket audit as it was before the
-collapsed side's context was derived from the uncollapsed one: it builds
-both contexts from scratch, the second over the natural representative
+`count_i` is the two-pass letter walk the library used before
+`counting.count_i` walked each entry state once, and later closed a path
+summary. The first pass colours the trace states to find a cycle (a class
+conjugate into B); the second walks every entry state's run and scans its
+windows. It shares no code with the summary engine, so the tests that
+hold the summaries to it do not hold them to themselves.
+`lipschitz_audit` is the bracket audit as it was before the collapsed
+side's context was derived from the uncollapsed one: it builds both
+contexts from scratch, the second over the natural representative
 of G/F. `classify_complement` is the block search the locate step ran
 before it read the block off the complement in one walk (`counting._block`):
 it checks the complement's count and connectivity, prunes its leaves to
@@ -19,17 +22,18 @@ walked the path: one summary per edge, composed edge by edge.
 `per_run_summary`, `per_run_compose` and `per_run_close` are the summary
 kernel as it was before each path was walked in one loop: one `_trace`
 call per run, every open run listed by `_open_runs` and carried through
-`_through`. They are copied as they were, except that the summary keeps
-no cache, the entry test is read off the step table directly, and two
-entry runs that meet raise plain CountError. Only the differential tests
-in test_count_engine.py import this module.
+`_through`. They are copied as they were, except that the entry test is
+read off the step table directly and two entry runs that meet raise
+plain CountError. Only the differential tests
+import this module: test_count_engine.py, and test_witness.py for its
+row-by-row table.
 """
 
 import itertools
 from itertools import islice
 
 from outerspine import counting
-from outerspine.counting import (ConjugateIntoB, CountError, CrossingCount,
+from outerspine.counting import (ConjugateIntoB, CountError,
                                  CountingContext, Summary, build_context,
                                  compose)
 from outerspine.covers import embeddings
@@ -97,14 +101,14 @@ def count_i(ctx, c):
         if not budget:
             raise CountError("entry-state run exceeded budget")
         best = max(best, _count_block(tuple(mu), ctx.block))
-    return CrossingCount(best)
+    return best
 
 
 def edge_summary(ctx, a):
     """Summary of the one-letter segment a (a signed G-edge)."""
     tb = ctx.tables
     through = {}
-    for v in tb.vertices:
+    for v in tb.out:
         d = tb.out[v].get(a)
         if d is None:
             through[v] = (None, 0, (), ())
@@ -126,7 +130,7 @@ def composed_summary(ctx, path):
 def _entries_after(tb, a):
     """Vertices v where (v, next position) has no predecessor after the
     letter a: the entry test of count_i."""
-    return tuple(v for v in tb.vertices if -a not in tb.out[v])
+    return tuple(v for v in tb.out if -a not in tb.out[v])
 
 
 def _through(S, v, s):
@@ -166,7 +170,7 @@ def per_run_summary(ctx, path):
     """Summary of a nonempty explicit path, read off one walk from every
     K vertex at its start and one from every entry state inside it."""
     tb = ctx.tables
-    through = {v: _trace(tb, v, path, 0) for v in tb.vertices}
+    through = {v: _trace(tb, v, path, 0) for v in tb.out}
     arrivals = {}
     best = 0
     for p in range(1, len(path)):
@@ -230,7 +234,7 @@ def per_run_close(W):
             u, c2, t = _through(W, u, t)
             c += c2
         best = max(best, c)
-    if len(met) < len(W.tables.vertices):
+    if len(met) < len(W.tables.out):
         raise ConjugateIntoB("class is conjugate into B; count undefined")
     return best
 
@@ -239,7 +243,7 @@ def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
     ctx1 = build_context(A_gens_list, B_gens, G)
     G2 = G.collapse_marked(forest)[0].natural_marked()
     ctx2 = build_context(A_gens_list, B_gens, G2)
-    return counting.count_i(ctx1, c).value, counting.count_i(ctx2, c).value
+    return counting.count_i(ctx1, c), counting.count_i(ctx2, c)
 
 
 def locate_first_embedding(G, K, A_cores):

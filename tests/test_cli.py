@@ -1,5 +1,7 @@
 import contextlib
 import io
+import random
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ from outerspine import cli, covers, folding, sampling, spine, textio, witness
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.retract_aut import embed_j
 from outerspine import graphs
+from marked_oracle import oracle_collapse_matches
 
 
 def call_cli(args):
@@ -528,7 +531,7 @@ certificate 6: down collapse of {e6}
 vertex 7:
 graph { v: v0 v1; e: e1 v0 v1; e2 v0 v1; e3 v0 v0; e4 v0 v1; e5 v0 v0; }
 marking { a1 = e1 e2^-1 e3; a2 = e3; a3 = e4 e2^-1 e3; a4 = e5^-1 e3; }
-certificate 7: down collapse of {e5}
+certificate 7: down collapse of {e2}
 vertex 8:
 graph { v: v0; e: e1 v0 v0; e2 v0 v0; e3 v0 v0; e4 v0 v0; }
 marking { a1 = e1 e2; a2 = e2; a3 = e3 e2; a4 = e4^-1 e2; }
@@ -554,6 +557,85 @@ FOLD_PATH_PINS = {
     3: (FOLD_PATH_RANK3_LEFT, FOLD_PATH_RANK3_RIGHT, FOLD_PATH_RANK3_STDOUT),
     4: (FOLD_PATH_RANK4_LEFT, FOLD_PATH_RANK4_RIGHT, FOLD_PATH_RANK4_STDOUT),
 }
+
+
+CERTIFICATE_LINE = re.compile(r"certificate (\d+): (up|down) collapse of "
+                              r"\{(.*)\}")
+
+
+def recheck_fold_path(stdout, left, right):
+    """Recheck printed `fold-path` output from its text alone: every vertex
+    is parsed back with textio; each certificate's forest, collapsed in the
+    printed upper vertex, must give the printed lower one (the built
+    collapse of `marked_oracle.oracle_collapse_matches`); and the ends must
+    be the input ends. Returns the number of steps."""
+    lines = stdout.splitlines()
+    length = int(lines[0].removeprefix("length: "))
+    vertices, steps = [], []
+    i = 1
+    while i < len(lines):
+        assert lines[i] == "vertex %d:" % len(vertices)
+        vertices.append(textio.parse_marked("\n".join(lines[i + 1:i + 3])))
+        i += 3
+        if i < len(lines):
+            got = CERTIFICATE_LINE.fullmatch(lines[i])
+            assert got and int(got[1]) == len(steps), lines[i]
+            steps.append((got[2], {textio.parse_letter(e, "e")
+                                   for e in got[3].split(", ")}))
+            i += 1
+    assert len(steps) == length == len(vertices) - 1
+    assert equivalent(vertices[0], left) is not None
+    assert equivalent(vertices[-1], right) is not None
+    for k, (kind, forest) in enumerate(steps):
+        upper, lower = vertices[k], vertices[k + 1]
+        if kind == "up":
+            upper, lower = lower, upper
+        assert oracle_collapse_matches(upper, forest, lower), k
+    return length
+
+
+def fold_path_stdout(tmp_path, left, right):
+    args = ["fold-path"]
+    for i, G in enumerate((left, right)):
+        p = tmp_path / ("end%d.txt" % i)
+        p.write_text(textio.print_marked(G))
+        args.append(str(p))
+    return run_cli(args)
+
+
+def test_fold_path_certificates_recheck_from_text(tmp_path):
+    """Each printed forest is in the edge ids of its printed upper vertex,
+    also where the step's representative X is another object: in the
+    smallest such path (rank 2, length 4) only {e2} collapses vertex 1 to
+    vertex 2, while X's ids read {e3}. The pinned outputs and seeded pairs
+    at ranks 2-4 (seven such steps) recheck from their text too."""
+    rose = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
+    left = textio.parse_marked(rose + "marking { a1 = e2 e1; a2 = e2; }\n")
+    right = textio.parse_marked(
+        rose + "marking { a1 = e2 e1 e2 e2 e1; a2 = e2 e1; }\n")
+    out = fold_path_stdout(tmp_path, left, right)
+    assert "certificate 1: down collapse of {e2}\n" in out
+    assert recheck_fold_path(out, left, right) == 4
+    rose2 = write_rose(tmp_path, n=2)
+    acted = run_cli(["act", rose2, "--images", "a1 a2, a2"])
+    assert recheck_fold_path(FOLD_PATH_ROSE2_STDOUT,
+                             MarkedGraph.rose_identity(2),
+                             textio.parse_marked(acted)) == 2
+    for left_text, right_text, stdout in FOLD_PATH_PINS.values():
+        recheck_fold_path(stdout, textio.parse_marked(left_text),
+                          textio.parse_marked(right_text))
+    rng = random.Random(13)
+    moved = 0
+    for n in (2, 2, 3, 3, 4, 4):
+        left, right = (sampling.random_marked_graph(rng, n, rng.randint(1, 3))
+                       for _ in range(2))
+        recheck_fold_path(fold_path_stdout(tmp_path, left, right),
+                          left, right)
+        path = spine.fold_path(left, right)
+        moved += sum(
+            st.X is not path.vertices[k + (st.kind == "up")]
+            for k, st in enumerate(path.steps))
+    assert moved >= 5
 
 
 def test_collapse_and_blowups(tmp_path):
@@ -710,6 +792,26 @@ def test_fold_path_certificate_faults_exit_3(tmp_path, monkeypatch):
         assert_audit_violation(args, "vertex 0 is not natural")
     err = run_cli_error(["fold-path", rose, write_rose(tmp_path, "r3.txt")])
     assert err == "error: rank mismatch: 2 vs 3\n"
+
+
+def test_fold_path_construction_faults_exit_3(tmp_path, monkeypatch):
+    """Valid ends reach neither of `fold_path`'s construction certificates,
+    so each fault is put in by hand through the rose's transfer words: a
+    petal whose value is trivial has an empty image, and two petals with
+    one value fold onto each other, a fold that drops rank. `fold-path`
+    exits 3 with one `AUDIT VIOLATION:` line for each."""
+    rose = write_rose(tmp_path, n=2)
+    args = ["fold-path", rose, rose]
+    assert run_cli(args).startswith("length: 0\n")
+    faults = [
+        ({1: (), 2: (2,)}, "petal image collapsed; markings incompatible"),
+        ({1: (1,), 2: (1,)}, "rank-dropping fold; map is not a marking "
+                             "preserving homotopy equivalence")]
+    for values, message in faults:
+        with monkeypatch.context() as m:
+            m.setattr(MarkedGraph, "inverse_marking_values",
+                      lambda self: values)
+            assert_audit_violation(args, message)
 
 
 # The tests above run the CLI in process; these four run it as a program.

@@ -1,9 +1,9 @@
-"""Seeded differential tests of the one-pass crossing count against the
-two-pass trace it replaced (tests/count_oracle.py), of the walked path
-summaries against ones composed edge by edge (the oracle), of the composed
-segment summaries against the one-pass count, of the summaries a context keeps
-against ones composed on a fresh context, and of the bracket audit
-against one that builds both contexts from scratch.
+"""Seeded differential tests of the crossing count, a closed path summary,
+against the two-pass letter walk (tests/count_oracle.py), of the walked
+path summaries against ones composed edge by edge (the oracle), of the
+composed segment summaries against the two-pass walk, of the summaries a
+witness report keeps against ones composed on a fresh context, and of the
+bracket audit against one that builds both contexts from scratch.
 
 The oracle traces the least rotation of each circuit (`circuit_of`) and
 count_i the cyclic core as it is read, so equal values also check that
@@ -28,10 +28,9 @@ from outerspine.words import CyclicWord, ReducedWord, basis_word, word
 
 def outcome(count, ctx, c):
     try:
-        got = count(ctx, c)
+        return count(ctx, c)
     except CountError as exc:
         return type(exc)
-    return got.value
 
 
 def fixed_inputs():
@@ -148,7 +147,7 @@ def test_close_of_composed_edge_summaries_matches_count_i():
     for ctx, B in fixed_contexts() + random_contexts(rng, 24):
         block_lengths.add(len(ctx.block))
         for c in random_classes(rng, ctx.G.rank, B):
-            want = outcome(counting.count_i, ctx, c)
+            want = outcome(count_oracle.count_i, ctx, c)
             W = bracketed_summary(ctx, ctx.G.circuit_of(c), rng)
             try:
                 got = close(W)
@@ -201,18 +200,19 @@ def test_walked_path_summary_matches_composed_edges():
 
 
 def test_kept_summaries_equal_fresh_ones():
-    """The path summaries a context keeps, one-letter ones included, equal
-    the ones the oracle composes edge by edge on a fresh context, after
-    every circuit and its overlapping pieces went through the kept ones;
-    each is built once and shared."""
+    """The path summaries a witness report keeps (`witness._Summaries`),
+    one-letter ones included, equal the ones the oracle composes edge by
+    edge on a fresh context, after every circuit and its overlapping
+    pieces went through the kept ones; each is built once and shared."""
     rng = random.Random(79)
     shared = 0
     for ctx, B in fixed_contexts() + random_contexts(rng, 12):
         pieces = circuit_pieces(rng, ctx, B)
         pieces += [(a,) for a in {a for p in pieces for a in p}]
-        kept = [path_summary(ctx, p) for p in pieces]
+        keep = witness._Summaries(ctx)
+        kept = [keep[p] for p in pieces]
         for p, S in zip(pieces, kept):
-            assert path_summary(ctx, p) is S
+            assert keep[p] is S
             want = count_oracle.composed_summary(dataclasses.replace(ctx), p)
             assert fields(S) == fields(want), p
             shared += len(p) == 1
@@ -433,7 +433,7 @@ def test_count_depends_on_the_embedding_where_B_is_not_a_free_factor():
     for eset, vset in sorted(images(KA, K), key=lambda im: sorted(im[1])):
         block, shape = counting._block(K, eset, vset)
         ctx = counting.CountingContext(G, K, (eset,), (vset,), block, shape)
-        counts.append(counting.count_i(ctx, c).value)
+        counts.append(counting.count_i(ctx, c))
     assert counts == [1, 2]
 
 
@@ -528,8 +528,8 @@ def test_count_certificate_faults_exit_3(monkeypatch, tmp_path, capsys):
     so each fault is put in by hand: `_walk` handed a complement with an
     edge it cannot reach (the chain walk of a theta graph's block, the
     cycle walk of the rose's), and a step table that keeps only the
-    positive labels, so the step is not injective and a run from an entry
-    state never dies. Each raises CountCertificateError, also a
+    positive labels, so the step is not injective and `close` finds two
+    entry runs that meet. Each raises CountCertificateError, also a
     CountError, and count-i exits 3 with one `AUDIT VIOLATION:` line."""
     assert issubclass(counting.CountCertificateError, CountError)
     rose = tmp_path / "rose.txt"
@@ -552,7 +552,7 @@ def test_count_certificate_faults_exit_3(monkeypatch, tmp_path, capsys):
         (rose, "_walk", unreachable_edge, "a3 a1 a2",
          "cycle walk did not close up over its cycle"),
         (rose, "step_tables", positive_steps, "a1 a2",
-         "entry-state run exceeded budget")]
+         "two entry runs meet: the step is not injective")]
     for graph, name, fault, cls, message in faults:
         with monkeypatch.context() as m:
             if name == "_walk":

@@ -37,11 +37,11 @@ def test_build_context_rank_mismatch():
 def test_count_examples():
     ctx, G = rose_ctx()
     c0 = CyclicWord.of(basis_word(3, 3))
-    assert count_i(ctx, c0).value == 0
+    assert count_i(ctx, c0) == 0
     c1 = CyclicWord.of(word([3, 1, 2], 3))
-    assert count_i(ctx, c1).value == 1
+    assert count_i(ctx, c1) == 1
     c5 = CyclicWord.of(basis_word(3, 3) * u_k(3, 2, 5))
-    assert count_i(ctx, c5).value == 5
+    assert count_i(ctx, c5) == 5
 
 
 def test_count_rejects_B_classes():
@@ -58,14 +58,14 @@ def test_count_conjugacy_invariance():
     base = word([3, 1, 2, 2], 3)
     for g in [basis_word(1, 3), word([2, 3], 3), word([-3, 1], 3)]:
         c = CyclicWord.of(base.conjugate_by(g))
-        assert count_i(ctx, c).value == count_i(ctx, CyclicWord.of(base)).value
+        assert count_i(ctx, c) == count_i(ctx, CyclicWord.of(base))
 
 
 def test_count_matches_matrix_oracle():
     ctx, G = rose_ctx()
     for k in range(11):
         ck = CyclicWord.of(basis_word(3, 3) * u_k(3, 2, k))
-        assert count_i(ctx, ck).value == occurrence_count(2, 2, k)
+        assert count_i(ctx, ck) == occurrence_count(2, 2, k)
 
 
 def test_equivariance():
@@ -76,11 +76,11 @@ def test_equivariance():
     psi = is_automorphism(Endomorphism.from_lists([[1], [2], [3, 2]], n))
     c = CyclicWord.of(word([3, 1, 2], n))
     lhs_ctx = build_context([A], B, G.act(psi))
-    lhs = count_i(lhs_ctx, c).value
+    lhs = count_i(lhs_ctx, c)
     A2 = [psi.apply(w) for w in A]
     B2 = [psi.apply(w) for w in B]
     rhs_ctx = build_context([A2], B2, G)
-    rhs = count_i(rhs_ctx, psi.apply_cyclic(c)).value
+    rhs = count_i(rhs_ctx, psi.apply_cyclic(c))
     assert lhs == rhs
 
 
@@ -105,10 +105,10 @@ def test_equivariance_random():
             continue
         c = CyclicWord.of(word([3, 1, 2], n))
         try:
-            lhs = count_i(build_context([A], B, G0.act(psi)), c).value
+            lhs = count_i(build_context([A], B, G0.act(psi)), c)
             rhs_ctx = build_context([[psi.apply(w) for w in A]],
                                     [psi.apply(w) for w in B], G0)
-            rhs = count_i(rhs_ctx, psi.apply_cyclic(c)).value
+            rhs = count_i(rhs_ctx, psi.apply_cyclic(c))
         except CountError:
             continue
         assert lhs == rhs
@@ -123,7 +123,7 @@ def test_lipschitz_audit_blowup_collapse():
     B = [basis_word(1, n), basis_word(2, n)]
     c = CyclicWord.of(word([3, 1, 2, 1, 2, 2], n))
     F = FreeFactorSystem.of([A], n)
-    base = count_i(build_context([A], B, G), c).value
+    base = count_i(build_context([A], B, G), c)
     for v in sorted(G.graph.vertices):
         for p1, p2 in graphs.vertex_direction_bipartitions(G.graph, v):
             blown, new_eid, _ = G.blowup_marked(v, p1, p2)
@@ -183,4 +183,4 @@ def test_two_component_context():
     ctx = build_context([A0, A1], B, G)
     assert ctx.shape == "edge"
     c = CyclicWord.of(word([3, 1, 2], n))
-    assert count_i(ctx, c).value >= 1
+    assert count_i(ctx, c) >= 1

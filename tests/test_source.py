@@ -107,6 +107,29 @@ def test_path_summary_walks_without_composing():
     assert reached == {"path_summary", "move"}
 
 
+def test_count_i_closes_one_path_summary():
+    """The crossing count has one engine: `counting.count_i` reaches
+    `path_summary` and `close`, and no other counting function walks a
+    circuit, i.e. reads K's step tables (`out`, `step_tables`, `step`,
+    `trace`) besides the tables' own builders. The "trivial class" refusal
+    occurs once in the library."""
+    calls, reached = reached_calls("counting.py", "count_i")
+    assert {"count_loop", "path_summary", "close"} <= reached
+    src = pathlib.Path(outerspine.__file__).parent
+    path = src / "counting.py"
+    readers = set()
+    for f in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(f, ast.FunctionDef):
+            for node in ast.walk(f):
+                if (getattr(node, "id", None) == "out"
+                        or getattr(node, "attr", None) in (
+                            "out", "step_tables", "step", "trace")):
+                    readers.add(f.name)
+    assert readers == {"__init__", "__missing__", "path_summary"}
+    text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+    assert text.count('"trivial class"') == 1
+
+
 def test_membership_builds_no_numbered_core():
     """`covers.core_images` reads each core's edges off the folding engine:
     neither it nor any covers function it reaches calls `stallings_core`

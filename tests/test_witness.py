@@ -16,6 +16,7 @@ from outerspine.witness import (theta, u_k, occurrence_count, theta_powers,
                                 case2_build, distortion_report, report_csv,
                                 ratio_within_of_golden, WitnessError,
                                 witness_rows)
+import count_oracle
 from witness_oracle import (theta_inverse, pair_counts, phi_k,
                             verify_factorization, u_prime_path,
                             phi_image_of_gamma)
@@ -155,7 +156,7 @@ def test_case2_baseline_is_two():
     params = WitnessParams(3, "two_component", ranks=(1, 1))
     cx = case2_build(params)
     ctx = cx.counting_context()
-    assert count_i(ctx, cx.c0).value == 2
+    assert count_i(ctx, cx.c0) == 2
 
 
 def test_case2_no_cancellation_and_growth():
@@ -213,7 +214,9 @@ def test_distortion_report_case2():
 
 
 def _rows_one_k_at_a_time(params, k_max):
-    """The table rebuilt row by row from phi_k, each row from scratch."""
+    """The table rebuilt row by row from phi_k, each row from scratch and
+    counted by the two-pass letter walk (`count_oracle.count_i`), which
+    shares no code with the summaries the report composes."""
     n, m = params.n, params.m
     if params.case == "connected":
         ctx = counting.build_context(
@@ -227,7 +230,7 @@ def _rows_one_k_at_a_time(params, k_max):
     rows = []
     for k in range(k_max + 1):
         _, phi, upper = phi_k(params, k)
-        ik = count_i(ctx, phi.apply_cyclic(c0)).value
+        ik = count_oracle.count_i(ctx, phi.apply_cyclic(c0))
         rows.append(ReportRow(k, upper, ik, ik // 2))
     return rows
 
@@ -261,16 +264,21 @@ CASE1_LONGEST_SUMMARY = 9
 CASE23_LONGEST_SUMMARY = 24
 
 
+_PATH_SUMMARY = counting.path_summary
+
+
 def bound_summarized_paths(monkeypatch, edges):
-    """Make `witness.path_summary` raise on a path longer than `edges`, so
+    """Make `path_summary` raise on a path longer than `edges`, in witness
+    and in counting (where `count_loop` summarizes an explicit class), so
     a row program that stops cutting its symbols fails at once instead of
     growing like theta^k(e_1)."""
     def summary(ctx, path):
         if len(path) > edges:
             raise AssertionError("summarized a path of %d edges" % len(path))
-        return counting.path_summary(ctx, path)
+        return _PATH_SUMMARY(ctx, path)
 
     monkeypatch.setattr(witness, "path_summary", summary)
+    monkeypatch.setattr(counting, "path_summary", summary)
 
 
 def test_compressed_rows_match_expanded_rows(monkeypatch):

@@ -436,9 +436,9 @@ def count_i(ctx, c):
 
 
 def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
-    """Counts before and after a forest collapse staying in CVK^[A].
-
-    The harness asserts i_before <= i_after <= i_before + 2.
+    """Counts (i, i') before and after a forest collapse staying in
+    CVK^[A], certified to satisfy i <= i' <= i + 2, the crossing count's
+    2-Lipschitz bound; CountCertificateError otherwise.
 
     The cores are folded once, over G. The core of a subgroup over G/F is
     its core over G with the label preimage of F collapsed (Stallings,
@@ -465,4 +465,7 @@ def lipschitz_audit(A_gens_list, B_gens, G, forest, c):
     labels = set(forest)
     ctx2 = _locate(G.collapse_marked(forest)[0], collapse_labeled(K, labels),
                    [collapse_labeled(KA, labels) for KA in A_cores])
-    return count_i(ctx1, c), count_i(ctx2, c)
+    i1, i2 = count_i(ctx1, c), count_i(ctx2, c)
+    if not i1 <= i2 <= i1 + 2:
+        raise CountCertificateError("bracket violated: %d -> %d" % (i1, i2))
+    return i1, i2

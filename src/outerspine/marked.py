@@ -15,7 +15,8 @@ equality takes it first, and only if it fails walks from the centres
 (`_centre`), which any isomorphism of marked graphs maps onto each other.
 `canonical_key` is spine-vertex equality as one hashable value.
 `collapse_matches` compares a forest collapse with a marked graph by the
-based walk read through the collapse's vertex map, building no collapse.
+based walk read through the collapse's vertex map, building no collapse;
+`collapse_audit` uses it to certify both retractions on a collapse edge.
 
 Sets of spine vertices (`VertexSet`) bucket them by `circuit_lengths`, an
 exact invariant that costs one pass over the marking, and compare within a
@@ -338,24 +339,31 @@ def collapse_matches(X, forest, H, keep_base=False):
                 H) is not None
 
 
-def collapse_certificate(r1, hull, r2, keep_base, error):
-    """Certify that a retraction maps the collapse edge x -> x/F to a vertex
-    or an edge: 0 if r1 = r(x) equals r2 = r(x/F), 1 if r1 with its hull
-    collapsed does (`collapse_matches`); a failure raises `error`.
-    keep_base tells how r1 was naturalized.
+def collapse_audit(retract, x, forest, keep_base, error):
+    """Certify that a retraction r maps the collapse edge x -> x/F to a
+    vertex or an edge: 0 if r(x) equals r(x/F), 1 if r(x) with its hull
+    collapsed does (`collapse_matches`); a failure raises `error`. Returns
+    (distance, x/F, r(x), r(x/F)), naturalized (keep_base: pointed form).
+    retract(y) is r(y) before naturalization and its edges' y-edge labels.
 
     r(x) is built from cores that immerse in x, each edge labelled by the
     x-edge below it, and r(x/F) is r(x) with the label preimage of F
-    collapsed; after naturalization, r1 with its hull collapsed: the
+    collapsed; after naturalization, r(x) with its hull collapsed: the
     natural edges whose chains lie wholly in that preimage
     (`graphs.chain_hull`). The preimage of a forest under an immersion is
     a forest, so a hull with a cycle fails too."""
+    x2 = x.collapse_marked(forest)[0].naturalize(keep_base)[0]
+    r1, labels = retract(x)
+    r1, chains = r1.naturalize(keep_base)
+    r2 = retract(x2)[0].naturalize(keep_base)[0]
+    hull = graphs.chain_hull(chains, {e for e, lab in labels.items()
+                                      if lab in forest})
     if hull and not graphs.is_forest(r1.graph, hull):
         raise error("hull is not a forest")
     if not collapse_matches(r1, hull, r2, keep_base):
         raise error("hull collapse does not reproduce the retraction" if hull
                     else "empty hull but retractions differ")
-    return 1 if hull else 0
+    return 1 if hull else 0, x2, r1, r2
 
 
 def _conjugate(p, d):

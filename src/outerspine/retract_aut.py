@@ -12,9 +12,9 @@ isomorphism.
 
 from .covers import based_core
 from .words import basis_word
-from .graphs import CoreGraph, chain_hull
+from .graphs import CoreGraph
 from .marked import (CertificateError, MarkedGraph, MarkingError,
-                     collapse_certificate, pointed_equivalent)
+                     collapse_audit, pointed_equivalent)
 
 
 class PointedError(CertificateError):
@@ -56,10 +56,5 @@ def retract_r(x):
 def lipschitz_audit(x, forest):
     """Collapse x along a relatively natural forest and certify that the
     retractions of both ends differ by at most one forest collapse
-    (`marked.collapse_certificate`). Returns (distance, x_collapsed)."""
-    x2 = x.collapse_marked(forest)[0].naturalize(keep_base=True)[0]
-    r1, labels = _retract(x)
-    r1, chains = r1.naturalize(keep_base=True)
-    hull = chain_hull(chains, {e for e in labels if labels[e] in forest})
-    return collapse_certificate(r1, hull, retract_r(x2), True,
-                                PointedError), x2
+    (`marked.collapse_audit`). Returns (distance, x_collapsed)."""
+    return collapse_audit(_retract, x, forest, True, PointedError)[:2]

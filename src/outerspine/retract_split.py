@@ -12,8 +12,8 @@ from .words import (ReducedWord, Endomorphism, basis_word, identity_word,
                     cyclic_core, cyclic_reduce, eventually_periodic_form,
                     invert_letters, is_automorphism, reduce_letters,
                     substitute)
-from .graphs import CoreGraph, chain_hull
-from .marked import CertificateError, MarkedGraph, collapse_certificate
+from .graphs import CoreGraph
+from .marked import CertificateError, MarkedGraph, collapse_audit
 from .covers import (CoreSubgraphWitness, FreeFactorSystem, based_core,
                      core_images)
 
@@ -273,8 +273,15 @@ def _retract(G, data):
     return MarkedGraph._derived(graph, subs[0].attach, marking), labels
 
 
+def _in_subcomplex(R, data):
+    """R, certified a member of CVK^T: a retraction output must be one."""
+    if in_CVKT(R, data.blueprint) is None:
+        raise RetractionError("retraction output left the subcomplex")
+    return R
+
+
 def retract_R(G, data):
-    """The retraction R: `_retract`, naturalized.
+    """The retraction R: `_retract`, naturalized, certified in CVK^T.
 
     R(G/F) is R(G) with the label preimage of F collapsed. The vertex cores
     over G/F are the cores over G with that preimage collapsed (Stallings,
@@ -282,20 +289,16 @@ def retract_R(G, data):
     collapse carries a ray's nearest point on a core to its nearest point
     on the collapsed core: a collapsed subtree that joins the ray to the
     core contains the segment from the old nearest point."""
-    return _retract(G, data)[0].natural_marked()
+    return _in_subcomplex(_retract(G, data)[0].natural_marked(), data)
 
 
 def retraction_audit(G, forest, data):
-    """Retract both ends of a collapse edge; certify both outputs lie in the
-    subcomplex and differ by at most one forest collapse
-    (`marked.collapse_certificate`; eps has no label, so no hull holds it).
+    """Retract both ends of a collapse edge; certify that the outputs
+    differ by at most one forest collapse (`marked.collapse_audit`; eps has
+    no label, so no hull holds it) and both lie in the subcomplex.
     Returns the distance; a failure raises RetractionError."""
-    G2 = G.collapse_marked(forest)[0].natural_marked()
-    r1, labels = _retract(G, data)
-    r1, chains = r1.naturalize(keep_base=False)
-    r2 = retract_R(G2, data)
-    for r in (r1, r2):
-        if in_CVKT(r, data.blueprint) is None:
-            raise RetractionError("retraction output left the subcomplex")
-    hull = chain_hull(chains, {e for e in labels if labels[e] in forest})
-    return collapse_certificate(r1, hull, r2, False, RetractionError)
+    d, _, *outs = collapse_audit(lambda y: _retract(y, data), G, forest,
+                                 False, RetractionError)
+    for R in outs:
+        _in_subcomplex(R, data)
+    return d

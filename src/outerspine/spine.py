@@ -5,13 +5,13 @@ work (`neighbors`), and `bfs_distance` grows balls of spine vertices in
 `marked.VertexSet`s.
 
 A spine path stores self-contained adjacency certificates: each step keeps
-its own representative graph X and natural forest f with X equivalent to the
-upper endpoint and X/f equivalent to the lower one. verify() recomputes
-every certificate from scratch, X/f by `marked.collapse_matches`, which
-builds no collapsed graph; a failure raises `PathCertificateError` (exit
-3). fold_path drives the folding engine (`folding.Folder`) one fold at a
-time; the engine chooses each fold, and this module builds the partially
-folded star graph with its two hull certificates and rewrites the marking.
+a natural forest f, in the edge ids of its upper vertex U, with U/f
+equivalent to the lower one. verify() recomputes every certificate from
+scratch by `marked.collapse_matches`, which builds no collapsed graph; a
+failure raises `PathCertificateError` (exit 3). fold_path drives the
+folding engine (`folding.Folder`) one fold at a time; the engine chooses
+each fold, and this module builds the partially folded star graph with its
+two hull certificates and rewrites the marking.
 """
 
 from dataclasses import dataclass, field
@@ -107,9 +107,8 @@ def bfs_distance(G1, G2, cap):
 
 @dataclass
 class SpineStep:
-    kind: str        # "down": X ~ upper=vertices[i]; "up": X ~ vertices[i+1]
-    X: object        # representative marked graph carrying the forest's ids
-    forest: frozenset
+    kind: str        # "down": upper = vertices[i]; "up": upper = vertices[i+1]
+    forest: frozenset  # in the upper vertex's edge ids
 
 
 @dataclass
@@ -126,10 +125,9 @@ class SpinePath:
     def verify(self):
         """Check that every vertex of rank >= 2 is natural (rank 1 has only
         the one-loop circle), and every step's certificate from scratch:
-        its representative X is equivalent to the upper vertex (nothing to
-        check where X is that vertex) and X/forest, naturalized, to the
-        lower one (`marked.collapse_matches`). The ends are not checked
-        here; `fold_path` checks that its path ends at G2.
+        the upper vertex with the step's forest collapsed, naturalized, is
+        equivalent to the lower one (`marked.collapse_matches`). The ends
+        are not checked here; `fold_path` checks that its path ends at G2.
         """
         if len(self.vertices) != len(self.steps) + 1:
             raise PathCertificateError("malformed path")
@@ -139,10 +137,7 @@ class SpinePath:
         for i, st in enumerate(self.steps):
             a, b = self.vertices[i], self.vertices[i + 1]
             upper, lower = (a, b) if st.kind == "down" else (b, a)
-            if st.X is not upper and equivalent(st.X, upper) is None:
-                raise PathCertificateError(
-                    "certificate %d: representative mismatch" % i)
-            if not collapse_matches(st.X, st.forest, lower):
+            if not collapse_matches(upper, st.forest, lower):
                 raise PathCertificateError(
                     "certificate %d: collapse mismatch" % i)
         return True
@@ -175,13 +170,14 @@ def fold_path(G1, G2, F=None):
     """A certificate-valid spine path from [G1] to [G2] via Stallings folds.
 
     Each fold contributes at most two spine edges, through the partially
-    folded intermediate. The steps are recorded unchecked; the path's last
-    fold vertex must be equivalent to G2's rose, and verify() then checks
-    every step's certificate once, so a path that is returned is certified
-    and a failed check raises PathCertificateError. The subdivided rose and
-    the folded graphs between steps are not path vertices and need no check
-    of their own: each step's certificate ties its star to the vertex
-    before it, and the terminus check ties the last one to G2's rose.
+    folded intermediate. The steps are recorded unchecked, each forest in
+    its upper vertex's edge ids: a fold with no up step carries its down
+    step's forest from its star to the vertex before it, which the star
+    equals ("representative mismatch" if not). The last fold vertex must
+    be equivalent to G2's rose, and verify() then checks every step's
+    certificate once, so a returned path is certified and a failed check
+    raises PathCertificateError. The subdivided rose and the folded graphs
+    between steps are not path vertices and need no check of their own.
     With F, every path vertex is checked against realizes(., F); if the
     endpoints are not in petal-compatible rose position the guarantee is
     dropped and reported.
@@ -206,7 +202,7 @@ def fold_path(G1, G2, F=None):
     rose1, tree1 = _tree_collapse_to_rose(G1)
     if tree1 is not None:
         vertices.append(rose1)
-        steps.append(SpineStep("down", G1, tree1))
+        steps.append(SpineStep("down", tree1))
     rose2, tree2 = _tree_collapse_to_rose(G2)
     if guarded and (tree1 is not None or tree2 is not None):
         guarded = False
@@ -272,20 +268,27 @@ def fold_path(G1, G2, F=None):
         ends = fo.edge_ends()
         if hull_eta:
             vertices.append(nat_star)
-            steps.append(SpineStep("up", nat_star, hull_eta))
+            steps.append(SpineStep("up", hull_eta))
         if hull_rs0:
             nat_after = MarkedGraph._derived(graphs.CoreGraph._derived(
                 list(fo.vertices), ends), base, marking).natural_marked()
             if equivalent(nat_after, vertices[-1]) is None:
+                if not hull_eta:  # carry the forest to the vertex before
+                    got = equivalent(nat_star, vertices[-1])
+                    if got is None:
+                        raise PathCertificateError(
+                            "certificate %d: representative mismatch"
+                            % len(steps))
+                    hull_rs0 = frozenset(abs(got[1][e]) for e in hull_rs0)
                 vertices.append(nat_after)
-                steps.append(SpineStep("down", nat_star, hull_rs0))
+                steps.append(SpineStep("down", hull_rs0))
 
     if equivalent(vertices[-1], rose2) is None:
         raise PathCertificateError("fold terminus does not match the"
                                    " target rose")
     if tree2 is not None:
         vertices.append(G2)
-        steps.append(SpineStep("up", G2, tree2))
+        steps.append(SpineStep("up", tree2))
     path = SpinePath(vertices, steps, guarded=guarded,
                      guard_report=guard_report)
     path.verify()

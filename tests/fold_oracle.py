@@ -429,7 +429,7 @@ def fold_path(G1, G2, folds):
     rose1, tree1 = _tree_collapse_to_rose(G1)
     if tree1 is not None:
         vertices.append(rose1)
-        steps.append(SpineStep("down", G1, tree1))
+        steps.append(SpineStep("down", tree1))
     rose2, tree2 = _tree_collapse_to_rose(G2)
 
     vals = rose1.inverse_marking_values()
@@ -456,18 +456,22 @@ def fold_path(G1, G2, folds):
             if equivalent(got.natural_marked(), vertices[-1]) is None:
                 raise SpineError("blow-up certificate failed")
             vertices.append(nat_star)
-            steps.append(SpineStep("up", nat_star, hull_eta))
+            steps.append(SpineStep("up", hull_eta))
         if hull_rs0:
             got, _ = nat_star.collapse_marked(hull_rs0)
             if equivalent(got.natural_marked(), nat_after) is None:
                 raise SpineError("fold-down certificate failed")
             if equivalent(nat_after, vertices[-1]) is None:
+                if not hull_eta:
+                    # in the edge ids of the vertex before the fold
+                    emap = equivalent(nat_star, vertices[-1])[1]
+                    hull_rs0 = frozenset(abs(emap[e]) for e in hull_rs0)
                 vertices.append(nat_after)
-                steps.append(SpineStep("down", nat_star, hull_rs0))
+                steps.append(SpineStep("down", hull_rs0))
 
     if tree2 is not None:
         vertices.append(G2)
-        steps.append(SpineStep("up", G2, tree2))
+        steps.append(SpineStep("up", tree2))
 
     return SpinePath(vertices, steps)
 

@@ -1,7 +1,7 @@
 """Reference marking lifts: the junction walk that `MarkedGraph.blowup_marked`
 and the chain lookup that `MarkedGraph.naturalize` used before both moves
 lifted markings through `words.substitute`; and the built collapse that
-`SpinePath.verify` and `collapse_certificate` compared before
+`SpinePath.verify` and the retraction audits compared before
 `marked.collapse_matches` read it off the uncollapsed marking. Kept only
 as the oracles for the differential tests."""
 

@@ -4,7 +4,9 @@ Run with `pytest -s tests/test_acceptance.py` to see the one-line PASS/FAIL
 verdicts; `outerspine selftest` prints the same lines.
 """
 
-from outerspine import acceptance
+import pytest
+
+from outerspine import acceptance, counting
 
 
 def _run(index, want):
@@ -56,3 +58,25 @@ def test_criterion_9_fold_paths():
 
 def test_criterion_10_train_track_positivity():
     _run(9, "6 (n, m) pairs positive through k=12")
+
+
+def test_criterion_3_reports_count_certificate_failures(monkeypatch):
+    """Criterion 3 skips the inputs that counting refuses, but a failed
+    count certificate is the program's fault: it propagates, and `run_all`
+    prints FAIL."""
+    real = counting.close
+    calls = []
+
+    def faulty(W):
+        calls.append(W)
+        if len(calls) % 7 == 0:
+            raise counting.CountCertificateError("two entry runs meet")
+        return real(W)
+    monkeypatch.setattr(counting, "close", faulty)
+    with pytest.raises(counting.CountCertificateError):
+        acceptance.criterion_3(instances=60)
+    lines = []
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[2:3])
+    assert not acceptance.run_all(out=lines.append)
+    assert lines == ["FAIL  criterion 3 count bracket under collapse: raised "
+                     "CountCertificateError('two entry runs meet')"]

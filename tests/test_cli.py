@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from outerspine import cli, covers, folding, sampling, spine, textio, witness
+from outerspine import (cli, counting, covers, folding, retract_split,
+                        sampling, spine, textio, witness)
 from outerspine.marked import MarkedGraph, equivalent
 from outerspine.retract_aut import embed_j
 from outerspine import graphs
@@ -126,6 +127,20 @@ def test_lipschitz_audit_known_brackets(tmp_path):
     for collapse in ("e1", "e1, e2"):
         out = run_cli(lipschitz_audit_args(tmp_path, collapse=collapse))
         assert out.strip() == "2 2"
+
+
+def test_lipschitz_audit_bracket_fault_exits_3(tmp_path, monkeypatch):
+    """A count after the collapse of i + 3 breaks the 2-Lipschitz bracket:
+    `lipschitz_audit` raises, and the command exits 3 with one line and
+    prints no counts."""
+    real, calls = counting.count_i, []
+
+    def three_more(ctx, c):
+        calls.append(ctx)
+        return real(ctx, c) + 3 * (len(calls) % 2 == 0)
+    monkeypatch.setattr(counting, "count_i", three_more)
+    assert_audit_violation(lipschitz_audit_args(tmp_path),
+                           "bracket violated: 2 -> 5")
 
 
 def test_lipschitz_audit_precondition_errors(tmp_path):
@@ -315,6 +330,18 @@ def test_split_membership_and_retract(tmp_path):
     out = run_cli(["retract-split", "--graph", rose, "--blueprint", str(bp)])
     got = textio.parse_marked(out)
     assert equivalent(got, MarkedGraph.rose_identity(3)) is not None
+
+
+def test_retract_split_output_fault_exits_3(tmp_path, monkeypatch):
+    """`retract_R` certifies that its output lies in CVK^T: refused as a
+    member, it exits 3 with one line and prints no graph."""
+    rose = write_rose(tmp_path)
+    bp = tmp_path / "bp.txt"
+    bp.write_text('splitting { type: loop; vertex A = a1 a2; stable: a3; '
+                  'ray1: prefix "", period a3; ray2: prefix "", period a3^-1 }')
+    monkeypatch.setattr(retract_split, "in_CVKT", lambda G, bp: None)
+    assert_audit_violation(["retract-split", "--graph", rose, "--blueprint",
+                            str(bp)], "retraction output left the subcomplex")
 
 
 def test_blueprint_of_another_rank_exits_2(tmp_path):
@@ -594,25 +621,58 @@ def recheck_fold_path(stdout, left, right):
     return length
 
 
-def fold_path_stdout(tmp_path, left, right):
+def fold_path_args(tmp_path, left, right):
     args = ["fold-path"]
     for i, G in enumerate((left, right)):
         p = tmp_path / ("end%d.txt" % i)
         p.write_text(textio.print_marked(G))
         args.append(str(p))
-    return run_cli(args)
+    return args
 
 
-def test_fold_path_certificates_recheck_from_text(tmp_path):
+def fold_path_stdout(tmp_path, left, right):
+    return run_cli(fold_path_args(tmp_path, left, right))
+
+
+def record_star_maps(monkeypatch, refuse=False):
+    """Record each `equivalent` call of `fold_path` on the star of a fold
+    with no up step, the call that carries the fold's down step forest to
+    the vertex before the fold; with refuse, answer it None. Returns the
+    list that records them."""
+    hulls, real = spine._hulls, spine.equivalent
+    stars, maps = [], []
+
+    def recording(star, *forests):
+        nat, out = hulls(star, *forests)
+        if not out[0]:
+            stars.append(nat)
+        return nat, out
+
+    def mapping(G, H):
+        if any(G is star for star in stars):
+            maps.append(G)
+            if refuse:
+                return None
+        return real(G, H)
+    monkeypatch.setattr(spine, "_hulls", recording)
+    monkeypatch.setattr(spine, "equivalent", mapping)
+    return maps
+
+
+# The smallest path with a forest carried to the vertex before its fold:
+# rank 2, length 4, certificate 1.
+ROSE2_TEXT = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
+MAPPED_LEFT = ROSE2_TEXT + "marking { a1 = e2 e1; a2 = e2; }\n"
+MAPPED_RIGHT = ROSE2_TEXT + "marking { a1 = e2 e1 e2 e2 e1; a2 = e2 e1; }\n"
+
+
+def test_fold_path_certificates_recheck_from_text(tmp_path, monkeypatch):
     """Each printed forest is in the edge ids of its printed upper vertex,
-    also where the step's representative X is another object: in the
-    smallest such path (rank 2, length 4) only {e2} collapses vertex 1 to
-    vertex 2, while X's ids read {e3}. The pinned outputs and seeded pairs
-    at ranks 2-4 (seven such steps) recheck from their text too."""
-    rose = "graph { v: v0; e: e1 v0 v0; e2 v0 v0; }\n"
-    left = textio.parse_marked(rose + "marking { a1 = e2 e1; a2 = e2; }\n")
-    right = textio.parse_marked(
-        rose + "marking { a1 = e2 e1 e2 e2 e1; a2 = e2 e1; }\n")
+    also where it was carried there from the fold's star: in the smallest
+    such path (rank 2, length 4) only {e2} collapses vertex 1 to vertex 2,
+    while the star's ids read {e3}. The pinned outputs and seeded pairs at
+    ranks 2-4 (seven such steps) recheck from their text too."""
+    left, right = map(textio.parse_marked, (MAPPED_LEFT, MAPPED_RIGHT))
     out = fold_path_stdout(tmp_path, left, right)
     assert "certificate 1: down collapse of {e2}\n" in out
     assert recheck_fold_path(out, left, right) == 4
@@ -625,17 +685,24 @@ def test_fold_path_certificates_recheck_from_text(tmp_path):
         recheck_fold_path(stdout, textio.parse_marked(left_text),
                           textio.parse_marked(right_text))
     rng = random.Random(13)
-    moved = 0
+    moved = record_star_maps(monkeypatch)
     for n in (2, 2, 3, 3, 4, 4):
         left, right = (sampling.random_marked_graph(rng, n, rng.randint(1, 3))
                        for _ in range(2))
         recheck_fold_path(fold_path_stdout(tmp_path, left, right),
                           left, right)
-        path = spine.fold_path(left, right)
-        moved += sum(
-            st.X is not path.vertices[k + (st.kind == "up")]
-            for k, st in enumerate(path.steps))
-    assert moved >= 5
+    assert len(moved) >= 5
+
+
+def test_fold_path_forest_mapping_fault_exits_3(tmp_path, monkeypatch):
+    """A fold with no up step has its star equal to the vertex before the
+    fold, and `fold_path` carries its down step's forest there through
+    `equivalent`. Refused, that is the construction's fault: `fold-path`
+    exits 3 with one line, at the smallest such path's certificate 1."""
+    record_star_maps(monkeypatch, refuse=True)
+    args = fold_path_args(tmp_path, *map(textio.parse_marked,
+                                         (MAPPED_LEFT, MAPPED_RIGHT)))
+    assert_audit_violation(args, "certificate 1: representative mismatch")
 
 
 def test_collapse_and_blowups(tmp_path):
@@ -765,20 +832,19 @@ def test_core_loop_faults_exit_3(tmp_path, monkeypatch):
 def test_fold_path_certificate_faults_exit_3(tmp_path, monkeypatch):
     """A fold path whose certificate fails is the construction's fault, not
     the input's: `fold-path` exits 3 with one line for each of verify's
-    four checks and the terminus check, each failure put in by hand. Two
-    ends of different ranks are the input's fault and exit 2."""
+    three checks and the terminus check, each failure put in by hand. Two
+    ends of different ranks are the input's fault and exit 2. The
+    representative check is `fold_path`'s own
+    (`test_fold_path_forest_mapping_fault_exits_3`)."""
     rose = write_rose(tmp_path, n=2)
     other = tmp_path / "acted.txt"
     other.write_text(run_cli(["act", rose, "--images", "a1 a2, a2"]))
     args = ["fold-path", rose, str(other)]
     assert issubclass(spine.PathCertificateError, spine.SpineError)
-    phi = sampling.transvection(2, 1, 2)
-    path, step = spine.SpinePath, spine.SpineStep
+    path = spine.SpinePath
     faults = [
         ("SpinePath", lambda vertices, steps, **kw:
             path(vertices + vertices[-1:], steps, **kw), "malformed path"),
-        ("SpineStep", lambda kind, X, forest: step(kind, X.act(phi), forest),
-         "certificate 0: representative mismatch"),
         ("collapse_matches", lambda *args: False,
          "certificate 0: collapse mismatch"),
         ("equivalent", lambda *args: None,
@@ -836,8 +902,8 @@ def test_exits_2_and_3_print_no_traceback(tmp_path):
     graph = tmp_path / "x.txt"
     graph.write_text(textio.print_marked(x, pointed=True))
     script = ("import sys\n"
-              "from outerspine import cli, retract_aut\n"
-              "retract_aut.chain_hull = lambda c, e: frozenset(c)\n"
+              "from outerspine import cli, graphs\n"
+              "graphs.chain_hull = lambda c, e: frozenset(c)\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     proc = subprocess.run([sys.executable, "-c", script, "retract-aut-audit",
                            str(graph), "--collapse", "e%d" % new_eid],

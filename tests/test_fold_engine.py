@@ -169,12 +169,28 @@ def test_bases_match_oracle(n):
 
 def printed(path):
     return ([textio.print_marked(v) for v in path.vertices],
-            [(s.kind, sorted(s.forest), textio.print_marked(s.X))
-             for s in path.steps])
+            [(s.kind, sorted(s.forest)) for s in path.steps])
+
+
+def recording_stars(module, monkeypatch):
+    """Record the printed normalized star of each fold that module's
+    `_hulls` sees."""
+    hulls, stars = module._hulls, []
+
+    def recording(star, *forests):
+        nat, out = hulls(star, *forests)
+        stars.append(textio.print_marked(nat))
+        return nat, out
+    monkeypatch.setattr(module, "_hulls", recording)
+    return stars
 
 
 def test_fold_paths_match_oracle(monkeypatch):
+    """The library's fold paths against `fold_oracle.fold_path`: the same
+    folds, vertices, step forests and fold stars."""
     made = []
+    new_stars = recording_stars(spine, monkeypatch)
+    old_stars = recording_stars(fold_oracle, monkeypatch)
 
     class Recording(folding.Folder):
         def next_fold(self):
@@ -201,6 +217,9 @@ def test_fold_paths_match_oracle(monkeypatch):
         new = spine.fold_path(G1, G2)
         assert made == folds
         assert printed(new) == printed(old)
+        assert new_stars == old_stars
+        new_stars.clear()
+        old_stars.clear()
         lengths += len(folds)
     assert lengths > 60
 

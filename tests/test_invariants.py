@@ -186,12 +186,21 @@ def rebuilt(x):
     return y
 
 
-def test_collapse_and_blowup_incidence_random():
+def test_collapse_and_blowup_incidence_random(monkeypatch):
     """Every derivation from seeded spine inputs rebuilds through the
     checking constructors: roses, actions, collapses, blow-ups, rebasings,
     naturalizations, neighbours and fold paths (each vertex and each
-    certificate's X). Collapses and blow-ups also keep their incidences,
-    and collapsing a blow-up's new edge gives back its input."""
+    fold's normalized star). Collapses and blow-ups also keep their
+    incidences, and collapsing a blow-up's new edge gives back its
+    input."""
+    stars = []
+    hulls = spine._hulls
+
+    def recording(star, *forests):
+        nat, out = hulls(star, *forests)
+        stars.append(nat)
+        return nat, out
+    monkeypatch.setattr(spine, "_hulls", recording)
     rng = random.Random(23)
     blowups = 0
     for i in range(40):
@@ -219,8 +228,9 @@ def test_collapse_and_blowup_incidence_random():
         if i % 8 == 0:
             for X in spine.neighbors(G):
                 rebuilt(X)
+            stars.clear()
             path = spine.fold_path(G, G.act(sampling.transvection(n, 1, 2)))
-            for X in path.vertices + [st.X for st in path.steps]:
+            for X in path.vertices + stars:
                 rebuilt(X)
 
         cands = [(v, p1, p2) for v in sorted(g.vertices)

@@ -356,9 +356,11 @@ def test_collapse_matches_agrees_with_the_built_collapse(monkeypatch):
             path = fold_path(sampling.random_marked_graph(rng, n, 3),
                              sampling.random_marked_graph(rng, n, 3))
             for i, st in enumerate(path.steps):
-                lower = path.vertices[i + 1 if st.kind == "down" else i]
-                assert check_collapse(st.X, st.forest, lower)
-                verdicts.append(check_collapse(st.X, st.forest,
+                upper, lower = path.vertices[i:i + 2]
+                if st.kind == "up":
+                    upper, lower = lower, upper
+                assert check_collapse(upper, st.forest, lower)
+                verdicts.append(check_collapse(upper, st.forest,
                                                lower.act(phi)))
     assert len(verdicts) > 100 and not any(verdicts)
     walks_failed = len(searched)

@@ -111,21 +111,27 @@ def test_rank_guard():
 
 def cyclic_hull(monkeypatch):
     """Keep every edge of r(x) in the hull, which then has a cycle."""
-    monkeypatch.setattr(retract_aut, "chain_hull",
+    monkeypatch.setattr(graphs, "chain_hull",
                         lambda chains, edges: frozenset(chains))
 
 
 def empty_hull(monkeypatch):
     """Leave every hull empty."""
-    monkeypatch.setattr(retract_aut, "chain_hull",
+    monkeypatch.setattr(graphs, "chain_hull",
                         lambda chains, edges: frozenset())
 
 
 def other_retraction(monkeypatch):
-    """Make retract_r answer r(x) acted on by a1 -> a1 a2."""
-    real = retract_aut.retract_r
-    monkeypatch.setattr(retract_aut, "retract_r", lambda x: real(x).act(
-        pointed_transvection(x.rank - 1, 1, 2)))
+    """Make the retraction of a one-vertex graph, the audit's collapsed
+    end, answer r(x) acted on by a1 -> a1 a2."""
+    real = retract_aut._retract
+
+    def moved(x):
+        r, labels = real(x)
+        if len(x.graph.vertices) == 1:
+            r = r.act(pointed_transvection(x.rank - 1, 1, 2))
+        return r, labels
+    monkeypatch.setattr(retract_aut, "_retract", moved)
 
 
 AUDIT_FAULTS = [

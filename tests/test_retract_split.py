@@ -350,8 +350,8 @@ def corrupt_labels(monkeypatch):
 
 def short_hull(monkeypatch):
     """Drop the least edge of every hull."""
-    real = retract_split.chain_hull
-    monkeypatch.setattr(retract_split, "chain_hull",
+    real = graphs.chain_hull
+    monkeypatch.setattr(graphs, "chain_hull",
                         lambda chains, edges: real(chains, edges) -
                         {min(real(chains, edges))})
 
@@ -418,7 +418,7 @@ def test_audit_faults_are_violations(fault, message, monkeypatch, tmp_path,
 def test_hull_with_a_cycle_is_a_violation(monkeypatch, tmp_path, capsys):
     """A hull that keeps every edge of R(G) has a cycle; the audit reports
     it as a violation (exit 3), not as a failed collapse of bad input."""
-    monkeypatch.setattr(retract_split, "chain_hull",
+    monkeypatch.setattr(graphs, "chain_hull",
                         lambda chains, edges: frozenset(chains))
     with pytest.raises(SplitError, match="hull is not a forest") as exc:
         retraction_audit(*blown_rose(), default_retraction_data(loop_bp(3)))

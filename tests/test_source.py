@@ -180,13 +180,39 @@ def test_public_functions_have_callers():
 
 def test_one_collapse_certificate():
     """Both retraction audits certify a collapse edge by the one routine,
-    `marked.collapse_certificate`: each of its messages occurs once in the
-    library."""
+    `marked.collapse_audit`, which retracts and naturalizes both ends
+    itself: each audit calls it, and each of its messages occurs once in
+    the library."""
     src = pathlib.Path(outerspine.__file__).parent
     text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
     for message in ("empty hull but retractions differ",
                     "hull is not a forest",
                     "hull collapse does not reproduce the retraction"):
+        assert text.count(message) == 1, message
+    assert {mod for mod, _, name in library_calls()
+            if name == "collapse_audit"} == {"retract_aut.py",
+                                             "retract_split.py"}
+
+
+def test_audit_verdicts_are_decided_once():
+    """Each audit verdict is decided once, where it is computed, and a
+    failure exits 3 by its type: `sys.exit(3)` is called only by `cli.main`
+    and by `cli.cmd_selftest`, and the count bracket's and the splitting
+    retraction's messages each occur once in the library."""
+    src = pathlib.Path(outerspine.__file__).parent
+    exits = []
+    for path in sorted(src.glob("*.py")):
+        for f in ast.parse(path.read_text(), str(path)).body:
+            exits += ["%s.%s" % (path.stem, getattr(f, "name", f.lineno))
+                      for node in ast.walk(f)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "exit"
+                      and [ast.dump(a) for a in node.args]
+                      == [ast.dump(ast.Constant(3))]]
+    assert exits == ["cli.cmd_selftest", "cli.main"]
+    text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+    for message in ("bracket violated",
+                    "retraction output left the subcomplex"):
         assert text.count(message) == 1, message
 
 

@@ -523,7 +523,10 @@ def test_fold_path_vertices_are_natural_random():
         path = fold_path(G1, G2)
         path.verify()
         assert all(v.graph.is_natural() for v in path.vertices)
-        assert all(st.X.graph.is_natural() for st in path.steps)
+        for i, st in enumerate(path.steps):
+            upper = path.vertices[i + (st.kind == "up")]
+            assert st.forest and st.forest <= upper.graph.edges.keys()
+            assert graphs.is_forest(upper.graph, st.forest)
     assert shared == 14
 
 
